@@ -1,27 +1,214 @@
-"""Experiment 4 extension — cluster-mode parallel matching.
+"""Experiment 4 extension — parallel matching and extraction.
 
 The paper: "the signature matching is completely parallelizable — each
 parallel thread can match one signature and this functionality is inbuilt
 in Bro (Bro's cluster mode).  But we do not have this obvious performance
-optimization implemented yet."  We do: this bench measures the
-critical-path speedup as the signature set is sharded across workers
-(signature-axis parallelism), and the batch benches below measure the
-request-axis fan-out of ``repro.parallel`` — chunked multiprocess feature
-extraction and batched signature matching.
+optimization implemented yet."  Three latency models answer it here:
+signature-axis sharding (Bro's cluster mode, ``exp4_parallel``), and the
+request-axis fan-out of :func:`repro.parallel.process_map` behind
+``FeatureExtractor.extract_many`` (``exp4_batch_extraction``) and
+``run_batch`` (``exp4_batch_matching``).
 
-Speedup columns are the overhead-corrected critical-path model (slowest
-worker's share of measured per-item costs): that is the latency a
-core-per-worker deployment exhibits and it is independent of how many
-cores this benchmark host happens to have.  Pool wall-clock is reported
-alongside, unmodeled.
+All three models share one timer-corrected per-item cost sampler
+(:func:`_item_costs`).  Speedup columns are critical-path models (the
+slowest worker's share of the measured per-item costs): the latency a
+core-per-worker deployment would exhibit, independent of how many cores
+this host has.  Pool wall-clock is reported alongside, unmodeled.
 """
+
+import time
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
 
 from repro.bench import BenchResult, corpus_digest
 from repro.corpus.grammar import CorpusGenerator
 from repro.eval import format_table
-from repro.http import Trace
-from repro.ids import ClusterModeEngine, PSigeneDetector
-from repro.parallel import bench_batch_extraction, bench_batch_matching
+from repro.features import FeatureExtractor
+from repro.http import HttpRequest, LABEL_ATTACK, Trace
+from repro.ids import PSigeneDetector, SignatureEngine
+from repro.parallel import plan_chunks, run_batch
+
+# -- the timing model ----------------------------------------------------------
+
+
+def _perf_counter_pair_s(samples=2000):
+    """Median cost, in seconds, of one back-to-back ``perf_counter`` pair.
+
+    Every per-item sample carries one such pair inside its interval.  Left
+    in, it would inflate the serial estimate by one pair per item but each
+    worker's share by only its items' worth, flattering every speedup; the
+    median is robust to scheduler noise where the mean is not.
+    """
+    gaps = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        gaps.append(time.perf_counter() - start)
+    gaps.sort()
+    return gaps[len(gaps) // 2]
+
+
+def _item_costs(fn, items):
+    """``fn`` over *items*: per-item seconds (timer-corrected) and results."""
+    overhead = _perf_counter_pair_s()
+    costs = np.zeros(len(items))
+    results = []
+    for index, item in enumerate(items):
+        start = time.perf_counter()
+        results.append(fn(item))
+        costs[index] = max(time.perf_counter() - start - overhead, 0.0)
+    return costs, results
+
+
+def _round_robin(n_chunks, workers):
+    """Chunk indices per worker, dealt cyclically — how a pool drains a
+    queue of near-uniform tasks."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    assignment = [[] for _ in range(workers)]
+    for chunk in range(n_chunks):
+        assignment[chunk % workers].append(chunk)
+    return assignment
+
+
+def _lpt_shards(costs, workers):
+    """Greedy longest-processing-time assignment of items to workers."""
+    order = sorted(range(len(costs)), key=lambda i: -costs[i])
+    loads = [0.0] * workers
+    shards = [[] for _ in range(workers)]
+    for index in order:
+        target = int(np.argmin(loads))
+        shards[target].append(index)
+        loads[target] += costs[index]
+    return [sorted(shard) for shard in shards]
+
+
+# -- request-axis fan-out model ------------------------------------------------
+
+
+@dataclass
+class _FanoutRow:
+    """One worker count of a batch fan-out: modeled and measured."""
+
+    workers: int
+    n_chunks: int
+    serial_us: float
+    critical_path_us: float
+    modeled_speedup: float
+    pool_wall_s: float
+    identical: bool
+
+
+def _fanout_rows(costs, run, same, workers):
+    """Model and run each worker count of a ``process_map`` fan-out.
+
+    ``plan_chunks``' chunks are dealt round-robin and the slowest worker's
+    summed per-item cost is the critical path; ``run(count)`` is the real
+    fan-out (wall clock) and ``same(result)`` its parity check.
+    """
+    n = len(costs)
+    serial = float(costs.sum())
+    rows = []
+    for count in workers:
+        spans = plan_chunks(n, count)
+        chunk_costs = [costs[start:stop].sum() for start, stop in spans]
+        loads = [
+            sum(chunk_costs[c] for c in assigned)
+            for assigned in _round_robin(len(spans), count)
+        ]
+        critical = max(loads) if loads else 0.0
+        start = time.perf_counter()
+        result = run(count)
+        wall = time.perf_counter() - start
+        rows.append(_FanoutRow(
+            workers=count,
+            n_chunks=len(spans),
+            serial_us=serial / n * 1e6 if n else 0.0,
+            critical_path_us=critical / n * 1e6 if n else 0.0,
+            modeled_speedup=serial / critical if critical > 0 else 1.0,
+            pool_wall_s=wall,
+            identical=bool(same(result)),
+        ))
+    return rows
+
+
+# -- signature-axis sharding model (Bro cluster mode) --------------------------
+
+
+@dataclass
+class _ShardRow:
+    """One cluster size of the signature-sharding model."""
+
+    workers: int
+    shard_sizes: list
+    serial_us: float
+    critical_path_us: float
+    speedup: float
+
+
+def _cluster_model(signature_set, trace, worker_counts, calibration=50):
+    """Shard *signature_set* across simulated cluster workers.
+
+    Each signature's cost over the first *calibration* requests drives an
+    LPT shard balance; one measured pass then times every (request,
+    signature) match, and each cluster size's critical path is the
+    per-request maximum over its shards.  Cluster sizes are capped at the
+    signature count (one signature per worker is the paper's limiting
+    case).  Returns the rows and the per-request alert flags (the union
+    of every shard's verdicts).
+    """
+    if any(count < 1 for count in worker_counts):
+        raise ValueError("need at least one worker")
+    signatures = signature_set.signatures
+    n_signatures = len(signatures)
+    normalized = [signature_set.normalizer(p) for p in trace.payloads()]
+    if n_signatures == 0 or not normalized:
+        rows = [
+            _ShardRow(min(count, max(1, n_signatures)), [], 0.0, 0.0, 1.0)
+            for count in worker_counts
+        ]
+        return rows, np.zeros(len(normalized), dtype=bool)
+
+    sample = normalized[:calibration]
+    signature_costs, _ = _item_costs(
+        lambda signature: [signature.probability(p) for p in sample],
+        signatures,
+    )
+    pairs = [(payload, signature)
+             for payload in normalized for signature in signatures]
+    pair_costs, probabilities = _item_costs(
+        lambda pair: pair[1].probability(pair[0]), pairs
+    )
+    per_signature_us = pair_costs.reshape(len(normalized), n_signatures) * 1e6
+    thresholds = np.array([signature.threshold for signature in signatures])
+    flags = (
+        np.array(probabilities).reshape(len(normalized), n_signatures)
+        >= thresholds
+    ).any(axis=1)
+
+    serial = float(per_signature_us.sum(axis=1).mean())
+    rows = []
+    for count in worker_counts:
+        shards = _lpt_shards(signature_costs, min(count, n_signatures))
+        worker_time = np.zeros((len(normalized), len(shards)))
+        for worker, shard in enumerate(shards):
+            if shard:
+                worker_time[:, worker] = per_signature_us[:, shard].sum(
+                    axis=1
+                )
+        critical = float(worker_time.max(axis=1).mean())
+        rows.append(_ShardRow(
+            workers=len(shards),
+            shard_sizes=[len(shard) for shard in shards],
+            serial_us=serial,
+            critical_path_us=critical,
+            speedup=serial / critical if critical > 0 else 1.0,
+        ))
+    return rows, flags
+
+
+# -- benches -------------------------------------------------------------------
 
 
 def test_cluster_mode_speedup(benchmark, bench_context, record, emit):
@@ -32,13 +219,9 @@ def test_cluster_mode_speedup(benchmark, bench_context, record, emit):
     )
 
     def sweep():
-        rows = []
-        for workers in (1, 2, 4, len(nine)):
-            run = ClusterModeEngine(nine, workers=workers).run(sample)
-            rows.append(run)
-        return rows
+        return _cluster_model(nine, sample, (1, 2, 4, len(nine)))
 
-    runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    runs, flags = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = format_table(
         ["WORKERS", "SERIAL µs", "CRITICAL PATH µs", "SPEEDUP", "SHARDS"],
         [
@@ -51,9 +234,12 @@ def test_cluster_mode_speedup(benchmark, bench_context, record, emit):
     )
     record("exp4_parallel", table)
 
-    # Verdicts never change with sharding.
-    base = runs[0].alert_flags.tolist()
-    parity = all(run.alert_flags.tolist() == base for run in runs)
+    # Sharding decides nothing: the union of shard verdicts is the
+    # engine's verdict on every request.
+    engine_flags = SignatureEngine(PSigeneDetector(nine)).run(
+        sample
+    ).alert_flags
+    parity = flags.tolist() == engine_flags.tolist()
     emit(BenchResult(
         bench="exp4_parallel",
         kind="perf",
@@ -125,17 +311,8 @@ def _batch_bench_result(slug, results, by_workers, corpus):
     )
 
 
-def test_bench_batch_extraction(benchmark, record, emit):
-    """Chunked multiprocess feature extraction over a 3k-sample corpus."""
-    payloads = [
-        s.payload for s in CorpusGenerator(seed=2012).generate(3000)
-    ]
-
-    def sweep():
-        return bench_batch_extraction(payloads, workers=(1, 2, 4, 8))
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table = format_table(
+def _batch_table(results, title):
+    return format_table(
         ["WORKERS", "CHUNKS", "SERIAL µs/req", "CRITICAL µs/req",
          "MODELED SPEEDUP", "POOL WALL s", "IDENTICAL"],
         [
@@ -144,12 +321,35 @@ def test_bench_batch_extraction(benchmark, record, emit):
              f"{r.pool_wall_s:.2f}", "yes" if r.identical else "NO"]
             for r in results
         ],
-        title=(
-            "Experiment 4 extension: batch feature extraction "
-            f"({len(payloads)} samples, full catalog)"
-        ),
+        title=title,
     )
-    record("exp4_batch_extraction", table)
+
+
+def test_bench_batch_extraction(benchmark, record, emit):
+    """Chunked multiprocess feature extraction over a 3k-sample corpus."""
+    payloads = [
+        s.payload for s in CorpusGenerator(seed=2012).generate(3000)
+    ]
+    extractor = FeatureExtractor()
+
+    def sweep():
+        costs, rows = _item_costs(extractor.extract, payloads)
+        serial = np.vstack(rows)
+        return _fanout_rows(
+            costs,
+            lambda count: extractor.extract_many(payloads, workers=count),
+            lambda matrix: (
+                matrix.counts.shape == serial.shape
+                and (matrix.counts == serial).all()
+            ),
+            (1, 2, 4, 8),
+        )
+
+    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    record("exp4_batch_extraction", _batch_table(results, (
+        "Experiment 4 extension: batch feature extraction "
+        f"({len(payloads)} samples, full catalog)"
+    )))
     by_workers = {r.workers: r for r in results}
     emit(_batch_bench_result(
         "exp4_batch_extraction", results, by_workers,
@@ -173,24 +373,20 @@ def test_bench_batch_matching(benchmark, bench_context, record, emit):
     detector = PSigeneDetector(nine)
 
     def sweep():
-        return bench_batch_matching(detector, trace, workers=(1, 2, 4, 8))
+        costs, detections = _item_costs(detector.inspect, trace.payloads())
+        serial_flags = np.array([bool(d.alert) for d in detections])
+        return _fanout_rows(
+            costs,
+            lambda count: run_batch(detector, trace, workers=count),
+            lambda run: (run.alert_flags == serial_flags).all(),
+            (1, 2, 4, 8),
+        )
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table = format_table(
-        ["WORKERS", "CHUNKS", "SERIAL µs/req", "CRITICAL µs/req",
-         "MODELED SPEEDUP", "POOL WALL s", "IDENTICAL"],
-        [
-            [r.workers, r.n_chunks, f"{r.serial_us:.1f}",
-             f"{r.critical_path_us:.1f}", f"{r.modeled_speedup:.2f}x",
-             f"{r.pool_wall_s:.2f}", "yes" if r.identical else "NO"]
-            for r in results
-        ],
-        title=(
-            "Experiment 4 extension: batched signature matching "
-            f"({len(trace)} requests, {len(nine)} signatures)"
-        ),
-    )
-    record("exp4_batch_matching", table)
+    record("exp4_batch_matching", _batch_table(results, (
+        "Experiment 4 extension: batched signature matching "
+        f"({len(trace)} requests, {len(nine)} signatures)"
+    )))
     by_workers = {r.workers: r for r in results}
     emit(_batch_bench_result(
         "exp4_batch_matching", results, by_workers,
@@ -200,3 +396,109 @@ def test_bench_batch_matching(benchmark, bench_context, record, emit):
     assert all(r.identical for r in results)
     assert by_workers[1].modeled_speedup <= 1.05
     assert by_workers[4].modeled_speedup >= 1.5
+
+
+# -- model unit tests ----------------------------------------------------------
+
+
+class TestRoundRobin:
+    def test_every_chunk_assigned_once(self):
+        assignment = _round_robin(10, 3)
+        flat = sorted(i for worker in assignment for i in worker)
+        assert flat == list(range(10))
+
+    def test_balanced_within_one(self):
+        sizes = [len(worker) for worker in _round_robin(10, 3)]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_invalid_workers(self):
+        with pytest.raises(ValueError):
+            _round_robin(5, 0)
+
+
+class TestLptShards:
+    def test_all_items_assigned_exactly_once(self):
+        shards = _lpt_shards([3.0, 1.0, 2.0, 5.0, 4.0], 2)
+        flattened = sorted(i for shard in shards for i in shard)
+        assert flattened == [0, 1, 2, 3, 4]
+
+    def test_loads_balanced(self):
+        costs = [5.0, 4.0, 3.0, 3.0, 2.0, 1.0]
+        shards = _lpt_shards(costs, 2)
+        loads = [sum(costs[i] for i in shard) for shard in shards]
+        # LPT guarantee for 2 machines: within 7/6 of optimum (9 here).
+        assert max(loads) <= 9 * 7 / 6 + 1e-9
+
+    def test_heaviest_item_isolated_when_possible(self):
+        shards = _lpt_shards([100.0, 1.0, 1.0, 1.0], 2)
+        assert next(s for s in shards if 0 in s) == [0]
+
+    def test_more_workers_than_items(self):
+        shards = _lpt_shards([1.0, 2.0], 5)
+        assert len([s for s in shards if s]) == 2
+
+    def test_single_worker_gets_everything(self):
+        assert _lpt_shards([1.0, 2.0, 3.0], 1) == [[0, 1, 2]]
+
+    def test_equal_costs_spread_evenly(self):
+        shards = _lpt_shards([1.0] * 8, 4)
+        assert sorted(len(s) for s in shards) == [2, 2, 2, 2]
+
+
+@pytest.fixture(scope="module")
+def attack_trace():
+    payloads = [
+        "id=1' union select 1,2,3-- -",
+        "q=2' and sleep(5)-- -",
+        "u=3' or '1'='1",
+        "x=4' and extractvalue(1,concat(0x7e,user()))-- -",
+    ] * 10
+    return Trace(
+        name="t",
+        requests=[HttpRequest(query=p, label=LABEL_ATTACK)
+                  for p in payloads],
+    )
+
+
+class TestClusterModel:
+    def test_verdicts_match_serial_engine(self, bench_context, attack_trace):
+        nine, _ = bench_context.psigene_sets()
+        serial = SignatureEngine(PSigeneDetector(nine)).run(attack_trace)
+        _, flags = _cluster_model(nine, attack_trace, (3,))
+        assert flags.tolist() == serial.alert_flags.tolist()
+
+    def test_speedup_with_multiple_workers(self, bench_context, attack_trace):
+        nine, _ = bench_context.psigene_sets()
+        (run,), _ = _cluster_model(nine, attack_trace, (4,))
+        # Critical path must beat serial when signatures spread over
+        # several workers (timing noise allows a small slack).
+        assert run.speedup > 1.2
+
+    def test_single_worker_no_speedup(self, bench_context, attack_trace):
+        nine, _ = bench_context.psigene_sets()
+        (run,), _ = _cluster_model(nine, attack_trace, (1,))
+        assert run.speedup == pytest.approx(1.0, abs=0.01)
+
+    def test_workers_capped_at_signature_count(
+        self, bench_context, attack_trace
+    ):
+        nine, _ = bench_context.psigene_sets()
+        (run,), _ = _cluster_model(nine, attack_trace, (100,))
+        assert run.workers == len(nine)
+        assert all(size == 1 for size in run.shard_sizes)
+
+    def test_all_signatures_assigned_once(self, bench_context, attack_trace):
+        nine, _ = bench_context.psigene_sets()
+        (run,), _ = _cluster_model(nine, attack_trace, (3,))
+        assert sum(run.shard_sizes) == len(nine)
+
+    def test_invalid_workers_rejected(self, bench_context, attack_trace):
+        nine, _ = bench_context.psigene_sets()
+        with pytest.raises(ValueError):
+            _cluster_model(nine, attack_trace, (0,))
+
+    def test_empty_trace(self, bench_context):
+        nine, _ = bench_context.psigene_sets()
+        (run,), flags = _cluster_model(nine, Trace(name="empty"), (2,))
+        assert flags.size == 0
+        assert run.speedup == 1.0

@@ -6,9 +6,9 @@ drives a 2-shard fleet past capacity open-loop (``shed`` policy, tight
 queues — overload behaviour).  Parity with the offline engine is
 asserted on every serviced response.
 
-Scaling methodology (same as ``repro.parallel.timing`` / exp4): the CI
-host is a single core, so an N-shard fleet time-slices one CPU and the
-*measured* aggregate cannot exceed single-shard capacity.  What the
+Scaling methodology (same as the exp4 models in ``test_exp4_parallel``):
+the CI host is a single core, so an N-shard fleet time-slices one CPU and
+the *measured* aggregate cannot exceed single-shard capacity.  What the
 measurement does expose is the fleet's coordination overhead — the
 aggregate it retains when the same core is divided N ways
 (``efficiency = C_N / C_1``).  Modeled N-core throughput is

@@ -1,4 +1,4 @@
-"""Operating the signature set: threshold tuning and cluster-mode matching.
+"""Operating the signature set: threshold tuning and batched matching.
 
 Two operational features the paper sketches:
 
@@ -7,17 +7,20 @@ Two operational features the paper sketches:
   to enable or disable" — here automated as an FPR-budgeted threshold
   search (`repro.eval.tune_thresholds`).
 * Experiment 4 / future work: "the signature matching is completely
-  parallelizable — each parallel thread can match one signature"
-  (Bro's cluster mode) — here implemented as `repro.ids.ClusterModeEngine`.
+  parallelizable" (Bro's cluster mode) — here the request-axis fan-out
+  `SignatureEngine.run_batch(trace, workers=N)`, timed at 1 and 2
+  workers on this machine.
 
     python examples/tune_and_parallelize.py
 """
+
+import time
 
 from repro.core import PipelineConfig, PSigenePipeline
 from repro.corpus import BenignTrafficGenerator, VulnerableWebApp
 from repro.eval import tune_thresholds
 from repro.http import Trace
-from repro.ids import ClusterModeEngine, PSigeneDetector, SignatureEngine
+from repro.ids import PSigeneDetector, SignatureEngine
 from repro.scanners import ArachniSimulator
 
 
@@ -56,13 +59,17 @@ def main() -> None:
     measure(result.signature_set, "default")
     measure(tuned, "tuned")
 
-    print("\n-- Cluster-mode matching (Bro cluster analogue) --")
-    sample = Trace(name="probe", requests=attacks.requests[:300])
-    for workers in (1, 2, 4, len(tuned) or 1):
-        run = ClusterModeEngine(tuned, workers=workers).run(sample)
-        print(f"  workers={run.workers}: serial={run.serial_us:7.1f}µs  "
-              f"critical-path={run.critical_path_us:7.1f}µs  "
-              f"speedup={run.speedup:0.2f}x  shards={run.shard_sizes}")
+    print("\n-- Batched matching (measured wall time) --")
+    trace = Trace(
+        name="probe", requests=attacks.requests + benign.requests[:4000]
+    )
+    engine = SignatureEngine(PSigeneDetector(tuned))
+    for workers in (1, 2):
+        start = time.perf_counter()
+        run = engine.run_batch(trace, workers=workers)
+        wall = time.perf_counter() - start
+        print(f"  workers={workers}: {len(trace)} requests in {wall:0.2f}s "
+              f"({len(trace) / wall:0.0f} req/s, {run.alert_count} alerts)")
 
 
 if __name__ == "__main__":

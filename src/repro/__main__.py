@@ -821,6 +821,14 @@ def _cmd_canary_history(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for worker counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -845,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_options = argparse.ArgumentParser(add_help=False)
     worker_options.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes (default: 1)",
     )
     signature_options = argparse.ArgumentParser(add_help=False)

@@ -27,7 +27,6 @@ from repro.conformance.oracle import (
 )
 from repro.conformance.paths import (
     BatchPath,
-    ClusterPath,
     DetectorPath,
     EngineRunPath,
     GatewayFramedPath,
@@ -49,7 +48,6 @@ from repro.conformance.verdict import (
 __all__ = [
     "BUDGETS",
     "BatchPath",
-    "ClusterPath",
     "ConformanceError",
     "ConformanceReport",
     "DetectorPath",

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.conformance.paths import (
     DEFAULT_WORKER_COUNTS,
     DetectorPath,
@@ -51,45 +53,40 @@ def extraction_divergences(
     *,
     worker_counts: tuple[int, ...] = DEFAULT_WORKER_COUNTS,
     extractor=None,
-    chunk_size: int | None = None,
 ) -> list[Divergence]:
-    """Feature-extraction parity: parallel matrices vs the serial one.
+    """Feature-extraction parity: batch matrices vs per-payload rows.
 
     Phase-2 extraction is the other fan-out in the repo (training-time
     rather than detection-time), so the oracle checks it alongside the
-    verdict paths: ``extract_many`` at each worker count must produce a
-    cell-identical matrix.  Mismatched cells become ``feature:<label>``
-    divergences against the ``extract-w1`` baseline.
+    verdict paths: ``extract_many(workers=N)`` at each worker count must
+    produce a cell-identical matrix to the ``extract`` loop.  Mismatched
+    cells become ``feature:<label>`` divergences against the
+    ``extract-ref`` baseline.
     """
     from repro.features.extractor import FeatureExtractor
-    from repro.parallel.extract import ParallelFeatureExtractor
 
     extractor = extractor if extractor is not None else FeatureExtractor()
-    baseline = extractor.extract_many(payloads)
+    baseline = np.zeros((len(payloads), len(extractor.catalog)), np.int32)
+    for row, payload in enumerate(payloads):
+        baseline[row] = extractor.extract(payload)
     out: list[Divergence] = []
     for workers in worker_counts:
-        if workers == 1:
-            continue
-        parallel = ParallelFeatureExtractor(
-            extractor, workers=workers, chunk_size=chunk_size
-        )
-        matrix = parallel.extract_many(payloads)
+        counts = extractor.extract_many(payloads, workers=workers).counts
         name = f"extract-w{workers}"
-        if matrix.counts.shape != baseline.counts.shape:
+        if counts.shape != baseline.shape:
             out.append(Divergence(
-                baseline="extract-w1", path=name, index=None,
+                baseline="extract-ref", path=name, index=None,
                 field="count",
-                expected=list(baseline.counts.shape),
-                observed=list(matrix.counts.shape),
+                expected=list(baseline.shape),
+                observed=list(counts.shape),
             ))
             continue
-        mismatched = (matrix.counts != baseline.counts).nonzero()
-        for row, column in zip(*mismatched):
+        for row, column in zip(*(counts != baseline).nonzero()):
             out.append(Divergence(
-                baseline="extract-w1", path=name, index=int(row),
-                field=f"feature:{baseline.catalog[int(column)].label}",
-                expected=int(baseline.counts[row, column]),
-                observed=int(matrix.counts[row, column]),
+                baseline="extract-ref", path=name, index=int(row),
+                field=f"feature:{extractor.catalog[int(column)].label}",
+                expected=int(baseline[row, column]),
+                observed=int(counts[row, column]),
                 payload=payloads[int(row)][:120],
             ))
     return out

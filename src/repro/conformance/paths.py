@@ -2,15 +2,14 @@
 
 A *path* is one way this repo turns a payload into a verdict: the serial
 ``detector.inspect`` loop, the offline engine's ``run``, the batched
-``run_batch`` fan-out at several worker counts, cluster-mode sharding,
-and a live gateway TCP round-trip.  Every path reduces its native output
-to the :class:`~repro.conformance.verdict.Verdict` normal form, so the
-oracle can compare them without knowing how any of them work inside.
+``run_batch`` fan-out at several worker counts, and a live gateway TCP
+round-trip.  Every path reduces its native output to the
+:class:`~repro.conformance.verdict.Verdict` normal form, so the oracle
+can compare them without knowing how any of them work inside.
 
 Paths declare applicability via :meth:`DetectorPath.supports`: the
-cluster path needs a ``signature_set`` to shard, the multiprocess batch
-paths need a picklable detector, and everything else takes any
-:class:`~repro.ids.engine.Detector`.
+multiprocess batch paths need a picklable detector, and everything else
+takes any :class:`~repro.ids.engine.Detector`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.http.traffic import Trace
 
 __all__ = [
     "BatchPath",
-    "ClusterPath",
     "DetectorPath",
     "EngineRunPath",
     "GatewayFramedPath",
@@ -150,13 +148,10 @@ class EngineRunPath(DetectorPath):
 class BatchPath(DetectorPath):
     """The chunked :func:`repro.parallel.batch.run_batch` fan-out."""
 
-    def __init__(
-        self, workers: int = 1, *, chunk_size: int | None = None
-    ) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.name = f"batch-w{workers}"
 
     def supports(self, detector) -> bool:
@@ -177,7 +172,6 @@ class BatchPath(DetectorPath):
             detector,
             _as_trace(payloads, f"conform-{self.name}"),
             workers=self.workers,
-            chunk_size=self.chunk_size,
         )
         by_index = {alert.request_index: alert for alert in run.alerts}
         return [
@@ -189,35 +183,6 @@ class BatchPath(DetectorPath):
                 ) if index in by_index else (),
             )
             for index in range(len(payloads))
-        ]
-
-
-class ClusterPath(DetectorPath):
-    """Cluster-mode sharding (:class:`~repro.ids.parallel.ClusterModeEngine`).
-
-    Only applicable to detectors that expose a ``signature_set`` — the
-    shards are per-signature, so there must be signatures to shard.
-    """
-
-    def __init__(self, workers: int = 4) -> None:
-        self.workers = workers
-        self.name = f"cluster-w{workers}"
-
-    def supports(self, detector) -> bool:
-        """Sharding needs a :class:`SignatureSet` to split."""
-        return isinstance(
-            getattr(detector, "signature_set", None), SignatureSet
-        )
-
-    def run(self, detector, payloads: list[str]) -> list[Verdict]:
-        """One sharded ``inspect`` per payload."""
-        from repro.ids.parallel import ClusterModeEngine
-
-        engine = ClusterModeEngine(
-            detector.signature_set, workers=self.workers
-        )
-        return [
-            Verdict.from_detection(engine.inspect(p)) for p in payloads
         ]
 
 
@@ -502,7 +467,6 @@ def default_paths(
     gateway: bool = True,
     fleet: bool = True,
     fleet_shards: int = 2,
-    cluster_workers: int = 4,
 ) -> list[DetectorPath]:
     """Every registered path, serial (the baseline) first."""
     paths: list[DetectorPath] = [
@@ -510,7 +474,6 @@ def default_paths(
         SurfacesLegacyParityPath(),
     ]
     paths.extend(BatchPath(workers=count) for count in worker_counts)
-    paths.append(ClusterPath(workers=cluster_workers))
     if gateway:
         paths.append(GatewayPath())
         paths.append(GatewayFramedPath())

@@ -3,13 +3,12 @@
 The paper's operational claim (Section V) is that a deployed signature
 set gives one stable verdict per payload.  The repo now computes that
 verdict along several code paths — serial ``evaluate``, batched
-``run_batch``, the cluster-mode shards, the serving gateway — and the
-conformance layer reduces every path's answer to one comparable shape:
-``(alert, score, fired)``.  Two paths *conform* when their verdict
-sequences are element-wise equal (scores within a tolerance); every
-disagreement becomes a structured :class:`Divergence` rather than a
-bare assertion failure, so a report can name the payload, the paths,
-and the field that split.
+``run_batch``, the serving gateway — and the conformance layer reduces
+every path's answer to one comparable shape: ``(alert, score, fired)``.
+Two paths *conform* when their verdict sequences are element-wise equal
+(scores within a tolerance); every disagreement becomes a structured
+:class:`Divergence` rather than a bare assertion failure, so a report
+can name the payload, the paths, and the field that split.
 """
 
 from __future__ import annotations

@@ -62,10 +62,9 @@ class PipelineConfig:
         biclusterer: sample/feature clustering knobs.
         generalizer: signature-training knobs.
         workers: worker processes for phase-2 feature extraction (attack
-            and benign matrices); 1 keeps extraction serial.  Outputs are
-            identical either way (see :mod:`repro.parallel.extract`).
-        extraction_chunk_size: payloads per parallel extraction task
-            (``None`` = auto).
+            and benign matrices); 1 keeps extraction in-process.  Outputs
+            are identical either way (see
+            :meth:`~repro.features.extractor.FeatureExtractor.extract_many`).
         manifest_dir: directory for the run manifest (phases, timings,
             counts, git version); ``None`` disables manifest emission.
     """
@@ -79,7 +78,6 @@ class PipelineConfig:
     biclusterer: Biclusterer = field(default_factory=Biclusterer)
     generalizer: GeneralizerConfig = field(default_factory=GeneralizerConfig)
     workers: int = 1
-    extraction_chunk_size: int | None = None
     manifest_dir: str | None = None
 
 
@@ -165,7 +163,6 @@ class PSigenePipeline:
             (s.payload for s in samples),
             sample_ids=[s.sample_id for s in samples],
             workers=config.workers,
-            chunk_size=config.extraction_chunk_size,
         )
         pruned, report = prune(full)
         pruned_extractor = extractor.with_catalog(pruned.catalog)
@@ -175,7 +172,6 @@ class PSigenePipeline:
         benign = pruned_extractor.extract_many(
             benign_trace.payloads(),
             workers=config.workers,
-            chunk_size=config.extraction_chunk_size,
         )
         return pruned, report, benign, pruned_extractor
 

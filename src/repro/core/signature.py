@@ -10,7 +10,6 @@ over the normalized request payload (Section III-C).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,36 +197,6 @@ class SignatureSet:
             if probability >= signature.threshold:
                 fired.append(signature.bicluster_index)
         return score, fired
-
-    def score(self, payload: str) -> float:
-        """Max per-signature probability (the set's decision score).
-
-        .. deprecated::
-            Use :meth:`evaluate` (or mount the set behind a
-            :class:`~repro.ids.engine.Detector`); calling ``score`` and
-            ``alerts`` separately normalizes and matches twice.
-        """
-        warnings.warn(
-            "SignatureSet.score() is deprecated; use evaluate() — it "
-            "returns (score, fired) in one normalization pass",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(payload)[0]
-
-    def alerts(self, payload: str) -> list[int]:
-        """Bicluster indices of the signatures that fire on *payload*.
-
-        .. deprecated::
-            Use :meth:`evaluate`; see :meth:`score`.
-        """
-        warnings.warn(
-            "SignatureSet.alerts() is deprecated; use evaluate() — it "
-            "returns (score, fired) in one normalization pass",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(payload)[1]
 
     def matches(self, payload: str) -> bool:
         """True when any member signature fires on the raw payload."""

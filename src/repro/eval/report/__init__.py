@@ -10,8 +10,7 @@ character apart; this package merges them behind two entry points:
   (:mod:`repro.eval.report.text`).
 
 The historical names (``render_report``, ``write_report``,
-``format_table``, ``percent``) are re-exported unchanged, and the old
-``repro.eval.reporting`` module remains importable as a deprecated shim.
+``format_table``, ``percent``) are re-exported unchanged.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ one measuring the number of times a feature was found in an attack sample."
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -83,23 +84,30 @@ class FeatureExtractor:
         *,
         sample_ids: Sequence[str] | None = None,
         workers: int = 1,
-        chunk_size: int | None = None,
     ) -> FeatureMatrix:
         """Count matrix for a collection of payloads.
+
+        Every worker count runs the same per-payload code: a copy of this
+        extractor whose normalizer sits behind a 4,096-entry LRU
+        (:class:`~repro.parallel.cache.CachedNormalizer`), fanned out by
+        :func:`~repro.parallel.fanout.process_map`.  Rows come back in
+        input order, so the matrix is identical at any worker count.
 
         Args:
             payloads: raw payload strings (query strings / form bodies).
             sample_ids: optional row identifiers; defaults to ``s<i>``.
                 Must be one per payload — a mismatched length would silently
                 mislabel every row after the shorter sequence ends.
-            workers: fan extraction over this many worker processes
-                (see :mod:`repro.parallel.extract`); 1 stays serial.
-            chunk_size: payloads per parallel task (``None`` = auto).
+            workers: worker processes; 1 stays in-process.
 
         Raises:
             ValueError: when ``sample_ids`` is given with a length different
-                from the payload count.
+                from the payload count, or when ``workers < 1``.
         """
+        # Deferred: repro.parallel imports the detector stack, which
+        # imports this module.
+        from repro.parallel import CachedNormalizer, process_map
+
         items = list(payloads)
         if sample_ids is not None and len(sample_ids) != len(items):
             raise ValueError(
@@ -108,26 +116,18 @@ class FeatureExtractor:
         with trace.span(
             "features.extract_many", payloads=len(items), workers=workers,
         ) as extract_span:
-            if workers > 1:
-                from repro.parallel.extract import ParallelFeatureExtractor
-
-                matrix = ParallelFeatureExtractor(
-                    self, workers=workers, chunk_size=chunk_size
-                ).extract_many(items, sample_ids=sample_ids)
+            worker = copy.copy(self)
+            worker.normalizer = CachedNormalizer(self.normalizer)
+            counts = np.vstack(
+                process_map(_count_rows, worker, items, workers)
+            )
+            if sample_ids is None:
+                ids = [f"s{i}" for i in range(counts.shape[0])]
             else:
-                rows = [self.extract(p) for p in items]
-                counts = (
-                    np.vstack(rows)
-                    if rows
-                    else np.zeros((0, len(self.catalog)), np.int32)
-                )
-                if sample_ids is None:
-                    ids = [f"s{i}" for i in range(counts.shape[0])]
-                else:
-                    ids = list(sample_ids)
-                matrix = FeatureMatrix(
-                    counts=counts, catalog=self.catalog, sample_ids=ids
-                )
+                ids = list(sample_ids)
+            matrix = FeatureMatrix(
+                counts=counts, catalog=self.catalog, sample_ids=ids
+            )
             self._record_metrics(matrix, extract_span)
         return matrix
 
@@ -169,3 +169,13 @@ class FeatureExtractor:
     def with_catalog(self, catalog: FeatureCatalog) -> "FeatureExtractor":
         """A new extractor over a (typically pruned) catalog."""
         return FeatureExtractor(catalog=catalog, normalizer=self.normalizer)
+
+
+def _count_rows(
+    extractor: FeatureExtractor, payloads: Sequence[str]
+) -> np.ndarray:
+    """``process_map`` work: one ``int32`` count array per chunk."""
+    counts = np.zeros((len(payloads), len(extractor.catalog)), np.int32)
+    for row, payload in enumerate(payloads):
+        counts[row] = extractor.extract(payload)
+    return counts

@@ -8,13 +8,11 @@ query string plus urlencoded form body, flattened — survives as
 :meth:`HttpRequest.flat_payload`; the surface-aware successor is
 :meth:`HttpRequest.surfaces`, which yields ``(surface, locator, value)``
 triples across every injection channel of the request (see
-:mod:`repro.surfaces`).  The historical :meth:`HttpRequest.payload` is a
-deprecation shim over the surface extraction.
+:mod:`repro.surfaces`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.http.url import parse_query, split_url
@@ -58,8 +56,8 @@ class HttpRequest:
         ``(surface, locator, value)`` — in canonical extraction order.
         *selection* restricts which surfaces are walked (a tuple of
         :class:`repro.surfaces.InjectionSurface`); ``None`` walks all.
-        This supersedes :meth:`payload`, which flattened the query and
-        form channels into one string and ignored the rest.
+        This supersedes :meth:`flat_payload`, which flattens the query
+        and form channels into one string and ignores the rest.
         """
         from repro.surfaces import extract_surfaces
 
@@ -68,36 +66,16 @@ class HttpRequest:
     def flat_payload(self) -> str:
         """The paper's flattened payload: query string plus form body.
 
-        The non-deprecated spelling for code paths that genuinely want
-        the legacy two-channel extraction (the line protocol, corpus
-        serialization).  New detection code should use
-        :meth:`surfaces` and score per surface.
+        For code paths that genuinely want the legacy two-channel
+        extraction (the line protocol, corpus serialization).  New
+        detection code should use :meth:`surfaces` and score per
+        surface.
         """
         if self.body and self._is_form_body():
             if self.query:
                 return self.query + "&" + self.body
             return self.body
         return self.query
-
-    def payload(self) -> str:
-        """Deprecated alias of :meth:`flat_payload`.
-
-        Deprecated because the flattened string erases surface
-        provenance and silently drops the JSON/multipart/cookie/header/
-        second-order channels.  Delegates to the surface extraction
-        joined in the legacy order, so output stays byte-identical to
-        the historical behavior (pinned by ``tests/http/test_request``).
-        """
-        warnings.warn(
-            "HttpRequest.payload() is deprecated; use "
-            "HttpRequest.surfaces() (surface-aware) or "
-            "HttpRequest.flat_payload() (legacy flattening)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.surfaces import legacy_flatten
-
-        return legacy_flatten(self)
 
     def _is_form_body(self) -> bool:
         ctype = self.headers.get("content-type", "")

@@ -16,7 +16,6 @@ from repro.ids.brolang import (
     render_sig_file,
     ruleset_from_sig_file,
 )
-from repro.ids.parallel import ClusterModeEngine, ParallelRun
 from repro.ids.snortlang import (
     RulesParseError,
     parse_rules_file,
@@ -42,8 +41,6 @@ __all__ = [
     "SignatureEngine",
     "EngineRun",
     "Alert",
-    "ClusterModeEngine",
-    "ParallelRun",
     "BroSignature",
     "BroPolicyLayer",
     "PolicyAlert",

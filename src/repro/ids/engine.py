@@ -26,6 +26,7 @@ from repro.surfaces import (
     InjectionSurface,
     ScoreRequest,
     SurfaceDetection,
+    format_surfaces,
     score_request,
 )
 
@@ -54,8 +55,7 @@ class PSigeneDetector:
         """Alert when any generalized signature crosses its threshold.
 
         One :meth:`SignatureSet.evaluate` call normalizes the payload once
-        and walks the signatures once; the earlier ``alerts()`` + ``score()``
-        pair did both twice, doubling per-request work.
+        and walks the signatures once.
         """
         score, fired = self.signature_set.evaluate(payload)
         return Detection(alert=bool(fired), score=score, matched_sids=fired)
@@ -258,14 +258,7 @@ class SignatureEngine:
         run.timings = timings
         return run
 
-    def run_batch(
-        self,
-        trace: Trace,
-        *,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        normalization_cache: int = 4096,
-    ) -> EngineRun:
+    def run_batch(self, trace: Trace, *, workers: int = 1) -> EngineRun:
         """Batched :meth:`run`: chunk the trace and fan chunks over processes.
 
         Produces an :class:`EngineRun` with alert flags, scores, and matched
@@ -273,16 +266,21 @@ class SignatureEngine:
         tests).  With ``workers=1`` the batch path still pays off: payloads
         are normalized once through an LRU cache and each signature is
         evaluated in a single pass.
+
+        Raises:
+            ValueError: when :attr:`surfaces` is not the legacy selection.
+                The batch path scores each request's flattened query+form
+                payload; :meth:`run` honours any surface selection.
         """
+        if frozenset(self.surfaces) != frozenset(LEGACY_SURFACES):
+            raise ValueError(
+                "run_batch scores only the legacy query+form payload, not "
+                f"surfaces={format_surfaces(self.surfaces)}; use run(), "
+                "which honours the surface selection"
+            )
         from repro.parallel.batch import run_batch
 
-        result = run_batch(
-            self.detector,
-            trace,
-            workers=workers,
-            chunk_size=chunk_size,
-            normalization_cache=normalization_cache,
-        )
+        result = run_batch(self.detector, trace, workers=workers)
         if self.telemetry is not None:
             # Workers run in other processes, so per-request service
             # latencies are not observable here; the counters still are.

@@ -5,8 +5,8 @@ path and the per-signature reference loop (forced via
 :func:`repro.match.fused_disabled`).  Aggregate µs/request comes from the
 best of several whole-trace passes (robust to scheduler noise); the
 percentile columns come from one instrumented per-request pass with the
-measured ``perf_counter`` overhead subtracted, mirroring the discipline
-of :func:`repro.parallel.batch.bench_batch_matching`.
+measured ``perf_counter`` overhead subtracted, the same correction the
+Experiment 4 latency models in ``benchmarks/test_exp4_parallel.py`` use.
 
 The result serializes to the machine-readable
 ``benchmarks/results/BENCH_matching.json`` artifact that CI's
@@ -101,6 +101,17 @@ def _best_pass_seconds(
     return best
 
 
+def _perf_counter_pair_seconds(samples: int = 2000) -> float:
+    """Median cost of one back-to-back ``perf_counter()`` pair — the
+    instrumentation inside every per-request sample."""
+    gaps = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        gaps.append(time.perf_counter() - start)
+    gaps.sort()
+    return gaps[len(gaps) // 2]
+
+
 def bench_fused_matching(
     signature_set,
     payloads: Sequence[str],
@@ -114,10 +125,9 @@ def bench_fused_matching(
     the exp4 matching bench).  Verdict parity is checked on every
     payload before any timing.
     """
-    # Deferred: repro.parallel reaches back through the detector stack
-    # into repro.match, so a module-level import would be circular.
+    # Deferred: repro.match's package init imports this module, so a
+    # module-level import would be circular.
     from repro.match import fused_disabled
-    from repro.parallel.timing import timer_overhead
 
     normalized = [signature_set.normalizer(p) for p in payloads]
     signature_set.warm()
@@ -137,7 +147,7 @@ def bench_fused_matching(
             signature_set, normalized, repeats
         )
 
-    overhead = timer_overhead()
+    overhead = _perf_counter_pair_seconds()
     samples = []
     evaluate = signature_set.evaluate_normalized
     for payload in normalized:

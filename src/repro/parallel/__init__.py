@@ -5,46 +5,34 @@ cluster mode); the same argument applies to phase-2 feature extraction,
 where every sample's count vector is independent of every other's.  This
 package supplies the shared machinery:
 
-- :mod:`repro.parallel.chunking` — deterministic chunk planning and
-  round-robin worker assignment.
+- :mod:`repro.parallel.chunking` — deterministic chunk planning.
+- :mod:`repro.parallel.fanout` — :func:`process_map`, the one
+  order-preserving chunked process map behind both fan-outs.
 - :mod:`repro.parallel.cache` — an LRU cache and the payload-keyed
   :class:`CachedNormalizer` used on every batch hot path.
-- :mod:`repro.parallel.timing` — ``perf_counter`` overhead calibration so
-  per-item instrumentation does not bias reported speedups.
-- :mod:`repro.parallel.extract` — chunked multiprocess
-  ``FeatureExtractor.extract_many`` fan-out with per-worker compiled
-  pattern catalogs.
 - :mod:`repro.parallel.batch` — batched detector runs
   (``SignatureEngine.run_batch``) that normalize once and evaluate all
   signatures against the shared normalized form.
 
-Processes, not threads: the matchers are pure-Python ``re`` loops, so the
-GIL serializes any thread pool; ``fork``-started worker processes each
-hold their own compiled catalog and scale with cores.
+``FeatureExtractor.extract_many(workers=N)`` is the other caller of
+:func:`process_map`.  Processes, not threads: the matchers are pure-Python
+``re`` loops, so the GIL serializes any thread pool; ``fork``-started
+worker processes each hold their own compiled catalog and scale with
+cores.
 """
 
-from repro.parallel.batch import BatchMatchBench, bench_batch_matching, run_batch
+from repro.parallel.batch import run_batch
 from repro.parallel.cache import CachedNormalizer, CacheStats, LruCache
-from repro.parallel.chunking import assign_round_robin, chunk_spans, plan_chunks
-from repro.parallel.extract import (
-    ExtractionBench,
-    ParallelFeatureExtractor,
-    bench_batch_extraction,
-)
-from repro.parallel.timing import timer_overhead
+from repro.parallel.chunking import chunk_spans, plan_chunks
+from repro.parallel.fanout import MIN_PARALLEL_BATCH, process_map
 
 __all__ = [
+    "MIN_PARALLEL_BATCH",
     "plan_chunks",
     "chunk_spans",
-    "assign_round_robin",
+    "process_map",
     "LruCache",
     "CacheStats",
     "CachedNormalizer",
-    "timer_overhead",
-    "ParallelFeatureExtractor",
-    "ExtractionBench",
-    "bench_batch_extraction",
     "run_batch",
-    "BatchMatchBench",
-    "bench_batch_matching",
 ]

@@ -1,25 +1,23 @@
 """Batched detector runs: the request side of Experiment 4's fan-out.
 
-Where :mod:`repro.parallel.extract` parallelizes over *samples at training
-time*, this module parallelizes over *requests at detection time*: a trace
-is chunked, chunks fan out to worker processes, and each worker drives its
-private detector copy — for pSigene that means every payload is normalized
-exactly once (through a per-worker LRU) and all signatures are evaluated
-against the shared normalized form via
-:meth:`~repro.core.signature.SignatureSet.evaluate`.
+Where :meth:`~repro.features.extractor.FeatureExtractor.extract_many`
+fans out over *samples at training time*, :func:`run_batch` fans out over
+*requests at detection time*, through the same
+:func:`~repro.parallel.fanout.process_map`.  Each chunk is scored by a
+private detector copy whose signature set normalizes through a 4,096-entry
+LRU, so repeated payloads skip normalization and every signature is
+evaluated once against the shared normalized form
+(:meth:`~repro.core.signature.SignatureSet.evaluate`).
 
 Verdicts are order-preserving and identical to the serial
-:meth:`~repro.ids.engine.SignatureEngine.run` (asserted by the parity
-tests): request chunking cannot change any per-request decision because
-requests are independent.
+:meth:`~repro.ids.engine.SignatureEngine.run` on the legacy surface
+selection (asserted by the parity tests): requests are independent, so
+chunking cannot change any per-request decision.
 """
 
 from __future__ import annotations
 
 import copy
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,251 +26,93 @@ from repro.http.traffic import Trace
 from repro.ids.engine import Alert, Detector, EngineRun
 from repro.obs import trace as obs_trace
 from repro.parallel.cache import CachedNormalizer
-from repro.parallel.chunking import assign_round_robin, chunk_spans, plan_chunks
-from repro.parallel.timing import timer_overhead
-
-#: Traces smaller than this are inspected in-process; pool startup would
-#: dominate.
-MIN_PARALLEL_BATCH = 64
-
-# -- worker side ---------------------------------------------------------------
-
-_WORKER_DETECTOR: Detector | None = None
+from repro.parallel.fanout import process_map
 
 
-def _init_match_worker(detector: Detector) -> None:
-    """Pool initializer: install this worker's private detector copy."""
-    global _WORKER_DETECTOR
-    _WORKER_DETECTOR = detector
+def _score_chunk(
+    detector: Detector, payloads: list[str]
+) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """``process_map`` work: verdict columns for one chunk.
 
-
-def _match_chunk(
-    job: tuple[int, list[str]],
-) -> tuple[int, list[bool], list[float], list[list[int]]]:
-    """Inspect one chunk; returns per-payload verdict columns."""
-    index, payloads = job
-    detector = _WORKER_DETECTOR
-    if detector is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("matching worker was not initialized")
-    flags: list[bool] = []
-    scores: list[float] = []
+    Returns the alert flags, the scores, and the fired sids of the
+    alerting rows only, in row order.
+    """
+    flags = np.zeros(len(payloads), dtype=bool)
+    scores = np.zeros(len(payloads), dtype=np.float64)
     matched: list[list[int]] = []
-    for payload in payloads:
+    for row, payload in enumerate(payloads):
         detection = detector.inspect(payload)
-        flags.append(bool(detection.alert))
-        scores.append(float(detection.score))
-        matched.append(list(detection.matched_sids))
-    return index, flags, scores, matched
+        scores[row] = detection.score
+        if detection.alert:
+            flags[row] = True
+            matched.append(list(detection.matched_sids))
+    return flags, scores, matched
 
 
-# -- driver side ---------------------------------------------------------------
-
-
-def _with_cached_normalizer(detector: Detector, maxsize: int) -> Detector:
+def _with_cached_normalizer(detector: Detector) -> Detector:
     """A detector clone whose signature set normalizes through an LRU.
 
     Detectors without a ``signature_set`` (the baseline rulesets) are
     returned unchanged — they manage their own matching internals.
     """
     signature_set = getattr(detector, "signature_set", None)
-    if not maxsize or not isinstance(signature_set, SignatureSet):
+    if not isinstance(signature_set, SignatureSet):
         return detector
     clone = copy.copy(detector)
     clone.signature_set = SignatureSet(
         signature_set.signatures,
-        normalizer=CachedNormalizer(
-            signature_set.normalizer, maxsize=maxsize
-        ),
+        normalizer=CachedNormalizer(signature_set.normalizer),
     )
     return clone
 
 
 def run_batch(
-    detector: Detector,
-    trace: Trace,
-    *,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    normalization_cache: int = 4096,
+    detector: Detector, trace: Trace, *, workers: int = 1
 ) -> EngineRun:
-    """Inspect *trace* in chunks, optionally across worker processes.
+    """Inspect the flattened payloads of *trace* in chunks.
 
     Args:
         detector: any engine-mountable detector; it must pickle when
             ``workers > 1`` (all in-tree detectors do).
         trace: requests to inspect.
         workers: process count; 1 keeps everything in-process.
-        chunk_size: requests per task (``None`` = auto).
-        normalization_cache: per-worker LRU size for normalization; 0
-            disables it.
 
     Returns:
         An :class:`EngineRun` whose alerts and flags match the serial
-        :meth:`SignatureEngine.run` exactly.
+        :meth:`SignatureEngine.run` exactly, with every request's score.
+
+    Raises:
+        ValueError: when ``workers < 1``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     with obs_trace.span(
         "engine.run_batch",
         detector=detector.name,
         requests=len(trace),
         workers=workers,
     ) as batch_span:
-        run = _run_batch(
-            detector,
-            trace,
-            workers=workers,
-            chunk_size=chunk_size,
-            normalization_cache=normalization_cache,
+        columns = process_map(
+            _score_chunk,
+            _with_cached_normalizer(detector),
+            trace.payloads(),
+            workers,
         )
+        flags = np.concatenate([column[0] for column in columns])
+        scores = np.concatenate([column[1] for column in columns])
+        matched = [sids for column in columns for sids in column[2]]
+        run = EngineRun(
+            detector=detector.name,
+            trace_name=trace.name,
+            alert_flags=flags,
+            scores=scores,
+        )
+        run.alerts = [
+            Alert(
+                request_index=int(index),
+                detector=detector.name,
+                score=float(scores[index]),
+                matched=sids,
+            )
+            for index, sids in zip(np.flatnonzero(flags), matched)
+        ]
         batch_span.set(alerts=run.alert_count)
     return run
-
-
-def _run_batch(
-    detector: Detector,
-    trace: Trace,
-    *,
-    workers: int,
-    chunk_size: int | None,
-    normalization_cache: int,
-) -> EngineRun:
-    """The chunk/fan-out/merge body of :func:`run_batch`."""
-    payloads = trace.payloads()
-    n = len(payloads)
-    spans = plan_chunks(n, workers, chunk_size)
-    worker_detector = _with_cached_normalizer(detector, normalization_cache)
-
-    if workers == 1 or len(spans) <= 1 or n < MIN_PARALLEL_BATCH:
-        columns = [
-            _match_chunk_with(worker_detector, (i, chunk))
-            for i, chunk in enumerate(chunk_spans(payloads, spans))
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(spans)),
-            initializer=_init_match_worker,
-            initargs=(worker_detector,),
-        ) as pool:
-            columns = list(
-                pool.map(
-                    _match_chunk,
-                    enumerate(chunk_spans(payloads, spans)),
-                )
-            )
-
-    flags = np.zeros(n, dtype=bool)
-    all_scores = np.zeros(n, dtype=np.float64)
-    run = EngineRun(detector=detector.name, trace_name=trace.name)
-    for (index, chunk_flags, scores, matched), (start, _stop) in zip(
-        columns, spans
-    ):
-        all_scores[start:start + len(scores)] = scores
-        for offset, fired in enumerate(chunk_flags):
-            if fired:
-                position = start + offset
-                flags[position] = True
-                run.alerts.append(Alert(
-                    request_index=position,
-                    detector=detector.name,
-                    score=scores[offset],
-                    matched=matched[offset],
-                ))
-    run.alert_flags = flags
-    run.scores = all_scores
-    return run
-
-
-def _match_chunk_with(
-    detector: Detector, job: tuple[int, list[str]]
-) -> tuple[int, list[bool], list[float], list[list[int]]]:
-    """In-process `_match_chunk` against an explicit detector."""
-    global _WORKER_DETECTOR
-    previous = _WORKER_DETECTOR
-    _WORKER_DETECTOR = detector
-    try:
-        return _match_chunk(job)
-    finally:
-        _WORKER_DETECTOR = previous
-
-
-# -- benchmarking --------------------------------------------------------------
-
-
-@dataclass
-class BatchMatchBench:
-    """Serial-versus-batched matching measurement for one worker count.
-
-    Attributes:
-        workers: worker count measured.
-        n_requests: trace size.
-        n_chunks: chunks the trace was split into.
-        serial_us: mean per-request inspection time (overhead-corrected).
-        critical_path_us: slowest worker's per-request share under
-            round-robin chunk assignment.
-        modeled_speedup: ``serial / critical path``.
-        pool_wall_s: wall-clock seconds of the real process-pool run.
-        identical: batched flags matched the serial run element-wise.
-    """
-
-    workers: int
-    n_requests: int
-    n_chunks: int
-    serial_us: float
-    critical_path_us: float
-    modeled_speedup: float
-    pool_wall_s: float
-    identical: bool
-
-
-def bench_batch_matching(
-    detector: Detector,
-    trace: Trace,
-    *,
-    workers: tuple[int, ...] = (1, 2, 4, 8),
-    chunk_size: int | None = None,
-) -> list[BatchMatchBench]:
-    """Measure batched matching at several worker counts.
-
-    Mirrors :func:`repro.parallel.extract.bench_batch_extraction`: one
-    overhead-corrected serial pass provides per-request costs, the
-    critical-path model predicts the core-per-worker latency, and the real
-    pool run provides wall clock plus a parity check.
-    """
-    payloads = trace.payloads()
-    n = len(payloads)
-    overhead = timer_overhead()
-    per_request = np.zeros(n)
-    serial_flags = np.zeros(n, dtype=bool)
-    for i, payload in enumerate(payloads):
-        start = time.perf_counter()
-        detection = detector.inspect(payload)
-        per_request[i] = max(time.perf_counter() - start - overhead, 0.0)
-        serial_flags[i] = bool(detection.alert)
-    serial_total = float(per_request.sum())
-
-    results = []
-    for count in workers:
-        spans = plan_chunks(n, count, chunk_size) if n else []
-        chunk_costs = [per_request[start:stop].sum() for start, stop in spans]
-        loads = [
-            sum(chunk_costs[c] for c in assigned)
-            for assigned in assign_round_robin(len(spans), count)
-        ]
-        critical = max(loads) if loads else 0.0
-        start = time.perf_counter()
-        run = run_batch(
-            detector, trace, workers=count, chunk_size=chunk_size
-        )
-        wall = time.perf_counter() - start
-        results.append(BatchMatchBench(
-            workers=count,
-            n_requests=n,
-            n_chunks=len(spans),
-            serial_us=serial_total / n * 1e6 if n else 0.0,
-            critical_path_us=critical / n * 1e6 if n else 0.0,
-            modeled_speedup=serial_total / critical if critical > 0 else 1.0,
-            pool_wall_s=wall,
-            identical=bool((run.alert_flags == serial_flags).all()),
-        ))
-    return results

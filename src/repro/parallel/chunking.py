@@ -1,17 +1,17 @@
 """Chunk planning: how a batch of N independent items is split for workers.
 
 Chunks are the unit of fan-out.  They must be (a) deterministic — the same
-``(n_items, workers, chunk_size)`` always yields the same spans, so
-parallel output can be reassembled in input order and compared bit-for-bit
-against serial output — and (b) small enough to balance load but large
-enough to amortize per-task IPC.
+``(n_items, workers)`` always yields the same spans, so parallel output
+can be reassembled in input order and compared bit-for-bit against serial
+output — and (b) small enough to balance load but large enough to
+amortize per-task IPC.
 """
 
 from __future__ import annotations
 
-#: Chunks per worker when no explicit chunk size is given.  Oversubscribing
-#: each worker lets the pool rebalance when some chunks are slower (regex
-#: cost varies wildly across payloads) without paying per-item IPC.
+#: Chunks per worker.  Oversubscribing each worker lets the pool
+#: rebalance when some chunks are slower (regex cost varies wildly across
+#: payloads) without paying per-item IPC.
 OVERSUBSCRIPTION = 4
 
 #: Never plan chunks smaller than this unless the batch itself is smaller;
@@ -19,54 +19,29 @@ OVERSUBSCRIPTION = 4
 MIN_CHUNK = 8
 
 
-def plan_chunks(
-    n_items: int, workers: int, chunk_size: int | None = None
-) -> list[tuple[int, int]]:
+def plan_chunks(n_items: int, workers: int) -> list[tuple[int, int]]:
     """Half-open ``(start, stop)`` spans covering ``range(n_items)``.
 
-    Args:
-        n_items: batch size.
-        workers: worker count the plan should feed.
-        chunk_size: explicit chunk size; when ``None`` the batch is split
-            into ~``workers * OVERSUBSCRIPTION`` equal chunks (bounded
-            below by :data:`MIN_CHUNK`).
+    The batch is split into ~``workers * OVERSUBSCRIPTION`` equal chunks,
+    bounded below by :data:`MIN_CHUNK`.
 
     Raises:
-        ValueError: on a negative batch size, non-positive worker count, or
-            non-positive explicit chunk size.
+        ValueError: on a negative batch size or non-positive worker count.
     """
     if n_items < 0:
         raise ValueError(f"n_items must be >= 0, got {n_items}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if n_items == 0:
         return []
-    if chunk_size is None:
-        target = -(-n_items // (workers * OVERSUBSCRIPTION))
-        chunk_size = max(min(target, n_items), min(MIN_CHUNK, n_items))
+    target = -(-n_items // (workers * OVERSUBSCRIPTION))
+    size = max(min(target, n_items), min(MIN_CHUNK, n_items))
     return [
-        (start, min(start + chunk_size, n_items))
-        for start in range(0, n_items, chunk_size)
+        (start, min(start + size, n_items))
+        for start in range(0, n_items, size)
     ]
 
 
 def chunk_spans(items: list, spans: list[tuple[int, int]]) -> list[list]:
     """Materialize the item slices named by *spans*."""
     return [items[start:stop] for start, stop in spans]
-
-
-def assign_round_robin(n_chunks: int, workers: int) -> list[list[int]]:
-    """Chunk indices per worker, dealt cyclically.
-
-    Used by the critical-path model: equal-size chunks dealt round-robin
-    give each worker an (almost) equal share, mirroring how a pool drains
-    a queue of uniform tasks.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    assignment: list[list[int]] = [[] for _ in range(workers)]
-    for chunk in range(n_chunks):
-        assignment[chunk % workers].append(chunk)
-    return assignment

@@ -285,7 +285,7 @@ def extract_surfaces(
 def legacy_flatten(request) -> str:
     """The paper's flattened payload: query string plus form body.
 
-    Byte-identical to the historical ``HttpRequest.payload()`` — the
+    Byte-identical to ``HttpRequest.flat_payload()`` — the
     query/form surface values joined in legacy order — which the parity
     test and the ``surfaces-legacy-parity`` conformance path pin.
     """

@@ -117,7 +117,7 @@ def score_request(
     The query/form channels are flattened into one unit exactly as the
     legacy path did (see :func:`repro.surfaces.extractors.scoring_units`),
     so with the default selection the folded verdict is bit-identical to
-    ``inspect(request.payload())`` — the ``surfaces-legacy-parity``
+    ``inspect(request.flat_payload())`` — the ``surfaces-legacy-parity``
     conformance path holds by construction.
     """
     verdicts: list[SurfaceVerdict] = []

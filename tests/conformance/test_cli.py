@@ -26,7 +26,7 @@ class TestConformRun:
         # Both the mounted detector and the Perdisci baseline self-check.
         assert out.count("CONFORMANT") == 2
         assert "divergences=0" in out
-        assert "gateway" in out and "cluster-w4" in out
+        assert "gateway" in out and "batch-w8" in out
 
     def test_no_perdisci_skips_the_baseline(self, signature_file, capsys):
         code = main([

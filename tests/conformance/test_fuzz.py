@@ -4,7 +4,7 @@ import pytest
 
 from repro.conformance import BUDGETS, generate_corpus
 from repro.conformance.fuzz import _STATIC_EDGES
-from repro.parallel.batch import MIN_PARALLEL_BATCH
+from repro.parallel import MIN_PARALLEL_BATCH
 
 
 class TestDeterminism:

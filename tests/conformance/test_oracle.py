@@ -9,7 +9,6 @@ mean nothing.
 import pytest
 
 from repro.conformance import (
-    ClusterPath,
     ConformanceError,
     DetectorPath,
     Oracle,
@@ -68,8 +67,8 @@ class ExplodingPath(DetectorPath):
 
 class TestOracleConformant:
     def test_toy_detector_agrees_on_every_path(self):
-        # Cluster mode self-excludes (no signature_set on the rule set);
-        # everything else — engine, batch fan-out, live gateway — runs.
+        # Every path — engine, batch fan-out, live gateway — takes a
+        # plain rule set.
         report = Oracle(toy_detector(), check_extraction=False).run(
             PAYLOADS
         )
@@ -77,7 +76,6 @@ class TestOracleConformant:
         assert report.paths[0] == "serial"
         assert "gateway" in report.paths
         assert "batch-w8" in report.paths
-        assert all(name != "cluster-w4" for name in report.paths)
         assert all(
             report.path_wall_s[name] >= 0 for name in report.paths
         )
@@ -97,7 +95,7 @@ class TestOracleConformant:
     @pytest.mark.smoke
     def test_trained_detector_full_path_matrix(self, small_signatures):
         # The acceptance bar: the real pSigene detector, every path
-        # including cluster sharding and the TCP gateway, a fuzzed
+        # including the batch fan-out and the TCP gateway, a fuzzed
         # corpus big enough to cross MIN_PARALLEL_BATCH — zero
         # divergences.
         detector = PSigeneDetector(small_signatures)
@@ -106,7 +104,7 @@ class TestOracleConformant:
             detector, extraction_workers=(1, 2)
         ).run(corpus)
         assert report.ok, format_report(report)
-        assert "cluster-w4" in report.paths
+        assert "batch-w2" in report.paths
         assert "extraction" in report.paths
         assert report.n_payloads == len(corpus)
 
@@ -213,13 +211,25 @@ class TestLegacySerialPath:
         LegacySerialPath().run(Probe(), ["x"])
         assert states == [False]
 
-    def test_cluster_path_requires_a_signature_set(self, small_signatures):
-        path = ClusterPath()
-        assert not path.supports(toy_detector())
-        assert path.supports(PSigeneDetector(small_signatures))
-
 
 class TestExtractionParity:
     def test_parallel_matrices_match_serial(self):
         corpus = generate_corpus(seed=2012, budget="small")
         assert extraction_divergences(corpus, worker_counts=(1, 2)) == []
+
+    def test_batch_drift_is_reported_per_cell(self):
+        from repro.features import FeatureExtractor
+
+        class DriftingExtractor(FeatureExtractor):
+            def extract_many(self, payloads, **kwargs):
+                matrix = super().extract_many(payloads, **kwargs)
+                matrix.counts[1, 0] += 1
+                return matrix
+
+        divergences = extraction_divergences(
+            PAYLOADS, worker_counts=(1,), extractor=DriftingExtractor()
+        )
+        assert [(d.baseline, d.path, d.index) for d in divergences] == [
+            ("extract-ref", "extract-w1", 1)
+        ]
+        assert divergences[0].field.startswith("feature:")

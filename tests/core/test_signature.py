@@ -97,15 +97,6 @@ class TestSignatureSet:
         _score, fired = signatures.evaluate("1' union select sleep(1)")
         assert fired == [1]  # second signature's 0.9 threshold not met
 
-    def test_deprecated_entry_points_warn_but_work(self):
-        signatures = self._set()
-        payload = "1' union select sleep(1)"
-        score, fired = signatures.evaluate(payload)
-        with pytest.warns(DeprecationWarning, match="evaluate"):
-            assert signatures.score(payload) == pytest.approx(score)
-        with pytest.warns(DeprecationWarning, match="evaluate"):
-            assert signatures.alerts(payload) == fired
-
     def test_normalization_inside_set(self):
         signatures = self._set()
         raw, _ = signatures.evaluate("1' union select sleep(1)")

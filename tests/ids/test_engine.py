@@ -9,6 +9,7 @@ from repro.ids import (
     Rule,
     SignatureEngine,
 )
+from repro.surfaces import InjectionSurface, parse_surfaces
 
 
 @pytest.fixture
@@ -144,6 +145,26 @@ class TestEngineTelemetry:
     def test_no_telemetry_no_overhead_path(self, trace, detector):
         run = SignatureEngine(detector).run(trace)
         assert run.timings.size == 0  # measuring stays opt-in
+
+
+class TestRunBatchSurfaces:
+    """``run_batch`` scores the flattened legacy payload only; a wider
+    selection must fail loudly instead of silently dropping surfaces."""
+
+    @pytest.mark.parametrize("spec", ["all", "query", "query,form,json"])
+    def test_non_legacy_selection_rejected(self, trace, detector, spec):
+        engine = SignatureEngine(detector, surfaces=parse_surfaces(spec))
+        with pytest.raises(ValueError, match=r"run\(\)"):
+            engine.run_batch(trace)
+
+    def test_legacy_selection_in_any_order_accepted(self, trace, detector):
+        engine = SignatureEngine(detector, surfaces=(
+            InjectionSurface.FORM_BODY, InjectionSurface.QUERY,
+        ))
+        assert (
+            engine.run_batch(trace).alert_flags.tolist()
+            == engine.run(trace).alert_flags.tolist()
+        )
 
 
 class TestPSigeneDetector:

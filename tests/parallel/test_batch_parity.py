@@ -1,6 +1,10 @@
 """Batched / multiprocess matching must agree with the serial engine."""
 
-import numpy as np
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core import SignatureSet
@@ -60,9 +64,7 @@ class TestRunBatchParity:
     ):
         engine = SignatureEngine(PSigeneDetector(small_signatures))
         serial = engine.run(mixed_trace)
-        batched = engine.run_batch(
-            mixed_trace, workers=workers, chunk_size=13
-        )
+        batched = engine.run_batch(mixed_trace, workers=workers)
         assert batched.alert_flags.tolist() == serial.alert_flags.tolist()
         assert _alerts_key(batched) == _alerts_key(serial)
 
@@ -78,17 +80,6 @@ class TestRunBatchParity:
                 mixed_trace[index].flat_payload()
             )
             assert run.scores[index] == pytest.approx(score)
-
-    def test_cache_disabled_identical(self, small_signatures, mixed_trace):
-        detector = PSigeneDetector(small_signatures)
-        cached = run_batch(detector, mixed_trace, workers=2)
-        uncached = run_batch(
-            detector, mixed_trace, workers=2, normalization_cache=0
-        )
-        assert (
-            cached.alert_flags.tolist() == uncached.alert_flags.tolist()
-        )
-        assert np.allclose(cached.scores, uncached.scores)
 
 
 class TestEdgeCases:
@@ -138,11 +129,63 @@ class TestGenericDetectors:
 
     def test_cache_wrapper_leaves_foreign_detectors_alone(self):
         detector = _KeywordDetector()
-        assert _with_cached_normalizer(detector, 4096) is detector
+        assert _with_cached_normalizer(detector) is detector
 
     def test_cache_wrapper_does_not_mutate_original(self, small_signatures):
         detector = PSigeneDetector(small_signatures)
-        clone = _with_cached_normalizer(detector, 4096)
+        clone = _with_cached_normalizer(detector)
         assert clone is not detector
         assert detector.signature_set is small_signatures
         assert clone.signature_set.signatures == small_signatures.signatures
+
+
+class _ConstantDetector:
+    """A picklable detector that always, or never, alerts."""
+
+    def __init__(self, alert: bool) -> None:
+        self.alert = alert
+        self.name = "always" if alert else "never"
+
+    def inspect(self, payload: str) -> Detection:
+        return Detection(
+            alert=self.alert,
+            score=1.0 if self.alert else 0.0,
+            matched_sids=[1] if self.alert else [],
+        )
+
+
+class TestConcurrentInProcessRuns:
+    def test_threads_score_with_their_own_detector(self):
+        """In-process runs share no state: threads calling ``run_batch``
+        at once each get their own detector's verdicts on every run."""
+        trace = Trace(
+            name="race",
+            requests=[HttpRequest(query=f"id={i}") for i in range(32)],
+        )
+        n_threads = 2 * max(2, (os.cpu_count() or 1) // 2 + 1)
+        detectors = [_ConstantDetector(i % 2 == 0) for i in range(n_threads)]
+        deadline = time.monotonic() + 2.0
+        wrong: list[str] = []
+
+        def hammer(detector):
+            expected = [detector.alert] * len(trace)
+            while time.monotonic() < deadline and not wrong:
+                run = run_batch(detector, trace)
+                if run.alert_flags.tolist() != expected:
+                    wrong.append(detector.name)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(d,), daemon=True)
+                for d in detectors
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import assign_round_robin, chunk_spans, plan_chunks
+from repro.parallel import chunk_spans, plan_chunks
 
 
 class TestPlanChunks:
@@ -13,10 +13,6 @@ class TestPlanChunks:
                 covered = [i for start, stop in spans
                            for i in range(start, stop)]
                 assert covered == list(range(n))
-
-    def test_explicit_chunk_size(self):
-        spans = plan_chunks(10, 4, chunk_size=4)
-        assert spans == [(0, 4), (4, 8), (8, 10)]
 
     def test_empty_batch(self):
         assert plan_chunks(0, 4) == []
@@ -33,30 +29,13 @@ class TestPlanChunks:
             plan_chunks(-1, 2)
         with pytest.raises(ValueError):
             plan_chunks(10, 0)
-        with pytest.raises(ValueError):
-            plan_chunks(10, 2, chunk_size=0)
 
 
 class TestChunkSpans:
     def test_materializes_slices(self):
-        items = list(range(10))
-        spans = plan_chunks(10, 2, chunk_size=4)
+        items = list(range(20))
+        spans = plan_chunks(20, 2)
+        assert spans == [(0, 8), (8, 16), (16, 20)]
         assert chunk_spans(items, spans) == [
-            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
+            list(range(8)), list(range(8, 16)), [16, 17, 18, 19]
         ]
-
-
-class TestAssignRoundRobin:
-    def test_every_chunk_assigned_once(self):
-        assignment = assign_round_robin(10, 3)
-        flat = sorted(i for worker in assignment for i in worker)
-        assert flat == list(range(10))
-
-    def test_balanced_within_one(self):
-        assignment = assign_round_robin(10, 3)
-        sizes = [len(worker) for worker in assignment]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            assign_round_robin(5, 0)
