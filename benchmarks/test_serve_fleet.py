@@ -25,7 +25,7 @@ import asyncio
 
 from repro.bench import BenchResult, corpus_digest
 from repro.conformance import train_default_detector
-from repro.serve import build_load_trace, run_fleet_loadgen
+from repro.serve import FleetConfig, build_load_trace, run_loadgen
 
 SHARD_COUNTS = (1, 2, 4)
 QUEUE_BOUND = 256
@@ -44,13 +44,15 @@ def test_serve_fleet_scaling(record, emit):
 
     capacity = {}
     for shards in SHARD_COUNTS:
-        report = asyncio.run(run_fleet_loadgen(
+        report = asyncio.run(run_loadgen(
             detector,
             payloads,
-            shards=shards,
-            queue_bound=QUEUE_BOUND,
-            policy="block",
-            workers=WORKERS,
+            config=FleetConfig(
+                shards=shards,
+                queue_bound=QUEUE_BOUND,
+                policy="block",
+                workers=WORKERS,
+            ),
             connections=CONNECTIONS,
             window=WINDOW,
             slo_ms=SLO_MS,
@@ -80,13 +82,15 @@ def test_serve_fleet_scaling(record, emit):
 
     # Overload: offer 2x single-shard capacity to a 2-shard fleet with
     # tight per-shard queues; it must shed, not collapse.
-    pressure = asyncio.run(run_fleet_loadgen(
+    pressure = asyncio.run(run_loadgen(
         detector,
         payloads,
-        shards=2,
-        queue_bound=PRESSURE_QUEUE_BOUND,
-        policy="shed",
-        workers=WORKERS,
+        config=FleetConfig(
+            shards=2,
+            queue_bound=PRESSURE_QUEUE_BOUND,
+            policy="shed",
+            workers=WORKERS,
+        ),
         connections=CONNECTIONS,
         rate=2.0 * c1,
         slo_ms=SLO_MS,

@@ -19,7 +19,7 @@ from repro.bench import BenchResult, corpus_digest
 from repro.core import PipelineConfig, PSigenePipeline
 from repro.ids import PSigeneDetector
 from repro.ids.rulesets import build_modsec_ruleset
-from repro.serve import SignatureStore, build_load_trace, run_loadgen
+from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
 QUEUE_BOUNDS = (8, 256)
 CONNECTIONS = 16
@@ -63,11 +63,11 @@ def test_serve_loadgen(detectors, record, emit):
     for detector in detectors:
         for bound in QUEUE_BOUNDS:
             report = asyncio.run(run_loadgen(
-                SignatureStore(detector),
+                detector,
                 payloads,
-                queue_bound=bound,
-                policy="shed",
-                workers=WORKERS,
+                config=GatewayConfig(
+                    queue_bound=bound, policy="shed", workers=WORKERS
+                ),
                 connections=CONNECTIONS,
                 window=WINDOW,
             ))

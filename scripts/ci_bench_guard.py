@@ -344,20 +344,22 @@ def serving_probe() -> dict:
     import asyncio
 
     from repro.conformance import train_default_detector
-    from repro.serve import build_load_trace, run_fleet_loadgen
+    from repro.serve import FleetConfig, build_load_trace, run_loadgen
 
     detector = train_default_detector(2012)
     trace = build_load_trace(seed=7, n_benign=300, n_vulnerabilities=6)
     payloads = trace.payloads()[:PROBE_PAYLOAD_COUNT]
     reports = {}
     for shards in (1, 2):
-        reports[shards] = asyncio.run(run_fleet_loadgen(
+        reports[shards] = asyncio.run(run_loadgen(
             detector,
             payloads,
-            shards=shards,
-            queue_bound=max(64, len(payloads)),
-            policy="block",
-            workers=2,
+            config=FleetConfig(
+                shards=shards,
+                queue_bound=max(64, len(payloads)),
+                policy="block",
+                workers=2,
+            ),
             connections=4,
             window=16,
         ))

@@ -309,12 +309,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import (
-        SignatureStore,
+        FleetConfig,
+        GatewayConfig,
         build_load_trace,
         format_report,
         run_loadgen,
     )
-
     from repro.surfaces import LEGACY_SURFACES, parse_surfaces
 
     try:
@@ -328,60 +328,24 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         n_benign=args.benign,
         n_vulnerabilities=args.vulnerabilities,
     )
-    payloads = trace.payloads()[: args.requests] or trace.payloads()
-    if framed:
-        if args.shards > 1:
-            raise SystemExit(
-                "repro: --framed/--surfaces loadgen drives a single "
-                "gateway; drop --shards"
-            )
-        from repro.serve.loadgen import run_framed_loadgen
-
-        requests = trace.requests[: args.requests] or trace.requests
-        report = asyncio.run(run_framed_loadgen(
-            SignatureStore(detector),
-            requests,
-            surfaces=surfaces,
-            queue_bound=args.queue_bound,
-            policy=args.policy,
-            workers=args.serve_workers,
-            connections=args.connections,
-            window=args.window,
-            check_parity=args.check_parity,
-        ))
-        print(format_report(report))
-        if report.parity is not None and not report.parity.ok:
-            return 4
-        return 0
-    if args.shards > 1:
-        from repro.serve import format_fleet_report, run_fleet_loadgen
-
-        fleet_report = asyncio.run(run_fleet_loadgen(
-            detector,
-            payloads,
-            shards=args.shards,
-            queue_bound=args.queue_bound,
-            policy=args.policy,
-            workers=args.serve_workers,
-            connections=args.connections,
-            window=args.window,
-            rate=args.rate,
-            slo_ms=args.slo_ms,
-            check_parity=args.check_parity,
-        ))
-        print(format_fleet_report(fleet_report))
-        if fleet_report.parity is not None and not fleet_report.parity.ok:
-            return 4
-        return 0
-    store = SignatureStore(detector)
-    report = asyncio.run(run_loadgen(
-        store,
-        payloads,
+    items = trace.requests if framed else trace.payloads()
+    serving = dict(
         queue_bound=args.queue_bound,
         policy=args.policy,
         workers=args.serve_workers,
+    )
+    report = asyncio.run(run_loadgen(
+        detector,
+        items[: args.requests] or items,
+        config=(
+            FleetConfig(shards=args.shards, **serving)
+            if args.shards > 1 else GatewayConfig(**serving)
+        ),
+        surfaces=surfaces if framed else None,
         connections=args.connections,
         window=args.window,
+        rate=args.rate,
+        slo_ms=args.slo_ms,
         check_parity=args.check_parity,
     ))
     print(format_report(report))
@@ -987,8 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--framed", action="store_true",
         help="replay whole requests in wire-format v2 frames with the "
-             "--surfaces selection (implied by a non-legacy --surfaces; "
-             "single-gateway mode only)",
+             "--surfaces selection (implied by a non-legacy --surfaces)",
     )
     loadgen.add_argument(
         "--shards", type=int, default=1,
@@ -997,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--rate", type=float, default=None,
-        help="open-loop offered rate in req/s (fleet mode only; "
-             "default: closed-loop capacity measurement)",
+        help="open-loop offered rate in req/s (default: closed-loop "
+             "capacity measurement)",
     )
     loadgen.add_argument(
         "--slo-ms", type=float, default=50.0,

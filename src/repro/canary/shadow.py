@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.conformance.verdict import Divergence, Verdict, diff_verdicts
+from repro.conformance.verdict import (
+    Divergence,
+    Verdict,
+    diff_verdicts,
+    verdicts_from_responses,
+)
 from repro.serve.store import SignatureStore, StoreError
 
 __all__ = ["ShadowReport", "shadow_with_fleet", "shadow_with_store"]
@@ -198,42 +203,27 @@ async def shadow_with_fleet(
         supervisor: a started :class:`~repro.serve.supervisor.FleetSupervisor`.
 
     Raises:
+        ValueError: a mirrored payload holds a line break.
         StoreError: the candidate failed to parse, warm, or stage.
         ConformanceError: the fleet failed to answer a mirrored payload
             (shed or error under the sized queue bound — a serving
             defect, not a gate signal).
     """
-    from repro.conformance.verdict import ConformanceError
     from repro.serve.loadgen import replay
+    from repro.serve.protocol import encode_line
 
     payloads = list(attacks) + list(benign)
-    for index, payload in enumerate(payloads):
-        if "\n" in payload or "\r" in payload:
-            raise ValueError(
-                f"mirrored payload {index} contains a line break; the "
-                "fleet data plane is line-framed, so it would be split "
-                "on the wire — sanitize at ingestion "
-                "(fresh_attack_batch collapses breaks to spaces)"
-            )
+    # Encoding rejects a payload with a line break before anything is
+    # staged (fresh_attack_batch collapses breaks to spaces).
+    wires = [encode_line(payload) for payload in payloads]
     store = supervisor.store
     baseline = _serial(store.current().detector, payloads)
     store.stage_json(candidate_json, generation=generation, source=source)
     host, port = supervisor.data_address
     responses, _latencies, _duration = await replay(
-        host, port, payloads, connections=connections, window=window
+        host, port, wires, connections=connections, window=window
     )
-    live: list[Verdict] = []
-    for index, response in enumerate(responses):
-        if response is None or response.get("shed") or "error" in response:
-            raise ConformanceError(
-                f"fleet gave no verdict for mirrored payload {index}: "
-                f"{response!r}"
-            )
-        live.append(Verdict(
-            alert=bool(response.get("alert")),
-            score=float(response.get("score", 0.0)),
-            fired=tuple(int(s) for s in response.get("matched", [])),
-        ))
+    live = verdicts_from_responses(responses, "fleet")
     divergences = diff_verdicts(
         "incumbent-prestage", baseline, "fleet-live", live, payloads
     )

@@ -17,7 +17,11 @@ from __future__ import annotations
 import asyncio
 import pickle
 
-from repro.conformance.verdict import ConformanceError, Verdict
+from repro.conformance.verdict import (
+    ConformanceError,
+    Verdict,
+    verdicts_from_responses,
+)
 from repro.core.signature import SignatureSet
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
@@ -212,45 +216,65 @@ class GatewayPath(DetectorPath):
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """Replay *payloads* against a live gateway and decode."""
+        from repro.serve.protocol import encode_line
+
+        return verdicts_from_responses(
+            self._roundtrip(detector, [encode_line(p) for p in payloads]),
+            self.name,
+        )
+
+    def _roundtrip(
+        self,
+        detector,
+        wires: list[bytes],
+        *,
+        shards: int | None = None,
+        midstream_json: str | None = None,
+    ) -> list[dict | None]:
+        """Start a gateway (a fleet with ``shards``), replay, stop it.
+
+        With ``midstream_json`` the fleet re-deploys that signature set
+        as its next generation while the replay is in flight.
+        """
         from repro.serve.gateway import DetectionGateway, GatewayConfig
         from repro.serve.loadgen import replay
         from repro.serve.store import SignatureStore
+        from repro.serve.supervisor import FleetConfig, FleetSupervisor
 
-        async def _roundtrip() -> list[dict | None]:
-            gateway = DetectionGateway(
-                SignatureStore(detector),
-                GatewayConfig(
-                    queue_bound=max(64, len(payloads)),
-                    policy="block",
-                    workers=self.workers,
-                ),
-            )
-            host, port = await gateway.start()
-            try:
-                responses, _latencies, _duration = await replay(
-                    host, port, payloads,
-                    connections=self.connections, window=self.window,
+        serving = dict(
+            queue_bound=max(64, len(wires)),
+            policy="block",
+            workers=self.workers,
+        )
+
+        async def _serve_and_replay() -> list[dict | None]:
+            if shards is None:
+                server = DetectionGateway(
+                    SignatureStore(detector), GatewayConfig(**serving)
                 )
+            else:
+                server = FleetSupervisor(
+                    detector, FleetConfig(shards=shards, **serving)
+                )
+            host, port = await server.start()
+            try:
+                replaying = asyncio.get_running_loop().create_task(replay(
+                    host, port, wires,
+                    connections=self.connections, window=self.window,
+                ))
+                if midstream_json is not None:
+                    # Let some payloads land on the current generation,
+                    # then flip the whole fleet mid-stream.
+                    await asyncio.sleep(0.05)
+                    await server.reload_json(
+                        midstream_json, source="conformance-midstream"
+                    )
+                responses, _latencies, _duration = await replaying
             finally:
-                await gateway.stop()
+                await server.stop()
             return responses
 
-        responses = asyncio.run(_roundtrip())
-        verdicts: list[Verdict] = []
-        for index, response in enumerate(responses):
-            if response is None or response.get("shed") or (
-                "error" in response
-            ):
-                raise ConformanceError(
-                    f"gateway gave no verdict for payload {index}: "
-                    f"{response!r}"
-                )
-            verdicts.append(Verdict(
-                alert=bool(response.get("alert")),
-                score=float(response.get("score", 0.0)),
-                fired=tuple(int(s) for s in response.get("matched", [])),
-            ))
-        return verdicts
+        return asyncio.run(_serve_and_replay())
 
 
 class SurfacesLegacyParityPath(DetectorPath):
@@ -281,7 +305,7 @@ class SurfacesLegacyParityPath(DetectorPath):
         ]
 
 
-class GatewayFramedPath(DetectorPath):
+class GatewayFramedPath(GatewayPath):
     """A live gateway round-trip in framed full-request mode (wire v2).
 
     Each payload travels as a whole :class:`HttpRequest` inside a
@@ -294,70 +318,26 @@ class GatewayFramedPath(DetectorPath):
 
     name = "gateway-framed"
 
-    def __init__(
-        self,
-        *,
-        connections: int = 2,
-        window: int = 32,
-        workers: int = 4,
-    ) -> None:
-        self.connections = connections
-        self.window = window
-        self.workers = workers
-
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """Replay framed requests against a live gateway and decode."""
-        from repro.serve.gateway import DetectionGateway, GatewayConfig
-        from repro.serve.loadgen import replay_framed
-        from repro.serve.store import SignatureStore
+        from repro.serve.protocol import encode_framed_request
         from repro.surfaces import LEGACY_SURFACES
 
-        requests = [HttpRequest(query=p) for p in payloads]
-
-        async def _roundtrip() -> list[dict | None]:
-            gateway = DetectionGateway(
-                SignatureStore(detector),
-                GatewayConfig(
-                    queue_bound=max(64, len(payloads)),
-                    policy="block",
-                    workers=self.workers,
-                ),
-            )
-            host, port = await gateway.start()
-            try:
-                responses, _latencies, _duration = await replay_framed(
-                    host, port, requests,
-                    surfaces=LEGACY_SURFACES,
-                    connections=self.connections, window=self.window,
-                )
-            finally:
-                await gateway.stop()
-            return responses
-
-        responses = asyncio.run(_roundtrip())
-        verdicts: list[Verdict] = []
+        responses = self._roundtrip(detector, [
+            encode_framed_request(HttpRequest(query=p), LEGACY_SURFACES)
+            for p in payloads
+        ])
+        verdicts = verdicts_from_responses(responses, self.name)
         for index, response in enumerate(responses):
-            if response is None or response.get("shed") or (
-                "error" in response
-            ):
-                raise ConformanceError(
-                    f"framed gateway gave no verdict for payload "
-                    f"{index}: {response!r}"
-                )
             if "surfaces" not in response or "verdicts" not in response:
                 raise ConformanceError(
                     f"framed response {index} lacks surface attribution: "
                     f"{response!r}"
                 )
-            verdicts.append(Verdict(
-                alert=bool(response.get("alert")),
-                score=float(response.get("score", 0.0)),
-                fired=tuple(int(s) for s in response.get("matched", [])),
-            ))
         return verdicts
 
 
-class ShardedGatewayPath(DetectorPath):
+class ShardedGatewayPath(GatewayPath):
     """A live multi-process fleet round-trip on one shared TCP port.
 
     The payloads travel through everything the fleet adds on top of the
@@ -387,10 +367,10 @@ class ShardedGatewayPath(DetectorPath):
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        super().__init__(
+            connections=connections, window=window, workers=workers
+        )
         self.shards = shards
-        self.connections = connections
-        self.window = window
-        self.workers = workers
         self.midstream_reload = midstream_reload
         suffix = "-reload" if midstream_reload else ""
         self.name = f"fleet-s{shards}{suffix}"
@@ -410,55 +390,20 @@ class ShardedGatewayPath(DetectorPath):
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """Replay *payloads* against a live fleet and decode."""
-        from repro.serve.loadgen import replay
-        from repro.serve.supervisor import FleetConfig, FleetSupervisor
+        from repro.serve.protocol import encode_line
 
-        async def _roundtrip() -> list[dict | None]:
-            supervisor = FleetSupervisor(detector, FleetConfig(
-                shards=self.shards,
-                queue_bound=max(64, len(payloads)),
-                policy="block",
-                workers=self.workers,
-            ))
-            host, port = await supervisor.start()
-            try:
-                replay_task = asyncio.get_running_loop().create_task(
-                    replay(
-                        host, port, payloads,
-                        connections=self.connections, window=self.window,
-                    )
-                )
-                if self.midstream_reload:
-                    from repro.core.serialize import signature_set_to_json
+        midstream_json = None
+        if self.midstream_reload:
+            from repro.core.serialize import signature_set_to_json
 
-                    # Let some payloads land on generation 1, then flip
-                    # the whole fleet mid-stream.
-                    await asyncio.sleep(0.05)
-                    await supervisor.reload_json(
-                        signature_set_to_json(detector.signature_set),
-                        source="conformance-midstream",
-                    )
-                responses, _latencies, _duration = await replay_task
-            finally:
-                await supervisor.stop()
-            return responses
-
-        responses = asyncio.run(_roundtrip())
-        verdicts: list[Verdict] = []
-        for index, response in enumerate(responses):
-            if response is None or response.get("shed") or (
-                "error" in response
-            ):
-                raise ConformanceError(
-                    f"fleet gave no verdict for payload {index}: "
-                    f"{response!r}"
-                )
-            verdicts.append(Verdict(
-                alert=bool(response.get("alert")),
-                score=float(response.get("score", 0.0)),
-                fired=tuple(int(s) for s in response.get("matched", [])),
-            ))
-        return verdicts
+            midstream_json = signature_set_to_json(detector.signature_set)
+        responses = self._roundtrip(
+            detector,
+            [encode_line(p) for p in payloads],
+            shards=self.shards,
+            midstream_json=midstream_json,
+        )
+        return verdicts_from_responses(responses, self.name)
 
 
 def default_paths(

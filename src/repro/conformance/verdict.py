@@ -22,6 +22,7 @@ __all__ = [
     "Divergence",
     "Verdict",
     "diff_verdicts",
+    "verdicts_from_responses",
 ]
 
 #: Payload text beyond this many characters is elided in reports.
@@ -69,6 +70,36 @@ class Verdict:
             "score": self.score,
             "fired": list(self.fired),
         }
+
+
+def verdicts_from_responses(
+    responses: list[dict | None], source: str
+) -> list[Verdict]:
+    """Decoded data-plane responses as verdicts, in order.
+
+    Args:
+        responses: one decoded response per payload (``None`` when the
+            connection died before answering).
+        source: what answered, for the error message.
+
+    Raises:
+        ConformanceError: a response is missing, shed, or an error.
+            Live callers size their queue bounds so that nothing sheds,
+            so any of these is a serving defect, not a verdict.
+    """
+    verdicts: list[Verdict] = []
+    for index, response in enumerate(responses):
+        if response is None or response.get("shed") or "error" in response:
+            raise ConformanceError(
+                f"{source} gave no verdict for payload {index}: "
+                f"{response!r}"
+            )
+        verdicts.append(Verdict(
+            alert=bool(response.get("alert")),
+            score=float(response.get("score", 0.0)),
+            fired=tuple(int(s) for s in response.get("matched", [])),
+        ))
+    return verdicts
 
 
 @dataclass(frozen=True)

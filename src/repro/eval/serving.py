@@ -32,28 +32,33 @@ class ParityReport:
     """Outcome of one online-vs-offline diff.
 
     Attributes:
-        total: responses compared (sheds and missing responses excluded).
+        total: responses compared (sheds, errors and missing responses
+            excluded).
         shed: responses refused by admission control (not comparable).
+        errors: non-shed error responses (no verdict to compare).
         missing: payloads with no response at all.
         mismatches: indices where verdict, sids, or score disagreed.
     """
 
     total: int = 0
     shed: int = 0
+    errors: int = 0
     missing: int = 0
     mismatches: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when every compared response matched ground truth."""
-        return not self.mismatches
+        """True when every response that is not a shed notice arrived,
+        carried a verdict, and matched ground truth."""
+        return not (self.mismatches or self.errors or self.missing)
 
     def summary(self) -> str:
         """One-line human-readable verdict."""
         verdict = "PARITY" if self.ok else "MISMATCH"
         return (
             f"{verdict}: {self.total} compared, {self.shed} shed, "
-            f"{self.missing} missing, {len(self.mismatches)} mismatched"
+            f"{self.errors} errors, {self.missing} missing, "
+            f"{len(self.mismatches)} mismatched"
         )
 
 
@@ -68,7 +73,8 @@ def parity_of_responses(
     ``responses[i]`` is the decoded data-plane object for payload ``i``
     (``None`` when the client never got an answer).  Shed responses are
     counted but not compared — admission control refused them, so there
-    is no verdict to check.
+    is no verdict to check.  Error responses and missing ones are
+    counted too, and fail the report.
     """
     if len(offline) != len(responses):
         raise ValueError(
@@ -82,6 +88,9 @@ def parity_of_responses(
             continue
         if response.get("shed"):
             report.shed += 1
+            continue
+        if "error" in response:
+            report.errors += 1
             continue
         report.total += 1
         same = (

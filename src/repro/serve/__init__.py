@@ -30,14 +30,10 @@ from repro.serve.fleet import (
 )
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.loadgen import (
-    FleetLoadReport,
     LoadReport,
     build_load_trace,
-    format_fleet_report,
     format_report,
-    open_loop_replay,
     replay,
-    run_fleet_loadgen,
     run_loadgen,
 )
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
@@ -54,7 +50,6 @@ __all__ = [
     "DetectionGateway",
     "FleetConfig",
     "FleetError",
-    "FleetLoadReport",
     "FleetSupervisor",
     "GatewayConfig",
     "LatencyHistogram",
@@ -68,12 +63,9 @@ __all__ = [
     "StoreVersion",
     "Telemetry",
     "build_load_trace",
-    "format_fleet_report",
     "format_report",
     "merge_raw_states",
-    "open_loop_replay",
     "replay",
     "reuseport_available",
-    "run_fleet_loadgen",
     "run_loadgen",
 ]

@@ -4,8 +4,9 @@ The paper's deployment argument is empirical — signatures must hold up
 under a production request stream (Section III-C).  The harness builds a
 deterministic mixed trace (SQLmap and Vega scans of the vulnerable
 webapp interleaved with benign portal traffic), replays it over many
-concurrent pipelined connections, and reports sustained throughput,
-shed rate, client-observed latency percentiles, and — via
+concurrent pipelined connections at an in-process gateway or a
+supervised fleet, and reports sustained throughput, shed rate,
+client-observed latency percentiles, SLO attainment, and — via
 :mod:`repro.eval.serving` — alert parity with the offline engine.
 """
 
@@ -24,22 +25,23 @@ from repro.eval.serving import (
 )
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
+from repro.ids.engine import Detector
+from repro.serve.admission import BackpressurePolicy
 from repro.serve.gateway import DetectionGateway, GatewayConfig
-from repro.serve.protocol import decode_response, encode_framed_request
+from repro.serve.protocol import (
+    decode_response,
+    encode_framed_request,
+    encode_line,
+)
 from repro.serve.store import SignatureStore
-from repro.surfaces import InjectionSurface, LEGACY_SURFACES, score_request
+from repro.serve.supervisor import FleetConfig, FleetSupervisor
+from repro.surfaces import InjectionSurface, score_request
 
 __all__ = [
-    "FleetLoadReport",
     "LoadReport",
     "build_load_trace",
-    "format_fleet_report",
     "format_report",
-    "open_loop_replay",
     "replay",
-    "replay_framed",
-    "run_fleet_loadgen",
-    "run_framed_loadgen",
     "run_loadgen",
 ]
 
@@ -77,429 +79,33 @@ class LoadReport:
 
     Attributes:
         detector: detector name on the serving side.
-        queue_bound: admission queue capacity during the run.
-        policy: backpressure policy during the run.
-        requests: payloads offered.
-        completed: payloads answered with a verdict.
-        shed: payloads refused by admission control.
-        errors: undecodable or error responses.
-        alerts: verdicts that alerted.
-        duration_s: wall-clock of the replay.
-        throughput_rps: completed-plus-shed responses per second.
-        serviced_rps: completed (verdict-carrying) responses per second —
-            the honest "sustained" number when shedding is active.
-        latency_ms: client-observed percentiles (p50/p95/p99/mean/max).
-        parity: diff against the offline engine (None when skipped).
-    """
-
-    detector: str
-    queue_bound: int
-    policy: str
-    requests: int
-    completed: int
-    shed: int
-    errors: int
-    alerts: int
-    duration_s: float
-    throughput_rps: float
-    latency_ms: dict[str, float] = field(default_factory=dict)
-    parity: ParityReport | None = None
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of offered payloads refused."""
-        return self.shed / self.requests if self.requests else 0.0
-
-    @property
-    def serviced_rps(self) -> float:
-        """Verdict-carrying responses per second."""
-        return self.completed / self.duration_s if self.duration_s else 0.0
-
-
-async def replay(
-    host: str,
-    port: int,
-    payloads: list[str],
-    *,
-    connections: int = 8,
-    window: int = 32,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    """Replay ``payloads`` and return (responses, latencies_s, duration_s).
-
-    Payloads are dealt round-robin over ``connections`` pipelined
-    connections, each keeping up to ``window`` requests in flight.
-    ``responses[i]`` stays None if the connection died before answering.
-    """
-    wires = [
-        payload.encode("utf-8", errors="replace") + b"\n"
-        for payload in payloads
-    ]
-    return await _replay_wires(
-        host, port, wires, connections=connections, window=window
-    )
-
-
-async def replay_framed(
-    host: str,
-    port: int,
-    requests: list[HttpRequest],
-    *,
-    surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES,
-    connections: int = 8,
-    window: int = 32,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    """Framed-mode :func:`replay`: whole requests over wire format v2.
-
-    Each request ships as one ``REPRO-FRAME/2`` message carrying the
-    surface selection; responses decode to surface-attributed verdict
-    objects, shaped like :func:`replay`'s return.
-    """
-    wires = [
-        encode_framed_request(request, surfaces) for request in requests
-    ]
-    return await _replay_wires(
-        host, port, wires, connections=connections, window=window
-    )
-
-
-async def _replay_wires(
-    host: str,
-    port: int,
-    wires: list[bytes],
-    *,
-    connections: int,
-    window: int,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    responses: list[dict | None] = [None] * len(wires)
-    latencies = np.zeros(len(wires), dtype=np.float64)
-    shards: list[list[tuple[int, bytes]]] = [
-        [] for _ in range(max(1, connections))
-    ]
-    for index, wire in enumerate(wires):
-        shards[index % len(shards)].append((index, wire))
-    started = time.perf_counter()
-    await asyncio.gather(*(
-        _drive_connection(host, port, shard, responses, latencies, window)
-        for shard in shards if shard
-    ))
-    return responses, latencies, time.perf_counter() - started
-
-
-async def _drive_connection(
-    host: str,
-    port: int,
-    jobs: list[tuple[int, bytes]],
-    responses: list[dict | None],
-    latencies: np.ndarray,
-    window: int,
-) -> None:
-    reader, writer = await asyncio.open_connection(host, port)
-    inflight = asyncio.Semaphore(max(1, window))
-    sent_at: dict[int, float] = {}
-
-    async def collect() -> None:
-        try:
-            for index, _ in jobs:
-                line = await reader.readline()
-                if not line:
-                    return
-                latencies[index] = time.perf_counter() - sent_at[index]
-                try:
-                    responses[index] = decode_response(line)
-                except ValueError:
-                    responses[index] = {"error": "undecodable response"}
-                inflight.release()
-        finally:
-            # Unblock the sender even if the server hung up early; its
-            # writes will then fail fast instead of deadlocking.
-            for _ in jobs:
-                inflight.release()
-
-    collector = asyncio.get_running_loop().create_task(collect())
-    try:
-        for index, wire in jobs:
-            await inflight.acquire()
-            if collector.done():
-                break
-            sent_at[index] = time.perf_counter()
-            writer.write(wire)
-            await writer.drain()
-        await collector
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    finally:
-        collector.cancel()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
-def _percentiles_ms(latencies: np.ndarray) -> dict[str, float]:
-    answered = latencies[latencies > 0]
-    if answered.size == 0:
-        return {k: 0.0 for k in
-                ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms")}
-    return {
-        "p50_ms": float(np.percentile(answered, 50) * 1e3),
-        "p95_ms": float(np.percentile(answered, 95) * 1e3),
-        "p99_ms": float(np.percentile(answered, 99) * 1e3),
-        "mean_ms": float(answered.mean() * 1e3),
-        "max_ms": float(answered.max() * 1e3),
-    }
-
-
-async def run_loadgen(
-    store: SignatureStore,
-    payloads: list[str],
-    *,
-    queue_bound: int = 1024,
-    policy: str = "block",
-    workers: int = 4,
-    connections: int = 8,
-    window: int = 32,
-    check_parity: bool = True,
-) -> LoadReport:
-    """Spawn an in-process gateway, replay, and summarize.
-
-    With ``check_parity`` the serviced responses are diffed against the
-    offline detector (shed responses are excluded — there is nothing to
-    compare).
-    """
-    gateway = DetectionGateway(store, GatewayConfig(
-        queue_bound=queue_bound,
-        policy=policy,
-        workers=workers,
-    ))
-    host, port = await gateway.start()
-    try:
-        responses, latencies, duration = await replay(
-            host, port, payloads,
-            connections=connections, window=window,
-        )
-    finally:
-        await gateway.stop()
-    parity = None
-    if check_parity:
-        parity = parity_of_responses(
-            offline_detections(store.current().detector, payloads),
-            responses,
-        )
-    shed = sum(1 for r in responses if r and r.get("shed"))
-    errors = sum(
-        1 for r in responses
-        if r is not None and "error" in r and not r.get("shed")
-    )
-    completed = sum(
-        1 for r in responses
-        if r is not None and not r.get("shed") and "error" not in r
-    )
-    answered = sum(1 for r in responses if r is not None)
-    return LoadReport(
-        detector=store.current().detector.name,
-        queue_bound=queue_bound,
-        policy=policy,
-        requests=len(payloads),
-        completed=completed,
-        shed=shed,
-        errors=errors,
-        alerts=sum(
-            1 for r in responses if r is not None and r.get("alert")
-        ),
-        duration_s=duration,
-        throughput_rps=answered / duration if duration > 0 else 0.0,
-        latency_ms=_percentiles_ms(latencies),
-        parity=parity,
-    )
-
-
-async def run_framed_loadgen(
-    store: SignatureStore,
-    requests: list[HttpRequest],
-    *,
-    surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES,
-    queue_bound: int = 1024,
-    policy: str = "block",
-    workers: int = 4,
-    connections: int = 8,
-    window: int = 32,
-    check_parity: bool = True,
-) -> LoadReport:
-    """Framed-mode :func:`run_loadgen`: replay whole requests.
-
-    Parity is judged against the offline surface-aware fold
-    (:func:`repro.surfaces.score_request` with the same selection), so a
-    wire/extraction divergence between gateway and library fails the
-    check even when both "look alerted".
-    """
-    gateway = DetectionGateway(store, GatewayConfig(
-        queue_bound=queue_bound,
-        policy=policy,
-        workers=workers,
-    ))
-    host, port = await gateway.start()
-    try:
-        responses, latencies, duration = await replay_framed(
-            host, port, requests,
-            surfaces=surfaces, connections=connections, window=window,
-        )
-    finally:
-        await gateway.stop()
-    parity = None
-    if check_parity:
-        detector = store.current().detector
-        parity = parity_of_responses(
-            [
-                score_request(detector.inspect, request, surfaces)
-                for request in requests
-            ],
-            responses,
-        )
-    shed = sum(1 for r in responses if r and r.get("shed"))
-    errors = sum(
-        1 for r in responses
-        if r is not None and "error" in r and not r.get("shed")
-    )
-    completed = sum(
-        1 for r in responses
-        if r is not None and not r.get("shed") and "error" not in r
-    )
-    answered = sum(1 for r in responses if r is not None)
-    return LoadReport(
-        detector=store.current().detector.name,
-        queue_bound=queue_bound,
-        policy=policy,
-        requests=len(requests),
-        completed=completed,
-        shed=shed,
-        errors=errors,
-        alerts=sum(
-            1 for r in responses if r is not None and r.get("alert")
-        ),
-        duration_s=duration,
-        throughput_rps=answered / duration if duration > 0 else 0.0,
-        latency_ms=_percentiles_ms(latencies),
-        parity=parity,
-    )
-
-
-async def open_loop_replay(
-    host: str,
-    port: int,
-    payloads: list[str],
-    *,
-    rate: float,
-    connections: int = 8,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    """Offer ``payloads`` at a fixed ``rate`` regardless of responses.
-
-    The closed-loop :func:`replay` slows down when the server does —
-    it can never overload anything, so it measures *capacity*.  The
-    open-loop generator models independent clients: payload ``i`` is
-    sent at ``t0 + i/rate`` (dealt round-robin over ``connections``)
-    whether or not earlier responses arrived, which is how real traffic
-    behaves and the only way to observe shedding and queueing delay at
-    offered loads above capacity.
-
-    Response lines are stored raw and decoded after the run so client
-    CPU spent on JSON never distorts the offered schedule.
-
-    Returns ``(responses, latencies_s, duration_s)`` shaped exactly
-    like :func:`replay`.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    responses: list[dict | None] = [None] * len(payloads)
-    latencies = np.zeros(len(payloads), dtype=np.float64)
-    lanes: list[list[int]] = [[] for _ in range(max(1, connections))]
-    for index in range(len(payloads)):
-        lanes[index % len(lanes)].append(index)
-    raw: list[bytes | None] = [None] * len(payloads)
-    started = time.perf_counter()
-    finished_at = started
-
-    async def _drive(lane: list[int]) -> None:
-        nonlocal finished_at
-        reader, writer = await asyncio.open_connection(host, port)
-        sent_at = np.zeros(len(lane), dtype=np.float64)
-
-        async def collect() -> None:
-            nonlocal finished_at
-            for position, index in enumerate(lane):
-                line = await reader.readline()
-                if not line:
-                    return
-                now = time.perf_counter()
-                latencies[index] = now - sent_at[position]
-                raw[index] = line
-                if now > finished_at:
-                    finished_at = now
-
-        collector = asyncio.get_running_loop().create_task(collect())
-        try:
-            for position, index in enumerate(lane):
-                delay = started + index / rate - time.perf_counter()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                sent_at[position] = time.perf_counter()
-                writer.write(
-                    payloads[index].encode("utf-8", errors="replace")
-                    + b"\n"
-                )
-                await writer.drain()
-            await collector
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            collector.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    await asyncio.gather(*(_drive(lane) for lane in lanes if lane))
-    for index, line in enumerate(raw):
-        if line is None:
-            continue
-        try:
-            responses[index] = decode_response(line)
-        except ValueError:
-            responses[index] = {"error": "undecodable response"}
-    return responses, latencies, max(finished_at - started, 1e-9)
-
-
-@dataclass
-class FleetLoadReport:
-    """One replay against a sharded fleet, with per-shard attribution.
-
-    Attributes:
-        detector: detector name on the serving side.
-        shards: shard process count.
-        queue_bound: per-shard admission queue capacity.
-        policy: per-shard backpressure policy.
+        shards: fleet shard count; ``None`` for the in-process gateway.
+        queue_bound: admission queue capacity (per shard on a fleet).
+        policy: backpressure policy (per shard on a fleet).
         offered_rps: open-loop offered rate (None for closed-loop runs).
-        requests: payloads offered.
-        completed: payloads answered with a verdict.
-        shed: payloads refused by admission control.
+        requests: items offered.
+        completed: items answered with a verdict.
+        shed: items refused by admission control.
         errors: undecodable or error responses.
         alerts: verdicts that alerted.
-        duration_s: wall-clock of the replay.
-        throughput_rps: answered (verdict or shed) responses per second.
+        duration_s: first send to last response.
+        throughput_rps: answered (verdict, shed or error) responses per
+            second.
         slo_ms: the latency objective judged against.
-        slo_attainment: fraction of *offered* payloads answered with a
+        slo_attainment: fraction of *offered* items answered with a
             verdict within ``slo_ms`` — a shed or missing response is an
             SLO miss, so attainment cannot be gamed by shedding.
-        latency_ms: client-observed percentiles over serviced requests.
+        latency_ms: client-observed percentiles (p50/p95/p99/mean/max)
+            over serviced responses only.
         per_shard: ``{shard_id: {"inspected": n, "shed": n, ...}}``
             pulled from the supervisor after the replay — the kernel's
-            connection balancing made visible.
+            connection balancing made visible; empty for the in-process
+            gateway.
         parity: diff against the offline engine (None when skipped).
     """
 
     detector: str
-    shards: int
+    shards: int | None
     queue_bound: int
     policy: str
     offered_rps: float | None
@@ -518,7 +124,7 @@ class FleetLoadReport:
 
     @property
     def shed_rate(self) -> float:
-        """Fraction of offered payloads refused."""
+        """Fraction of offered items refused."""
         return self.shed / self.requests if self.requests else 0.0
 
     @property
@@ -527,122 +133,235 @@ class FleetLoadReport:
         return self.completed / self.duration_s if self.duration_s else 0.0
 
 
-def _slo_attainment(
-    responses: list[dict | None],
-    latencies: np.ndarray,
-    slo_ms: float,
-) -> float:
-    """Fraction of offered payloads serviced within the objective."""
-    if not responses:
-        return 0.0
-    within = 0
-    for index, response in enumerate(responses):
-        if response is None or response.get("shed") or "error" in response:
-            continue
-        if latencies[index] * 1e3 <= slo_ms:
-            within += 1
-    return within / len(responses)
-
-
-async def run_fleet_loadgen(
-    detector,
-    payloads: list[str],
+async def replay(
+    host: str,
+    port: int,
+    wires: list[bytes],
     *,
-    shards: int = 2,
-    queue_bound: int = 1024,
-    policy: str = "block",
-    workers: int = 4,
+    connections: int = 8,
+    window: int = 32,
+    rate: float | None = None,
+) -> tuple[list[dict | None], np.ndarray, float]:
+    """Send ``wires`` and return (responses, latencies_s, duration_s).
+
+    Framing is the caller's: each wire is one encoded request, from
+    :func:`~repro.serve.protocol.encode_line` (line protocol) or
+    :func:`~repro.serve.protocol.encode_framed_request` (``REPRO-FRAME/2``).
+    Wires are dealt round-robin over ``connections`` connections, each
+    answered in request order.
+
+    Pacing is ``rate``.  With ``None`` the loop is closed: each
+    connection keeps up to ``window`` requests in flight, so the replay
+    slows down when the server does and measures *capacity*.  With a
+    rate the loop is open and models independent clients: wire ``i`` is
+    due at ``t0 + i/rate`` whether or not earlier responses arrived —
+    the only way to observe shedding and queueing delay at offered
+    loads above capacity — and its latency counts from that due
+    instant, so a stall in this generator is charged to the requests
+    queued behind it instead of vanishing.
+
+    ``responses[i]`` stays None (and ``latencies[i]`` 0) if the
+    connection died before answering.  Response lines are decoded after
+    the run so client CPU spent on JSON never distorts the pacing.
+    ``duration_s`` runs from the first send to the last response.
+    """
+    if rate is not None and rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    t0 = time.perf_counter()
+    sent = np.zeros(len(wires), dtype=np.float64)
+    received = np.zeros(len(wires), dtype=np.float64)
+    lines: list[bytes | None] = [None] * len(wires)
+
+    async def drive(lane: range) -> None:
+        reader, writer = await asyncio.open_connection(host, port)
+        inflight = asyncio.Semaphore(max(1, window))
+
+        async def collect() -> None:
+            try:
+                for index in lane:
+                    line = await reader.readline()
+                    if not line:
+                        return
+                    received[index] = time.perf_counter()
+                    lines[index] = line
+                    inflight.release()
+            finally:
+                # Unblock the sender even if the server hung up early; its
+                # writes will then fail fast instead of deadlocking.
+                for _ in lane:
+                    inflight.release()
+
+        collector = asyncio.get_running_loop().create_task(collect())
+        try:
+            for index in lane:
+                if rate is None:
+                    await inflight.acquire()
+                    sent[index] = time.perf_counter()
+                else:
+                    sent[index] = t0 + index / rate
+                    delay = sent[index] - time.perf_counter()
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+                if collector.done():
+                    break
+                writer.write(wires[index])
+                await writer.drain()
+            await collector
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            collector.cancel()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    lanes = max(1, connections)
+    await asyncio.gather(*(
+        drive(range(lane, len(wires), lanes))
+        for lane in range(min(lanes, len(wires)))
+    ))
+    answered = received > 0
+    latencies = np.where(answered, received - sent, 0.0)
+    duration = (
+        float(received.max() - sent[sent > 0].min())
+        if answered.any() else 0.0
+    )
+    return [_decode(line) for line in lines], latencies, duration
+
+
+def _decode(line: bytes | None) -> dict | None:
+    if line is None:
+        return None
+    try:
+        return decode_response(line)
+    except ValueError:
+        return {"error": "undecodable response"}
+
+
+def _percentiles_ms(latencies: np.ndarray) -> dict[str, float]:
+    if latencies.size == 0:
+        return {k: 0.0 for k in
+                ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms")}
+    return {
+        "p50_ms": float(np.percentile(latencies, 50) * 1e3),
+        "p95_ms": float(np.percentile(latencies, 95) * 1e3),
+        "p99_ms": float(np.percentile(latencies, 99) * 1e3),
+        "mean_ms": float(latencies.mean() * 1e3),
+        "max_ms": float(latencies.max() * 1e3),
+    }
+
+
+async def run_loadgen(
+    detector: Detector,
+    items: list[str] | list[HttpRequest],
+    *,
+    config: GatewayConfig | FleetConfig,
+    surfaces: tuple[InjectionSurface, ...] | None = None,
     connections: int = 8,
     window: int = 32,
     rate: float | None = None,
     slo_ms: float = 50.0,
     check_parity: bool = True,
-) -> FleetLoadReport:
-    """Spawn a fleet, replay (closed- or open-loop), and summarize.
+) -> LoadReport:
+    """Serve ``detector``, replay ``items`` at it, and summarize.
 
-    With ``rate`` set the open-loop generator offers that many requests
-    per second fleet-wide; without it the closed-loop :func:`replay`
-    measures capacity.  Per-shard counters come from the supervisor's
-    merged telemetry, pulled *before* shutdown.
+    ``config`` picks the target: a :class:`GatewayConfig` spawns an
+    in-process gateway, a :class:`FleetConfig` a supervised fleet whose
+    per-shard counters are pulled from the supervisor's merged telemetry
+    *before* shutdown.  Without ``surfaces`` the items are payload
+    strings on the line protocol; with it they are whole requests in
+    ``REPRO-FRAME/2`` frames carrying that selection.  ``connections``,
+    ``window`` and ``rate`` are :func:`replay`'s.
+
+    With ``check_parity`` every response is diffed against the offline
+    detector — ``detector.inspect`` per payload, or the surface-aware
+    fold (:func:`repro.surfaces.score_request` with the same selection)
+    per framed request, so a wire/extraction divergence between gateway
+    and library fails the check even when both "look alerted".
     """
-    from repro.serve.supervisor import FleetConfig, FleetSupervisor
-
-    supervisor = FleetSupervisor(detector, FleetConfig(
-        shards=shards,
-        queue_bound=queue_bound,
-        policy=policy,
-        workers=workers,
-    ))
-    host, port = await supervisor.start()
+    if surfaces is None:
+        wires = [encode_line(payload) for payload in items]
+    else:
+        wires = [encode_framed_request(r, surfaces) for r in items]
+    if isinstance(config, FleetConfig):
+        server = FleetSupervisor(detector, config)
+    else:
+        server = DetectionGateway(SignatureStore(detector), config)
+    host, port = await server.start()
+    per_shard: dict[str, dict] = {}
     try:
-        if rate is None:
-            responses, latencies, duration = await replay(
-                host, port, payloads,
-                connections=connections, window=window,
-            )
-        else:
-            responses, latencies, duration = await open_loop_replay(
-                host, port, payloads, rate=rate, connections=connections,
-            )
-        stats = await supervisor.stats()
+        responses, latencies, duration = await replay(
+            host, port, wires,
+            connections=connections, window=window, rate=rate,
+        )
+        if isinstance(server, FleetSupervisor):
+            stats = await server.stats()
+            per_shard = {
+                shard_id: dict(info["counters"])
+                for shard_id, info in stats["shards"].items()
+            }
     finally:
-        await supervisor.stop()
+        await server.stop()
     parity = None
     if check_parity:
-        parity = parity_of_responses(
-            offline_detections(detector, payloads), responses,
-        )
-    shed = sum(1 for r in responses if r and r.get("shed"))
-    errors = sum(
-        1 for r in responses
-        if r is not None and "error" in r and not r.get("shed")
-    )
-    completed = sum(
-        1 for r in responses
-        if r is not None and not r.get("shed") and "error" not in r
-    )
+        if surfaces is None:
+            offline = offline_detections(detector, items)
+        else:
+            offline = [
+                score_request(detector.inspect, request, surfaces)
+                for request in items
+            ]
+        parity = parity_of_responses(offline, responses)
+    serviced = np.array([
+        r is not None and not r.get("shed") and "error" not in r
+        for r in responses
+    ], dtype=bool)
+    completed = int(serviced.sum())
+    within_slo = serviced & (latencies * 1e3 <= slo_ms)
     answered = sum(1 for r in responses if r is not None)
-    serviced_latencies = np.array([
-        latencies[i] for i, r in enumerate(responses)
-        if r is not None and not r.get("shed") and "error" not in r
-    ])
-    return FleetLoadReport(
-        detector=stats["store"]["detector"],
-        shards=shards,
-        queue_bound=queue_bound,
-        policy=policy,
+    shed = sum(1 for r in responses if r is not None and r.get("shed"))
+    return LoadReport(
+        detector=detector.name,
+        shards=config.shards if isinstance(config, FleetConfig) else None,
+        queue_bound=config.queue_bound,
+        policy=BackpressurePolicy(config.policy).value,
         offered_rps=rate,
-        requests=len(payloads),
+        requests=len(items),
         completed=completed,
         shed=shed,
-        errors=errors,
+        errors=answered - shed - completed,
         alerts=sum(
             1 for r in responses if r is not None and r.get("alert")
         ),
         duration_s=duration,
         throughput_rps=answered / duration if duration > 0 else 0.0,
         slo_ms=slo_ms,
-        slo_attainment=_slo_attainment(responses, latencies, slo_ms),
-        latency_ms=_percentiles_ms(serviced_latencies),
-        per_shard={
-            shard_id: dict(info["counters"])
-            for shard_id, info in stats["shards"].items()
-        },
+        slo_attainment=(
+            int(within_slo.sum()) / len(items) if items else 0.0
+        ),
+        latency_ms=_percentiles_ms(latencies[serviced]),
+        per_shard=per_shard,
         parity=parity,
     )
 
 
-def format_fleet_report(report: FleetLoadReport) -> str:
-    """Multi-line human-readable rendering of one fleet replay."""
-    offered = (
+def format_report(report: LoadReport) -> str:
+    """Multi-line human-readable rendering of one replay."""
+    target = (
+        f"shards={report.shards} queue={report.queue_bound}/shard"
+        if report.shards is not None
+        else f"in-process gateway queue={report.queue_bound}"
+    )
+    pacing = (
         f"offered={report.offered_rps:,.0f} req/s (open loop)"
         if report.offered_rps is not None
         else "closed loop"
     )
     lines = [
-        f"detector={report.detector} shards={report.shards} "
-        f"queue={report.queue_bound}/shard policy={report.policy} "
-        f"{offered}",
+        f"detector={report.detector} {target} policy={report.policy} "
+        f"{pacing}",
         f"  requests={report.requests} completed={report.completed} "
         f"shed={report.shed} ({report.shed_rate:.1%}) "
         f"errors={report.errors} alerts={report.alerts}",
@@ -663,26 +382,6 @@ def format_fleet_report(report: FleetLoadReport) -> str:
             f"shed={counters.get('shed', 0)} "
             f"connections={counters.get('connections', 0)}"
         )
-    if report.parity is not None:
-        lines.append(f"  {report.parity.summary()}")
-    return "\n".join(lines)
-
-
-def format_report(report: LoadReport) -> str:
-    """Multi-line human-readable rendering of one replay."""
-    lines = [
-        f"detector={report.detector} queue={report.queue_bound} "
-        f"policy={report.policy}",
-        f"  requests={report.requests} completed={report.completed} "
-        f"shed={report.shed} ({report.shed_rate:.1%}) "
-        f"errors={report.errors} alerts={report.alerts}",
-        f"  duration={report.duration_s:.3f}s "
-        f"throughput={report.throughput_rps:,.0f} req/s "
-        f"(serviced {report.serviced_rps:,.0f}/s)",
-        "  latency p50={p50_ms:.3f}ms p95={p95_ms:.3f}ms "
-        "p99={p99_ms:.3f}ms mean={mean_ms:.3f}ms max={max_ms:.3f}ms"
-        .format(**report.latency_ms),
-    ]
     if report.parity is not None:
         lines.append(f"  {report.parity.summary()}")
     return "\n".join(lines)

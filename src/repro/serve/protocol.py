@@ -53,6 +53,7 @@ __all__ = [
     "encode_detection",
     "encode_error",
     "encode_framed_request",
+    "encode_line",
     "encode_shed",
     "encode_surface_detection",
     "frame_header_size",
@@ -145,6 +146,22 @@ def frame_header_size(line: bytes) -> int | None:
     if size < 0 or size > MAX_FRAME_BYTES:
         raise ProtocolError(f"bad frame size: {size}")
     return size
+
+
+def encode_line(payload: str) -> bytes:
+    """One line-protocol request: the payload plus its newline.
+
+    Raises:
+        ValueError: the payload holds a line break; on the wire it would
+            split into two requests and shift every later verdict on
+            the connection.
+    """
+    if "\n" in payload or "\r" in payload:
+        raise ValueError(
+            f"payload contains a line break and cannot travel on the "
+            f"line protocol: {payload[:80]!r}"
+        )
+    return payload.encode("utf-8", errors="replace") + b"\n"
 
 
 def encode_framed_request(

@@ -60,6 +60,7 @@ from repro.serve.fleet import (
 )
 from repro.serve.protocol import (
     ProtocolError,
+    encode_line,
     http_response,
     is_http_request_line,
     read_http_message,
@@ -899,7 +900,7 @@ class FleetSupervisor:
             self._data_host, self._data_port
         )
         try:
-            writer.write(payload.encode() + b"\n")
+            writer.write(encode_line(payload))
             await writer.drain()
             line = await reader.readline()
         finally:

@@ -265,6 +265,7 @@ class TestFleetReload:
             parity_of_responses,
         )
         from repro.serve.loadgen import replay
+        from repro.serve.protocol import encode_line
 
         async def scenario():
             detector = PSigeneDetector(small_signatures)
@@ -277,7 +278,10 @@ class TestFleetReload:
                     "name=alice&x=1 or 1=1",
                 ] * 40
                 replay_task = asyncio.ensure_future(
-                    replay(host, port, payloads, connections=4, window=8)
+                    replay(
+                        host, port, [encode_line(p) for p in payloads],
+                        connections=4, window=8,
+                    )
                 )
                 await asyncio.sleep(0.02)
                 result = await supervisor.reload_json(

@@ -1,6 +1,6 @@
 """Framed load generation: full requests over wire v2 with parity.
 
-``run_framed_loadgen`` must reproduce the offline surface scorer's
+Framed ``run_loadgen`` must reproduce the offline surface scorer's
 verdicts bit-for-bit — including on traffic only non-legacy surfaces
 can see.
 """
@@ -10,8 +10,8 @@ import asyncio
 from repro.corpus import SurfaceCorpusGenerator
 from repro.http import HttpRequest
 from repro.ids import DeterministicRuleSet, Rule
-from repro.serve import SignatureStore
-from repro.serve.loadgen import run_framed_loadgen
+from repro.serve import GatewayConfig
+from repro.serve.loadgen import run_loadgen
 from repro.surfaces import DEFAULT_SURFACES, LEGACY_SURFACES
 
 
@@ -29,9 +29,10 @@ class TestFramedLoadgen:
             HttpRequest(query="q=hello"),
             HttpRequest(query="u=1 union select 2"),
         ] * 10
-        report = asyncio.run(run_framed_loadgen(
-            SignatureStore(toy_detector()),
+        report = asyncio.run(run_loadgen(
+            toy_detector(),
             requests,
+            config=GatewayConfig(),
             surfaces=LEGACY_SURFACES,
             connections=2,
             window=8,
@@ -42,9 +43,10 @@ class TestFramedLoadgen:
 
     def test_full_surface_parity_on_surface_corpus(self):
         trace = SurfaceCorpusGenerator(seed=11).mixed_trace(48)
-        report = asyncio.run(run_framed_loadgen(
-            SignatureStore(toy_detector()),
+        report = asyncio.run(run_loadgen(
+            toy_detector(),
             trace.requests,
+            config=GatewayConfig(),
             surfaces=DEFAULT_SURFACES,
             connections=4,
             window=16,

@@ -292,11 +292,9 @@ class TestLoadgenParity:
         payloads = trace.payloads()[:120]
 
         report = asyncio.run(run_loadgen(
-            SignatureStore(detector),
+            detector,
             payloads,
-            queue_bound=64,
-            policy="block",
-            workers=2,
+            config=GatewayConfig(queue_bound=64, policy="block", workers=2),
             connections=4,
             window=8,
         ))

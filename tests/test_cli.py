@@ -164,6 +164,29 @@ class TestLoadgenCommand:
         assert "PARITY" in out
         assert "throughput" in out
 
+    def test_rate_and_slo_apply_to_the_in_process_gateway(self, capsys):
+        code = main([
+            "loadgen", "--detector", "modsecurity",
+            "--requests", "120", "--benign", "40", "--vulnerabilities", "2",
+            "--rate", "2000", "--slo-ms", "40",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "in-process gateway" in out
+        assert "offered=2,000 req/s (open loop)" in out
+        assert "slo<= 40ms attainment=" in out
+
+    def test_framed_surfaces_combine_with_shards(self, capsys):
+        code = main([
+            "loadgen", "--detector", "modsecurity",
+            "--framed", "--surfaces", "all", "--shards", "2",
+            "--requests", "120", "--benign", "40", "--vulnerabilities", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "shards=2" in out
+        assert "PARITY: 120 compared" in out
+
     def test_psigene_requires_signature_file(self):
         with pytest.raises(SystemExit):
             main(["loadgen", "--detector", "psigene", "--requests", "10"])
