@@ -250,7 +250,7 @@ def test_cluster_mode_speedup(benchmark, bench_context, record, emit):
             "critical_path_us_at_max": round(
                 float(runs[-1].critical_path_us), 3
             ),
-            "speedup_at_max": round(float(runs[-1].speedup), 3),
+            "modeled_speedup_at_max": round(float(runs[-1].speedup), 3),
             "verdict_parity": bool(parity),
         },
         data={"rows": [

@@ -27,7 +27,7 @@ def test_bench_fused_matching(benchmark, bench_context, record, emit):
     payloads = [request.flat_payload() for request in requests]
 
     def sweep():
-        return bench_fused_matching(nine, payloads, repeats=5)
+        return bench_fused_matching(nine, payloads)
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = format_table(

@@ -3,8 +3,9 @@
 pSigene: Webcrawling to Generalize SQL Injection Signatures
 (Modelo-Howard, Gutierrez, Arshad, Bagchi, Qi).
 
-Top-level convenience re-exports cover the quickstart path; subpackages
-hold the full system (see DESIGN.md for the inventory):
+The top-level package imports nothing, so ``python -m repro serve`` loads
+only the serving path; the subpackages hold the full system (see
+DESIGN.md for the inventory):
 
 - :mod:`repro.core` — the four-phase pipeline and signature artifacts
 - :mod:`repro.crawler` — webcrawling substrate with simulated portals
@@ -18,19 +19,6 @@ hold the full system (see DESIGN.md for the inventory):
 - :mod:`repro.eval` — drivers for every table and figure in the paper
 """
 
-from repro.core import (
-    GeneralizedSignature,
-    PipelineConfig,
-    PSigenePipeline,
-    SignatureSet,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "PSigenePipeline",
-    "PipelineConfig",
-    "SignatureSet",
-    "GeneralizedSignature",
-    "__version__",
-]
+__all__ = ["__version__"]

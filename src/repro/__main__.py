@@ -22,6 +22,7 @@ identical across every subcommand that takes them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 COMMAND_EPILOG = """\
@@ -45,6 +46,22 @@ _DETECTOR_CHOICES = (
 )
 
 
+def _load_signature_set(path: str):
+    """The signature set in ``path``; exits cleanly if missing or malformed."""
+    from repro.core import signature_set_from_json
+
+    try:
+        with open(path) as handle:
+            return signature_set_from_json(handle.read())
+    except FileNotFoundError:
+        raise SystemExit(
+            f"repro: signature file {path!r} not found; "
+            "train one first (repro train) or pass -s"
+        ) from None
+    except ValueError as error:
+        raise SystemExit(f"repro: signature file {path!r}: {error}") from None
+
+
 def _build_detector(name: str, signatures: str | None):
     """Detector + default-reload-path for ``--detector``/``-s``."""
     if name == "psigene":
@@ -52,21 +69,9 @@ def _build_detector(name: str, signatures: str | None):
             raise SystemExit(
                 "repro: --detector psigene needs a signature file (-s)"
             )
-        from repro.core import signature_set_from_json
         from repro.ids import PSigeneDetector
 
-        try:
-            with open(signatures) as handle:
-                serialized = handle.read()
-        except FileNotFoundError:
-            raise SystemExit(
-                f"repro: signature file {signatures!r} not found; "
-                "train one first (repro train) or pass -s"
-            ) from None
-        return (
-            PSigeneDetector(signature_set_from_json(serialized)),
-            signatures,
-        )
+        return PSigeneDetector(_load_signature_set(signatures)), signatures
     from repro.ids.rulesets import (
         build_bro_ruleset,
         build_merged_snort_et_ruleset,
@@ -113,16 +118,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    from repro.core import signature_set_from_json
-
-    try:
-        with open(args.signatures) as handle:
-            signature_set = signature_set_from_json(handle.read())
-    except FileNotFoundError:
-        raise SystemExit(
-            f"repro: signature file {args.signatures!r} not found; "
-            "train one first (repro train) or pass -s"
-        ) from None
+    signature_set = _load_signature_set(args.signatures)
     # rstrip both separators: CRLF input would otherwise leave a carriage
     # return inside the payload, changing normalization (and thus scores)
     # between piped and argv invocations.
@@ -241,6 +237,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # One BLAS thread, set before anything loads numpy.  The gateway is
+    # one event loop whose scoring makes no threaded BLAS call: OpenBLAS's
+    # second thread spent 60-120 ms of CPU at launch and none over the
+    # next 5,000 requests.  Forked fleet shards inherit the setting; a
+    # caller's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import asyncio
 
     from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
@@ -585,7 +587,7 @@ def _cmd_match_bench(args: argparse.Namespace) -> int:
         f"(budget={args.budget}, seed={args.seed}), detector {source}"
     )
     result = bench_fused_matching(
-        detector.signature_set, payloads, repeats=args.repeats
+        detector.signature_set, payloads, pairs=args.repeats
     )
     print(
         f"  legacy  {result.legacy_us_per_request:8.1f} us/req\n"
@@ -786,7 +788,7 @@ def _cmd_canary_history(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for worker counts: an integer of at least 1."""
+    """argparse type for worker and pair counts: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -1064,8 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[conform_options, budget_option],
     )
     match_bench.add_argument(
-        "--repeats", type=int, default=5,
-        help="timed passes per engine; best is kept (default: 5)",
+        "--repeats", type=_positive_int, default=9,
+        help="interleaved fused/legacy pass pairs; the speedup is the "
+             "median pair ratio (default: 9)",
     )
     match_bench.add_argument(
         "--json", default=None,

@@ -1,12 +1,6 @@
 """pSigene core: the four-phase pipeline and its signature artifacts."""
 
-from repro.core.generalizer import (
-    GeneralizerConfig,
-    SignatureGeneralizer,
-    SignatureTraining,
-)
-from repro.core.incremental import IncrementalUpdate, incremental_update
-from repro.core.pipeline import PipelineConfig, PipelineResult, PSigenePipeline
+from repro._lazy import lazy_exports
 from repro.core.serialize import (
     signature_set_from_json,
     signature_set_to_json,
@@ -27,3 +21,12 @@ __all__ = [
     "signature_set_to_json",
     "signature_set_from_json",
 ]
+
+# Training code (crawler, clusterer, corpus) loads on first use only.
+__getattr__ = lazy_exports(__name__, {
+    "generalizer": (
+        "GeneralizerConfig", "SignatureGeneralizer", "SignatureTraining",
+    ),
+    "incremental": ("IncrementalUpdate", "incremental_update"),
+    "pipeline": ("PipelineConfig", "PipelineResult", "PSigenePipeline"),
+})

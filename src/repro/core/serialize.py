@@ -56,38 +56,43 @@ def signature_set_from_json(text: str) -> SignatureSet:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"top level is a JSON {type(payload).__name__}, not an object"
+        )
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema {payload.get('schema')!r}; "
             f"expected {SCHEMA_VERSION}"
         )
-    signatures: list[GeneralizedSignature] = []
-    for entry in payload.get("signatures", []):
-        definitions = [
-            FeatureDefinition(
-                index=i,
-                pattern=f["pattern"],
-                label=f["label"],
-                source=f["source"],
-            )
-            for i, f in enumerate(entry["features"])
-        ]
-        theta = np.asarray(entry["theta"], dtype=np.float64)
-        if theta.shape[0] != len(definitions) + 1:
-            raise ValueError(
-                f"bicluster {entry.get('bicluster')}: theta length "
-                f"{theta.shape[0]} does not match {len(definitions)} features"
-            )
-        signatures.append(
-            GeneralizedSignature(
-                bicluster_index=int(entry["bicluster"]),
-                features=FeatureCatalog(definitions),
-                model=LogisticModel(theta),
-                threshold=float(entry["threshold"]),
-                bicluster_feature_count=int(
-                    entry.get("bicluster_feature_count", 0)
-                ),
-                training_samples=int(entry.get("training_samples", 0)),
-            )
+    try:
+        return SignatureSet(
+            [_signature(entry) for entry in payload.get("signatures", [])]
         )
-    return SignatureSet(signatures)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(
+            f"malformed signature entry ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _signature(entry: dict) -> GeneralizedSignature:
+    definitions = [
+        FeatureDefinition(
+            index=i, pattern=f["pattern"], label=f["label"], source=f["source"]
+        )
+        for i, f in enumerate(entry["features"])
+    ]
+    theta = np.asarray(entry["theta"], dtype=np.float64)
+    if theta.shape[0] != len(definitions) + 1:
+        raise ValueError(
+            f"bicluster {entry.get('bicluster')}: theta length "
+            f"{theta.shape[0]} does not match {len(definitions)} features"
+        )
+    return GeneralizedSignature(
+        bicluster_index=int(entry["bicluster"]),
+        features=FeatureCatalog(definitions),
+        model=LogisticModel(theta),
+        threshold=float(entry["threshold"]),
+        bicluster_feature_count=int(entry.get("bicluster_feature_count", 0)),
+        training_samples=int(entry.get("training_samples", 0)),
+    )

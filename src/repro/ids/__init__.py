@@ -1,26 +1,12 @@
 """IDS substrate: rule semantics, rulesets, and the inspection engine."""
 
+from repro._lazy import lazy_exports
 from repro.ids.engine import (
     Alert,
     Detector,
     EngineRun,
     PSigeneDetector,
     SignatureEngine,
-)
-from repro.ids.brolang import (
-    BroPolicyLayer,
-    BroSignature,
-    PolicyAlert,
-    SigParseError,
-    parse_sig_file,
-    render_sig_file,
-    ruleset_from_sig_file,
-)
-from repro.ids.snortlang import (
-    RulesParseError,
-    parse_rules_file,
-    render_rules_file,
-    ruleset_from_rules_file,
 )
 from repro.ids.rules import (
     Detection,
@@ -53,3 +39,15 @@ __all__ = [
     "render_rules_file",
     "ruleset_from_rules_file",
 ]
+
+# The rule-language front ends load on first use.
+__getattr__ = lazy_exports(__name__, {
+    "brolang": (
+        "BroPolicyLayer", "BroSignature", "PolicyAlert", "SigParseError",
+        "parse_sig_file", "render_sig_file", "ruleset_from_sig_file",
+    ),
+    "snortlang": (
+        "RulesParseError", "parse_rules_file", "render_rules_file",
+        "ruleset_from_rules_file",
+    ),
+})

@@ -1,28 +1,12 @@
 """Learning substrate: PCG solver, logistic regression, detection metrics."""
 
-from repro.learn.calibration import (
-    CalibrationReport,
-    ReliabilityBin,
-    calibration_report,
-    score_signature_set,
-)
-from repro.learn.crossval import (
-    CrossValidationReport,
-    FoldResult,
-    cross_validate,
-)
+from repro._lazy import lazy_exports
 from repro.learn.logistic import (
     LogisticModel,
     TrainingReport,
     log_loss,
     sigmoid,
     train_logistic,
-)
-from repro.learn.metrics import (
-    Confusion,
-    RocCurve,
-    confusion_from_alerts,
-    roc_curve,
 )
 from repro.learn.pcg import PCGResult, pcg
 
@@ -46,3 +30,13 @@ __all__ = [
     "ReliabilityBin",
     "score_signature_set",
 ]
+
+# Evaluation-only modules load on first use; scoring needs ``logistic``.
+__getattr__ = lazy_exports(__name__, {
+    "calibration": (
+        "CalibrationReport", "ReliabilityBin", "calibration_report",
+        "score_signature_set",
+    ),
+    "crossval": ("CrossValidationReport", "FoldResult", "cross_validate"),
+    "metrics": ("Confusion", "RocCurve", "confusion_from_alerts", "roc_curve"),
+})

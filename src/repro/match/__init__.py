@@ -21,12 +21,12 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
+from repro._lazy import lazy_exports
 from repro.match.automaton import (
     DfaBudgetError,
     MergedAutomaton,
     UnmergeablePatternError,
 )
-from repro.match.bench import FusedMatchBench, bench_fused_matching
 from repro.match.classify import (
     PatternPlan,
     classify_pattern,
@@ -59,6 +59,11 @@ __all__ = [
     "pattern_factors",
     "set_fused_enabled",
 ]
+
+# The benchmark loads on first use.
+__getattr__ = lazy_exports(__name__, {
+    "bench": ("FusedMatchBench", "bench_fused_matching"),
+})
 
 _ENV_FLAG = "REPRO_FUSED"
 _enabled = os.environ.get(_ENV_FLAG, "1").strip().lower() not in {

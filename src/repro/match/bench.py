@@ -2,11 +2,14 @@
 
 One signature set, one payload mix, two engines: the fused single-pass
 path and the per-signature reference loop (forced via
-:func:`repro.match.fused_disabled`).  Aggregate µs/request comes from the
-best of several whole-trace passes (robust to scheduler noise); the
-percentile columns come from one instrumented per-request pass with the
-measured ``perf_counter`` overhead subtracted, the same correction the
-Experiment 4 latency models in ``benchmarks/test_exp4_parallel.py`` use.
+:func:`repro.match.fused_disabled`).  The engines' whole-trace passes are
+interleaved in pairs, alternating which goes first, so contention on a
+shared host lands on both sides of a pair; the speedup is the median of
+the per-pair ratios, and aggregate µs/request the best pass of each
+engine.  The percentile columns come from one instrumented per-request
+pass with the measured ``perf_counter`` overhead subtracted, the same
+correction the Experiment 4 latency models in
+``benchmarks/test_exp4_parallel.py`` use.
 
 The result serializes to the machine-readable
 ``benchmarks/results/BENCH_matching.json`` artifact that CI's
@@ -16,9 +19,13 @@ the first entry of the ROADMAP's bench-trajectory ledger.
 
 from __future__ import annotations
 
+import contextlib
+import statistics
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+from repro.match import fused_disabled
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,8 @@ class FusedMatchBench:
         patterns: distinct feature patterns the fused engine compiled.
         legacy_us_per_request: reference-loop mean µs per request.
         fused_us_per_request: fused-path mean µs per request.
-        speedup: ``legacy / fused``.
+        speedup: median over interleaved pass pairs of the legacy
+            pass time over the fused pass time.
         fused_p50_us: median fused per-request latency.
         fused_p95_us: 95th-percentile fused per-request latency.
         identical: every verdict (score bits and fired tuple) matched
@@ -86,19 +94,15 @@ class FusedMatchBench:
         return self.to_bench_result().to_json()
 
 
-def _best_pass_seconds(
-    signature_set, normalized: list[str], repeats: int
+def _pass_seconds(
+    signature_set, normalized: list[str], *, fused: bool
 ) -> float:
-    best = float("inf")
     evaluate = signature_set.evaluate_normalized
-    for _ in range(repeats):
+    with contextlib.nullcontext() if fused else fused_disabled():
         start = time.perf_counter()
         for payload in normalized:
             evaluate(payload)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+        return time.perf_counter() - start
 
 
 def _perf_counter_pair_seconds(samples: int = 2000) -> float:
@@ -116,19 +120,16 @@ def bench_fused_matching(
     signature_set,
     payloads: Sequence[str],
     *,
-    repeats: int = 5,
+    pairs: int = 9,
 ) -> FusedMatchBench:
     """Measure ``evaluate_normalized`` with and without the fused engine.
 
     Both engines see identical pre-normalized inputs (normalization cost
     is the same fixed prologue either way and is excluded, exactly like
     the exp4 matching bench).  Verdict parity is checked on every
-    payload before any timing.
+    payload before any timing.  ``pairs`` interleaved pass pairs are
+    timed; the engine that goes first alternates from pair to pair.
     """
-    # Deferred: repro.match's package init imports this module, so a
-    # module-level import would be circular.
-    from repro.match import fused_disabled
-
     normalized = [signature_set.normalizer(p) for p in payloads]
     signature_set.warm()
 
@@ -141,11 +142,16 @@ def bench_fused_matching(
         ]
     identical = fused_verdicts == legacy_verdicts
 
-    fused_total = _best_pass_seconds(signature_set, normalized, repeats)
-    with fused_disabled():
-        legacy_total = _best_pass_seconds(
-            signature_set, normalized, repeats
-        )
+    fused_times, legacy_times = [], []
+    for pair in range(pairs):
+        # Fused first on even pairs, legacy first on odd ones.
+        for fused in (pair % 2 == 0, pair % 2 == 1):
+            (fused_times if fused else legacy_times).append(
+                _pass_seconds(signature_set, normalized, fused=fused)
+            )
+    speedup = statistics.median(
+        legacy / fused for legacy, fused in zip(legacy_times, fused_times)
+    )
 
     overhead = _perf_counter_pair_seconds()
     samples = []
@@ -162,8 +168,8 @@ def bench_fused_matching(
     p95 = samples[min(count - 1, int(count * 0.95))] if count else 0.0
 
     n = max(count, 1)
-    fused_us = fused_total / n * 1e6
-    legacy_us = legacy_total / n * 1e6
+    fused_us = min(fused_times) / n * 1e6
+    legacy_us = min(legacy_times) / n * 1e6
     evaluator = signature_set._fused_evaluator()
     patterns = (
         len(evaluator.matcher.patterns)
@@ -176,7 +182,7 @@ def bench_fused_matching(
         patterns=patterns,
         legacy_us_per_request=legacy_us,
         fused_us_per_request=fused_us,
-        speedup=legacy_us / fused_us if fused_us > 0 else 1.0,
+        speedup=speedup,
         fused_p50_us=p50 * 1e6,
         fused_p95_us=p95 * 1e6,
         identical=identical,

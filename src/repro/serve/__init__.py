@@ -17,27 +17,15 @@ overload behaviour — and checks alert parity with the offline engine.
 See DESIGN.md §11 and §15.
 """
 
+from repro._lazy import lazy_exports
 from repro.serve.admission import (
     AdmissionController,
     BackpressurePolicy,
     QueueClosed,
     Shed,
 )
-from repro.serve.fleet import (
-    PROBE_PAYLOADS,
-    ShardBoot,
-    reuseport_available,
-)
 from repro.serve.gateway import DetectionGateway, GatewayConfig
-from repro.serve.loadgen import (
-    LoadReport,
-    build_load_trace,
-    format_report,
-    replay,
-    run_loadgen,
-)
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
-from repro.serve.supervisor import FleetConfig, FleetError, FleetSupervisor
 from repro.serve.telemetry import (
     LatencyHistogram,
     Telemetry,
@@ -69,3 +57,14 @@ __all__ = [
     "reuseport_available",
     "run_loadgen",
 ]
+
+# The fleet and the load driver (which loads the scanners and the
+# evaluation code) load on first use: one gateway needs neither.
+__getattr__ = lazy_exports(__name__, {
+    "fleet": ("PROBE_PAYLOADS", "ShardBoot", "reuseport_available"),
+    "loadgen": (
+        "LoadReport", "build_load_trace", "format_report", "replay",
+        "run_loadgen",
+    ),
+    "supervisor": ("FleetConfig", "FleetError", "FleetSupervisor"),
+})

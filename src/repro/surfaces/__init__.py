@@ -14,12 +14,7 @@ that carries full requests to the gateway, and the adversarial evasion
 search built on top of it.
 """
 
-from repro.surfaces.evasion import (
-    EvasionOutcome,
-    EvasionReport,
-    EvasionSearch,
-    evasion_bases,
-)
+from repro._lazy import lazy_exports
 from repro.surfaces.extractors import (
     INSPECTED_HEADER_SKIP,
     extract_surfaces,
@@ -61,3 +56,10 @@ __all__ = [
     "score_request",
     "scoring_units",
 ]
+
+# The evasion search loads the attack grammar: first use only.
+__getattr__ = lazy_exports(__name__, {
+    "evasion": (
+        "EvasionOutcome", "EvasionReport", "EvasionSearch", "evasion_bases",
+    ),
+})

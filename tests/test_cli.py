@@ -192,6 +192,36 @@ class TestLoadgenCommand:
             main(["loadgen", "--detector", "psigene", "--requests", "10"])
 
 
+class TestSignatureFileErrors:
+    """A missing or malformed ``-s`` file is one clean line, not a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_environment(self, monkeypatch):
+        # `serve` sets OPENBLAS_NUM_THREADS for its own process; undo it
+        # here so later tests' subprocesses see the original environment.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--port", "0"], ["score", "course=cs101"],
+    ], ids=["serve", "score"])
+    @pytest.mark.parametrize("content, reason", [
+        ('{"bad": 1}', "unsupported schema None"),
+        ("not json", "not valid JSON"),
+        ("[]", "top level is a JSON list"),
+        ('{"schema": 1, "signatures": [{}]}', "malformed signature entry"),
+        (None, "not found"),
+    ], ids=["wrong-schema", "not-json", "array", "empty-entry", "missing"])
+    def test_clean_error(self, tmp_path, command, content, reason):
+        path = tmp_path / "signatures.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as raised:
+            main([command[0], "-s", str(path), *command[1:]])
+        message = str(raised.value.code)
+        assert message.startswith(f"repro: signature file {str(path)!r}")
+        assert reason in message
+
+
 class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -200,3 +230,8 @@ class TestParser:
     def test_unknown_command_errors(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+    def test_match_bench_needs_a_pair(self):
+        with pytest.raises(SystemExit) as raised:
+            main(["match", "bench", "--repeats", "0"])
+        assert raised.value.code == 2
