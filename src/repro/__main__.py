@@ -572,14 +572,8 @@ def _cmd_conform_diff(args: argparse.Namespace) -> int:
 
 def _cmd_match_bench(args: argparse.Namespace) -> int:
     from repro.conformance import generate_corpus
-    from repro.match import bench_fused_matching, fused_enabled
+    from repro.match import bench_fused_matching
 
-    if not fused_enabled():
-        print(
-            "repro match: fused engine is disabled (REPRO_FUSED=0); "
-            "the bench would time the legacy path against itself"
-        )
-        return 2
     detector, source = _conform_detector(args)
     payloads = generate_corpus(seed=args.seed, budget=args.budget)
     print(
@@ -605,18 +599,11 @@ def _cmd_match_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_match_explain(args: argparse.Namespace) -> int:
-    from repro.match import fused_enabled, matcher_for_patterns
+    from repro.match import FusedSetEvaluator
 
     detector, source = _conform_detector(args)
-    signature_set = detector.signature_set
-    index_of: dict[str, int] = {}
-    for signature in signature_set.signatures:
-        for definition in signature.features:
-            if definition.pattern not in index_of:
-                index_of[definition.pattern] = len(index_of)
-    matcher = matcher_for_patterns(tuple(index_of))
-    state = "on" if fused_enabled() else "off (REPRO_FUSED=0)"
-    print(f"repro match: detector {source}, fused engine {state}")
+    matcher = FusedSetEvaluator(detector.signature_set.signatures).matcher
+    print(f"repro match: detector {source}")
     print(matcher.describe())
     if args.patterns:
         for plan in matcher.plans:
@@ -788,7 +775,7 @@ def _cmd_canary_history(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for worker and pair counts: an integer of at least 1."""
+    """argparse type for worker, pair and queue counts: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -880,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="which detector to mount (default: psigene)",
         )
         command.add_argument(
-            "--queue-bound", type=int, default=1024,
+            "--queue-bound", type=_positive_int, default=1024,
             help="admission queue capacity (default: 1024)",
         )
         command.add_argument(

@@ -15,6 +15,7 @@ takes any :class:`~repro.ids.engine.Detector`.
 from __future__ import annotations
 
 import asyncio
+import copy
 import pickle
 
 from repro.conformance.verdict import (
@@ -93,26 +94,28 @@ class SerialPath(DetectorPath):
 
 
 class LegacySerialPath(DetectorPath):
-    """The serial loop with the fused fast path forced off.
+    """The serial loop on the per-signature reference engine.
 
     Every other path inherits whatever engine ``SignatureSet`` routes to
-    (the fused one, by default); this path pins the per-signature
-    reference loop, so any fused-vs-legacy disagreement — scores to the
-    last ulp, verdicts exactly — surfaces as a divergence against
-    ``serial`` instead of silently shifting every path together.
+    (the fused one, by default); this path scores through the detector's
+    set pinned by :meth:`SignatureSet.reference`, so any fused-vs-legacy
+    disagreement — scores to the last ulp, verdicts exactly — surfaces
+    as a divergence against ``serial`` instead of silently shifting
+    every path together.  Detectors without a signature set run as
+    given, like ``serial``.
     """
 
     name = "serial-legacy"
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
-        """One ``inspect`` call per payload under ``fused_disabled()``."""
-        from repro.match import fused_disabled
-
-        with fused_disabled():
-            return [
-                Verdict.from_detection(detector.inspect(p))
-                for p in payloads
-            ]
+        """One ``inspect`` call per payload on the reference engine."""
+        signature_set = getattr(detector, "signature_set", None)
+        if isinstance(signature_set, SignatureSet):
+            detector = copy.copy(detector)
+            detector.signature_set = signature_set.reference()
+        return [
+            Verdict.from_detection(detector.inspect(p)) for p in payloads
+        ]
 
 
 class EngineRunPath(DetectorPath):

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.features.definitions import FeatureCatalog
-from repro.learn.logistic import LogisticModel, sigmoid
-from repro.match import FusedSetEvaluator, fused_enabled
+from repro.learn.logistic import LogisticModel, logit, sigmoid
+from repro.match import FusedSetEvaluator
 from repro.normalize import Normalizer
 from repro.regexlib import compile_pattern
 
-# Sentinel cached when a set's features defeat the fused compiler; the
-# legacy loop then answers every evaluation without retrying the build.
+# Sentinel cached when a set takes the per-signature loop (pinned, empty,
+# or its features defeat the fused compiler); evaluations then skip the
+# fused engine without retrying the build.
 _UNFUSABLE = object()
 
 
@@ -72,8 +73,11 @@ class GeneralizedSignature:
 
     def probability(self, normalized_payload: str) -> float:
         """``h_θ``: probability the payload belongs to this attack class."""
-        counts = self.feature_vector(normalized_payload)
-        z = self.model.intercept + float(counts @ self.model.coefficients)
+        z = logit(
+            self.model.intercept,
+            enumerate(self.model.coefficients.tolist()),
+            self.feature_vector(normalized_payload),
+        )
         return float(sigmoid(z))
 
     def matches(self, normalized_payload: str) -> bool:
@@ -106,16 +110,21 @@ class SignatureSet:
         self.signatures = list(signatures)
         self.normalizer = normalizer if normalizer is not None else Normalizer()
         self._fused = None
+        self._reference = False
 
     def _fused_evaluator(self):
         """The set's fused evaluator, built lazily; ``_UNFUSABLE`` when
-        the fused compiler rejected the feature union (legacy loop runs
-        instead — slower, never wrong)."""
+        the set is pinned to the reference loop (:meth:`reference`), is
+        empty, or its feature union defeats the fused compiler (the
+        per-signature loop runs instead — slower, never different)."""
         if self._fused is None:
-            try:
-                self._fused = FusedSetEvaluator(self.signatures)
-            except Exception:
+            if self._reference or not self.signatures:
                 self._fused = _UNFUSABLE
+            else:
+                try:
+                    self._fused = FusedSetEvaluator(self.signatures)
+                except Exception:
+                    self._fused = _UNFUSABLE
         return self._fused
 
     def warm(self) -> bool:
@@ -124,9 +133,29 @@ class SignatureSet:
 
         Returns True when the set will take the fused fast path.
         """
-        if not self.signatures:
-            return False
         return self._fused_evaluator() is not _UNFUSABLE
+
+    def reference(self) -> "SignatureSet":
+        """This set pinned to the per-signature reference loop.
+
+        Every evaluation of the returned set calls each signature's
+        :meth:`GeneralizedSignature.probability`, never the fused
+        engine.  The pin survives pickling, :meth:`subset` and
+        :meth:`with_threshold`.  The conformance ``serial-legacy`` path
+        and the engine benchmarks drive it against the same signatures
+        the fused engine scores.
+        """
+        pinned = self._derived(self.signatures)
+        pinned._reference = True
+        return pinned
+
+    def _derived(
+        self, signatures: list[GeneralizedSignature]
+    ) -> "SignatureSet":
+        """A set over *signatures* with this set's normalizer and pin."""
+        derived = SignatureSet(signatures, normalizer=self.normalizer)
+        derived._reference = self._reference
+        return derived
 
     def __getstate__(self) -> dict:
         """Pickle without the fused evaluator; workers rebuild it lazily
@@ -144,16 +173,18 @@ class SignatureSet:
     def __getitem__(self, index: int) -> GeneralizedSignature:
         return self.signatures[index]
 
+    def _probabilities(self, normalized_payload: str) -> list[float]:
+        """Per-signature probabilities for a normalized payload."""
+        evaluator = self._fused_evaluator()
+        if evaluator is _UNFUSABLE:
+            return [
+                s.probability(normalized_payload) for s in self.signatures
+            ]
+        return evaluator.probabilities(normalized_payload)
+
     def probabilities(self, payload: str) -> np.ndarray:
         """Per-signature probabilities for a raw payload."""
-        normalized = self.normalizer(payload)
-        if fused_enabled() and self.signatures:
-            evaluator = self._fused_evaluator()
-            if evaluator is not _UNFUSABLE:
-                return np.array(evaluator.probabilities(normalized))
-        return np.array(
-            [s.probability(normalized) for s in self.signatures]
-        )
+        return np.array(self._probabilities(self.normalizer(payload)))
 
     def evaluate(self, payload: str) -> tuple[float, list[int]]:
         """One-pass verdict: ``(score, fired bicluster indices)``.
@@ -170,28 +201,18 @@ class SignatureSet:
     ) -> tuple[float, list[int]]:
         """:meth:`evaluate` for an already-normalized payload.
 
-        Takes the fused single-pass engine (:mod:`repro.match`) when it
-        is enabled and the set compiled; otherwise the per-signature
-        reference loop runs.  Both paths produce bit-identical scores
-        and verdicts — the conformance oracle's ``serial-legacy`` path
+        Takes the fused single-pass engine (:mod:`repro.match`) unless
+        the set is pinned to the reference loop or its features defeat
+        the fused compiler.  Both engines score through the same
+        :func:`~repro.learn.logistic.logit`, so scores and verdicts are
+        bit-identical — the conformance oracle's ``serial-legacy`` path
         holds them to that.
         """
         score = 0.0
         fired: list[int] = []
-        if fused_enabled() and self.signatures:
-            evaluator = self._fused_evaluator()
-            if evaluator is not _UNFUSABLE:
-                for signature, probability in zip(
-                    self.signatures,
-                    evaluator.probabilities(normalized_payload),
-                ):
-                    if probability > score:
-                        score = probability
-                    if probability >= signature.threshold:
-                        fired.append(signature.bicluster_index)
-                return score, fired
-        for signature in self.signatures:
-            probability = signature.probability(normalized_payload)
+        for signature, probability in zip(
+            self.signatures, self._probabilities(normalized_payload)
+        ):
             if probability > score:
                 score = probability
             if probability >= signature.threshold:
@@ -208,14 +229,13 @@ class SignatureSet:
         Used for the paper's 7-signature versus 9-signature comparison.
         """
         wanted = set(bicluster_indices)
-        picked = [
-            s for s in self.signatures if s.bicluster_index in wanted
-        ]
-        return SignatureSet(picked, normalizer=self.normalizer)
+        return self._derived(
+            [s for s in self.signatures if s.bicluster_index in wanted]
+        )
 
     def with_threshold(self, threshold: float) -> "SignatureSet":
         """A new set with every signature's threshold replaced (ROC sweeps)."""
-        replaced = [
+        swept = self._derived([
             GeneralizedSignature(
                 bicluster_index=s.bicluster_index,
                 features=s.features,
@@ -225,8 +245,7 @@ class SignatureSet:
                 training_samples=s.training_samples,
             )
             for s in self.signatures
-        ]
-        swept = SignatureSet(replaced, normalizer=self.normalizer)
+        ])
         # Probabilities are independent of thresholds and the sweep keeps
         # features/models/order, so the fused evaluator carries over —
         # a 100-point ROC sweep compiles the catalog exactly once.

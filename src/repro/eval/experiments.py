@@ -396,8 +396,6 @@ def experiment4_performance(
     fused engine (DESIGN.md §14) is fast enough to invert the paper's
     ordering. Its speedup is reported separately in BENCH_matching.json.
     """
-    from repro.match import fused_disabled
-
     nine, _ = context.psigene_sets()
     subset = Trace(
         name="sqlmap-perf",
@@ -405,12 +403,11 @@ def experiment4_performance(
     )
     rows: list[dict] = []
     for detector in (
-        PSigeneDetector(nine, name="psigene"),
+        PSigeneDetector(nine.reference(), name="psigene"),
         build_modsec_ruleset(),
         build_bro_ruleset(),
     ):
-        with fused_disabled():
-            run = SignatureEngine(detector).run(subset, measure_time=True)
+        run = SignatureEngine(detector).run(subset, measure_time=True)
         low, mean, high = run.timing_summary_us()
         rows.append({
             "detector": detector.name,

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.features.definitions import FeatureCatalog, build_catalog
 from repro.features.matrix import FeatureMatrix
-from repro.match import fused_enabled, matcher_for_patterns
+from repro.match import matcher_for_patterns
 from repro.normalize import Normalizer
 from repro.obs import trace
 from repro.obs.registry import get_registry
@@ -63,16 +63,15 @@ class FeatureExtractor:
     def extract(self, payload: str) -> np.ndarray:
         """Count vector for one payload (normalization included).
 
-        Runs the fused single-pass engine (:mod:`repro.match`) when
-        enabled, falling back to the per-feature reference loop; the two
-        produce identical counts (the conformance extraction oracle
-        checks this).
+        Runs the fused single-pass engine (:mod:`repro.match`), falling
+        back to the per-feature reference loop when the catalog cannot
+        be fused; the two produce identical counts (the conformance
+        extraction oracle checks this).
         """
         normalized = self.normalizer(payload)
-        if fused_enabled():
-            matcher = self._fused_matcher()
-            if matcher is not _UNFUSABLE:
-                return matcher.count_vector(normalized).astype(np.int32)
+        matcher = self._fused_matcher()
+        if matcher is not _UNFUSABLE:
+            return matcher.count_vector(normalized).astype(np.int32)
         counts = np.zeros(len(self.catalog), dtype=np.int32)
         for column, compiled in enumerate(self._compiled):
             counts[column] = sum(1 for _ in compiled.finditer(normalized))

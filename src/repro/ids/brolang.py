@@ -227,9 +227,9 @@ class BroPolicyLayer:
                     score=1.0,
                 ))
         if self.psigene is not None:
-            normalized = self.psigene.normalizer(payload)
-            for signature in self.psigene:
-                probability = signature.probability(normalized)
+            for signature, probability in zip(
+                self.psigene, self.psigene.probabilities(payload).tolist()
+            ):
                 if probability >= signature.threshold:
                     raised.append(PolicyAlert(
                         origin="psigene",

@@ -5,6 +5,7 @@ from repro.learn.logistic import (
     LogisticModel,
     TrainingReport,
     log_loss,
+    logit,
     sigmoid,
     train_logistic,
 )
@@ -14,6 +15,7 @@ __all__ = [
     "pcg",
     "PCGResult",
     "sigmoid",
+    "logit",
     "log_loss",
     "LogisticModel",
     "TrainingReport",

@@ -11,11 +11,35 @@ formulation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.learn.pcg import pcg
+
+
+def logit(
+    intercept: float,
+    terms: Iterable[tuple[int, float]],
+    counts: Sequence[float],
+) -> float:
+    """A signature's score ``z = θ₀ + Σ count_j·w_j`` — its one arithmetic.
+
+    ``terms`` pairs each feature's index into ``counts`` with its weight,
+    in the signature's feature order.  The sum runs left to right from
+    0.0 and skips zero counts: a skipped term is ±0.0, and adding ±0.0
+    to a sum that starts at +0.0 changes no bit.  A signature's own
+    feature vector and a count vector shared by a whole set therefore
+    give the same bits, and so does any per-feature breakdown that adds
+    the same terms in the same order.
+    """
+    total = 0.0
+    for index, weight in terms:
+        count = counts[index]
+        if count:
+            total += count * weight
+    return intercept + total
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:

@@ -1,8 +1,8 @@
 """Fused-versus-legacy serial matching benchmark.
 
 One signature set, one payload mix, two engines: the fused single-pass
-path and the per-signature reference loop (forced via
-:func:`repro.match.fused_disabled`).  The engines' whole-trace passes are
+path and the per-signature reference loop (the same set pinned by
+``SignatureSet.reference()``).  The engines' whole-trace passes are
 interleaved in pairs, alternating which goes first, so contention on a
 shared host lands on both sides of a pair; the speedup is the median of
 the per-pair ratios, and aggregate µs/request the best pass of each
@@ -19,13 +19,10 @@ the first entry of the ROADMAP's bench-trajectory ledger.
 
 from __future__ import annotations
 
-import contextlib
 import statistics
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-from repro.match import fused_disabled
 
 
 @dataclass(frozen=True)
@@ -94,15 +91,12 @@ class FusedMatchBench:
         return self.to_bench_result().to_json()
 
 
-def _pass_seconds(
-    signature_set, normalized: list[str], *, fused: bool
-) -> float:
+def _pass_seconds(signature_set, normalized: list[str]) -> float:
     evaluate = signature_set.evaluate_normalized
-    with contextlib.nullcontext() if fused else fused_disabled():
-        start = time.perf_counter()
-        for payload in normalized:
-            evaluate(payload)
-        return time.perf_counter() - start
+    start = time.perf_counter()
+    for payload in normalized:
+        evaluate(payload)
+    return time.perf_counter() - start
 
 
 def _perf_counter_pair_seconds(samples: int = 2000) -> float:
@@ -122,7 +116,7 @@ def bench_fused_matching(
     *,
     pairs: int = 9,
 ) -> FusedMatchBench:
-    """Measure ``evaluate_normalized`` with and without the fused engine.
+    """Measure ``evaluate_normalized`` on the set and its reference pin.
 
     Both engines see identical pre-normalized inputs (normalization cost
     is the same fixed prologue either way and is excluded, exactly like
@@ -132,14 +126,12 @@ def bench_fused_matching(
     """
     normalized = [signature_set.normalizer(p) for p in payloads]
     signature_set.warm()
+    reference = signature_set.reference()
 
     fused_verdicts = [
         signature_set.evaluate_normalized(n) for n in normalized
     ]
-    with fused_disabled():
-        legacy_verdicts = [
-            signature_set.evaluate_normalized(n) for n in normalized
-        ]
+    legacy_verdicts = [reference.evaluate_normalized(n) for n in normalized]
     identical = fused_verdicts == legacy_verdicts
 
     fused_times, legacy_times = [], []
@@ -147,7 +139,9 @@ def bench_fused_matching(
         # Fused first on even pairs, legacy first on odd ones.
         for fused in (pair % 2 == 0, pair % 2 == 1):
             (fused_times if fused else legacy_times).append(
-                _pass_seconds(signature_set, normalized, fused=fused)
+                _pass_seconds(
+                    signature_set if fused else reference, normalized
+                )
             )
     speedup = statistics.median(
         legacy / fused for legacy, fused in zip(legacy_times, fused_times)

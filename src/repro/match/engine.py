@@ -19,10 +19,10 @@ non-overlapping left-to-right discipline.  Non-ASCII payloads — where
 around the scanner entirely and run the reference loop.
 
 ``FusedSetEvaluator`` layers pSigene scoring on top: the union of all
-signatures' features is matched once, and each signature reduces the
-shared vector with a precomputed index gather and the same dot-product
-expression as ``GeneralizedSignature.probability``, making probabilities
-bit-identical to the per-signature path.
+signatures' features is matched once, and each signature reads its
+features out of the shared vector and scores them with the same
+:func:`repro.learn.logistic.logit` as ``GeneralizedSignature.probability``,
+so probabilities are bit-identical to the per-signature path.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.learn.logistic import sigmoid
+from repro.learn.logistic import logit, sigmoid
 from repro.match.automaton import (
     DfaBudgetError,
     MergedAutomaton,
@@ -227,54 +227,40 @@ def matcher_for_patterns(patterns: tuple[str, ...]) -> FusedMatcher:
 class FusedSetEvaluator:
     """Scores every signature of a set from one shared count vector.
 
+    The union of the signatures' feature patterns is matched once; each
+    signature then reads its own features out of the shared vector by
+    index and scores them with :func:`repro.learn.logistic.logit`, the
+    arithmetic ``GeneralizedSignature.probability`` uses on its own
+    feature vector.  Same terms, same order, same function: the two
+    paths agree bit for bit by construction.
+
     Attributes:
         matcher: the :class:`FusedMatcher` over the union of the
-            signatures' feature patterns.
+            signatures' feature patterns, in first-seen order.
     """
 
     def __init__(self, signatures: Sequence) -> None:
         index_of: dict[str, int] = {}
         for signature in signatures:
             for definition in signature.features:
-                if definition.pattern not in index_of:
-                    index_of[definition.pattern] = len(index_of)
-        ordered = sorted(index_of, key=index_of.__getitem__)
-        self.matcher = matcher_for_patterns(tuple(ordered))
-        gathers = [
-            [index_of[d.pattern] for d in signature.features]
+                index_of.setdefault(definition.pattern, len(index_of))
+        self.matcher = matcher_for_patterns(tuple(index_of))
+        # One (intercept, ((shared index, weight), ...)) per signature.
+        self._terms = tuple(
+            (
+                signature.model.intercept,
+                tuple(zip(
+                    [index_of[d.pattern] for d in signature.features],
+                    signature.model.coefficients.tolist(),
+                )),
+            )
             for signature in signatures
-        ]
-        # One flat gather per request instead of one fancy-index per
-        # signature; each signature then reads its contiguous slice.
-        flat: list[int] = []
-        slices: list[tuple[int, int]] = []
-        for gather in gathers:
-            slices.append((len(flat), len(flat) + len(gather)))
-            flat.extend(gather)
-        self._flat_gather = np.array(flat, dtype=np.intp)
-        self._slices = slices
-        self._coefficients = [
-            np.asarray(signature.model.coefficients, dtype=np.float64)
-            for signature in signatures
-        ]
-        self._intercepts = [
-            float(signature.model.intercept) for signature in signatures
-        ]
+        )
 
     def probabilities(self, normalized: str) -> list[float]:
-        """Per-signature probabilities, bit-identical to the legacy path.
-
-        Each signature's slice of the shared gathered vector equals its
-        legacy ``feature_vector`` (float64, same order), and the score
-        expression repeats ``GeneralizedSignature.probability`` verbatim,
-        so not even the last ulp differs.
-        """
-        counts = self.matcher.count_vector(normalized).astype(np.float64)
-        gathered = counts[self._flat_gather]
-        out: list[float] = []
-        for (start, stop), coefficients, intercept in zip(
-            self._slices, self._coefficients, self._intercepts
-        ):
-            z = intercept + float(gathered[start:stop] @ coefficients)
-            out.append(float(sigmoid(z)))
-        return out
+        """Per-signature probabilities, in signature order."""
+        counts = self.matcher.count_vector(normalized).tolist()
+        return [
+            sigmoid(logit(intercept, terms, counts))
+            for intercept, terms in self._terms
+        ]

@@ -52,16 +52,18 @@ def _score_chunk(
 def _with_cached_normalizer(detector: Detector) -> Detector:
     """A detector clone whose signature set normalizes through an LRU.
 
-    Detectors without a ``signature_set`` (the baseline rulesets) are
-    returned unchanged — they manage their own matching internals.
+    The set's copy keeps its engine: a :meth:`SignatureSet.reference`
+    pin stays pinned.  Detectors without a ``signature_set`` (the
+    baseline rulesets) are returned unchanged — they manage their own
+    matching internals.
     """
     signature_set = getattr(detector, "signature_set", None)
     if not isinstance(signature_set, SignatureSet):
         return detector
     clone = copy.copy(detector)
-    clone.signature_set = SignatureSet(
-        signature_set.signatures,
-        normalizer=CachedNormalizer(signature_set.normalizer),
+    clone.signature_set = copy.copy(signature_set)
+    clone.signature_set.normalizer = CachedNormalizer(
+        signature_set.normalizer
     )
     return clone
 

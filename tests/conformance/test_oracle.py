@@ -196,20 +196,41 @@ class TestLegacySerialPath:
         legacy = LegacySerialPath().run(detector, PAYLOADS)
         assert fused == legacy
 
-    def test_runs_with_fused_disabled(self):
+    def test_runs_the_per_signature_loop(
+        self, small_signatures, monkeypatch
+    ):
         from repro.conformance import LegacySerialPath
-        from repro.match import fused_enabled
+        from repro.core.signature import GeneralizedSignature
 
+        calls: list[int] = []
+        original = GeneralizedSignature.probability
+
+        def counting(signature, normalized_payload):
+            calls.append(signature.bicluster_index)
+            return original(signature, normalized_payload)
+
+        monkeypatch.setattr(GeneralizedSignature, "probability", counting)
+        detector = PSigeneDetector(small_signatures)
+        LegacySerialPath().run(detector, ["x"])
+        assert calls == [s.bicluster_index for s in small_signatures]
+        # The caller's detector keeps its set, on the fused engine.
+        assert detector.signature_set is small_signatures
+        calls.clear()
+        SerialPath().run(detector, ["x"])
+        assert calls == []
+
+        # A detector without a signature set is inspected as given.
         class Probe:
             name = "probe"
 
             def inspect(self, payload):
-                states.append(fused_enabled())
+                inspected.append(self)
                 return toy_detector().inspect(payload)
 
-        states: list[bool] = []
-        LegacySerialPath().run(Probe(), ["x"])
-        assert states == [False]
+        probe = Probe()
+        inspected: list[Probe] = []
+        LegacySerialPath().run(probe, ["x"])
+        assert inspected == [probe]
 
 
 class TestExtractionParity:

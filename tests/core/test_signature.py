@@ -1,12 +1,17 @@
 """Tests for GeneralizedSignature and SignatureSet."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import GeneralizedSignature, SignatureSet
 from repro.features import build_catalog
+from repro.http import HttpRequest, Trace
+from repro.ids import PSigeneDetector
 from repro.learn import LogisticModel
 from repro.normalize import Normalizer
+from repro.parallel import run_batch
 
 
 def _toy_signature(threshold=0.5, bicluster_index=1):
@@ -184,32 +189,25 @@ class TestEvaluateNormalizedEdges:
     def test_probability_exactly_at_threshold_fires(self):
         # Alerting is >=, not >: a probability equal to the threshold
         # must fire, on the fused and the legacy path alike.
-        from repro.match import fused_disabled
-
         signatures = SignatureSet([self._tie_signature(0.5)])
         score, fired = signatures.evaluate_normalized("anything")
         assert (score, fired) == (0.5, [1])
-        with fused_disabled():
-            assert signatures.evaluate_normalized("anything") == (
-                0.5, [1]
-            )
+        assert signatures.reference().evaluate_normalized("anything") == (
+            0.5, [1]
+        )
 
     def test_fused_agrees_with_legacy_over_fuzz_corpus(
         self, small_signatures
     ):
         from repro.conformance import generate_corpus
-        from repro.match import fused_disabled
 
         payloads = generate_corpus(seed=97, budget="small")
         normalized = [small_signatures.normalizer(p) for p in payloads]
         fused = [
             small_signatures.evaluate_normalized(n) for n in normalized
         ]
-        with fused_disabled():
-            legacy = [
-                small_signatures.evaluate_normalized(n)
-                for n in normalized
-            ]
+        reference = small_signatures.reference()
+        legacy = [reference.evaluate_normalized(n) for n in normalized]
         assert fused == legacy
 
     def test_threshold_sweep_compiles_nothing_new(self, small_signatures):
@@ -224,6 +222,57 @@ class TestEvaluateNormalizedEdges:
             swept = small_signatures.with_threshold(threshold)
             swept.evaluate_normalized("1' union select 1")
         assert compile_cache_stats().misses == before
+
+
+class TestReferencePin:
+    """``reference()`` pins a set to the per-signature loop by object."""
+
+    PAYLOAD = "id=1' union select 1,2,3-- -"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Bicluster indices of every ``GeneralizedSignature.probability``
+        call made while the test runs."""
+        seen: list[int] = []
+        original = GeneralizedSignature.probability
+
+        def counting(signature, normalized_payload):
+            seen.append(signature.bicluster_index)
+            return original(signature, normalized_payload)
+
+        monkeypatch.setattr(GeneralizedSignature, "probability", counting)
+        return seen
+
+    def _variants(self, signature_set):
+        first_two = [s.bicluster_index for s in signature_set][:2]
+        return {
+            "as built": signature_set,
+            "pickle": pickle.loads(pickle.dumps(signature_set)),
+            "subset": signature_set.subset(first_two),
+            "with_threshold": signature_set.with_threshold(0.3),
+        }
+
+    def test_pin_survives_pickle_subset_and_with_threshold(
+        self, small_signatures, calls
+    ):
+        variants = self._variants(small_signatures.reference())
+        for how, pinned in variants.items():
+            calls.clear()
+            pinned.evaluate(self.PAYLOAD)
+            assert calls == [s.bicluster_index for s in pinned], how
+            assert not pinned.warm(), how
+
+    def test_pin_survives_run_batch(self, small_signatures, calls):
+        trace = Trace(name="pin", requests=[HttpRequest(query=self.PAYLOAD)])
+        run_batch(PSigeneDetector(small_signatures.reference()), trace)
+        assert calls == [s.bicluster_index for s in small_signatures]
+
+    def test_fused_set_never_enters_the_loop(self, small_signatures, calls):
+        for how, fused in self._variants(small_signatures).items():
+            assert fused.warm(), how
+            fused.evaluate(self.PAYLOAD)
+            fused.probabilities(self.PAYLOAD)
+        assert calls == []
 
 
 class TestTrainedSignatures:

@@ -208,12 +208,9 @@ class TestPSigeneDetector:
         signature_set = type(small_signatures)(
             counted, normalizer=small_signatures.normalizer
         )
-        from repro.match import fused_disabled
-
-        with fused_disabled():
-            PSigeneDetector(signature_set).inspect(
-                "id=1' union select 1,2,3-- -"
-            )
+        PSigeneDetector(signature_set.reference()).inspect(
+            "id=1' union select 1,2,3-- -"
+        )
         assert calls["probability"] == len(counted)
         # The fused engine goes further: per-signature probability() is
         # bypassed entirely in favor of the shared count vector.

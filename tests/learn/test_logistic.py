@@ -1,9 +1,19 @@
 """Tests for logistic regression via Newton-PCG."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.learn import LogisticModel, log_loss, sigmoid, train_logistic
+from repro.learn import (
+    LogisticModel,
+    log_loss,
+    logit,
+    sigmoid,
+    train_logistic,
+)
 
 
 class TestSigmoid:
@@ -23,6 +33,47 @@ class TestSigmoid:
         z = np.random.default_rng(0).normal(0, 10, 100)
         p = sigmoid(z)
         assert ((p > 0) & (p < 1)).all()
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestLogit:
+    def test_intercept_plus_terms_in_order(self):
+        terms = ((1, 2.0), (0, -1.0), (2, 0.25))
+        assert logit(0.5, terms, [3, 4, 0]) == 0.5 + ((0.0 + 8.0) - 3.0)
+
+    def test_reads_counts_by_index(self):
+        # A signature's own vector and a shared, reordered one agree.
+        weights = [0.1, -0.7, 2.5]
+        own = [3.0, 0.0, 1.0]
+        shared = [9, 1, 4, 0, 3]
+        assert logit(-1.0, enumerate(weights), own) == logit(
+            -1.0, zip((4, 3, 1), weights), shared
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        intercept=st.floats(allow_nan=False, allow_infinity=False),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3)
+                | st.integers(min_value=0, max_value=10**6),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_skipping_zero_counts_changes_no_bit(self, intercept, rows):
+        counts = [count for count, _ in rows]
+        terms = [(index, weight) for index, (_, weight) in enumerate(rows)]
+        total = 0.0
+        for count, weight in rows:
+            total += count * weight
+        assert _bits(logit(intercept, terms, counts)) == _bits(
+            intercept + total
+        )
 
 
 class TestLogLoss:

@@ -10,10 +10,7 @@ from repro.features.definitions import build_catalog
 from repro.match import (
     FusedMatcher,
     FusedSetEvaluator,
-    fused_disabled,
-    fused_enabled,
     matcher_for_patterns,
-    set_fused_enabled,
 )
 from repro.regexlib import count_all
 
@@ -109,13 +106,11 @@ class TestFusedSetEvaluator:
         self, small_signatures
     ):
         assert small_signatures.warm()
+        reference = small_signatures.reference()
         for payload in CRAFTED:
             normalized = small_signatures.normalizer(payload)
             fused = small_signatures.evaluate_normalized(normalized)
-            with fused_disabled():
-                legacy = small_signatures.evaluate_normalized(
-                    normalized
-                )
+            legacy = reference.evaluate_normalized(normalized)
             assert fused == legacy, payload
 
     def test_probabilities_array_matches_legacy(self, small_signatures):
@@ -123,8 +118,7 @@ class TestFusedSetEvaluator:
             "1' union select 1,2--"
         )
         fused = small_signatures.probabilities(normalized)
-        with fused_disabled():
-            legacy = small_signatures.probabilities(normalized)
+        legacy = small_signatures.reference().probabilities(normalized)
         assert np.array_equal(fused, legacy)
 
     def test_signature_set_pickles_without_fused_state(
@@ -141,18 +135,7 @@ class TestFusedSetEvaluator:
         small_signatures.warm()
         swept = small_signatures.with_threshold(0.9)
         assert swept._fused is small_signatures._fused
-
-
-class TestFusedToggle:
-    def test_context_manager_restores(self):
-        initial = fused_enabled()
-        with fused_disabled():
-            assert not fused_enabled()
-        assert fused_enabled() == initial
-
-    def test_set_returns_previous(self):
-        previous = set_fused_enabled(False)
-        try:
-            assert fused_enabled() is False
-        finally:
-            set_fused_enabled(previous)
+        # A fresh evaluator (how e2ebench finds the serving matcher)
+        # draws the set's own memoized matcher.
+        fresh = FusedSetEvaluator(small_signatures.signatures)
+        assert fresh.matcher is small_signatures._fused.matcher

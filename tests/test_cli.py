@@ -235,3 +235,10 @@ class TestParser:
         with pytest.raises(SystemExit) as raised:
             main(["match", "bench", "--repeats", "0"])
         assert raised.value.code == 2
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_queue_bound_must_be_positive(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--detector", "modsecurity", "--queue-bound", "0"])
+        assert raised.value.code == 2
+        assert "--queue-bound: must be >= 1, got 0" in capsys.readouterr().err
