@@ -74,7 +74,7 @@ def test_canary_loop_fleet(record, emit, tmp_path):
     async def scenario():
         supervisor = FleetSupervisor(
             PSigeneDetector(state.signature_set),
-            FleetConfig(shards=SHARDS, queue_bound=512, workers=2),
+            FleetConfig(shards=SHARDS, queue_bound=512),
             source="bench:canary",
         )
         loop = CanaryLoop(state, supervisor.store, config=CanaryConfig(

@@ -356,7 +356,6 @@ def serving_probe() -> dict:
                 shards=shards,
                 queue_bound=max(64, len(payloads)),
                 policy="block",
-                workers=2,
             ),
             connections=4,
             window=16,

@@ -267,8 +267,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 control_port=args.control_port,
                 queue_bound=args.queue_bound,
                 policy=args.policy,
-                workers=args.serve_workers,
-                max_inflight_per_connection=args.max_inflight,
                 signature_path=reload_path,
                 surfaces=args.surfaces,
             ),
@@ -289,8 +287,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_bound=args.queue_bound,
         policy=args.policy,
-        workers=args.serve_workers,
-        max_inflight_per_connection=args.max_inflight,
         surfaces=surfaces,
     ))
 
@@ -331,11 +327,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         n_vulnerabilities=args.vulnerabilities,
     )
     items = trace.requests if framed else trace.payloads()
-    serving = dict(
-        queue_bound=args.queue_bound,
-        policy=args.policy,
-        workers=args.serve_workers,
-    )
+    serving = dict(queue_bound=args.queue_bound, policy=args.policy)
     report = asyncio.run(run_loadgen(
         detector,
         items[: args.requests] or items,
@@ -457,25 +449,23 @@ def _cmd_conform_run(args: argparse.Namespace) -> int:
         f"repro conform: {len(payloads)} payloads "
         f"(budget={args.budget}, seed={args.seed}), detector {source}"
     )
+    # A --path selection drives both detectors; the oracle skips the
+    # paths a detector does not support, as it does on the default list.
+    paths = None
     if args.path:
         from repro.conformance import SerialPath, default_paths
 
         registry = {p.name: p for p in default_paths()}
         try:
-            selected = [registry[name] for name in args.path]
+            paths = [SerialPath(), *(registry[name] for name in args.path)]
         except KeyError as missing:
             raise SystemExit(
                 f"repro: unknown conformance path {missing.args[0]!r}; "
                 f"valid: {', '.join(sorted(registry))}"
             ) from None
-        oracle = Oracle(
-            detector,
-            paths=[SerialPath(), *selected],
-            check_extraction=False,
-        )
-    else:
-        oracle = Oracle(detector)
-    report = oracle.run(payloads)
+    report = Oracle(
+        detector, paths=paths, check_extraction=paths is None
+    ).run(payloads)
     print(format_report(report))
     exit_code = 0 if report.ok else 6
     if args.perdisci:
@@ -489,9 +479,9 @@ def _cmd_conform_run(args: argparse.Namespace) -> int:
                 max(64, len(payloads) // 3)
             )
         ])
-        perdisci_report = Oracle(system, check_extraction=False).run(
-            payloads
-        )
+        perdisci_report = Oracle(
+            system, paths=paths, check_extraction=False
+        ).run(payloads)
         print(format_report(perdisci_report))
         if not perdisci_report.ok:
             exit_code = 6
@@ -782,6 +772,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for rates: a number > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -876,10 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="full-queue behaviour (default: block); 'cost' sheds "
                  "expensive payloads first once the queue is congested",
         )
-        command.add_argument(
-            "--serve-workers", type=int, default=4,
-            help="detector worker coroutines (default: 4)",
-        )
 
     serve = sub.add_parser(
         "serve", help="run the online detection gateway",
@@ -890,10 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=9037,
         help="listen port; 0 picks an ephemeral one (default: 9037)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=64,
-        help="pipelining window per connection (default: 64)",
     )
     serve.add_argument(
         "--shards", type=int, default=1,
@@ -948,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 1, single in-process gateway)",
     )
     loadgen.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=_positive_float, default=None,
         help="open-loop offered rate in req/s (default: closed-loop "
              "capacity measurement)",
     )

@@ -211,11 +211,9 @@ class GatewayPath(DetectorPath):
         *,
         connections: int = 2,
         window: int = 32,
-        workers: int = 4,
     ) -> None:
         self.connections = connections
         self.window = window
-        self.workers = workers
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """Replay *payloads* against a live gateway and decode."""
@@ -244,11 +242,7 @@ class GatewayPath(DetectorPath):
         from repro.serve.store import SignatureStore
         from repro.serve.supervisor import FleetConfig, FleetSupervisor
 
-        serving = dict(
-            queue_bound=max(64, len(wires)),
-            policy="block",
-            workers=self.workers,
-        )
+        serving = dict(queue_bound=max(64, len(wires)), policy="block")
 
         async def _serve_and_replay() -> list[dict | None]:
             if shards is None:
@@ -365,14 +359,11 @@ class ShardedGatewayPath(GatewayPath):
         shards: int = 2,
         connections: int = 4,
         window: int = 32,
-        workers: int = 2,
         midstream_reload: bool = False,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        super().__init__(
-            connections=connections, window=window, workers=workers
-        )
+        super().__init__(connections=connections, window=window)
         self.shards = shards
         self.midstream_reload = midstream_reload
         suffix = "-reload" if midstream_reload else ""

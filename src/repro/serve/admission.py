@@ -1,43 +1,44 @@
-"""Admission control: bounded queues, backpressure policy, graceful drain.
+"""Admission control: a bounded backlog and its full-backlog policy.
 
 A gateway in front of "heavy traffic from millions of users" (ROADMAP)
 must decide what happens when offered load exceeds detector throughput.
-Three policies are supported:
+The controller counts the requests admitted to the gateway's backlog
+and not yet answered, and decides synchronously whether the next one
+joins.  Three policies are supported:
 
-- ``block``: the submitting coroutine waits for queue space.  Combined
-  with per-connection in-flight limits this propagates backpressure all
-  the way to the TCP socket (the gateway stops reading, the kernel
-  window fills, the client slows down).
-- ``shed``: a full queue rejects the request immediately; the caller
+- ``block``: a caller waits while :attr:`AdmissionController.must_wait`
+  holds (the backlog is at its bound).  The gateway's readers then stop
+  reading until the next drain, which propagates backpressure all the
+  way to the TCP socket (the kernel window fills, the client slows
+  down).
+- ``shed``: a full backlog refuses the request immediately; the caller
   answers 503/``"shed": true`` and the ``shed`` counter increments.
   Latency of admitted requests stays bounded at the cost of refusing
   some — the classic load-shedding trade.
 - ``cost``: cost-aware shedding.  FIFO shedding refuses whichever
-  request happened to arrive at a full queue; under a mixed workload
+  request happened to arrive at a full backlog; under a mixed workload
   that throws away cheap benign lookups and expensive injection probes
   with equal probability.  The cost policy sheds by *price* instead:
-  once queue depth crosses the ``high_water`` fraction, requests whose
-  declared cost (by default the payload's byte length — matching time
-  scales with payload size) exceeds ``cost_threshold`` are refused
-  (``shed_cost`` + ``shed`` counters) while cheap requests keep being
-  admitted until the queue is actually full.  Callers can price by
-  family instead of size by passing a custom cost function to the
-  gateway.
+  once the backlog crosses the ``high_water`` fraction, requests whose
+  declared cost exceeds ``cost_threshold`` are refused (``shed_cost`` +
+  ``shed`` counters) while cheap requests keep being admitted until the
+  backlog is actually full.  The gateway prices a request by its UTF-8
+  byte length (a payload line, or a frame's body): matching time scales
+  with payload size.
 
 Each fleet shard owns its own controller, so the bounds above are
 *per-shard*: a fleet of N shards at queue bound B admits up to N×B
 requests before any shard sheds, and one slow shard cannot stall its
-siblings' queues.
+siblings' backlogs.
 
-Shutdown is a drain, not an abort: the controller stops admitting,
-workers finish what was queued, then the gateway closes.
+Shutdown is a drain, not an abort: :meth:`AdmissionController.close`
+stops admitting, and the gateway answers what was already admitted
+before it closes its connections.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
-from typing import Any
 
 from repro.serve.telemetry import Telemetry
 
@@ -50,16 +51,16 @@ __all__ = [
     "Shed",
 ]
 
-#: Payload cost (bytes, under the default length pricing) above which a
-#: congested ``cost``-policy queue sheds the request.
+#: Request cost (UTF-8 bytes) above which a congested ``cost``-policy
+#: backlog sheds the request.
 DEFAULT_COST_THRESHOLD = 256.0
 
-#: Queue-depth fraction at which the ``cost`` policy starts pricing.
+#: Backlog fraction at which the ``cost`` policy starts pricing.
 DEFAULT_HIGH_WATER = 0.5
 
 
 class BackpressurePolicy(str, enum.Enum):
-    """What a full queue does to the next request."""
+    """What a full backlog does to the next request."""
 
     BLOCK = "block"
     SHED = "shed"
@@ -67,25 +68,25 @@ class BackpressurePolicy(str, enum.Enum):
 
 
 class Shed(Exception):
-    """Raised by :meth:`AdmissionController.submit` under ``shed`` or
-    ``cost`` policy when the request was refused (not admitted)."""
+    """Raised by :meth:`AdmissionController.admit` when the request was
+    refused (not admitted)."""
 
 
 class QueueClosed(Exception):
-    """Raised on submit after drain has begun; no new work is admitted."""
+    """Raised by admit after drain has begun; no new work is admitted."""
 
 
 class AdmissionController:
-    """Bounded request queue with a configurable full-queue policy.
+    """Counts a bounded backlog and applies the full-backlog policy.
 
     Args:
-        queue_bound: maximum queued (admitted but unserviced) requests.
-        policy: full-queue behaviour.
+        queue_bound: maximum admitted, unanswered requests.
+        policy: full-backlog behaviour.
         telemetry: counter sink (``shed`` increments happen here so every
-            admission path — TCP, HTTP, load generator — counts alike).
+            admission path — TCP, HTTP, in-process — counts alike).
         cost_threshold: ``cost`` policy only — cost above which a
-            congested queue sheds the request.
-        high_water: ``cost`` policy only — queue-depth fraction at which
+            congested backlog sheds the request.
+        high_water: ``cost`` policy only — backlog fraction at which
             cost-based shedding begins.
     """
 
@@ -102,22 +103,32 @@ class AdmissionController:
             raise ValueError(f"queue_bound must be >= 1, got {queue_bound}")
         if not 0.0 < high_water <= 1.0:
             raise ValueError(f"high_water must be in (0, 1], got {high_water}")
+        self.queue_bound = queue_bound
         self.policy = BackpressurePolicy(policy)
         self.telemetry = telemetry
         self.cost_threshold = float(cost_threshold)
         self._high_water_depth = max(1, int(high_water * queue_bound))
-        self._queue: asyncio.Queue[Any] = asyncio.Queue(maxsize=queue_bound)
+        self._depth = 0
         self._closed = False
 
     @property
     def depth(self) -> int:
-        """Requests currently admitted and waiting for a worker."""
-        return self._queue.qsize()
+        """Requests currently admitted and not yet answered."""
+        return self._depth
 
     @property
     def closed(self) -> bool:
         """True once drain has begun."""
         return self._closed
+
+    @property
+    def must_wait(self) -> bool:
+        """True when a ``block`` caller must wait before :meth:`admit`:
+        the backlog holds ``queue_bound`` requests."""
+        return (
+            self.policy is BackpressurePolicy.BLOCK
+            and self._depth >= self.queue_bound
+        )
 
     def _shed(self, reason: str, *, costed: bool = False) -> Shed:
         if self.telemetry is not None:
@@ -126,64 +137,42 @@ class AdmissionController:
                 self.telemetry.increment("shed_cost")
         return Shed(reason)
 
-    async def submit(self, item: Any, *, cost: float | None = None) -> None:
-        """Admit ``item`` or refuse it according to policy.
+    def admit(self, cost: float | None = None) -> None:
+        """Count one request into the backlog, or refuse it.
 
         Args:
-            item: the work unit to enqueue.
             cost: the request's price under the ``cost`` policy
                 (ignored by ``block``/``shed``; ``None`` means unpriced
                 and is never cost-shed).
 
         Raises:
             QueueClosed: drain already started.
-            Shed: ``shed``/``cost`` policy refused the request.
+            Shed: the backlog is full (under ``block`` too, for a caller
+                that did not wait while :attr:`must_wait`), or the
+                ``cost`` policy priced the request out.
         """
         if self._closed:
             raise QueueClosed("gateway is draining")
-        if self.policy is BackpressurePolicy.BLOCK:
-            await self._queue.put(item)
-            return
         if (
             self.policy is BackpressurePolicy.COST
             and cost is not None
             and cost > self.cost_threshold
-            and self._queue.qsize() >= self._high_water_depth
+            and self._depth >= self._high_water_depth
         ):
             raise self._shed(
-                f"queue congested ({self._queue.qsize()}/"
-                f"{self._queue.maxsize} waiting), payload cost "
-                f"{cost:.0f} > {self.cost_threshold:.0f}",
+                f"queue congested ({self._depth}/{self.queue_bound} "
+                f"waiting), payload cost {cost:.0f} > "
+                f"{self.cost_threshold:.0f}",
                 costed=True,
             )
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            raise self._shed(
-                f"queue full ({self._queue.maxsize} waiting)"
-            ) from None
+        if self._depth >= self.queue_bound:
+            raise self._shed(f"queue full ({self.queue_bound} waiting)")
+        self._depth += 1
 
-    async def get(self) -> Any:
-        """Worker side: next admitted item (waits while the queue is empty)."""
-        return await self._queue.get()
-
-    def task_done(self) -> None:
-        """Worker side: mark the most recently fetched item serviced."""
-        self._queue.task_done()
+    def release(self, count: int) -> None:
+        """Mark ``count`` admitted requests answered."""
+        self._depth -= count
 
     def close(self) -> None:
-        """Stop admitting; already-queued items will still be serviced."""
+        """Stop admitting; already-admitted requests are still answered."""
         self._closed = True
-
-    async def drain(self, timeout: float | None = None) -> bool:
-        """Close and wait for queued items to be serviced.
-
-        Returns True when the queue emptied, False on timeout (items may
-        still be in flight).
-        """
-        self.close()
-        try:
-            await asyncio.wait_for(self._queue.join(), timeout)
-        except asyncio.TimeoutError:
-            return False
-        return True

@@ -1,7 +1,7 @@
 """Fleet data plane: one shard process per core, one shared port.
 
-The asyncio gateway is single-process, so its throughput tops out at
-one core no matter how many worker coroutines it runs.  The fleet
+The asyncio gateway is single-process — one event loop answers its
+whole backlog — so its throughput tops out at one core.  The fleet
 splits the data plane across N processes — each running the existing
 :class:`~repro.serve.gateway.DetectionGateway` unchanged — all
 accepting on **one** TCP port:
@@ -135,10 +135,8 @@ class ShardBoot:
         reuseport: bind a private ``SO_REUSEPORT`` listener (else serve
             on ``listen_socket``).
         listen_socket: fork-inherited shared listener (fallback path).
-        queue_bound: per-shard admission queue capacity.
+        queue_bound: per-shard admission backlog capacity.
         policy: per-shard backpressure policy.
-        workers: detector worker coroutines per shard.
-        max_inflight_per_connection: pipelining window per connection.
         drain_timeout: seconds a ``drain`` command may spend on queued
             work before the shard exits anyway.
         cost_threshold: ``cost`` policy shed threshold.
@@ -162,8 +160,6 @@ class ShardBoot:
     listen_socket: socket.socket | None = None
     queue_bound: int = 1024
     policy: str = "block"
-    workers: int = 4
-    max_inflight_per_connection: int = 64
     drain_timeout: float = 10.0
     cost_threshold: float = 256.0
     high_water: float = 0.5
@@ -204,8 +200,6 @@ class _ShardServer:
                 port=boot.port,
                 queue_bound=boot.queue_bound,
                 policy=boot.policy,
-                workers=boot.workers,
-                max_inflight_per_connection=boot.max_inflight_per_connection,
                 drain_timeout=boot.drain_timeout,
                 cost_threshold=boot.cost_threshold,
                 high_water=boot.high_water,
@@ -372,7 +366,7 @@ class _ShardServer:
         drained = True
         if self._serving:
             try:
-                await asyncio.wait_for(
+                drained = await asyncio.wait_for(
                     self.gateway.stop(), timeout + 5.0
                 )
             except asyncio.TimeoutError:

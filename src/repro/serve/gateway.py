@@ -2,23 +2,29 @@
 
 Structure (one listening port, both dialects of ``protocol.py``):
 
-- A reader per connection admits each payload line through the
+- A reader per connection parses each payload line or frame and admits
+  it synchronously through the
   :class:`~repro.serve.admission.AdmissionController`, capturing the
   current :class:`~repro.serve.store.StoreVersion` **at admission time**
   — a concurrent hot-swap never changes which signature generation
-  answers an already-admitted request.
-- A fixed pool of worker coroutines drains the queue and runs
+  answers an already-admitted request.  The request joins one
+  gateway-wide FIFO backlog together with its sink: the connection it
+  came on, or a future for an in-process caller.  Refusals and protocol
+  errors wait in the same backlog, so every connection is answered
+  strictly in request order and clients correlate by position exactly
+  like the offline engine's per-index ``EngineRun`` vectors.
+- One drain step, scheduled when the backlog goes from empty to
+  non-empty, answers the whole backlog in order with
   ``detector.inspect`` (pure CPU, microseconds per payload — see
-  Experiment 4 — so coroutine workers suffice; process fan-out stays in
-  ``repro.parallel`` for offline batches).
-- A writer per connection emits responses strictly in request order, so
-  clients correlate by position exactly like the offline engine's
-  per-index ``EngineRun`` vectors.
+  Experiment 4 — so it runs on the event loop; process fan-out stays in
+  ``repro.parallel`` for offline batches) and writes each connection's
+  answers as one buffer.
 
-Per-connection pipelining is bounded: once ``max_inflight_per_connection``
-responses are outstanding the reader stops reading, the socket buffer
-fills, and the client blocks — backpressure reaches the edge without
-any protocol support.
+Backpressure reaches the edge without any protocol support: a reader
+stops reading until the next drain while its connection has
+``MAX_UNANSWERED_PER_CONNECTION`` unanswered requests, while its peer
+leaves the send buffer full, and under ``block`` while the backlog is at
+its bound; the socket buffer then fills and the client blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import json
 import socket
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.serve.admission import (
     DEFAULT_COST_THRESHOLD,
@@ -64,6 +69,10 @@ from repro.surfaces import (
 
 __all__ = ["DetectionGateway", "GatewayConfig"]
 
+#: Unanswered requests one connection may have in the backlog before its
+#: reader waits for the next drain.
+MAX_UNANSWERED_PER_CONNECTION = 64
+
 
 @dataclass
 class GatewayConfig:
@@ -72,17 +81,11 @@ class GatewayConfig:
     Attributes:
         host: bind address.
         port: bind port (0 picks an ephemeral port, reported by ``start``).
-        queue_bound: admission queue capacity.
-        policy: full-queue behaviour (``block`` or ``shed``).
-        workers: detector worker coroutines.
-        max_inflight_per_connection: pipelining window per connection.
-        drain_timeout: seconds to wait for queued work at shutdown.
-        cost_fn: prices a payload for the ``cost`` admission policy
-            (default: UTF-8 byte length — matching time scales with
-            payload size; a family-aware deployment can price attack
-            shapes higher).
+        queue_bound: backlog capacity (admitted, unanswered requests).
+        policy: full-backlog behaviour (``block``, ``shed`` or ``cost``).
+        drain_timeout: seconds to wait for the backlog at shutdown.
         cost_threshold: ``cost`` policy shed threshold.
-        high_water: queue-depth fraction where cost shedding begins.
+        high_water: backlog fraction where cost shedding begins.
         allow_reload: accept ``POST /reload`` on this gateway's own
             control plane.  Fleet shards set this False — their reloads
             arrive only through the supervisor's two-phase protocol, so
@@ -97,29 +100,29 @@ class GatewayConfig:
     port: int = 0
     queue_bound: int = 1024
     policy: BackpressurePolicy | str = BackpressurePolicy.BLOCK
-    workers: int = 4
-    max_inflight_per_connection: int = 64
     drain_timeout: float = 10.0
-    cost_fn: Callable[[str], float] | None = None
     cost_threshold: float = DEFAULT_COST_THRESHOLD
     high_water: float = DEFAULT_HIGH_WATER
     allow_reload: bool = True
     surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES
 
 
-@dataclass
-class _Job:
-    """One admitted inspection: work + the generation that answers it.
+class _Connection:
+    """A line-protocol connection as a backlog sink."""
 
-    ``work`` is the raw payload string (line protocol) or a
-    :class:`~repro.surfaces.ScoreRequest` (framed full-request mode);
-    the worker loop branches on the type.
-    """
+    __slots__ = ("writer", "unanswered")
 
-    work: str | ScoreRequest
-    snapshot: StoreVersion
-    future: asyncio.Future
-    admitted_at: float
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.unanswered = 0
+
+
+# A backlog entry is ``(work, snapshot, sink, admitted_at)``.  ``work``
+# is a payload line (str) or a framed ScoreRequest, answered by the
+# ``snapshot`` generation; a refusal or protocol error has ``snapshot``
+# None and its already-encoded answer as ``work``.  ``sink`` is a
+# _Connection or an in-process caller's future.
+_Sink = _Connection | asyncio.Future
 
 
 class DetectionGateway:
@@ -151,7 +154,6 @@ class DetectionGateway:
             cost_threshold=self.config.cost_threshold,
             high_water=self.config.high_water,
         )
-        self._cost_fn = self.config.cost_fn or _default_cost
         # Live-state gauges: evaluated at scrape time, so /metrics shows
         # the instantaneous queue depth and deployed signature generation
         # without the data plane pushing updates anywhere.
@@ -167,8 +169,10 @@ class DetectionGateway:
             function=lambda: float(self.store.version),
         )
         self._server: asyncio.base_events.Server | None = None
-        self._workers: list[asyncio.Task] = []
         self._connections: set[asyncio.StreamWriter] = set()
+        self._backlog: list[tuple] = []
+        # Pulsed (set, then cleared) by every drain step.
+        self._drained = asyncio.Event()
         self._stopped = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------
@@ -176,7 +180,7 @@ class DetectionGateway:
     async def start(
         self, *, sock: socket.socket | None = None
     ) -> tuple[str, int]:
-        """Bind, spawn workers, and return the bound ``(host, port)``.
+        """Bind and return the bound ``(host, port)``.
 
         Args:
             sock: an already-bound listening socket to serve on instead
@@ -186,11 +190,6 @@ class DetectionGateway:
         """
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        loop = asyncio.get_running_loop()
-        self._workers = [
-            loop.create_task(self._worker_loop())
-            for _ in range(max(1, self.config.workers))
-        ]
         # Stream limit above MAX_LINE_BYTES so our own oversized-line
         # handling (answer an error, keep the connection) gets to run
         # before asyncio's reader gives up.
@@ -207,18 +206,32 @@ class DetectionGateway:
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    async def stop(self) -> None:
-        """Graceful drain: stop accepting, service the queue, then close."""
+    async def stop(self) -> bool:
+        """Graceful drain: stop accepting, answer what was admitted, then
+        close.
+
+        Returns True when every admitted request was answered, False when
+        ``drain_timeout`` expired first.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self.admission.drain(self.config.drain_timeout)
-        for task in self._workers:
-            task.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
+        self.admission.close()
+        drained = True
+        try:
+            await asyncio.wait_for(
+                self._admitted_answered(), self.config.drain_timeout
+            )
+        except asyncio.TimeoutError:
+            drained = False
         for writer in list(self._connections):
             writer.close()
         self._stopped.set()
+        return drained
+
+    async def _admitted_answered(self) -> None:
+        while self.admission.depth:
+            await self._drained.wait()
 
     async def serve_forever(self) -> None:
         """Start and run until cancelled; drains on the way out."""
@@ -227,8 +240,7 @@ class DetectionGateway:
         print(
             f"repro.serve: detector={detector} on {host}:{port} "
             f"(queue={self.config.queue_bound}, "
-            f"policy={BackpressurePolicy(self.config.policy).value}, "
-            f"workers={self.config.workers})"
+            f"policy={BackpressurePolicy(self.config.policy).value})"
         )
         try:
             await self._stopped.wait()
@@ -238,34 +250,10 @@ class DetectionGateway:
 
     # -- data plane ----------------------------------------------------
 
-    async def _admit(
-        self, work: str | ScoreRequest, *, cost: float | None = None
-    ) -> asyncio.Future:
-        """Admit one unit of work; the returned future resolves to the
-        response bytes (detection, shed notice, or error)."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        job = _Job(
-            work=work,
-            snapshot=self.store.current(),
-            future=future,
-            admitted_at=time.perf_counter(),
-        )
-        if cost is None:
-            cost = self._cost_fn(work if isinstance(work, str) else "")
-        try:
-            await self.admission.submit(job, cost=cost)
-        except Shed as exc:
-            future.set_result(encode_shed(str(exc)))
-        except QueueClosed as exc:
-            future.set_result(encode_error(str(exc)))
-        return future
-
     async def inspect(self, payload: str) -> dict:
         """In-process client: run ``payload`` through the full admission
         path and return the decoded response object."""
-        future = await self._admit(payload)
-        return json.loads(await future)
+        return json.loads(await self._inspect(payload, _price(payload)))
 
     async def inspect_request(
         self,
@@ -276,51 +264,114 @@ class DetectionGateway:
         surface-attributed response."""
         frame = encode_framed_request(request, surfaces)
         body_len = len(frame) - frame.index(b"\n") - 2
-        future = await self._admit(
+        return json.loads(await self._inspect(
             ScoreRequest(request=request, surfaces=surfaces),
-            cost=float(body_len),
-        )
-        return json.loads(await future)
+            float(body_len),
+        ))
 
-    async def _worker_loop(self) -> None:
-        while True:
-            job = await self.admission.get()
-            started = time.perf_counter()
-            try:
-                if isinstance(job.work, ScoreRequest):
-                    detection = score_request(
-                        job.snapshot.detector.inspect,
-                        job.work.request,
-                        job.work.surfaces,
-                    )
-                else:
-                    detection = job.snapshot.detector.inspect(job.work)
-            except Exception as exc:  # detector bug: answer, don't die
-                self.telemetry.increment("errors")
-                if not job.future.done():
-                    job.future.set_result(
-                        encode_error(f"detector error: {exc}")
-                    )
+    async def _inspect(self, work: str | ScoreRequest, cost: float) -> bytes:
+        """Submit ``work`` with a future as its sink; await the answer."""
+        future = asyncio.get_running_loop().create_future()
+        await self._submit(work, future, cost)
+        return await future
+
+    async def _room(self, sink: _Sink) -> None:
+        """Wait until ``sink`` may add to the backlog.
+
+        A connection first waits for its peer to take its answers off the
+        send buffer; then every sink waits for the next drain while the
+        ``block`` backlog is at its bound, and a connection also while it
+        has ``MAX_UNANSWERED_PER_CONNECTION`` unanswered requests.
+        """
+        connection = isinstance(sink, _Connection)
+        if connection:
+            await sink.writer.drain()
+        while self.admission.must_wait or (
+            connection and sink.unanswered >= MAX_UNANSWERED_PER_CONNECTION
+        ):
+            await self._drained.wait()
+
+    async def _submit(
+        self, work: str | ScoreRequest, sink: _Sink, cost: float
+    ) -> None:
+        """Admit ``work`` into the backlog, or queue its refusal there."""
+        await self._room(sink)
+        try:
+            self.admission.admit(cost)
+        except Shed as exc:
+            self._push(encode_shed(str(exc)), None, sink)
+        except QueueClosed as exc:
+            self._push(encode_error(str(exc)), None, sink)
+        else:
+            self._push(work, self.store.current(), sink)
+
+    async def _refuse(self, conn: _Connection, reason: str) -> None:
+        """Queue a protocol-error answer in request order."""
+        self.telemetry.increment("protocol_errors")
+        await self._room(conn)
+        self._push(encode_error(reason), None, conn)
+
+    def _push(
+        self,
+        work: str | ScoreRequest | bytes,
+        snapshot: StoreVersion | None,
+        sink: _Sink,
+    ) -> None:
+        if not self._backlog:
+            asyncio.get_running_loop().call_soon(self._drain)
+        self._backlog.append((work, snapshot, sink, time.perf_counter()))
+        if isinstance(sink, _Connection):
+            sink.unanswered += 1
+
+    def _drain(self) -> None:
+        """The drain step: answer the whole backlog in order, write each
+        connection's answers as one buffer, and wake every waiter."""
+        backlog, self._backlog = self._backlog, []
+        writes: dict[_Connection, list[bytes]] = {}
+        admitted = 0
+        for work, snapshot, sink, admitted_at in backlog:
+            if snapshot is None:
+                answer = work
             else:
-                finished = time.perf_counter()
-                self.telemetry.record_inspection(
-                    detection.alert, finished - started
+                admitted += 1
+                answer = self._answer(work, snapshot, admitted_at)
+            if isinstance(sink, _Connection):
+                sink.unanswered -= 1
+                writes.setdefault(sink, []).append(answer)
+            elif not sink.done():  # the in-process caller went away
+                sink.set_result(answer)
+        self.admission.release(admitted)
+        for conn, answers in writes.items():
+            if not conn.writer.is_closing():
+                conn.writer.write(b"".join(answers))
+        self._drained.set()
+        self._drained.clear()
+
+    def _answer(
+        self,
+        work: str | ScoreRequest,
+        snapshot: StoreVersion,
+        admitted_at: float,
+    ) -> bytes:
+        """Inspect one admitted request with its admission generation."""
+        started = time.perf_counter()
+        try:
+            if isinstance(work, ScoreRequest):
+                detection = score_request(
+                    snapshot.detector.inspect, work.request, work.surfaces
                 )
-                self.telemetry.observe(
-                    "latency", finished - job.admitted_at
-                )
-                if not job.future.done():
-                    if isinstance(job.work, ScoreRequest):
-                        self.telemetry.record_surfaces(detection)
-                        job.future.set_result(encode_surface_detection(
-                            detection, job.snapshot.version
-                        ))
-                    else:
-                        job.future.set_result(encode_detection(
-                            detection, job.snapshot.version
-                        ))
-            finally:
-                self.admission.task_done()
+            else:
+                detection = snapshot.detector.inspect(work)
+        except Exception as exc:  # detector bug: answer, don't die
+            self.telemetry.increment("errors")
+            return encode_error(f"detector error: {exc}")
+        finished = time.perf_counter()
+        self.telemetry.record_inspection(detection.alert, finished - started)
+        self.telemetry.observe("latency", finished - admitted_at)
+        if isinstance(work, ScoreRequest):
+            self.telemetry.record_surfaces(detection)
+            return encode_surface_detection(detection, snapshot.version)
+        return encode_detection(detection, snapshot.version)
 
     # -- connection handling -------------------------------------------
 
@@ -343,7 +394,7 @@ class DetectionGateway:
                 await self._handle_http(reader, writer, first)
             else:
                 await self._serve_lines(reader, writer, first)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             self._connections.discard(writer)
@@ -359,104 +410,77 @@ class DetectionGateway:
         writer: asyncio.StreamWriter,
         first: bytes,
     ) -> None:
-        """The line protocol: one payload per line, responses in order."""
-        pending: asyncio.Queue = asyncio.Queue(
-            maxsize=max(1, self.config.max_inflight_per_connection)
-        )
-        flusher = asyncio.get_running_loop().create_task(
-            self._flush_responses(pending, writer)
-        )
+        """The line protocol: one payload per line, answers in order."""
+        conn = _Connection(writer)
         line = first
         try:
             while line:
-                frame_size = None
-                bad_header = None
                 try:
                     frame_size = frame_header_size(line)
                 except ProtocolError as exc:
-                    # A malformed frame header: the client meant to
-                    # frame, so treating the line as a payload would be
-                    # wrong; answer the error and resync at next line.
-                    bad_header = exc
-                if bad_header is not None:
-                    self.telemetry.increment("protocol_errors")
-                    await pending.put(_done(encode_error(str(bad_header))))
-                elif frame_size is not None:
-                    await self._serve_frame(reader, pending, frame_size)
-                elif len(line) > MAX_LINE_BYTES:
-                    self.telemetry.increment("protocol_errors")
-                    await pending.put(_done(encode_error("line too long")))
+                    # A malformed frame header: the client meant to frame,
+                    # so treating the line as a payload would be wrong;
+                    # answer the error and resync at next line.
+                    await self._refuse(conn, str(exc))
                 else:
-                    # Every line is one payload — including the empty
-                    # line: a request with no query string is still a
-                    # request the offline engine would score, and
-                    # skipping it would desync response ordering.
-                    payload = line.rstrip(b"\r\n").decode(
-                        "utf-8", errors="replace"
-                    )
-                    await pending.put(await self._admit(payload))
+                    if frame_size is not None:
+                        await self._serve_frame(reader, conn, frame_size)
+                    elif len(line) > MAX_LINE_BYTES:
+                        await self._refuse(conn, "line too long")
+                    else:
+                        # Every line is one payload — including the empty
+                        # line: a request with no query string is still a
+                        # request the offline engine would score, and
+                        # skipping it would desync response ordering.
+                        payload = line.rstrip(b"\r\n").decode(
+                            "utf-8", errors="replace"
+                        )
+                        await self._submit(payload, conn, _price(payload))
                 try:
                     line = await reader.readline()
                 except ValueError:
                     # asyncio discarded an oversized line; answer the
                     # error in order and keep reading.
-                    self.telemetry.increment("protocol_errors")
-                    await pending.put(_done(encode_error("line too long")))
+                    await self._refuse(conn, "line too long")
                     line = b"\n"
         finally:
-            await pending.put(None)
-            await flusher
+            # Answer what the connection sent, even when it broke
+            # off mid-frame.
+            while conn.unanswered:
+                await self._drained.wait()
 
     async def _serve_frame(
         self,
         reader: asyncio.StreamReader,
-        pending: asyncio.Queue,
+        conn: _Connection,
         frame_size: int,
     ) -> None:
         """Read and admit one framed full-request message.
 
         The header line is already consumed; this reads exactly the
         declared body bytes plus the line-aligning newline, decodes the
-        request, and admits a surface-aware job priced by body size.
+        request, and admits a surface-aware request priced by body size.
         """
         body = await reader.readexactly(frame_size)
         # The frame body is followed by a newline that keeps the
         # connection line-aligned; absorb it (tolerating EOF).
         trailer = await reader.readline()
         if trailer not in (b"\n", b"\r\n", b""):
-            self.telemetry.increment("protocol_errors")
-            await pending.put(_done(encode_error(
-                "frame body not newline-terminated"
-            )))
+            await self._refuse(conn, "frame body not newline-terminated")
             return
         try:
             request, surfaces = decode_framed_request(
                 body, default_surfaces=self.config.surfaces
             )
         except ProtocolError as exc:
-            self.telemetry.increment("protocol_errors")
-            await pending.put(_done(encode_error(str(exc))))
+            await self._refuse(conn, str(exc))
             return
         self.telemetry.increment("framed")
-        await pending.put(await self._admit(
+        await self._submit(
             ScoreRequest(request=request, surfaces=surfaces),
-            cost=float(frame_size),
-        ))
-
-    @staticmethod
-    async def _flush_responses(
-        pending: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            future = await pending.get()
-            if future is None:
-                return
-            data = await future
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                return
+            conn,
+            float(frame_size),
+        )
 
     # -- control plane -------------------------------------------------
 
@@ -541,13 +565,6 @@ class DetectionGateway:
         return 404, {"error": f"no route {path}"}
 
 
-def _default_cost(payload: str) -> float:
-    """Default request price: the payload's UTF-8 byte length."""
+def _price(payload: str) -> float:
+    """A payload line's price: its UTF-8 byte length."""
     return float(len(payload.encode("utf-8", errors="replace")))
-
-
-def _done(data: bytes) -> asyncio.Future:
-    """A future already resolved to ``data``."""
-    future = asyncio.get_running_loop().create_future()
-    future.set_result(data)
-    return future

@@ -1,6 +1,7 @@
 """The ``repro conform`` command line: run, record, diff."""
 
 import json
+import re
 
 import pytest
 
@@ -35,6 +36,23 @@ class TestConformRun:
         out = capsys.readouterr().out
         assert code == 0, out
         assert out.count("CONFORMANT") == 1
+
+
+    def test_path_selection_applies_to_both_detectors(
+        self, signature_file, capsys
+    ):
+        code = main([
+            "conform", "run", "-s", signature_file,
+            "--path", "serial-legacy", "--path", "fleet-s2-reload",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        psigene, perdisci = re.findall(r"paths=(\d+)", out)
+        # pSigene runs serial + both selections; Perdisci has no
+        # SignatureSet to re-deploy, so the oracle skips the reload path
+        # exactly as it does on the default list.
+        assert (psigene, perdisci) == ("3", "2")
+        assert "fleet-s2 " not in out and "gateway" not in out
 
 
 class TestConformRecordAndDiff:

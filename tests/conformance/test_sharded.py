@@ -75,7 +75,7 @@ class TestShardedConformance:
     def test_fleet_matches_serial_baseline(self):
         report = Oracle(
             toy_detector(),
-            paths=[ShardedGatewayPath(shards=2, workers=2)],
+            paths=[ShardedGatewayPath(shards=2)],
             check_extraction=False,
         ).run(PAYLOADS)
         assert report.ok, format_report(report)
@@ -90,10 +90,8 @@ class TestShardedConformance:
         report = Oracle(
             detector,
             paths=[
-                ShardedGatewayPath(shards=2, workers=2),
-                ShardedGatewayPath(
-                    shards=2, workers=2, midstream_reload=True
-                ),
+                ShardedGatewayPath(shards=2),
+                ShardedGatewayPath(shards=2, midstream_reload=True),
             ],
             check_extraction=False,
         ).run(PAYLOADS)

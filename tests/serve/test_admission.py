@@ -4,17 +4,26 @@ import asyncio
 
 import pytest
 
+from repro.ids import DeterministicRuleSet, Rule
 from repro.serve import (
     AdmissionController,
     BackpressurePolicy,
+    DetectionGateway,
+    GatewayConfig,
     QueueClosed,
     Shed,
+    SignatureStore,
     Telemetry,
 )
 
 
-def run(coroutine):
-    return asyncio.run(coroutine)
+def toy_gateway(**config):
+    return DetectionGateway(
+        SignatureStore(DeterministicRuleSet(
+            "toy", [Rule(1, "union", r"union\s+select")]
+        )),
+        GatewayConfig(**config),
+    )
 
 
 class TestPolicies:
@@ -27,73 +36,70 @@ class TestPolicies:
             AdmissionController(queue_bound=0)
 
     def test_shed_on_full_queue(self):
-        async def scenario():
-            telemetry = Telemetry()
-            controller = AdmissionController(
-                queue_bound=2, policy="shed", telemetry=telemetry
-            )
-            await controller.submit("a")
-            await controller.submit("b")
-            with pytest.raises(Shed):
-                await controller.submit("c")
-            assert telemetry.counter("shed") == 1
-            assert controller.depth == 2
-
-        run(scenario())
+        telemetry = Telemetry()
+        controller = AdmissionController(
+            queue_bound=2, policy="shed", telemetry=telemetry
+        )
+        controller.admit()
+        controller.admit()
+        assert not controller.must_wait  # shed refuses, it never waits
+        with pytest.raises(Shed):
+            controller.admit()
+        assert telemetry.counter("shed") == 1
+        assert controller.depth == 2
 
     def test_block_waits_for_space(self):
-        async def scenario():
-            controller = AdmissionController(queue_bound=1, policy="block")
-            await controller.submit("a")
-            waiter = asyncio.ensure_future(controller.submit("b"))
-            await asyncio.sleep(0)
-            assert not waiter.done()  # blocked on the full queue
-            item = await controller.get()
-            controller.task_done()
-            await waiter  # space opened, second submit admitted
-            assert item == "a"
-            assert controller.depth == 1
-
-        run(scenario())
+        controller = AdmissionController(queue_bound=1, policy="block")
+        controller.admit()
+        assert controller.must_wait  # a block caller waits for a drain
+        controller.release(1)  # the drain answered it
+        assert not controller.must_wait
+        controller.admit()  # space opened, second request admitted
+        assert controller.depth == 1
 
 
 class TestDrain:
     def test_submit_after_close_raises(self):
+        controller = AdmissionController()
+        controller.close()
+        assert controller.closed
+        with pytest.raises(QueueClosed):
+            controller.admit()
+        assert controller.depth == 0
+
+    def test_drain_waits_for_the_backlog(self):
         async def scenario():
-            controller = AdmissionController()
-            controller.close()
-            with pytest.raises(QueueClosed):
-                await controller.submit("a")
+            gateway = toy_gateway()
+            await gateway.start()
+            pending = asyncio.ensure_future(
+                gateway.inspect("id=1' union select 1")
+            )
+            await asyncio.sleep(0)  # admitted; its drain step not yet run
+            depth = gateway.admission.depth
+            drained = await gateway.stop()
+            return depth, drained, await pending
 
-        run(scenario())
+        depth, drained, answer = asyncio.run(scenario())
+        assert depth == 1
+        assert drained
+        assert answer["alert"] is True
 
-    def test_drain_waits_for_workers(self):
+    def test_drain_timeout(self, monkeypatch):
         async def scenario():
-            controller = AdmissionController()
-            await controller.submit("a")
-            serviced = []
+            gateway = toy_gateway(drain_timeout=0.01)
+            # A drain step that never answers: the backlog cannot empty.
+            monkeypatch.setattr(gateway, "_drain", lambda: None)
+            await gateway.start()
+            pending = asyncio.ensure_future(gateway.inspect("never-served"))
+            await asyncio.sleep(0)
+            drained = await gateway.stop()
+            pending.cancel()
+            return drained, gateway.admission
 
-            async def worker():
-                item = await controller.get()
-                await asyncio.sleep(0.01)
-                serviced.append(item)
-                controller.task_done()
-
-            task = asyncio.ensure_future(worker())
-            assert await controller.drain(timeout=1.0)
-            assert serviced == ["a"]
-            await task
-
-        run(scenario())
-
-    def test_drain_timeout(self):
-        async def scenario():
-            controller = AdmissionController()
-            await controller.submit("never-serviced")
-            assert not await controller.drain(timeout=0.01)
-            assert controller.closed
-
-        run(scenario())
+        drained, admission = asyncio.run(scenario())
+        assert not drained
+        assert admission.closed
+        assert admission.depth == 1
 
 
 class TestCostPolicy:
@@ -104,62 +110,53 @@ class TestCostPolicy:
             AdmissionController(policy="cost", high_water=1.5)
 
     def test_expensive_shed_only_past_high_water(self):
-        async def scenario():
-            telemetry = Telemetry()
-            controller = AdmissionController(
-                queue_bound=4,
-                policy="cost",
-                telemetry=telemetry,
-                cost_threshold=100.0,
-                high_water=0.5,
-            )
-            # Below high water (depth 0, 1 < 2): expensive admitted.
-            await controller.submit("big-0", cost=500.0)
-            await controller.submit("big-1", cost=500.0)
-            # At high water: the next expensive request is priced out.
-            with pytest.raises(Shed):
-                await controller.submit("big-2", cost=500.0)
-            assert telemetry.counter("shed") == 1
-            assert telemetry.counter("shed_cost") == 1
-            assert controller.depth == 2
-
-        run(scenario())
+        telemetry = Telemetry()
+        controller = AdmissionController(
+            queue_bound=4,
+            policy="cost",
+            telemetry=telemetry,
+            cost_threshold=100.0,
+            high_water=0.5,
+        )
+        # Below high water (depth 0, 1 < 2): expensive admitted.
+        controller.admit(cost=500.0)
+        controller.admit(cost=500.0)
+        # At high water: the next expensive request is priced out.
+        with pytest.raises(Shed):
+            controller.admit(cost=500.0)
+        assert telemetry.counter("shed") == 1
+        assert telemetry.counter("shed_cost") == 1
+        assert controller.depth == 2
 
     def test_cheap_admitted_until_actually_full(self):
-        async def scenario():
-            telemetry = Telemetry()
-            controller = AdmissionController(
-                queue_bound=2,
-                policy="cost",
-                telemetry=telemetry,
-                cost_threshold=100.0,
-                high_water=0.5,
-            )
-            await controller.submit("cheap-0", cost=10.0)
-            await controller.submit("cheap-1", cost=10.0)
-            # Queue genuinely full: cheap requests shed too, but as a
-            # plain full-queue shed, not a cost shed.
-            with pytest.raises(Shed):
-                await controller.submit("cheap-2", cost=10.0)
-            assert telemetry.counter("shed") == 1
-            assert telemetry.counter("shed_cost") == 0
-
-        run(scenario())
+        telemetry = Telemetry()
+        controller = AdmissionController(
+            queue_bound=2,
+            policy="cost",
+            telemetry=telemetry,
+            cost_threshold=100.0,
+            high_water=0.5,
+        )
+        controller.admit(cost=10.0)
+        controller.admit(cost=10.0)
+        # Backlog genuinely full: cheap requests shed too, but as a
+        # plain full-backlog shed, not a cost shed.
+        with pytest.raises(Shed):
+            controller.admit(cost=10.0)
+        assert telemetry.counter("shed") == 1
+        assert telemetry.counter("shed_cost") == 0
 
     def test_unpriced_requests_are_never_cost_shed(self):
-        async def scenario():
-            telemetry = Telemetry()
-            controller = AdmissionController(
-                queue_bound=4,
-                policy="cost",
-                telemetry=telemetry,
-                cost_threshold=100.0,
-                high_water=0.25,
-            )
-            for index in range(4):
-                await controller.submit(f"unpriced-{index}", cost=None)
-            with pytest.raises(Shed):
-                await controller.submit("unpriced-4", cost=None)
-            assert telemetry.counter("shed_cost") == 0
-
-        run(scenario())
+        telemetry = Telemetry()
+        controller = AdmissionController(
+            queue_bound=4,
+            policy="cost",
+            telemetry=telemetry,
+            cost_threshold=100.0,
+            high_water=0.25,
+        )
+        for _ in range(4):
+            controller.admit(cost=None)
+        with pytest.raises(Shed):
+            controller.admit(cost=None)
+        assert telemetry.counter("shed_cost") == 0

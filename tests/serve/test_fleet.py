@@ -32,7 +32,7 @@ def toy_detector(name="toy"):
 
 
 def fleet_config(**overrides):
-    defaults = dict(shards=2, queue_bound=256, workers=2)
+    defaults = dict(shards=2, queue_bound=256)
     defaults.update(overrides)
     return FleetConfig(**defaults)
 
@@ -210,7 +210,7 @@ class TestFleetServing:
                 toy_detector(),
                 fleet_config(
                     shards=1, queue_bound=4, policy="cost",
-                    cost_threshold=64.0, high_water=0.25, workers=1,
+                    cost_threshold=64.0, high_water=0.25,
                 ),
             )
             host, port = await supervisor.start()

@@ -9,6 +9,7 @@ it by the new one.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.serve import (
     build_load_trace,
     run_loadgen,
 )
+from repro.serve.gateway import MAX_UNANSWERED_PER_CONNECTION
 
 
 def toy_detector(name="toy"):
@@ -124,11 +126,11 @@ class TestLineProtocol:
         async def scenario():
             gateway = DetectionGateway(
                 SignatureStore(toy_detector()),
-                GatewayConfig(queue_bound=1, policy="shed", workers=1),
+                GatewayConfig(queue_bound=1, policy="shed"),
             )
             host, port = await gateway.start()
-            # A burst bigger than the queue from many connections; with
-            # one worker at least one request must be refused.
+            # A burst bigger than the backlog bound from many
+            # connections: at least one request must be refused.
             results = await asyncio.gather(*(
                 send_lines(host, port, [f"id={i}' union select 1"] * 8)
                 for i in range(8)
@@ -143,6 +145,204 @@ class TestLineProtocol:
         assert sheds, "burst never overflowed the bounded queue"
         assert shed_counter == len(sheds)
         assert all(r["alert"] for r in serviced)
+
+
+def alternating(count):
+    """``count`` payload lines whose verdicts alternate, alert first."""
+    return [
+        f"id={i}' union select 1" if i % 2 == 0 else f"q=hello{i}"
+        for i in range(count)
+    ]
+
+
+async def burst(host, port, payloads):
+    """Pipeline every line in one write on ONE connection; read every
+    answer."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(b"".join(p.encode() + b"\n" for p in payloads))
+        await writer.drain()
+        return [
+            json.loads(await asyncio.wait_for(reader.readline(), 10))
+            for _ in payloads
+        ]
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class ExplodingDetector:
+    """The toy rule set, except that one payload makes it raise."""
+
+    name = "exploding"
+
+    def __init__(self, trigger):
+        self.trigger = trigger
+        self.inner = toy_detector()
+
+    def inspect(self, payload):
+        if payload == self.trigger:
+            raise RuntimeError("boom")
+        return self.inner.inspect(payload)
+
+
+class TestBacklog:
+    """The backlog's drain step over TCP: order, bounds, errors."""
+
+    def test_shed_burst_answers_every_line_at_its_position(self):
+        payloads = alternating(300)
+
+        async def scenario():
+            gateway = DetectionGateway(
+                SignatureStore(toy_detector()),
+                GatewayConfig(queue_bound=4, policy="shed"),
+            )
+            host, port = await gateway.start()
+            responses = await burst(host, port, payloads)
+            await gateway.stop()
+            return responses, gateway.telemetry.counter("shed")
+
+        responses, shed_counter = asyncio.run(scenario())
+        assert len(responses) == len(payloads)
+        sheds = [r for r in responses if r.get("shed")]
+        assert sheds, "a 300-line burst never overflowed a bound of 4"
+        assert shed_counter == len(sheds)
+        serviced = 0
+        for index, response in enumerate(responses):
+            if response.get("shed"):
+                continue
+            serviced += 1
+            expected = index % 2 == 0
+            assert response["alert"] is expected, (index, response)
+            assert response["matched"] == ([1] if expected else [])
+        assert serviced >= 4
+
+    def test_block_at_bound_one_never_sheds_and_keeps_order(self):
+        payloads = alternating(500)
+
+        async def scenario():
+            gateway = DetectionGateway(
+                SignatureStore(toy_detector()),
+                GatewayConfig(queue_bound=1, policy="block"),
+            )
+            host, port = await gateway.start()
+            responses = await burst(host, port, payloads)
+            await gateway.stop()
+            return responses, gateway.telemetry.counter("shed")
+
+        responses, shed_counter = asyncio.run(scenario())
+        assert shed_counter == 0
+        assert [r.get("shed") for r in responses] == [None] * 500
+        assert [r["alert"] for r in responses] == [
+            index % 2 == 0 for index in range(500)
+        ]
+
+    def test_a_connection_waits_at_its_unanswered_cap(self, monkeypatch):
+        """One connection's burst joins the backlog at most
+        ``MAX_UNANSWERED_PER_CONNECTION`` lines per drain."""
+        drained = []
+
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            drain = gateway._drain
+
+            def recording_drain():
+                drained.append(len(gateway._backlog))
+                drain()
+
+            monkeypatch.setattr(gateway, "_drain", recording_drain)
+            host, port = await gateway.start()
+            responses = await burst(host, port, alternating(500))
+            await gateway.stop()
+            return responses
+
+        responses = asyncio.run(scenario())
+        assert [r["alert"] for r in responses] == [
+            index % 2 == 0 for index in range(500)
+        ]
+        assert sum(drained) == 500
+        assert max(drained) <= MAX_UNANSWERED_PER_CONNECTION
+
+    def test_detector_error_answers_that_line_and_serves_the_next(self):
+        async def scenario():
+            gateway = DetectionGateway(
+                SignatureStore(ExplodingDetector("q=boom"))
+            )
+            host, port = await gateway.start()
+            responses = await burst(host, port, [
+                "id=1' union select 1", "q=boom", "id=2' union select 1",
+            ])
+            await gateway.stop()
+            return responses, gateway.telemetry
+
+        (before, error, after), telemetry = asyncio.run(scenario())
+        assert before["alert"] is True
+        assert error == {"error": "detector error: boom"}
+        assert after["alert"] is True and after["matched"] == [1]
+        assert telemetry.counter("errors") == 1
+        assert telemetry.counter("inspected") == 2
+
+
+    def test_cancelled_in_process_caller_is_skipped(self):
+        """A caller that gives up keeps its place in the backlog; the
+        drain step inspects it, skips its future and answers the rest."""
+
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            await gateway.start()
+            gone = asyncio.ensure_future(gateway.inspect("q=1"))
+            kept = asyncio.ensure_future(
+                gateway.inspect("id=1' union select 1")
+            )
+            await asyncio.sleep(0)  # both admitted; the drain is pending
+            gone.cancel()
+            answer = await asyncio.wait_for(kept, timeout=5)
+            drained = await gateway.stop()
+            return gone.cancelled(), answer, drained, gateway.telemetry
+
+        cancelled, answer, drained, telemetry = asyncio.run(scenario())
+        assert cancelled
+        assert answer["alert"] is True
+        assert drained
+        assert telemetry.counter("inspected") == 2
+
+    def test_unread_answers_stop_the_reader(self):
+        """A peer that never reads its answers gets backpressure: the
+        gateway stops reading its lines instead of buffering answers."""
+        lines = 50_000
+
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            # Small kernel buffers on both ends (an accepted socket
+            # inherits the listener's), so the gateway's own send buffer
+            # is what fills.
+            listener = socket.socket()
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            host, port = await gateway.start(sock=listener)
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+            client.connect((host, port))
+            _reader, writer = await asyncio.open_connection(sock=client)
+            writer.write(b"q=1\n" * lines)
+            inspected = -1
+            for _ in range(200):  # until the gateway stops making progress
+                await asyncio.sleep(0.05)
+                if gateway.telemetry.counter("inspected") == inspected:
+                    break
+                inspected = gateway.telemetry.counter("inspected")
+            buffered = max(
+                w.transport.get_write_buffer_size()
+                for w in gateway._connections
+            )
+            writer.transport.abort()
+            await gateway.stop()
+            return inspected, buffered
+
+        inspected, buffered = asyncio.run(scenario())
+        assert 0 < inspected < lines
+        assert buffered < 256 * 1024
 
 
 class TestControlPlane:
@@ -217,22 +417,24 @@ class TestHotReload:
 
         async def scenario():
             store = SignatureStore(toy_detector())
-            gateway = DetectionGateway(
-                store, GatewayConfig(workers=1)
-            )
+            gateway = DetectionGateway(store)
             await gateway.start()
-            # Admit without yielding to the worker in between: the swap
-            # lands while request 1 is still queued (in flight).
-            future_old = await gateway._admit("id=1' union select 1")
+            old = asyncio.ensure_future(
+                gateway.inspect("id=1' union select 1")
+            )
+            # One loop turn admits request 1; its drain step is
+            # scheduled behind this coroutine, so the swap lands while
+            # request 1 is still in the backlog (in flight).
+            await asyncio.sleep(0)
+            assert gateway.admission.depth == 1
             store.swap_detector(
                 DeterministicRuleSet(
                     "toy2", [Rule(9, "any", r".")]
                 ),
                 source="test",
             )
-            future_new = await gateway._admit("id=1' union select 1")
-            old = json.loads(await future_old)
-            new = json.loads(await future_new)
+            new = await gateway.inspect("id=1' union select 1")
+            old = await old
             await gateway.stop()
             return old, new
 
@@ -256,7 +458,7 @@ class TestHotReload:
 
         async def scenario():
             store = SignatureStore(PSigeneDetector(full))
-            gateway = DetectionGateway(store, GatewayConfig(workers=2))
+            gateway = DetectionGateway(store)
             host, port = await gateway.start()
             first = await send_lines(host, port, payloads[:half])
             status, body = await http(
@@ -294,7 +496,7 @@ class TestLoadgenParity:
         report = asyncio.run(run_loadgen(
             detector,
             payloads,
-            config=GatewayConfig(queue_bound=64, policy="block", workers=2),
+            config=GatewayConfig(queue_bound=64, policy="block"),
             connections=4,
             window=8,
         ))
@@ -314,16 +516,22 @@ class TestDrainOnShutdown:
         async def scenario():
             gateway = DetectionGateway(
                 SignatureStore(toy_detector()),
-                GatewayConfig(workers=1, queue_bound=64),
+                GatewayConfig(queue_bound=64),
             )
-            host, port = await gateway.start()
-            futures = [
-                await gateway._admit(f"id={i}' union select 1")
+            await gateway.start()
+            pending = [
+                asyncio.ensure_future(
+                    gateway.inspect(f"id={i}' union select 1")
+                )
                 for i in range(20)
             ]
-            await gateway.stop()
-            return [json.loads(await future) for future in futures]
+            await asyncio.sleep(0)  # all 20 admitted, none answered yet
+            depth = gateway.admission.depth
+            drained = await gateway.stop()
+            return depth, drained, await asyncio.gather(*pending)
 
-        responses = asyncio.run(scenario())
+        depth, drained, responses = asyncio.run(scenario())
+        assert depth == 20
+        assert drained
         assert len(responses) == 20
         assert all(r["alert"] for r in responses)

@@ -87,7 +87,7 @@ class TestReplay:
         report = asyncio.run(run_loadgen(
             toy_detector(),
             items,
-            config=GatewayConfig(workers=2),
+            config=GatewayConfig(),
             surfaces=LEGACY_SURFACES if framed else None,
             connections=3,
             window=4,
@@ -102,7 +102,7 @@ class TestReplay:
     def test_open_loop_counts_latency_from_the_scheduled_send(self):
         async def scenario():
             gateway = DetectionGateway(
-                SignatureStore(toy_detector()), GatewayConfig(workers=2)
+                SignatureStore(toy_detector()), GatewayConfig()
             )
             host, port = await gateway.start()
             try:

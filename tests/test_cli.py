@@ -242,3 +242,28 @@ class TestParser:
             main([command, "--detector", "modsecurity", "--queue-bound", "0"])
         assert raised.value.code == 2
         assert "--queue-bound: must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["0", "-5"])
+    def test_loadgen_rate_must_be_positive(self, rate, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([
+                "loadgen", "--detector", "modsecurity", "--requests", "40",
+                "--benign", "20", "--rate", rate,
+            ])
+        assert raised.value.code == 2
+        assert f"--rate: must be > 0, got {float(rate)}" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--serve-workers", "4"],
+        ["serve", "--max-inflight", "64"],
+        ["loadgen", "--serve-workers", "4"],
+    ], ids=["serve-workers", "max-inflight", "loadgen-serve-workers"])
+    def test_removed_serving_flags_are_usage_errors(self, argv, capsys):
+        # Parse only: a parser that still knew the flag would start
+        # serving under main().
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args([*argv, "--detector", "modsecurity"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
