@@ -23,7 +23,7 @@ from repro.bench import BenchResult
 from repro.canary import CanaryConfig, CanaryLoop, GatePolicy, TrainingState
 from repro.conformance import serial_verdicts
 from repro.ids import PSigeneDetector
-from repro.serve import FleetConfig, FleetSupervisor
+from repro.serve import FleetConfig, FleetSupervisor, GatewayConfig
 
 FRESH_ATTACKS = 120
 BENIGN_REPLAY = 240
@@ -74,7 +74,9 @@ def test_canary_loop_fleet(record, emit, tmp_path):
     async def scenario():
         supervisor = FleetSupervisor(
             PSigeneDetector(state.signature_set),
-            FleetConfig(shards=SHARDS, queue_bound=512),
+            FleetConfig(
+                shards=SHARDS, gateway=GatewayConfig(queue_bound=512)
+            ),
             source="bench:canary",
         )
         loop = CanaryLoop(state, supervisor.store, config=CanaryConfig(

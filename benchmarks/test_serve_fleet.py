@@ -26,7 +26,7 @@ import asyncio
 
 from repro.bench import BenchResult, corpus_digest
 from repro.conformance import train_default_detector
-from repro.serve import FleetConfig, build_load_trace, run_loadgen
+from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
 SHARD_COUNTS = (1, 2, 4)
 QUEUE_BOUND = 256
@@ -47,11 +47,8 @@ def test_serve_fleet_scaling(record, emit):
         report = asyncio.run(run_loadgen(
             detector,
             payloads,
-            config=FleetConfig(
-                shards=shards,
-                queue_bound=QUEUE_BOUND,
-                policy="block",
-            ),
+            config=GatewayConfig(queue_bound=QUEUE_BOUND, policy="block"),
+            shards=shards,
             connections=CONNECTIONS,
             window=WINDOW,
             slo_ms=SLO_MS,
@@ -84,11 +81,8 @@ def test_serve_fleet_scaling(record, emit):
     pressure = asyncio.run(run_loadgen(
         detector,
         payloads,
-        config=FleetConfig(
-            shards=2,
-            queue_bound=PRESSURE_QUEUE_BOUND,
-            policy="shed",
-        ),
+        config=GatewayConfig(queue_bound=PRESSURE_QUEUE_BOUND, policy="shed"),
+        shards=2,
         connections=CONNECTIONS,
         rate=2.0 * c1,
         slo_ms=SLO_MS,

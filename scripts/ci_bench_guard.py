@@ -342,7 +342,7 @@ def serving_probe() -> dict:
     import asyncio
 
     from repro.conformance import train_default_detector
-    from repro.serve import FleetConfig, build_load_trace, run_loadgen
+    from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
     detector = train_default_detector(2012)
     trace = build_load_trace(seed=7, n_benign=300, n_vulnerabilities=6)
@@ -352,11 +352,10 @@ def serving_probe() -> dict:
         reports[shards] = asyncio.run(run_loadgen(
             detector,
             payloads,
-            config=FleetConfig(
-                shards=shards,
-                queue_bound=max(64, len(payloads)),
-                policy="block",
+            config=GatewayConfig(
+                queue_bound=max(64, len(payloads)), policy="block"
             ),
+            shards=shards,
             connections=4,
             window=16,
         ))

@@ -255,51 +255,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro: {error}") from None
     detector, reload_path = _build_detector(args.detector, args.signatures)
     source = f"file:{reload_path}" if reload_path is not None else "static"
-    if args.shards > 1:
-        from repro.serve import FleetConfig, FleetSupervisor
-
-        supervisor = FleetSupervisor(
-            detector,
-            FleetConfig(
-                shards=args.shards,
-                host=args.host,
-                port=args.port,
-                control_port=args.control_port,
-                queue_bound=args.queue_bound,
-                policy=args.policy,
-                signature_path=reload_path,
-                surfaces=args.surfaces,
-            ),
-            source=source,
-        )
-        try:
-            asyncio.run(supervisor.serve_forever())
-        except KeyboardInterrupt:
-            print("repro.serve.fleet: draining and shutting down")
-        return 0
-    store = SignatureStore(
-        detector,
-        path=reload_path,
-        source=source,
-    )
-    gateway = DetectionGateway(store, GatewayConfig(
+    config = GatewayConfig(
         host=args.host,
         port=args.port,
         queue_bound=args.queue_bound,
         policy=args.policy,
         surfaces=surfaces,
-    ))
+    )
+    if args.shards > 1:
+        from repro.serve import FleetConfig, FleetSupervisor
 
-    async def _serve() -> None:
-        try:
-            await gateway.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("repro.serve: draining and shutting down")
+        server = FleetSupervisor(
+            detector,
+            FleetConfig(
+                shards=args.shards,
+                gateway=config,
+                control_port=args.control_port,
+                signature_path=reload_path,
+            ),
+            source=source,
+        )
+    else:
+        server = DetectionGateway(
+            SignatureStore(detector, path=reload_path, source=source),
+            config,
+        )
+    asyncio.run(server.serve_forever())
     return 0
 
 
@@ -307,7 +288,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import (
-        FleetConfig,
         GatewayConfig,
         build_load_trace,
         format_report,
@@ -327,14 +307,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         n_vulnerabilities=args.vulnerabilities,
     )
     items = trace.requests if framed else trace.payloads()
-    serving = dict(queue_bound=args.queue_bound, policy=args.policy)
     report = asyncio.run(run_loadgen(
         detector,
         items[: args.requests] or items,
-        config=(
-            FleetConfig(shards=args.shards, **serving)
-            if args.shards > 1 else GatewayConfig(**serving)
+        config=GatewayConfig(
+            queue_bound=args.queue_bound, policy=args.policy
         ),
+        shards=args.shards if args.shards > 1 else None,
         surfaces=surfaces if framed else None,
         connections=args.connections,
         window=args.window,

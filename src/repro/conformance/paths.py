@@ -242,16 +242,14 @@ class GatewayPath(DetectorPath):
         from repro.serve.store import SignatureStore
         from repro.serve.supervisor import FleetConfig, FleetSupervisor
 
-        serving = dict(queue_bound=max(64, len(wires)), policy="block")
+        config = GatewayConfig(queue_bound=max(64, len(wires)), policy="block")
 
         async def _serve_and_replay() -> list[dict | None]:
             if shards is None:
-                server = DetectionGateway(
-                    SignatureStore(detector), GatewayConfig(**serving)
-                )
+                server = DetectionGateway(SignatureStore(detector), config)
             else:
                 server = FleetSupervisor(
-                    detector, FleetConfig(shards=shards, **serving)
+                    detector, FleetConfig(shards=shards, gateway=config)
                 )
             host, port = await server.start()
             try:

@@ -26,11 +26,7 @@ from repro.serve.admission import (
 )
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
-from repro.serve.telemetry import (
-    LatencyHistogram,
-    Telemetry,
-    merge_raw_states,
-)
+from repro.serve.telemetry import Telemetry, merge_raw_states
 
 __all__ = [
     "AdmissionController",
@@ -40,7 +36,6 @@ __all__ = [
     "FleetError",
     "FleetSupervisor",
     "GatewayConfig",
-    "LatencyHistogram",
     "LoadReport",
     "PROBE_PAYLOADS",
     "QueueClosed",

@@ -19,12 +19,13 @@ joins.  Three policies are supported:
   request happened to arrive at a full backlog; under a mixed workload
   that throws away cheap benign lookups and expensive injection probes
   with equal probability.  The cost policy sheds by *price* instead:
-  once the backlog crosses the ``high_water`` fraction, requests whose
-  declared cost exceeds ``cost_threshold`` are refused (``shed_cost`` +
-  ``shed`` counters) while cheap requests keep being admitted until the
-  backlog is actually full.  The gateway prices a request by its UTF-8
-  byte length (a payload line, or a frame's body): matching time scales
-  with payload size.
+  once the backlog is ``HIGH_WATER`` full, requests whose declared cost
+  exceeds ``COST_THRESHOLD`` are refused (``shed_cost`` + ``shed``
+  counters) while cheap requests keep being admitted until the backlog
+  is actually full.  The gateway prices a request by its UTF-8 byte
+  length (a payload line, or a frame's body): matching time scales with
+  payload size.  Both pricing figures are module constants; no caller
+  ever varied them.
 
 Each fleet shard owns its own controller, so the bounds above are
 *per-shard*: a fleet of N shards at queue bound B admits up to N×B
@@ -45,18 +46,18 @@ from repro.serve.telemetry import Telemetry
 __all__ = [
     "AdmissionController",
     "BackpressurePolicy",
-    "DEFAULT_COST_THRESHOLD",
-    "DEFAULT_HIGH_WATER",
+    "COST_THRESHOLD",
+    "HIGH_WATER",
     "QueueClosed",
     "Shed",
 ]
 
 #: Request cost (UTF-8 bytes) above which a congested ``cost``-policy
 #: backlog sheds the request.
-DEFAULT_COST_THRESHOLD = 256.0
+COST_THRESHOLD = 256.0
 
 #: Backlog fraction at which the ``cost`` policy starts pricing.
-DEFAULT_HIGH_WATER = 0.5
+HIGH_WATER = 0.5
 
 
 class BackpressurePolicy(str, enum.Enum):
@@ -84,10 +85,6 @@ class AdmissionController:
         policy: full-backlog behaviour.
         telemetry: counter sink (``shed`` increments happen here so every
             admission path — TCP, HTTP, in-process — counts alike).
-        cost_threshold: ``cost`` policy only — cost above which a
-            congested backlog sheds the request.
-        high_water: ``cost`` policy only — backlog fraction at which
-            cost-based shedding begins.
     """
 
     def __init__(
@@ -96,18 +93,14 @@ class AdmissionController:
         queue_bound: int = 1024,
         policy: BackpressurePolicy | str = BackpressurePolicy.BLOCK,
         telemetry: Telemetry | None = None,
-        cost_threshold: float = DEFAULT_COST_THRESHOLD,
-        high_water: float = DEFAULT_HIGH_WATER,
     ) -> None:
         if queue_bound < 1:
             raise ValueError(f"queue_bound must be >= 1, got {queue_bound}")
-        if not 0.0 < high_water <= 1.0:
-            raise ValueError(f"high_water must be in (0, 1], got {high_water}")
         self.queue_bound = queue_bound
         self.policy = BackpressurePolicy(policy)
         self.telemetry = telemetry
-        self.cost_threshold = float(cost_threshold)
-        self._high_water_depth = max(1, int(high_water * queue_bound))
+        # Backlog depth at which the cost policy starts pricing.
+        self._pricing_depth = max(1, int(HIGH_WATER * queue_bound))
         self._depth = 0
         self._closed = False
 
@@ -156,13 +149,12 @@ class AdmissionController:
         if (
             self.policy is BackpressurePolicy.COST
             and cost is not None
-            and cost > self.cost_threshold
-            and self._depth >= self._high_water_depth
+            and cost > COST_THRESHOLD
+            and self._depth >= self._pricing_depth
         ):
             raise self._shed(
                 f"queue congested ({self._depth}/{self.queue_bound} "
-                f"waiting), payload cost {cost:.0f} > "
-                f"{self.cost_threshold:.0f}",
+                f"waiting), payload cost {cost:.0f} > {COST_THRESHOLD:.0f}",
                 costed=True,
             )
         if self._depth >= self.queue_bound:

@@ -25,14 +25,16 @@ Shard lifecycle (commands arrive over the pipe)::
     spawn -> ping -> selfcheck -> open -> ... serving ...
                                         -> stage/commit/abort (reload)
                                         -> stats (telemetry pull)
-                                        -> drain (deadline-bound exit)
+                                        -> drain (exit after the
+                                           gateway's own bounded drain)
 
-A shard never publishes a signature generation on its own: reloads
-arrive only as ``stage`` (build + warm off to the side, report
-success/failure) followed by ``commit`` (atomic flip) — the supervisor
-commits only after *every* shard staged successfully, so the fleet
-never serves a mixed generation.  The shard's own HTTP ``POST /reload``
-is disabled (``allow_reload=False``).
+A shard serves the fleet's one :class:`~repro.serve.gateway.GatewayConfig`
+(:attr:`ShardBoot.config`) with the shared port filled in and
+``allow_reload=False``: a shard never publishes a signature generation
+on its own.  Reloads arrive only as ``stage`` (build + warm off to the
+side, report success/failure) followed by ``commit`` (atomic flip) — the
+supervisor commits only after *every* shard staged successfully, so the
+fleet never serves a mixed generation.
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ import functools
 import os
 import signal
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import Telemetry
-from repro.surfaces import parse_surfaces
 
 __all__ = [
     "PROBE_PAYLOADS",
@@ -128,22 +129,13 @@ class ShardBoot:
     Attributes:
         shard_id: stable slot number (respawns keep it).
         detector: the detector to mount (current fleet generation).
+        config: the fleet's gateway config, with ``port`` set to the
+            shared data port and ``allow_reload`` False.
         generation: store version the detector represents.
         source: provenance string for the shard's store.
-        host: data-plane bind address.
-        port: the fleet's shared data port.
-        reuseport: bind a private ``SO_REUSEPORT`` listener (else serve
-            on ``listen_socket``).
-        listen_socket: fork-inherited shared listener (fallback path).
-        queue_bound: per-shard admission backlog capacity.
-        policy: per-shard backpressure policy.
-        drain_timeout: seconds a ``drain`` command may spend on queued
-            work before the shard exits anyway.
-        cost_threshold: ``cost`` policy shed threshold.
-        high_water: ``cost`` policy congestion fraction.
-        surfaces: default injection-surface selection spec for framed
-            requests that do not name one (a string, so the boot stays
-            picklable; parsed in the child).
+        listen_socket: fork-inherited shared listener when the platform
+            has no ``SO_REUSEPORT``; otherwise None, and the shard binds
+            its own ``SO_REUSEPORT`` listener to ``config.port``.
         close_fds: supervisor-side descriptors a forked child should
             close immediately (other shards' pipes, the control-plane
             listener) so a respawned shard never holds them open past
@@ -152,19 +144,11 @@ class ShardBoot:
 
     shard_id: int
     detector: Any
+    config: GatewayConfig
     generation: int = 1
     source: str = "static"
-    host: str = "127.0.0.1"
-    port: int = 0
-    reuseport: bool = True
     listen_socket: socket.socket | None = None
-    queue_bound: int = 1024
-    policy: str = "block"
-    drain_timeout: float = 10.0
-    cost_threshold: float = 256.0
-    high_water: float = 0.5
-    surfaces: str = "query,form"
-    close_fds: tuple[int, ...] = field(default_factory=tuple)
+    close_fds: tuple[int, ...] = ()
 
 
 def shard_entry(boot: ShardBoot, conn) -> None:
@@ -194,19 +178,7 @@ class _ShardServer:
             initial_version=boot.generation,
         )
         self.gateway = DetectionGateway(
-            self.store,
-            GatewayConfig(
-                host=boot.host,
-                port=boot.port,
-                queue_bound=boot.queue_bound,
-                policy=boot.policy,
-                drain_timeout=boot.drain_timeout,
-                cost_threshold=boot.cost_threshold,
-                high_water=boot.high_water,
-                allow_reload=False,
-                surfaces=parse_surfaces(boot.surfaces),
-            ),
-            self.telemetry,
+            self.store, boot.config, self.telemetry
         )
         self._data_socket: socket.socket | None = None
         self._serving = False
@@ -218,13 +190,9 @@ class _ShardServer:
         loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
         # SIGTERM — the supervisor's escalation path (and any external
-        # process manager) — triggers the same deadline-bound drain as
-        # the pipe command.
+        # process manager) — triggers the same drain as the pipe command.
         loop.add_signal_handler(
-            signal.SIGTERM,
-            lambda: loop.create_task(
-                self._drain_and_exit(self.boot.drain_timeout)
-            ),
+            signal.SIGTERM, lambda: loop.create_task(self._drain_and_exit())
         )
         loop.add_reader(self.conn.fileno(), self._on_readable)
         try:
@@ -250,7 +218,7 @@ class _ShardServer:
             # Supervisor is gone: drain on our own deadline and exit
             # rather than serving as an orphan forever.
             loop.remove_reader(self.conn.fileno())
-            loop.create_task(self._drain_and_exit(self.boot.drain_timeout))
+            loop.create_task(self._drain_and_exit())
 
     def _reply(self, message: dict, **fields: Any) -> None:
         message_id = message.get("id")
@@ -294,9 +262,7 @@ class _ShardServer:
                     state=self.telemetry.raw_state(),
                 )
             elif command == "drain":
-                drained = await self._drain_and_exit(
-                    message.get("timeout", self.boot.drain_timeout)
-                )
+                drained = await self._drain_and_exit()
                 self._reply(message, ok=True, drained=drained)
             else:
                 self._reply(
@@ -323,7 +289,7 @@ class _ShardServer:
             self._data_socket = self.boot.listen_socket
         else:
             self._data_socket = make_reuseport_listener(
-                self.boot.host, self.boot.port
+                self.boot.config.host, self.boot.config.port
             )
         host, port = await self.gateway.start(sock=self._data_socket)
         self._serving = True
@@ -358,18 +324,12 @@ class _ShardServer:
             version=self.store.version,
         )
 
-    async def _drain_and_exit(self, timeout: float) -> bool:
-        """Deadline-bound drain; idempotent; releases :meth:`run`."""
+    async def _drain_and_exit(self) -> bool:
+        """The gateway's deadline-bound drain; idempotent; releases
+        :meth:`run`."""
         if self._draining:
             return True
         self._draining = True
-        drained = True
-        if self._serving:
-            try:
-                drained = await asyncio.wait_for(
-                    self.gateway.stop(), timeout + 5.0
-                )
-            except asyncio.TimeoutError:
-                drained = False
+        drained = await self.gateway.stop() if self._serving else True
         self._done.set()
         return drained

@@ -36,8 +36,6 @@ import time
 from dataclasses import dataclass
 
 from repro.serve.admission import (
-    DEFAULT_COST_THRESHOLD,
-    DEFAULT_HIGH_WATER,
     AdmissionController,
     BackpressurePolicy,
     QueueClosed,
@@ -53,11 +51,12 @@ from repro.serve.protocol import (
     encode_shed,
     encode_surface_detection,
     frame_header_size,
-    http_response,
     is_http_request_line,
-    read_http_message,
+    reload_rejection,
+    run_until_signalled,
+    serve_http,
 )
-from repro.obs.prometheus import CONTENT_TYPE, render_exposition
+from repro.obs.prometheus import render_exposition
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
 from repro.serve.telemetry import Telemetry, surfaces_section
 from repro.surfaces import (
@@ -67,25 +66,28 @@ from repro.surfaces import (
     score_request,
 )
 
-__all__ = ["DetectionGateway", "GatewayConfig"]
+__all__ = ["DRAIN_TIMEOUT_S", "DetectionGateway", "GatewayConfig"]
 
 #: Unanswered requests one connection may have in the backlog before its
 #: reader waits for the next drain.
 MAX_UNANSWERED_PER_CONNECTION = 64
 
+#: Seconds :meth:`DetectionGateway.stop` may spend answering the backlog
+#: and closing connections before it cancels what is left.
+DRAIN_TIMEOUT_S = 10.0
+
 
 @dataclass
 class GatewayConfig:
-    """Tunables of one gateway instance.
+    """Tunables of one gateway instance — and of every shard of a fleet,
+    which carries one of these (:class:`~repro.serve.supervisor.FleetConfig`).
 
     Attributes:
         host: bind address.
         port: bind port (0 picks an ephemeral port, reported by ``start``).
         queue_bound: backlog capacity (admitted, unanswered requests).
-        policy: full-backlog behaviour (``block``, ``shed`` or ``cost``).
-        drain_timeout: seconds to wait for the backlog at shutdown.
-        cost_threshold: ``cost`` policy shed threshold.
-        high_water: backlog fraction where cost shedding begins.
+        policy: full-backlog behaviour (``block``, ``shed`` or ``cost``;
+            a string is normalized to :class:`BackpressurePolicy`).
         allow_reload: accept ``POST /reload`` on this gateway's own
             control plane.  Fleet shards set this False — their reloads
             arrive only through the supervisor's two-phase protocol, so
@@ -99,12 +101,12 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     port: int = 0
     queue_bound: int = 1024
-    policy: BackpressurePolicy | str = BackpressurePolicy.BLOCK
-    drain_timeout: float = 10.0
-    cost_threshold: float = DEFAULT_COST_THRESHOLD
-    high_water: float = DEFAULT_HIGH_WATER
+    policy: BackpressurePolicy = BackpressurePolicy.BLOCK
     allow_reload: bool = True
     surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES
+
+    def __post_init__(self) -> None:
+        self.policy = BackpressurePolicy(self.policy)
 
 
 class _Connection:
@@ -151,8 +153,6 @@ class DetectionGateway:
             queue_bound=self.config.queue_bound,
             policy=self.config.policy,
             telemetry=self.telemetry,
-            cost_threshold=self.config.cost_threshold,
-            high_water=self.config.high_water,
         )
         # Live-state gauges: evaluated at scrape time, so /metrics shows
         # the instantaneous queue depth and deployed signature generation
@@ -169,11 +169,11 @@ class DetectionGateway:
             function=lambda: float(self.store.version),
         )
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        # Each open connection's writer and the task handling it.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._backlog: list[tuple] = []
         # Pulsed (set, then cleared) by every drain step.
         self._drained = asyncio.Event()
-        self._stopped = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -195,12 +195,11 @@ class DetectionGateway:
         # before asyncio's reader gives up.
         if sock is not None:
             self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock,
-                limit=4 * MAX_LINE_BYTES,
+                self._accept, sock=sock, limit=4 * MAX_LINE_BYTES,
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port,
+                self._accept, self.config.host, self.config.port,
                 limit=4 * MAX_LINE_BYTES,
             )
         sockname = self._server.sockets[0].getsockname()
@@ -208,25 +207,45 @@ class DetectionGateway:
 
     async def stop(self) -> bool:
         """Graceful drain: stop accepting, answer what was admitted, then
-        close.
+        close every connection and wait for its handler.
 
-        Returns True when every admitted request was answered, False when
-        ``drain_timeout`` expired first.
+        The whole drain shares one ``DRAIN_TIMEOUT_S`` deadline; a
+        handler still blocked at the deadline (say, on a peer that never
+        reads) has its connection aborted and is cancelled.  Returns
+        True when every admitted request was answered, False when the
+        deadline expired first.
         """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_TIMEOUT_S
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         self.admission.close()
         drained = True
         try:
             await asyncio.wait_for(
-                self._admitted_answered(), self.config.drain_timeout
+                self._admitted_answered(), DRAIN_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             drained = False
-        for writer in list(self._connections):
+        for writer in self._connections:
             writer.close()
-        self._stopped.set()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections.values()),
+                timeout=max(0.0, deadline - loop.time()),
+            )
+        late = [
+            (writer, task) for writer, task in self._connections.items()
+            if not task.done()
+        ]
+        for writer, task in late:
+            writer.transport.abort()
+            task.cancel()
+        await asyncio.gather(
+            *(task for _, task in late), return_exceptions=True
+        )
+        if self._server is not None:
+            await self._server.wait_closed()
         return drained
 
     async def _admitted_answered(self) -> None:
@@ -234,19 +253,16 @@ class DetectionGateway:
             await self._drained.wait()
 
     async def serve_forever(self) -> None:
-        """Start and run until cancelled; drains on the way out."""
+        """Start, then serve until SIGTERM/SIGINT and drain on the way
+        out."""
         host, port = await self.start()
         detector = self.store.current().detector.name
         print(
             f"repro.serve: detector={detector} on {host}:{port} "
             f"(queue={self.config.queue_bound}, "
-            f"policy={BackpressurePolicy(self.config.policy).value})"
+            f"policy={self.config.policy.value})"
         )
-        try:
-            await self._stopped.wait()
-        except asyncio.CancelledError:
-            await self.stop()
-            raise
+        await run_until_signalled(self)
 
     # -- data plane ----------------------------------------------------
 
@@ -375,11 +391,21 @@ class DetectionGateway:
 
     # -- connection handling -------------------------------------------
 
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Start a connection's handler as a task the gateway holds until
+        it ends, so :meth:`stop` can wait for it or cancel it."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._connections[writer] = task
+        task.add_done_callback(lambda _: self._connections.pop(writer))
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.telemetry.increment("connections")
-        self._connections.add(writer)
         try:
             try:
                 first = await reader.readline()
@@ -391,13 +417,14 @@ class DetectionGateway:
             if not first:
                 return
             if is_http_request_line(first):
-                await self._handle_http(reader, writer, first)
+                await serve_http(
+                    reader, writer, first, self._route, self.telemetry
+                )
             else:
                 await self._serve_lines(reader, writer, first)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -436,18 +463,38 @@ class DetectionGateway:
                             "utf-8", errors="replace"
                         )
                         await self._submit(payload, conn, _price(payload))
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # asyncio discarded an oversized line; answer the
-                    # error in order and keep reading.
-                    await self._refuse(conn, "line too long")
-                    line = b"\n"
+                line = await self._next_line(reader, conn)
         finally:
             # Answer what the connection sent, even when it broke
             # off mid-frame.
             while conn.unanswered:
                 await self._drained.wait()
+
+    async def _next_line(
+        self, reader: asyncio.StreamReader, conn: _Connection
+    ) -> bytes:
+        """The connection's next line, or b"" at end of stream.
+
+        A line longer than the stream limit is answered ``line too
+        long`` in order and dropped through its newline, so it gets one
+        answer however long it is.
+        """
+        overlong = False
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial
+            except asyncio.LimitOverrunError as exc:
+                # asyncio leaves the scanned bytes buffered: drop them,
+                # and the rest of the line up to its newline after them.
+                await reader.readexactly(exc.consumed)
+                overlong = True
+                continue
+            if not overlong:
+                return line
+            overlong = False
+            await self._refuse(conn, "line too long")
 
     async def _serve_frame(
         self,
@@ -484,26 +531,6 @@ class DetectionGateway:
 
     # -- control plane -------------------------------------------------
 
-    async def _handle_http(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        try:
-            message = await read_http_message(reader, first)
-        except (ProtocolError, asyncio.IncompleteReadError) as exc:
-            self.telemetry.increment("protocol_errors")
-            writer.write(http_response(400, {"error": str(exc)}))
-            await writer.drain()
-            return
-        status, payload = await self._route(message)
-        # Only /metrics answers with a string body (Prometheus text
-        # format); every JSON route returns a dict.
-        content_type = CONTENT_TYPE if isinstance(payload, str) else None
-        writer.write(http_response(status, payload, content_type=content_type))
-        await writer.drain()
-
     async def _route(self, message) -> tuple[int, dict | str]:
         method, path = message.method, message.path
         if path == "/healthz" and method == "GET":
@@ -537,17 +564,12 @@ class DetectionGateway:
                     "version": self.store.version,
                 }
             try:
-                if message.body.strip():
-                    published = self.store.swap_json(message.body)
-                else:
-                    published = self.store.reload_from_path()
+                text, source = self.store.reload_text(message.body)
+                published = self.store.swap_json(text, source=source)
             except StoreError as exc:
-                return 400, {
-                    "error": str(exc),
-                    "reason": exc.reason,
-                    "rejected": True,
-                    "version": self.store.version,
-                }
+                return 400, reload_rejection(
+                    str(exc), exc.reason, self.store.version
+                )
             return 200, {
                 "version": published.version,
                 "source": published.source,

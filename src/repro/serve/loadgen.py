@@ -26,7 +26,6 @@ from repro.eval.serving import (
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
 from repro.ids.engine import Detector
-from repro.serve.admission import BackpressurePolicy
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.protocol import (
     decode_response,
@@ -257,7 +256,8 @@ async def run_loadgen(
     detector: Detector,
     items: list[str] | list[HttpRequest],
     *,
-    config: GatewayConfig | FleetConfig,
+    config: GatewayConfig,
+    shards: int | None = None,
     surfaces: tuple[InjectionSurface, ...] | None = None,
     connections: int = 8,
     window: int = 32,
@@ -267,10 +267,10 @@ async def run_loadgen(
 ) -> LoadReport:
     """Serve ``detector``, replay ``items`` at it, and summarize.
 
-    ``config`` picks the target: a :class:`GatewayConfig` spawns an
-    in-process gateway, a :class:`FleetConfig` a supervised fleet whose
-    per-shard counters are pulled from the supervisor's merged telemetry
-    *before* shutdown.  Without ``surfaces`` the items are payload
+    Without ``shards`` an in-process gateway serves ``config``; with it
+    a supervised fleet of that many shards serves it, and the per-shard
+    counters are pulled from the supervisor's merged telemetry *before*
+    shutdown.  Without ``surfaces`` the items are payload
     strings on the line protocol; with it they are whole requests in
     ``REPRO-FRAME/2`` frames carrying that selection.  ``connections``,
     ``window`` and ``rate`` are :func:`replay`'s.
@@ -285,10 +285,12 @@ async def run_loadgen(
         wires = [encode_line(payload) for payload in items]
     else:
         wires = [encode_framed_request(r, surfaces) for r in items]
-    if isinstance(config, FleetConfig):
-        server = FleetSupervisor(detector, config)
-    else:
+    if shards is None:
         server = DetectionGateway(SignatureStore(detector), config)
+    else:
+        server = FleetSupervisor(
+            detector, FleetConfig(shards=shards, gateway=config)
+        )
     host, port = await server.start()
     per_shard: dict[str, dict] = {}
     try:
@@ -296,7 +298,7 @@ async def run_loadgen(
             host, port, wires,
             connections=connections, window=window, rate=rate,
         )
-        if isinstance(server, FleetSupervisor):
+        if shards is not None:
             stats = await server.stats()
             per_shard = {
                 shard_id: dict(info["counters"])
@@ -324,9 +326,9 @@ async def run_loadgen(
     shed = sum(1 for r in responses if r is not None and r.get("shed"))
     return LoadReport(
         detector=detector.name,
-        shards=config.shards if isinstance(config, FleetConfig) else None,
+        shards=shards,
         queue_bound=config.queue_bound,
-        policy=BackpressurePolicy(config.policy).value,
+        policy=config.policy.value,
         offered_rps=rate,
         requests=len(items),
         completed=completed,

@@ -24,7 +24,9 @@ line of a connection:
   (Prometheus text format), ``POST /reload``, ``POST /inspect``.
 
 Keeping framing in one module means the gateway, the load generator,
-and the tests all parse and emit identical bytes.
+and the tests all parse and emit identical bytes.  The gateway and the
+fleet supervisor share its control-plane pieces too: :func:`serve_http`,
+:func:`reload_rejection` and :func:`run_until_signalled`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import signal
 from dataclasses import dataclass, field
+from typing import Awaitable, Callable
 
 from repro.http.request import HttpRequest
 from repro.ids.rules import Detection
+from repro.obs.prometheus import CONTENT_TYPE
+from repro.serve.telemetry import Telemetry
 from repro.surfaces import (
     InjectionSurface,
     LEGACY_SURFACES,
@@ -60,6 +66,9 @@ __all__ = [
     "http_response",
     "is_http_request_line",
     "read_http_message",
+    "reload_rejection",
+    "run_until_signalled",
+    "serve_http",
 ]
 
 _HTTP_REQUEST_LINE = re.compile(
@@ -309,8 +318,13 @@ async def read_http_message(
     already consumed.
 
     Raises:
-        ProtocolError: malformed head or oversized body.
+        ProtocolError: a first line that is not an HTTP request line,
+            a malformed head or an oversized body.
     """
+    if not is_http_request_line(first_line):
+        raise ProtocolError(
+            f"not an HTTP request line: {first_line[:80]!r}"
+        )
     parts = first_line.decode("latin-1").split()
     method, path = parts[0], parts[1]
     headers: dict[str, str] = {}
@@ -352,21 +366,19 @@ _STATUS_TEXT = {
 }
 
 
-def http_response(
-    status: int, payload: dict | str, *, content_type: str | None = None
-) -> bytes:
+def http_response(status: int, payload: dict | str) -> bytes:
     """Serialize a one-shot HTTP response (connection closes after).
 
-    A dict payload renders as JSON; a string payload is sent verbatim
-    as ``text/plain`` (the ``/metrics`` exposition route) unless
-    ``content_type`` says otherwise.
+    A dict payload renders as JSON; a string payload is the ``/metrics``
+    route's Prometheus exposition and is sent verbatim as
+    :data:`~repro.obs.prometheus.CONTENT_TYPE`.
     """
     if isinstance(payload, str):
         body = payload.encode()
-        media = content_type or "text/plain; charset=utf-8"
+        media = CONTENT_TYPE
     else:
         body = json.dumps(payload, indent=1).encode()
-        media = content_type or "application/json"
+        media = "application/json"
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: {media}\r\n"
@@ -374,3 +386,52 @@ def http_response(
         f"Connection: close\r\n\r\n"
     )
     return head.encode("latin-1") + body
+
+
+def reload_rejection(error: str, reason: str, version: int) -> dict:
+    """The body of a refused ``POST /reload``: what went wrong, its
+    machine-readable ``reason``, and the generation still serving."""
+    return {
+        "error": error, "reason": reason, "rejected": True,
+        "version": version,
+    }
+
+
+async def serve_http(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    first_line: bytes,
+    route: Callable[[HttpMessage], Awaitable[tuple[int, dict | str]]],
+    telemetry: Telemetry,
+) -> None:
+    """Answer one HTTP exchange whose first line was already read.
+
+    A malformed request gets 400 and counts one ``protocol_errors`` on
+    ``telemetry``; a well-formed one is answered by ``route``.  The
+    gateway and the fleet supervisor both serve their control plane
+    with this.
+    """
+    try:
+        message = await read_http_message(reader, first_line)
+    except (ProtocolError, asyncio.IncompleteReadError) as exc:
+        telemetry.increment("protocol_errors")
+        status, payload = 400, {"error": str(exc)}
+    else:
+        status, payload = await route(message)
+    writer.write(http_response(status, payload))
+    await writer.drain()
+
+
+async def run_until_signalled(server) -> None:
+    """Wait for SIGTERM or SIGINT, then ``await server.stop()``: how the
+    gateway's and the fleet's ``serve_forever`` both end."""
+    loop = asyncio.get_running_loop()
+    signalled = asyncio.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, signalled.set)
+    try:
+        await signalled.wait()
+    finally:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.remove_signal_handler(signum)
+        await server.stop()

@@ -84,7 +84,7 @@ class SignatureStore:
 
     Args:
         detector: initially mounted detector.
-        path: default signature JSON file for path-based reloads.
+        path: signature JSON file a body-less reload reads.
         detector_factory: builds a detector from a loaded
             :class:`SignatureSet`; defaults to :class:`PSigeneDetector`
             keeping the currently mounted detector's name.
@@ -210,28 +210,32 @@ class SignatureStore:
             raise self._reject(f"rejected signature swap: {exc}") from exc
         return self.swap_detector(self._build(signature_set), source=source)
 
-    def reload_from_path(self, path: str | None = None) -> StoreVersion:
-        """Reload from ``path`` (or the configured default) and publish.
+    def reload_text(self, body: str) -> tuple[str, str]:
+        """The signature JSON a ``POST /reload`` names, and its source.
+
+        A body that is not blank is the document itself (``inline``); a
+        blank one names the configured file (``file:<path>``).
 
         Raises:
-            StoreError: when no path is configured or the file is
-                missing/invalid; the current version keeps serving.
+            StoreError: a blank body with no path configured
+                (``config``) or a file that cannot be read (``io``);
+                both count as rejected reloads.
         """
-        target = path or self.path
-        if target is None:
+        if body.strip():
+            return body, "inline"
+        if self.path is None:
             raise self._reject(
-                "no signature path configured; this store was mounted "
-                "with a static detector",
+                "no signature path configured; POST a signature JSON "
+                "body",
                 reason="config",
             )
         try:
-            with open(target) as handle:
-                text = handle.read()
+            with open(self.path) as handle:
+                return handle.read(), f"file:{self.path}"
         except OSError as exc:
             raise self._reject(
-                f"cannot read {target}: {exc}", reason="io"
+                f"cannot read {self.path}: {exc}", reason="io"
             ) from exc
-        return self.swap_json(text, source=f"file:{target}")
 
     # -- two-phase staging (fleet reload protocol) ---------------------
 

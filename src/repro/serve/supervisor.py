@@ -26,20 +26,25 @@ The supervisor owns everything the shards must agree on:
   process exit), reaps the zombie, respawns the slot with the *current*
   generation, and spot-checks the replacement against the supervisor's
   reference detector (:data:`~repro.serve.fleet.PROBE_PAYLOADS`) before
-  letting it join the accept group.  ``stop()`` — and SIGTERM under
-  :meth:`FleetSupervisor.serve_forever` — drains every shard within a
-  deadline, then escalates terminate → kill, and reaps everything.
+  letting it join the accept group.  A slot revives at most
+  ``MAX_RESPAWNS`` times.  ``stop()`` — and SIGTERM under
+  :meth:`FleetSupervisor.serve_forever`, which ends in the gateway's
+  :func:`~repro.serve.protocol.run_until_signalled` — drains every shard
+  within the gateway's deadline, then escalates terminate → kill, and
+  reaps everything.
 
 The control plane itself is a small HTTP server on its own port
 (``/healthz``, ``/stats``, ``/metrics``, ``/reload``, ``/shards``),
-speaking the same one-shot dialect as the single-process gateway.
+served by the same :func:`~repro.serve.protocol.serve_http` exchange as
+the single-process gateway's; a malformed request counts as the
+supervisor's ``protocol_errors``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
-import signal
 import socket
 import threading
 import time
@@ -48,8 +53,9 @@ from typing import Any, Callable
 
 from repro.core.signature import SignatureSet
 from repro.ids.engine import Detector
-from repro.obs.prometheus import CONTENT_TYPE, render_exposition
+from repro.obs.prometheus import render_exposition
 from repro.obs.registry import MetricsRegistry
+from repro.serve.gateway import DRAIN_TIMEOUT_S, GatewayConfig
 from repro.serve.fleet import (
     PROBE_PAYLOADS,
     ShardBoot,
@@ -59,11 +65,10 @@ from repro.serve.fleet import (
     shard_entry,
 )
 from repro.serve.protocol import (
-    ProtocolError,
     encode_line,
-    http_response,
-    is_http_request_line,
-    read_http_message,
+    reload_rejection,
+    run_until_signalled,
+    serve_http,
 )
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import (
@@ -72,7 +77,11 @@ from repro.serve.telemetry import (
     surfaces_section,
 )
 
-__all__ = ["FleetConfig", "FleetError", "FleetSupervisor"]
+__all__ = ["FleetConfig", "FleetError", "FleetSupervisor", "MAX_RESPAWNS"]
+
+#: Times one shard slot is revived; a slot that keeps dying is then left
+#: down while the rest of the fleet keeps serving.
+MAX_RESPAWNS = 3
 
 
 class FleetError(RuntimeError):
@@ -85,36 +94,19 @@ class FleetConfig:
 
     Attributes:
         shards: worker process count.
-        host: bind address for both planes.
-        port: shared data port (0 picks an ephemeral one).
+        gateway: what every shard serves: ``host``/``port`` are the
+            shared data address (port 0 picks an ephemeral one), and the
+            backlog bound, policy and default surfaces apply per shard.
+            The control plane binds ``gateway.host`` too.
         control_port: control-plane HTTP port (0 picks one).
-        queue_bound: per-shard admission backlog capacity.
-        policy: per-shard backpressure policy.
-        drain_timeout: per-shard drain deadline at shutdown (seconds).
-        cost_threshold: ``cost`` policy shed threshold.
-        high_water: ``cost`` policy congestion fraction.
-        respawn: revive dead shards.
-        max_respawns: per-slot revival budget; a slot that keeps dying
-            is left down (the rest of the fleet keeps serving).
-        signature_path: default signature JSON for body-less
-            ``POST /reload``.
-        surfaces: default injection-surface selection spec for framed
-            requests that do not name one (``repro serve --surfaces``).
+        signature_path: signature JSON a body-less ``POST /reload``
+            reads.
     """
 
     shards: int = 2
-    host: str = "127.0.0.1"
-    port: int = 0
+    gateway: GatewayConfig = field(default_factory=GatewayConfig)
     control_port: int = 0
-    queue_bound: int = 1024
-    policy: str = "block"
-    drain_timeout: float = 10.0
-    cost_threshold: float = 256.0
-    high_water: float = 0.5
-    respawn: bool = True
-    max_respawns: int = 3
     signature_path: str | None = None
-    surfaces: str = "query,form"
 
 
 @dataclass
@@ -157,6 +149,7 @@ class FleetSupervisor:
     _TIMEOUTS = {
         "ping": 15.0, "selfcheck": 30.0, "open": 15.0,
         "stage": 120.0, "commit": 15.0, "abort": 15.0, "stats": 10.0,
+        "drain": DRAIN_TIMEOUT_S + 7.0,
     }
 
     def __init__(
@@ -190,8 +183,8 @@ class FleetSupervisor:
         self._use_reuseport = reuseport_available()
         self._placeholder: socket.socket | None = None
         self._shared_listener: socket.socket | None = None
-        self._data_host = self.config.host
-        self._data_port = self.config.port
+        self._data_host = self.config.gateway.host
+        self._data_port = self.config.gateway.port
         self._control_server: asyncio.base_events.Server | None = None
         self._monitor_task: asyncio.Task | None = None
         self._reload_lock: asyncio.Lock | None = None
@@ -235,9 +228,10 @@ class FleetSupervisor:
         self._started = True
         self._started_at = time.monotonic()
         self._reload_lock = asyncio.Lock()
+        gateway = self.config.gateway
         if self._use_reuseport:
             self._placeholder = make_reuseport_listener(
-                self.config.host, self.config.port, listen=False
+                gateway.host, gateway.port, listen=False
             )
             sockname = self._placeholder.getsockname()
         else:
@@ -247,9 +241,7 @@ class FleetSupervisor:
             self._shared_listener.setsockopt(
                 socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
             )
-            self._shared_listener.bind(
-                (self.config.host, self.config.port)
-            )
+            self._shared_listener.bind((gateway.host, gateway.port))
             self._shared_listener.listen(128)
             sockname = self._shared_listener.getsockname()
         self._data_host, self._data_port = sockname[0], sockname[1]
@@ -261,7 +253,7 @@ class FleetSupervisor:
             await self.stop()
             raise
         self._control_server = await asyncio.start_server(
-            self._handle_control, self.config.host, self.config.control_port
+            self._handle_control, gateway.host, self.config.control_port
         )
         self._monitor_task = asyncio.get_running_loop().create_task(
             self._monitor()
@@ -288,18 +280,13 @@ class FleetSupervisor:
         boot = ShardBoot(
             shard_id=handle.shard_id,
             detector=current.detector,
+            config=dataclasses.replace(
+                self.config.gateway, port=self._data_port,
+                allow_reload=False,
+            ),
             generation=current.version,
             source=current.source,
-            host=self.config.host,
-            port=self._data_port,
-            reuseport=self._shared_listener is None,
             listen_socket=self._shared_listener,
-            queue_bound=self.config.queue_bound,
-            policy=self.config.policy,
-            drain_timeout=self.config.drain_timeout,
-            cost_threshold=self.config.cost_threshold,
-            high_water=self.config.high_water,
-            surfaces=self.config.surfaces,
             close_fds=close_fds,
         )
         process = self._ctx.Process(
@@ -375,19 +362,10 @@ class FleetSupervisor:
         if self._control_server is not None:
             self._control_server.close()
             await self._control_server.wait_closed()
-        live = self.live_handles()
-        if live:
-            await asyncio.gather(
-                *(
-                    self._request(
-                        handle, "drain",
-                        timeout=self.config.drain_timeout + 7.0,
-                        command_timeout=self.config.drain_timeout,
-                    )
-                    for handle in live
-                ),
-                return_exceptions=True,
-            )
+        await asyncio.gather(
+            *(self._request(handle, "drain") for handle in self.live_handles()),
+            return_exceptions=True,
+        )
         loop = asyncio.get_running_loop()
         for handle in self.handles:
             process = handle.process
@@ -410,26 +388,19 @@ class FleetSupervisor:
         self._stopped.set()
 
     async def serve_forever(self) -> None:
-        """Start and run until SIGTERM/SIGINT; drains on the way out."""
+        """Start, then serve until SIGTERM/SIGINT and drain on the way
+        out."""
         await self.start()
         control_host, control_port = self.control_address
+        gateway = self.config.gateway
         print(
             f"repro.serve.fleet: {len(self.live_handles())} shards on "
             f"{self._data_host}:{self._data_port} "
             f"(control {control_host}:{control_port}, "
-            f"queue={self.config.queue_bound}/shard, "
-            f"policy={self.config.policy})"
+            f"queue={gateway.queue_bound}/shard, "
+            f"policy={gateway.policy.value})"
         )
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop_requested.set)
-        try:
-            await stop_requested.wait()
-        finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(signum)
-            await self.stop()
+        await run_until_signalled(self)
 
     def _destroy(self, handle: _ShardHandle) -> None:
         """Tear down a slot's supervisor-side resources (reap happened
@@ -464,13 +435,7 @@ class FleetSupervisor:
             self._destroy(handle)
 
     async def _request(
-        self,
-        handle: _ShardHandle,
-        command: str,
-        *,
-        timeout: float | None = None,
-        command_timeout: float | None = None,
-        **fields: Any,
+        self, handle: _ShardHandle, command: str, **fields: Any
     ) -> dict:
         """Send one command to ``handle`` and await its reply.
 
@@ -481,11 +446,7 @@ class FleetSupervisor:
         if handle.conn is None or not handle.alive:
             raise FleetError(f"shard {handle.shard_id} is down")
         self._message_ids += 1
-        message: dict[str, Any] = {
-            "id": self._message_ids, "cmd": command, **fields,
-        }
-        if command_timeout is not None:
-            message["timeout"] = command_timeout
+        message = {"id": self._message_ids, "cmd": command, **fields}
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         handle.pending[message["id"]] = future
@@ -500,7 +461,7 @@ class FleetSupervisor:
         try:
             await loop.run_in_executor(None, _send)
             reply = await asyncio.wait_for(
-                future, timeout or self._TIMEOUTS.get(command, 30.0)
+                future, self._TIMEOUTS.get(command, 30.0)
             )
         except asyncio.TimeoutError:
             handle.pending.pop(message["id"], None)
@@ -629,9 +590,7 @@ class FleetSupervisor:
                 # Reap the zombie and release its resources.
                 process.join(timeout=0)
                 self._destroy(handle)
-                if not self.config.respawn:
-                    continue
-                if handle.respawns >= self.config.max_respawns:
+                if handle.respawns >= MAX_RESPAWNS:
                     self.telemetry.increment("respawn_exhausted")
                     handle.process = None
                     continue
@@ -764,32 +723,10 @@ class FleetSupervisor:
     ) -> None:
         try:
             first = await reader.readline()
-            if not first:
-                return
-            if not is_http_request_line(first):
-                writer.write(
-                    http_response(
-                        400,
-                        {"error": "control plane speaks HTTP only; "
-                                  "payload lines go to the data port"},
-                    )
+            if first:
+                await serve_http(
+                    reader, writer, first, self._route, self.telemetry
                 )
-                await writer.drain()
-                return
-            try:
-                message = await read_http_message(reader, first)
-            except (ProtocolError, asyncio.IncompleteReadError) as exc:
-                writer.write(http_response(400, {"error": str(exc)}))
-                await writer.drain()
-                return
-            status, payload = await self._route(message)
-            content_type = (
-                CONTENT_TYPE if isinstance(payload, str) else None
-            )
-            writer.write(
-                http_response(status, payload, content_type=content_type)
-            )
-            await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -839,50 +776,17 @@ class FleetSupervisor:
         return 404, {"error": f"no route {path}"}
 
     async def _route_reload(self, body: str) -> tuple[int, dict]:
-        text = body.strip()
-        source = "inline"
-        if not text:
-            target = self.config.signature_path
-            if target is None:
-                self.telemetry.increment("reload_failures")
-                self.telemetry.increment("reload_rejected")
-                return 400, {
-                    "error": "no signature path configured; POST a "
-                             "signature JSON body",
-                    "reason": "config",
-                    "rejected": True,
-                    "version": self.store.version,
-                }
-            try:
-                with open(target) as handle:
-                    text = handle.read()
-            except OSError as exc:
-                self.telemetry.increment("reload_failures")
-                self.telemetry.increment("reload_rejected")
-                return 400, {
-                    "error": f"cannot read {target}: {exc}",
-                    "reason": "io",
-                    "rejected": True,
-                    "version": self.store.version,
-                }
-            source = f"file:{target}"
         try:
-            result = await self.reload_json(text, source=source)
+            text, source = self.store.reload_text(body)
+            return 200, await self.reload_json(text, source=source)
         except StoreError as exc:
-            return 400, {
-                "error": str(exc),
-                "reason": exc.reason,
-                "rejected": True,
-                "version": self.store.version,
-            }
+            return 400, reload_rejection(
+                str(exc), exc.reason, self.store.version
+            )
         except FleetError as exc:
-            return 502, {
-                "error": str(exc),
-                "reason": "fleet",
-                "rejected": True,
-                "version": self.store.version,
-            }
-        return 200, result
+            return 502, reload_rejection(
+                str(exc), "fleet", self.store.version
+            )
 
     # -- convenience ---------------------------------------------------
 

@@ -30,32 +30,10 @@ from repro.obs.registry import Counter, Histogram, MetricsRegistry
 from repro.surfaces import InjectionSurface
 
 __all__ = [
-    "LatencyHistogram",
     "Telemetry",
     "merge_raw_states",
     "surfaces_section",
 ]
-
-
-class LatencyHistogram(Histogram):
-    """A log-bucketed latency histogram (seconds).
-
-    Kept as a named subclass of :class:`repro.obs.registry.Histogram`
-    for the serving stack's vocabulary and backward compatibility; all
-    behaviour — bucket math, quantiles, ``percentiles_ms`` — lives in
-    the base class.
-    """
-
-    def __init__(
-        self,
-        *,
-        low: float = 1e-6,
-        high: float = 60.0,
-        growth: float = 1.25,
-    ) -> None:
-        super().__init__(
-            "repro_latency_seconds", low=low, high=high, growth=growth
-        )
 
 
 class Telemetry:

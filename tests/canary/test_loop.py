@@ -20,7 +20,7 @@ from repro.canary import (
 )
 from repro.conformance import serial_verdicts
 from repro.ids import PSigeneDetector
-from repro.serve import FleetConfig, FleetSupervisor
+from repro.serve import FleetConfig, FleetSupervisor, GatewayConfig
 from repro.serve.store import SignatureStore
 
 #: Budgets sized for the canonical small training config: generous
@@ -207,7 +207,9 @@ class TestFleetRound:
         async def scenario():
             supervisor = FleetSupervisor(
                 PSigeneDetector(small_signatures),
-                FleetConfig(shards=2, queue_bound=512),
+                FleetConfig(
+                    shards=2, gateway=GatewayConfig(queue_bound=512)
+                ),
                 source="canary:test",
             )
             loop = make_loop(

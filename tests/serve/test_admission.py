@@ -1,6 +1,8 @@
 """Tests for admission control: policies, shedding, drain."""
 
 import asyncio
+import logging
+import time
 
 import pytest
 
@@ -85,8 +87,10 @@ class TestDrain:
         assert answer["alert"] is True
 
     def test_drain_timeout(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.gateway.DRAIN_TIMEOUT_S", 0.01)
+
         async def scenario():
-            gateway = toy_gateway(drain_timeout=0.01)
+            gateway = toy_gateway()
             # A drain step that never answers: the backlog cannot empty.
             monkeypatch.setattr(gateway, "_drain", lambda: None)
             await gateway.start()
@@ -102,21 +106,63 @@ class TestDrain:
         assert admission.depth == 1
 
 
+    def test_stop_waits_for_an_idle_connection(self, caplog):
+        # A client still connected when stop() returns: its handler must
+        # be finished by then, or asyncio.run's teardown cancels it and
+        # asyncio logs the cancellation as an error.
+        async def scenario():
+            gateway = toy_gateway()
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"q=1\n")
+            await writer.drain()
+            await reader.readline()
+            drained = await gateway.stop()
+            writer.close()  # no await: the loop ends right after stop()
+            return drained
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            drained = asyncio.run(scenario())
+        assert drained
+        assert caplog.records == []
+
+    def test_stop_cancels_a_handler_blocked_past_the_deadline(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr("repro.serve.gateway.DRAIN_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            gateway = toy_gateway()
+            # A drain step that never answers: the handler waits for its
+            # unanswered request until stop() gives up on it.
+            monkeypatch.setattr(gateway, "_drain", lambda: None)
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"never-served\n")
+            await writer.drain()
+            while not gateway.admission.depth:
+                await asyncio.sleep(0.01)
+            started = time.monotonic()
+            drained = await gateway.stop()
+            elapsed = time.monotonic() - started
+            writer.close()
+            return drained, elapsed, gateway._connections
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            drained, elapsed, connections = asyncio.run(scenario())
+        assert not drained
+        assert elapsed < 5.0
+        assert connections == {}
+        assert caplog.records == []
+
+
 class TestCostPolicy:
-    def test_invalid_high_water(self):
-        with pytest.raises(ValueError):
-            AdmissionController(policy="cost", high_water=0.0)
-        with pytest.raises(ValueError):
-            AdmissionController(policy="cost", high_water=1.5)
+    # COST_THRESHOLD is 256 bytes and HIGH_WATER half the backlog.
 
     def test_expensive_shed_only_past_high_water(self):
         telemetry = Telemetry()
         controller = AdmissionController(
-            queue_bound=4,
-            policy="cost",
-            telemetry=telemetry,
-            cost_threshold=100.0,
-            high_water=0.5,
+            queue_bound=4, policy="cost", telemetry=telemetry
         )
         # Below high water (depth 0, 1 < 2): expensive admitted.
         controller.admit(cost=500.0)
@@ -131,11 +177,7 @@ class TestCostPolicy:
     def test_cheap_admitted_until_actually_full(self):
         telemetry = Telemetry()
         controller = AdmissionController(
-            queue_bound=2,
-            policy="cost",
-            telemetry=telemetry,
-            cost_threshold=100.0,
-            high_water=0.5,
+            queue_bound=2, policy="cost", telemetry=telemetry
         )
         controller.admit(cost=10.0)
         controller.admit(cost=10.0)
@@ -149,11 +191,7 @@ class TestCostPolicy:
     def test_unpriced_requests_are_never_cost_shed(self):
         telemetry = Telemetry()
         controller = AdmissionController(
-            queue_bound=4,
-            policy="cost",
-            telemetry=telemetry,
-            cost_threshold=100.0,
-            high_water=0.25,
+            queue_bound=4, policy="cost", telemetry=telemetry
         )
         for _ in range(4):
             controller.admit(cost=None)

@@ -18,8 +18,8 @@ from repro.core import signature_set_to_json
 from repro.ids import DeterministicRuleSet, PSigeneDetector, Rule
 from repro.serve import (
     FleetConfig,
-    FleetError,
     FleetSupervisor,
+    GatewayConfig,
     StoreError,
     reuseport_available,
 )
@@ -31,10 +31,9 @@ def toy_detector(name="toy"):
     )
 
 
-def fleet_config(**overrides):
-    defaults = dict(shards=2, queue_bound=256)
-    defaults.update(overrides)
-    return FleetConfig(**defaults)
+def fleet_config(shards=2, **gateway):
+    gateway.setdefault("queue_bound", 256)
+    return FleetConfig(shards=shards, gateway=GatewayConfig(**gateway))
 
 
 async def send_lines(host, port, payloads):
@@ -208,10 +207,7 @@ class TestFleetServing:
         async def scenario():
             supervisor = FleetSupervisor(
                 toy_detector(),
-                fleet_config(
-                    shards=1, queue_bound=4, policy="cost",
-                    cost_threshold=64.0, high_water=0.25,
-                ),
+                fleet_config(shards=1, queue_bound=4, policy="cost"),
             )
             host, port = await supervisor.start()
             try:
@@ -252,6 +248,54 @@ class TestFleetServing:
             assert serviced_cheap > 0
 
         asyncio.run(scenario())
+
+
+class TestFleetControlPlane:
+    def test_malformed_control_requests_get_400_and_are_counted(self):
+        from repro.obs.prometheus import (
+            CONTENT_TYPE,
+            parse_exposition,
+            sample_value,
+        )
+        from tests.obs.test_prometheus import http_text
+        from tests.serve.test_gateway_errors import raw_http
+
+        async def scenario():
+            supervisor = FleetSupervisor(
+                toy_detector(), fleet_config(shards=1)
+            )
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                no_colon = await raw_http(
+                    chost, cport,
+                    b"GET /healthz HTTP/1.1\r\nthis is not a header\r\n\r\n",
+                )
+                payload_line = await raw_http(
+                    chost, cport, b"id=1' union select 1\n"
+                )
+                metrics = await http_text(chost, cport, "/metrics")
+                health = await http(chost, cport, "GET", "/healthz")
+            finally:
+                await supervisor.stop()
+            return no_colon, payload_line, metrics, health
+
+        no_colon, payload_line, metrics, health = asyncio.run(scenario())
+        status, body = no_colon
+        assert status == 400
+        assert "malformed header" in body["error"]
+        status, body = payload_line
+        assert status == 400
+        assert "not an HTTP request line" in body["error"]
+        status, content_type, body = metrics
+        assert status == 200
+        assert content_type == CONTENT_TYPE
+        families = parse_exposition(body)
+        assert sample_value(
+            families, "repro_protocol_errors_total", {"shard": "supervisor"}
+        ) == 2.0
+        # The control plane keeps answering.
+        assert health[0] == 200 and health[1]["status"] == "ok"
 
 
 class TestFleetReload:
@@ -444,13 +488,14 @@ class TestFleetResilience:
 
         asyncio.run(scenario())
 
-    def test_respawn_budget_exhausts(self):
+    def test_respawn_budget_exhausts(self, monkeypatch):
         """A slot that keeps dying is eventually left down while the
         rest of the fleet keeps serving."""
+        monkeypatch.setattr("repro.serve.supervisor.MAX_RESPAWNS", 1)
+
         async def scenario():
             supervisor = FleetSupervisor(
-                toy_detector(),
-                fleet_config(shards=2, max_respawns=1),
+                toy_detector(), fleet_config(shards=2)
             )
             host, port = await supervisor.start()
             try:

@@ -11,6 +11,8 @@ mounted signature generation all survive the bad request.
 import asyncio
 import json
 
+import pytest
+
 from repro.ids import DeterministicRuleSet, Rule
 from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
 from repro.serve.protocol import MAX_LINE_BYTES
@@ -102,27 +104,34 @@ class TestMalformedControlPlane:
 
 
 class TestOversizedDataPlane:
-    def test_oversized_line_midstream_keeps_the_connection(self):
+    @pytest.mark.parametrize("size", [
+        MAX_LINE_BYTES + 1,  # over the protocol bound, under the stream's
+        320 * 1024,  # over the 256 KiB stream limit
+        512 * 1024,
+    ])
+    def test_oversized_line_midstream_keeps_the_connection(self, size):
         # good, oversized, good on ONE connection: the oversized line is
-        # answered with an in-order error and the reader keeps going.
+        # answered with one in-order error and the reader keeps going.
+        # The client half-closes and reads to EOF, so an extra answer
+        # for the long line fails the count.
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
             host, port = await gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
-            big = b"x" * (MAX_LINE_BYTES + 1)
             writer.write(
-                b"id=1' union select 1\n" + big + b"\nq=after\n"
+                b"id=1' union select 1\n" + b"x" * size + b"\nq=after\n"
             )
+            writer.write_eof()
             await writer.drain()
-            responses = [
-                json.loads(await reader.readline()) for _ in range(3)
-            ]
+            responses = [json.loads(line) async for line in reader]
             writer.close()
             await writer.wait_closed()
             await gateway.stop()
             return responses, gateway.telemetry.counter("protocol_errors")
 
-        (first, middle, last), errors = asyncio.run(scenario())
+        responses, errors = asyncio.run(scenario())
+        assert len(responses) == 3
+        first, middle, last = responses
         assert first["alert"] is True
         assert middle == {"error": "line too long"}
         assert last["alert"] is False

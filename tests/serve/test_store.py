@@ -23,8 +23,9 @@ class TestStaticStore:
 
     def test_reload_without_path_fails(self):
         store = SignatureStore(toy_detector())
-        with pytest.raises(StoreError):
-            store.reload_from_path()
+        with pytest.raises(StoreError) as raised:
+            store.reload_text("")
+        assert raised.value.reason == "config"
         assert store.version == 1
 
     def test_swap_detector_bumps_version(self):
@@ -94,16 +95,24 @@ class TestSignatureSwap:
         path = tmp_path / "signatures.json"
         path.write_text(signature_set_to_json(small_signatures))
         store = SignatureStore.from_file(str(path))
-        published = store.reload_from_path()
+        text, source = store.reload_text(" \n")  # a blank body
+        assert source == f"file:{path}"
+        published = store.swap_json(text, source=source)
         assert published.version == 2
         assert published.source == f"file:{path}"
+        # A body that is not blank is the document itself.
+        assert store.reload_text(text) == (text, "inline")
 
     def test_reload_missing_file(self, small_signatures):
+        telemetry = Telemetry()
         store = SignatureStore(
-            PSigeneDetector(small_signatures), path="/nonexistent.json"
+            PSigeneDetector(small_signatures), path="/nonexistent.json",
+            telemetry=telemetry,
         )
-        with pytest.raises(StoreError):
-            store.reload_from_path()
+        with pytest.raises(StoreError) as raised:
+            store.reload_text("")
+        assert raised.value.reason == "io"
+        assert telemetry.counter("reload_rejected") == 1
         assert store.version == 1
 
     def test_reload_counter(self, small_signatures):

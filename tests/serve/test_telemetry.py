@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.serve import LatencyHistogram, Telemetry
+from repro.obs.registry import Histogram
+from repro.serve import Telemetry
 
 
 class TestLatencyHistogram:
+    """The serving latency histogram: the registry's ``Histogram`` at its
+    default (serving) geometry."""
+
     def test_empty(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         assert histogram.count == 0
         assert histogram.mean == 0.0
         assert histogram.quantile(0.5) == 0.0
 
     def test_single_observation(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         histogram.observe(0.01)
         assert histogram.count == 1
         assert histogram.max == 0.01
@@ -23,7 +27,7 @@ class TestLatencyHistogram:
     def test_quantiles_track_numpy(self):
         rng = np.random.default_rng(5)
         samples = rng.lognormal(mean=-7, sigma=1.0, size=5000)
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         for value in samples:
             histogram.observe(float(value))
         for q in (0.50, 0.95, 0.99):
@@ -35,13 +39,13 @@ class TestLatencyHistogram:
             assert histogram.quantile(q) >= exact / 1.25
 
     def test_quantile_never_exceeds_max(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         for value in (1e-5, 2e-5, 3e-5):
             histogram.observe(value)
         assert histogram.quantile(1.0) <= 3e-5
 
     def test_out_of_range_observations(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         histogram.observe(-1.0)   # clamped to 0, lands in underflow
         histogram.observe(1e-9)   # below the first edge
         histogram.observe(1e4)    # above the last edge
@@ -50,18 +54,18 @@ class TestLatencyHistogram:
 
     def test_invalid_quantile(self):
         with pytest.raises(ValueError):
-            LatencyHistogram().quantile(0.0)
+            Histogram().quantile(0.0)
         with pytest.raises(ValueError):
-            LatencyHistogram().quantile(1.5)
+            Histogram().quantile(1.5)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            LatencyHistogram(low=1.0, high=0.5)
+            Histogram(low=1.0, high=0.5)
         with pytest.raises(ValueError):
-            LatencyHistogram(growth=1.0)
+            Histogram(growth=1.0)
 
     def test_percentiles_ms_keys(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         histogram.observe(0.002)
         keys = set(histogram.percentiles_ms())
         assert keys == {"p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms"}
