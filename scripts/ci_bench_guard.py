@@ -58,6 +58,10 @@ ALLOWED_FRACTION = 0.85
 MIN_MODELED_SPEEDUP_AT_4 = 2.5
 MIN_PROBE_EFFICIENCY = 0.5
 PROBE_PAYLOAD_COUNT = 400
+#: The bench context's UPGMA prototypes (``LINKAGE_PROTOTYPES`` in
+#: benchmarks/test_figure2_heatmap.py), which figure2's peak ceiling is
+#: sized for.
+FIGURE2_LINKAGE_PROTOTYPES = 993
 
 # Per-bench regression floors: slug -> ((metric, op, bound), ...).
 # Each triple mirrors an acceptance assertion in the bench module that
@@ -170,6 +174,13 @@ FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
         ("black_holes", ">=", 1),
         ("black_holes", "<=", 3),
         ("cophenetic", ">=", 0.6),
+        # Phase 3's traced peak: at most two (n, n) float64 matrices at
+        # the n linkage prototypes the ceiling is sized for.
+        ("linkage_prototypes", "==", FIGURE2_LINKAGE_PROTOTYPES),
+        (
+            "bicluster_traced_peak_mib", "<=",
+            2 * FIGURE2_LINKAGE_PROTOTYPES ** 2 * 8 / 2 ** 20,
+        ),
     ),
     "figure3_roc": (
         ("best_partial_auc", ">=", 0.02),

@@ -22,7 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram
-from repro.cluster.distance import euclidean_matrix, unique_rows_with_weights
+from repro.cluster.distance import (
+    condense,
+    euclidean_matrix,
+    unique_rows_with_weights,
+)
 from repro.cluster.linkage import upgma
 from repro.obs import trace
 from repro.obs.registry import get_registry
@@ -206,25 +210,28 @@ class Biclusterer:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 2 or counts.shape[0] < 4:
             raise ValueError("need a 2-D matrix with at least 4 samples")
-        transformed = self.transform_rows(counts)
-        prototypes, weights, inverse = unique_rows_with_weights(transformed)
+        prototypes, weights, inverse = unique_rows_with_weights(
+            self.transform_rows(counts)
+        )
         if prototypes.shape[0] < 2:
             raise ValueError("all samples identical; nothing to cluster")
+        # One (n, n) matrix at a time: upgma works in the distances, so the
+        # cophenetic coefficient keeps their condensed upper triangle.
         distances = euclidean_matrix(prototypes)
+        condensed = condense(distances)
         # UPGMA is the quadratic heart of phase 3 — it gets its own span
         # and a registry histogram so scaling work can watch it directly.
         with trace.span(
             "cluster.linkage", prototypes=int(prototypes.shape[0]),
         ) as linkage_span:
-            linkage = upgma(
-                prototypes, weights=weights, distances=distances.copy()
-            )
+            linkage = upgma(prototypes, weights=weights, distances=distances)
+        del distances
         get_registry().histogram(
             "repro_cluster_linkage_seconds",
             "Wall time of one UPGMA linkage build.",
         ).observe(linkage_span.wall_s)
         dendrogram = Dendrogram(linkage, prototypes.shape[0])
-        cophenetic = dendrogram.cophenetic_correlation(distances)
+        cophenetic = dendrogram.cophenetic_correlation(condensed)
 
         labels = self._select_cut(dendrogram, weights)
         total_weight = weights.sum()

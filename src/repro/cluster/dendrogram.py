@@ -112,46 +112,58 @@ class Dendrogram:
 
     # -- cophenetic validation ----------------------------------------------
 
-    def cophenetic_matrix(self) -> np.ndarray:
-        """Full ``(n, n)`` matrix of cophenetic distances.
+    def cophenetic_condensed(self) -> np.ndarray:
+        """Condensed (upper-triangle, row-major) cophenetic distances.
 
         The cophenetic distance between two leaves is the height of the
         merge that first placed them in one cluster.
         """
         n = self.n_leaves
-        coph = np.zeros((n, n), dtype=np.float64)
-        component: dict[int, list[int]] = {i: [i] for i in range(n)}
-        next_id = n
+        leaves = np.arange(n)
+        # The condensed index of leaves (a, b), a < b, is row_start[a] + b.
+        row_start = leaves * (2 * n - 3 - leaves) // 2 - 1
+        coph = np.zeros(n * (n - 1) // 2, dtype=np.float64)
+        component = {i: leaves[i:i + 1] for i in range(n)}
         for step in range(n - 1):
-            left = int(self.linkage[step, 0])
-            right = int(self.linkage[step, 1])
-            height = self.linkage[step, 2]
-            left_members = component.pop(left)
-            right_members = component.pop(right)
-            rows = np.array(left_members)[:, None]
-            cols = np.array(right_members)[None, :]
-            coph[rows, cols] = height
-            coph[cols.T, rows.T] = height
-            component[next_id] = left_members + right_members
-            next_id += 1
+            left = component.pop(int(self.linkage[step, 0]))
+            right = component.pop(int(self.linkage[step, 1]))
+            index = row_start[np.minimum.outer(left, right)]
+            index += np.maximum.outer(left, right)
+            coph[index] = self.linkage[step, 2]
+            component[n + step] = np.concatenate([left, right])
         return coph
 
     def cophenetic_correlation(self, original: np.ndarray) -> float:
         """Pearson correlation between cophenetic and original distances.
 
+        Both sides are condensed upper triangles, centred in place, so no
+        ``(n, n)`` array is built here.
+
         Args:
-            original: the ``(n, n)`` distance matrix the tree was built from.
+            original: the condensed distances the tree was built from
+                (:func:`~repro.cluster.distance.condense`); centred in place.
+
+        Raises:
+            ValueError: when *original* is not ``n(n-1)/2`` long, such as a
+                square matrix.
         """
-        coph = self.cophenetic_matrix()
-        index_upper = np.triu_indices(self.n_leaves, k=1)
-        x = np.asarray(original)[index_upper]
-        y = coph[index_upper]
-        x_centered = x - x.mean()
-        y_centered = y - y.mean()
-        denom = np.sqrt((x_centered ** 2).sum() * (y_centered ** 2).sum())
+        x = np.asarray(original, dtype=np.float64)
+        y = self.cophenetic_condensed()
+        if x.shape != y.shape:
+            raise ValueError(
+                f"expected {y.size} condensed distances, got shape {x.shape}"
+            )
+        x -= x.mean()
+        y -= y.mean()
+        product = x * y
+        covariance = product.sum()
+        np.multiply(x, x, out=product)
+        x_squares = product.sum()
+        np.multiply(y, y, out=product)
+        denom = np.sqrt(x_squares * product.sum())
         if denom == 0:
             return 1.0
-        return float((x_centered * y_centered).sum() / denom)
+        return float(covariance / denom)
 
 
 def _dense_labels(raw: np.ndarray) -> np.ndarray:

@@ -34,11 +34,18 @@ def upgma(
 ) -> np.ndarray:
     """UPGMA linkage of the rows of *data*.
 
+    Each merge joins the closest pair of live clusters: one ``argmin`` over
+    the whole working matrix, so a tie goes to the first such cell in
+    row-major order.  The run is O(n³).
+
     Args:
         data: ``(n, d)`` points (ignored when *distances* is given, except
             for its row count).
         weights: per-point multiplicities; defaults to all ones.
-        distances: optional precomputed ``(n, n)`` distance matrix.
+        distances: optional precomputed ``(n, n)`` distance matrix.  UPGMA
+            works in it instead of a copy (a float64 array is overwritten
+            with ``inf`` and merged-cluster distances), so pass a copy to
+            keep it.
 
     Returns:
         ``(n-1, 4)`` linkage matrix: columns are the two merged cluster ids
@@ -52,7 +59,7 @@ def upgma(
     if distances is None:
         distances = euclidean_matrix(np.asarray(data, dtype=np.float64))
     else:
-        distances = np.array(distances, dtype=np.float64, copy=True)
+        distances = np.asarray(distances, dtype=np.float64)
         if distances.shape[0] != distances.shape[1]:
             raise ValueError("distance matrix must be square")
     n = distances.shape[0]

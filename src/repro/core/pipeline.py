@@ -15,7 +15,10 @@ so clustering runs over duplicate-collapsed prototypes and, beyond
 ``max_cluster_rows`` prototypes, over a seeded row subsample; every
 remaining training sample is then assigned to its nearest bicluster
 centroid (within the cluster's own radius), so signature training still
-sees the full corpus.
+sees the full corpus.  Phase 3 holds one ``(n, n)`` float64 distance
+matrix at a time for its n prototypes, plus that matrix's condensed upper
+triangle for the cophenetic coefficient; ``upgma`` merges in the matrix
+itself.
 """
 
 from __future__ import annotations
@@ -228,13 +231,15 @@ class PSigenePipeline:
             claimed[members] = True
 
         if centroids:
-            centroid_matrix = np.vstack(centroids)
             unclaimed = np.nonzero(~claimed)[0]
             if unclaimed.size:
                 block = transformed[unclaimed]
-                distance_matrix = np.linalg.norm(
-                    block[:, None, :] - centroid_matrix[None, :, :], axis=2
-                )
+                # One centroid at a time: a (rows, centroids, features)
+                # difference array would be phase 3's largest allocation.
+                distance_matrix = np.column_stack([
+                    np.linalg.norm(block - centroid, axis=1)
+                    for centroid in centroids
+                ])
                 nearest = distance_matrix.argmin(axis=1)
                 nearest_distance = distance_matrix[
                     np.arange(unclaimed.size), nearest

@@ -57,15 +57,22 @@ def unquote(text: str, *, plus_as_space: bool = False) -> str:
     return "".join(out)
 
 
+#: :func:`quote`'s output for each byte of a UTF-8 encoding, for
+#: ``str.translate``.
+_QUOTED_BYTES = [
+    chr(byte) if chr(byte) in _UNRESERVED else "%%%02X" % byte
+    for byte in range(256)
+]
+
+
 def quote(text: str) -> str:
-    """Percent-encode every character outside the RFC 3986 unreserved set."""
-    out: list[str] = []
-    for ch in text:
-        if ch in _UNRESERVED:
-            out.append(ch)
-        else:
-            out.extend("%%%02X" % byte for byte in ch.encode("utf-8"))
-    return "".join(out)
+    """Percent-encode every character outside the RFC 3986 unreserved set.
+
+    The UTF-8 bytes of *text*, read back as ``latin-1`` code points, are
+    translated through a 256-entry table; a lone surrogate raises
+    ``UnicodeEncodeError``.
+    """
+    return text.encode("utf-8").decode("latin-1").translate(_QUOTED_BYTES)
 
 
 def split_url(url: str) -> tuple[str, str, str]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram
-from repro.cluster.distance import euclidean_matrix
 from repro.cluster.linkage import upgma
 from repro.cluster.validity import davies_bouldin
 from repro.http.url import parse_query, unquote
@@ -133,8 +132,7 @@ def fine_grained_clustering(
     """
     if k_max is None:
         k_max = 150
-    distances = euclidean_matrix(vectors)
-    linkage = upgma(vectors, distances=distances.copy())
+    linkage = upgma(vectors)
     dendrogram = Dendrogram(linkage, vectors.shape[0])
     db_by_k: dict[int, float] = {}
     labels_by_k: dict[int, np.ndarray] = {}

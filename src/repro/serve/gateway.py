@@ -479,22 +479,9 @@ class DetectionGateway:
         long`` in order and dropped through its newline, so it gets one
         answer however long it is.
         """
-        overlong = False
-        while True:
-            try:
-                line = await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as exc:
-                line = exc.partial
-            except asyncio.LimitOverrunError as exc:
-                # asyncio leaves the scanned bytes buffered: drop them,
-                # and the rest of the line up to its newline after them.
-                await reader.readexactly(exc.consumed)
-                overlong = True
-                continue
-            if not overlong:
-                return line
-            overlong = False
+        while (line := await _read_line(reader)) is None:
             await self._refuse(conn, "line too long")
+        return line
 
     async def _serve_frame(
         self,
@@ -510,8 +497,9 @@ class DetectionGateway:
         """
         body = await reader.readexactly(frame_size)
         # The frame body is followed by a newline that keeps the
-        # connection line-aligned; absorb it (tolerating EOF).
-        trailer = await reader.readline()
+        # connection line-aligned; absorb it (tolerating EOF).  Anything
+        # else before the newline, however long, gets one error.
+        trailer = await _read_line(reader)
         if trailer not in (b"\n", b"\r\n", b""):
             await self._refuse(conn, "frame body not newline-terminated")
             return
@@ -585,6 +573,24 @@ class DetectionGateway:
         if path in ("/healthz", "/stats", "/metrics", "/reload", "/inspect"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no route {path}"}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line, b"" at end of stream, or None for a line longer
+    than the stream limit, which is dropped through its newline."""
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # asyncio leaves the scanned bytes buffered: drop them, and
+            # the rest of the line up to its newline after them.
+            await reader.readexactly(exc.consumed)
+            overlong = True
+            continue
+        return None if overlong else line
 
 
 def _price(payload: str) -> float:

@@ -66,6 +66,7 @@ __all__ = [
     "http_response",
     "is_http_request_line",
     "read_http_message",
+    "refuse_http",
     "reload_rejection",
     "run_until_signalled",
     "serve_http",
@@ -319,7 +320,8 @@ async def read_http_message(
 
     Raises:
         ProtocolError: a first line that is not an HTTP request line,
-            a malformed head or an oversized body.
+            a malformed head, a head line past the stream limit or an
+            oversized body.
     """
     if not is_http_request_line(first_line):
         raise ProtocolError(
@@ -329,7 +331,10 @@ async def read_http_message(
     method, path = parts[0], parts[1]
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError as exc:  # asyncio's stream limit overrun
+            raise ProtocolError("header line too long") from exc
         if line in (b"\r\n", b"\n", b""):
             break
         text = line.decode("latin-1").rstrip("\r\n")
@@ -414,11 +419,20 @@ async def serve_http(
     try:
         message = await read_http_message(reader, first_line)
     except (ProtocolError, asyncio.IncompleteReadError) as exc:
-        telemetry.increment("protocol_errors")
-        status, payload = 400, {"error": str(exc)}
-    else:
-        status, payload = await route(message)
+        await refuse_http(writer, telemetry, str(exc))
+        return
+    status, payload = await route(message)
     writer.write(http_response(status, payload))
+    await writer.drain()
+
+
+async def refuse_http(
+    writer: asyncio.StreamWriter, telemetry: Telemetry, error: str
+) -> None:
+    """Answer a malformed HTTP request with 400 and count one
+    ``protocol_errors`` on ``telemetry``."""
+    telemetry.increment("protocol_errors")
+    writer.write(http_response(400, {"error": error}))
     await writer.drain()
 
 

@@ -66,6 +66,7 @@ from repro.serve.fleet import (
 )
 from repro.serve.protocol import (
     encode_line,
+    refuse_http,
     reload_rejection,
     run_until_signalled,
     serve_http,
@@ -722,7 +723,13 @@ class FleetSupervisor:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            first = await reader.readline()
+            try:
+                first = await reader.readline()
+            except ValueError:  # asyncio's stream limit overrun
+                await refuse_http(
+                    writer, self.telemetry, "request line too long"
+                )
+                return
             if first:
                 await serve_http(
                     reader, writer, first, self._route, self.telemetry

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import cophenet, fcluster
 from scipy.cluster.hierarchy import linkage as scipy_linkage
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
-from repro.cluster import Dendrogram, euclidean_matrix, upgma
+from repro.cluster import Dendrogram, euclidean_condensed, upgma
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,23 @@ def points():
 @pytest.fixture(scope="module")
 def dendrogram(points):
     return Dendrogram(upgma(points), points.shape[0])
+
+
+def cophenetic_matrix(dendrogram):
+    """The oracle: the full ``(n, n)`` cophenetic matrix, filled one merge
+    at a time with the merge's height."""
+    n = dendrogram.n_leaves
+    coph = np.zeros((n, n), dtype=np.float64)
+    component = {i: [i] for i in range(n)}
+    for step in range(n - 1):
+        left = component.pop(int(dendrogram.linkage[step, 0]))
+        right = component.pop(int(dendrogram.linkage[step, 1]))
+        rows = np.array(left)[:, None]
+        cols = np.array(right)[None, :]
+        coph[rows, cols] = dendrogram.linkage[step, 2]
+        coph[cols.T, rows.T] = dendrogram.linkage[step, 2]
+        component[n + step] = left + right
+    return coph
 
 
 class TestConstruction:
@@ -114,18 +131,39 @@ class TestCophenetic:
     def test_matrix_matches_scipy(self, points, dendrogram):
         reference = scipy_linkage(points, method="average")
         scipy_coph = cophenet(reference)
-        mine = dendrogram.cophenetic_matrix()
-        index_upper = np.triu_indices(points.shape[0], k=1)
-        assert np.allclose(np.sort(mine[index_upper]), np.sort(scipy_coph))
+        mine = dendrogram.cophenetic_condensed()
+        assert np.allclose(np.sort(mine), np.sort(scipy_coph))
+
+    def test_condensed_is_the_matrix_upper_triangle(self, points, dendrogram):
+        upper = cophenetic_matrix(dendrogram)[
+            np.triu_indices(points.shape[0], k=1)
+        ]
+        assert np.array_equal(dendrogram.cophenetic_condensed(), upper)
+
+    def test_correlation_equals_full_matrix_formula(self, points, dendrogram):
+        original = euclidean_condensed(points)
+        x = original - original.mean()
+        coph = cophenetic_matrix(dendrogram)[
+            np.triu_indices(points.shape[0], k=1)
+        ]
+        y = coph - coph.mean()
+        expected = float(
+            (x * y).sum() / np.sqrt((x ** 2).sum() * (y ** 2).sum())
+        )
+        assert dendrogram.cophenetic_correlation(original) == expected
+
+    def test_square_matrix_rejected(self, points, dendrogram):
+        with pytest.raises(ValueError):
+            dendrogram.cophenetic_correlation(squareform(pdist(points)))
 
     def test_correlation_matches_scipy(self, points, dendrogram):
         reference = scipy_linkage(points, method="average")
         scipy_corr, _ = cophenet(reference, pdist(points))
-        mine = dendrogram.cophenetic_correlation(euclidean_matrix(points))
+        mine = dendrogram.cophenetic_correlation(euclidean_condensed(points))
         assert mine == pytest.approx(scipy_corr, abs=1e-9)
 
     def test_well_separated_data_high_correlation(self, points, dendrogram):
         # The paper reports 0.92 and calls it "promisingly high"; three
         # blobs with unequal separations land in the same band.
-        corr = dendrogram.cophenetic_correlation(euclidean_matrix(points))
+        corr = dendrogram.cophenetic_correlation(euclidean_condensed(points))
         assert corr > 0.85

@@ -9,6 +9,23 @@ from repro.cluster import (
     euclidean_matrix,
     unique_rows_with_weights,
 )
+from repro.cluster.distance import condense
+
+
+def textbook_euclidean(data):
+    """``sqrt(max(|x|² + |y|² - 2x·y, 0))`` with the near-zero snap, built
+    from whole-matrix temporaries."""
+    squared_norms = np.einsum("ij,ij->i", data, data)
+    squared = (
+        squared_norms[:, None] + squared_norms[None, :] - 2.0 * (data @ data.T)
+    )
+    np.maximum(squared, 0.0, out=squared)
+    scale = float(squared_norms.max(initial=0.0))
+    if scale > 0:
+        squared[squared < 1e-12 * scale] = 0.0
+    matrix = np.sqrt(squared)
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
 
 
 class TestEuclideanMatrix:
@@ -43,6 +60,14 @@ class TestEuclideanMatrix:
         with pytest.raises(ValueError):
             euclidean_matrix(np.ones(5))
 
+    @pytest.mark.parametrize("rows", [1, 7, 256, 600])
+    def test_bits_match_textbook_expression(self, rows):
+        # 600 rows spans three in-place row blocks; the duplicated rows
+        # exercise the near-zero snap.
+        data = np.random.default_rng(rows).normal(size=(rows, 9))
+        data[rows // 2:] = data[: rows - rows // 2]
+        assert np.array_equal(euclidean_matrix(data), textbook_euclidean(data))
+
 
 class TestCondensed:
     def test_matches_scipy_pdist(self):
@@ -52,6 +77,12 @@ class TestCondensed:
     def test_length(self):
         data = np.random.default_rng(5).normal(size=(10, 2))
         assert euclidean_condensed(data).shape == (45,)
+
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_condense_is_the_upper_triangle(self, n):
+        matrix = np.arange(n * n, dtype=np.float64).reshape(n, n)
+        upper = matrix[np.triu_indices(n, k=1)]
+        assert np.array_equal(condense(matrix), upper)
 
 
 class TestUniqueRows:

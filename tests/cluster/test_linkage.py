@@ -112,3 +112,10 @@ class TestInputValidation:
         linkage = upgma(np.zeros((3, 1)), distances=distances)
         assert linkage[0, 2] == pytest.approx(1.0)
         assert linkage[1, 2] == pytest.approx(9.0)
+
+    def test_works_in_the_distances_it_is_handed(self, points):
+        distances = euclidean_matrix(points)
+        expected = upgma(points)
+        assert np.array_equal(upgma(points, distances=distances), expected)
+        # No copy: the merges overwrote the matrix, leaving only inf.
+        assert np.isinf(distances).all()

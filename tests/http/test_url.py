@@ -1,6 +1,11 @@
 """Tests for the from-scratch URL codec."""
 
+import random
+import string
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.http.url import encode_query, parse_query, quote, split_url, unquote
 
@@ -47,6 +52,18 @@ class TestUnquote:
         assert unquote("%00") == "\x00"
 
 
+UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
+
+
+def per_character_quote(text):
+    """RFC 3986 percent-encoding, one character's UTF-8 bytes at a time."""
+    return "".join(
+        ch if ch in UNRESERVED
+        else "".join("%%%02X" % byte for byte in ch.encode("utf-8"))
+        for ch in text
+    )
+
+
 class TestQuote:
     def test_unreserved_untouched(self):
         assert quote("abc-XYZ_0.9~") == "abc-XYZ_0.9~"
@@ -63,6 +80,23 @@ class TestQuote:
 
     def test_utf8_multibyte(self):
         assert quote("é") == "%C3%A9"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_per_character_definition(self, seed):
+        rng = random.Random(seed)
+        pool = [chr(code) for code in range(0x12C)] + ["€", "\U0001F600"]
+        for _ in range(400):
+            text = "".join(rng.choices(pool, k=rng.randrange(0, 40)))
+            assert quote(text) == per_character_quote(text)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=0x12B)
+                   | st.sampled_from(["€", "\U0001F600"])))
+    def test_property_equals_per_character_definition(self, text):
+        assert quote(text) == per_character_quote(text)
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            quote("a\ud800b")
 
 
 class TestSplitUrl:

@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import squareform
 
-from repro.cluster import Dendrogram, euclidean_matrix, upgma
+from repro.cluster import Dendrogram, euclidean_condensed, upgma
 from repro.http.url import parse_query, quote, split_url, unquote
 from repro.learn import sigmoid
 from repro.normalize import normalize
@@ -159,14 +160,14 @@ def test_dendrogram_cut_partitions(points):
 @settings(max_examples=30, deadline=None)
 def test_cophenetic_dominates_original_distance(points):
     """UPGMA cophenetic distances are ultrametric approximations: the
-    correlation with original distances is always in [-1, 1] and the
-    cophenetic matrix is symmetric with zero diagonal."""
+    correlation with original distances is always in [-1, 1] and every
+    leaf pair has one non-negative cophenetic distance."""
     n = points.shape[0]
     dendrogram = Dendrogram(upgma(points), n)
-    coph = dendrogram.cophenetic_matrix()
-    assert np.allclose(coph, coph.T)
-    assert np.allclose(np.diag(coph), 0.0)
-    corr = dendrogram.cophenetic_correlation(euclidean_matrix(points))
+    coph = dendrogram.cophenetic_condensed()
+    assert coph.shape == (n * (n - 1) // 2,)
+    assert (coph >= 0).all()
+    corr = dendrogram.cophenetic_correlation(euclidean_condensed(points))
     assert -1.0 - 1e-9 <= corr <= 1.0 + 1e-9
 
 
@@ -177,7 +178,7 @@ def test_cophenetic_ultrametric_triangle(points):
     inequality: d(a,c) <= max(d(a,b), d(b,c))."""
     n = points.shape[0]
     dendrogram = Dendrogram(upgma(points), n)
-    coph = dendrogram.cophenetic_matrix()
+    coph = squareform(dendrogram.cophenetic_condensed())
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b, c = rng.integers(0, n, size=3)

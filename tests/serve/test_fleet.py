@@ -298,6 +298,34 @@ class TestFleetControlPlane:
         assert health[0] == 200 and health[1]["status"] == "ok"
 
 
+    def test_request_line_past_the_stream_limit_gets_400(self):
+        from tests.serve.test_gateway_errors import raw_http
+
+        async def scenario():
+            supervisor = FleetSupervisor(
+                toy_detector(), fleet_config(shards=1)
+            )
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                overlong = await raw_http(
+                    chost, cport,
+                    b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+                )
+                health = await http(chost, cport, "GET", "/healthz")
+            finally:
+                await supervisor.stop()
+            return overlong, health, supervisor.telemetry.counter(
+                "protocol_errors"
+            )
+
+        (status, body), health, errors = asyncio.run(scenario())
+        assert status == 400
+        assert "too long" in body["error"]
+        assert errors == 1
+        assert health[0] == 200 and health[1]["status"] == "ok"
+
+
 class TestFleetReload:
     @pytest.mark.smoke
     def test_midstream_reload_parity(self, small_signatures):

@@ -9,13 +9,15 @@ mounted signature generation all survive the bad request.
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
 
+from repro.http import HttpRequest
 from repro.ids import DeterministicRuleSet, Rule
 from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.protocol import MAX_LINE_BYTES, encode_framed_request
 
 from tests.serve.test_gateway import http, send_lines
 
@@ -78,6 +80,27 @@ class TestMalformedControlPlane:
         assert status == 400
         assert "content-length" in body["error"]
 
+    def test_header_line_past_the_stream_limit_gets_400(self):
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            result = await raw_http(
+                host, port,
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (300 * 1024)
+                + b"\r\n\r\n",
+            )
+            after = await http(host, port, "GET", "/healthz")
+            await gateway.stop()
+            return result, after, gateway.telemetry.counter(
+                "protocol_errors"
+            )
+
+        (status, body), (after_status, _), errors = asyncio.run(scenario())
+        assert status == 400
+        assert "too long" in body["error"]
+        assert errors == 1
+        assert after_status == 200
+
     def test_truncated_body_gets_400_not_a_hang(self):
         # Content-Length promises more bytes than the client sends, then
         # the client closes: readexactly raises IncompleteReadError and
@@ -136,6 +159,42 @@ class TestOversizedDataPlane:
         assert middle == {"error": "line too long"}
         assert last["alert"] is False
         assert errors == 1
+
+    def test_overlong_frame_trailer_gets_one_error(self):
+        # A frame whose body is followed by 300 KiB before the newline:
+        # one error for the frame, then the connection goes on serving.
+        async def scenario():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: logged.append(context)
+            )
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            frame = encode_framed_request(HttpRequest(query="id=2"))
+            writer.write(
+                b"q=before\n" + frame[:-1] + b"x" * (300 * 1024)
+                + b"\nq=after\n"
+            )
+            writer.write_eof()
+            await writer.drain()
+            responses = [json.loads(line) async for line in reader]
+            writer.close()
+            await writer.wait_closed()
+            await gateway.stop()
+            gc.collect()  # an unretrieved task exception logs on collection
+            return responses, gateway.telemetry.counter(
+                "protocol_errors"
+            ), logged
+
+        responses, errors, logged = asyncio.run(scenario())
+        assert len(responses) == 3
+        before, middle, after = responses
+        assert before["alert"] is False
+        assert middle == {"error": "frame body not newline-terminated"}
+        assert after["alert"] is False
+        assert errors == 1
+        assert logged == []
 
     def test_oversized_first_line_of_a_connection(self):
         # The very first line decides the dialect; an oversized one can
