@@ -56,7 +56,7 @@ def test_serve_fleet_scaling(record, emit):
         # Closed-loop block policy: every request serviced, bit parity.
         assert report.completed == report.requests
         assert report.shed == 0 and report.errors == 0
-        assert report.parity is not None and report.parity.ok
+        assert report.parity_ok
         capacity[shards] = report
 
     c1 = capacity[1].throughput_rps
@@ -91,7 +91,7 @@ def test_serve_fleet_scaling(record, emit):
         pressure.requests
     )
     assert pressure.errors == 0
-    assert pressure.parity is not None and pressure.parity.ok
+    assert pressure.parity_ok
 
     header = (
         f"{'shards':>6} {'meas req/s':>11} {'eff':>6} "

@@ -68,7 +68,7 @@ def test_serve_loadgen(detectors, record, emit):
                 connections=CONNECTIONS,
                 window=WINDOW,
             ))
-            assert report.parity is not None and report.parity.ok
+            assert report.parity_ok
             assert report.completed + report.shed == report.requests
             latency = report.latency_ms
             runs.append({
@@ -82,7 +82,7 @@ def test_serve_loadgen(detectors, record, emit):
                 "p50_ms": round(float(latency["p50_ms"]), 3),
                 "p95_ms": round(float(latency["p95_ms"]), 3),
                 "p99_ms": round(float(latency["p99_ms"]), 3),
-                "parity_ok": bool(report.parity.ok),
+                "parity_ok": bool(report.parity_ok),
             })
             lines.append(
                 f"{report.detector:<24} {bound:>5} {report.policy:>6} "
@@ -91,7 +91,7 @@ def test_serve_loadgen(detectors, record, emit):
                 f"{100 * report.shed_rate:>5.1f}% "
                 f"{latency['p50_ms']:>7.3f} {latency['p95_ms']:>7.3f} "
                 f"{latency['p99_ms']:>7.3f} "
-                f"{'OK' if report.parity.ok else 'FAIL':>7}"
+                f"{'OK' if report.parity_ok else 'FAIL':>7}"
             )
     record("serve_loadgen", "\n".join(lines))
 

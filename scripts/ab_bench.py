@@ -6,7 +6,8 @@ Usage, from the root of a checkout::
 
 The base ref is checked out into a temporary ``git worktree`` (removed on
 exit); the change is this checkout's working tree, uncommitted edits
-included.  For each workload, pair ``i`` runs ``e2ebench/run.py`` once on
+included.  Before the first pair, ``src`` and ``e2ebench`` are compiled
+to bytecode in both trees, so neither side pays for compiling on import.  For each workload, pair ``i`` runs ``e2ebench/run.py`` once on
 each side with seed ``--seed + i``, at ``BENCHMARK.json``'s
 ``run_seconds``.  The side that runs first alternates from pair to pair,
 so drift that neighbouring runs share cancels in the paired ratio.
@@ -190,6 +191,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     trees = {"base": base_tree, "change": ROOT}
     try:
+        # The fresh worktree has no bytecode and this tree may hold stale
+        # bytecode; either skews setup_s.  compileall writes it even
+        # under PYTHONDONTWRITEBYTECODE.
+        for tree in trees.values():
+            subprocess.run(
+                [sys.executable, "-m", "compileall", "-q", "src", "e2ebench"],
+                cwd=tree, check=True,
+            )
+        print(f"compiled src and e2ebench in {base_tree} and {ROOT}")
         for workload in args.workload or workloads:
             print(
                 f"== {workload}: {args.pairs} pairs of {seconds:g} s, "

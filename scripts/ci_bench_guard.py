@@ -375,7 +375,7 @@ def serving_probe() -> dict:
         "c1_rps": reports[1].throughput_rps,
         "c2_rps": reports[2].throughput_rps,
         "parity_ok": all(
-            r.parity is not None and r.parity.ok
+            r.parity_ok
             and r.completed == r.requests and r.errors == 0
             for r in reports.values()
         ),

@@ -322,7 +322,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         check_parity=args.check_parity,
     ))
     print(format_report(report))
-    if report.parity is not None and not report.parity.ok:
+    if args.check_parity and not report.parity_ok:
         return 4
     return 0
 

@@ -28,6 +28,7 @@ from repro.conformance.verdict import (
     Divergence,
     Verdict,
     diff_verdicts,
+    serial_verdicts,
     verdicts_from_responses,
 )
 from repro.serve.store import SignatureStore, StoreError
@@ -99,10 +100,6 @@ def _alert_rate(verdicts: list[Verdict]) -> float:
     return sum(1 for v in verdicts if v.alert) / len(verdicts)
 
 
-def _serial(detector, payloads: list[str]) -> list[Verdict]:
-    return [Verdict.from_detection(detector.inspect(p)) for p in payloads]
-
-
 def _build_report(
     *,
     mode: str,
@@ -161,13 +158,13 @@ def shadow_with_store(
             store is left exactly as it was.
     """
     payloads = list(attacks) + list(benign)
-    baseline = _serial(store.current().detector, payloads)
+    baseline = serial_verdicts(store.current().detector, payloads)
     store.stage_json(candidate_json, generation=generation, source=source)
-    live = _serial(store.current().detector, payloads)
+    live = serial_verdicts(store.current().detector, payloads)
     divergences = diff_verdicts(
         "incumbent-prestage", baseline, "incumbent-live", live, payloads
     )
-    shadow = _serial(_staged_detector(store, generation), payloads)
+    shadow = serial_verdicts(_staged_detector(store, generation), payloads)
     return _build_report(
         mode="store",
         generation=generation,
@@ -217,7 +214,7 @@ async def shadow_with_fleet(
     # staged (fresh_attack_batch collapses breaks to spaces).
     wires = [encode_line(payload) for payload in payloads]
     store = supervisor.store
-    baseline = _serial(store.current().detector, payloads)
+    baseline = serial_verdicts(store.current().detector, payloads)
     store.stage_json(candidate_json, generation=generation, source=source)
     host, port = supervisor.data_address
     responses, _latencies, _duration = await replay(
@@ -227,7 +224,7 @@ async def shadow_with_fleet(
     divergences = diff_verdicts(
         "incumbent-prestage", baseline, "fleet-live", live, payloads
     )
-    shadow = _serial(_staged_detector(store, generation), payloads)
+    shadow = serial_verdicts(_staged_detector(store, generation), payloads)
     return _build_report(
         mode="fleet",
         generation=generation,

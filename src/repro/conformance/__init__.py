@@ -5,45 +5,14 @@ drives a payload set through every registered verdict path and diffs
 the answers, a seeded grammar fuzzer that builds adversarial corpora,
 and golden-corpus snapshots that pin verdicts across PRs.  See
 DESIGN.md §13 for the architecture.
+
+Every name loads on first use: the serving supervisor imports the
+verdict referee (:mod:`repro.conformance.verdict`) for its shard
+spot-check and must not load the fuzzer's corpus generators or the
+training harness with it.
 """
 
-from repro.conformance.fuzz import BUDGETS, FuzzBudget, generate_corpus
-from repro.conformance.golden import (
-    GoldenCorpus,
-    GoldenError,
-    diff_golden,
-    read_golden,
-    write_golden,
-)
-from repro.conformance.harness import (
-    default_training_config,
-    train_default_detector,
-)
-from repro.conformance.oracle import (
-    Oracle,
-    extraction_divergences,
-    format_report,
-    serial_verdicts,
-)
-from repro.conformance.paths import (
-    BatchPath,
-    DetectorPath,
-    EngineRunPath,
-    GatewayFramedPath,
-    GatewayPath,
-    LegacySerialPath,
-    SerialPath,
-    ShardedGatewayPath,
-    SurfacesLegacyParityPath,
-    default_paths,
-)
-from repro.conformance.verdict import (
-    ConformanceError,
-    ConformanceReport,
-    Divergence,
-    Verdict,
-    diff_verdicts,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BUDGETS",
@@ -76,3 +45,22 @@ __all__ = [
     "train_default_detector",
     "write_golden",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "fuzz": ("BUDGETS", "FuzzBudget", "generate_corpus"),
+    "golden": (
+        "GoldenCorpus", "GoldenError", "diff_golden", "read_golden",
+        "write_golden",
+    ),
+    "harness": ("default_training_config", "train_default_detector"),
+    "oracle": ("Oracle", "extraction_divergences", "format_report"),
+    "paths": (
+        "BatchPath", "DetectorPath", "EngineRunPath", "GatewayFramedPath",
+        "GatewayPath", "LegacySerialPath", "SerialPath",
+        "ShardedGatewayPath", "SurfacesLegacyParityPath", "default_paths",
+    ),
+    "verdict": (
+        "ConformanceError", "ConformanceReport", "Divergence", "Verdict",
+        "diff_verdicts", "serial_verdicts",
+    ),
+})

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.conformance.verdict import Divergence, Verdict
+from repro.conformance.verdict import Divergence, Verdict, diff_verdicts
 
 __all__ = [
     "GOLDEN_SCHEMA",
@@ -163,8 +163,6 @@ def diff_golden(
     path_name: str = "current",
 ) -> list[Divergence]:
     """Diff freshly computed verdicts against a recorded snapshot."""
-    from repro.conformance.verdict import diff_verdicts
-
     return diff_verdicts(
         "golden", golden.verdicts, path_name, verdicts,
         golden.payloads, score_tolerance=score_tolerance,

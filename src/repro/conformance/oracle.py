@@ -39,13 +39,7 @@ __all__ = [
     "Oracle",
     "extraction_divergences",
     "format_report",
-    "serial_verdicts",
 ]
-
-
-def serial_verdicts(detector, payloads: list[str]) -> list[Verdict]:
-    """Baseline verdicts: one ``detector.inspect`` call per payload."""
-    return [Verdict.from_detection(detector.inspect(p)) for p in payloads]
 
 
 def extraction_divergences(

@@ -21,6 +21,7 @@ import pickle
 from repro.conformance.verdict import (
     ConformanceError,
     Verdict,
+    serial_verdicts,
     verdicts_from_responses,
 )
 from repro.core.signature import SignatureSet
@@ -88,9 +89,7 @@ class SerialPath(DetectorPath):
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """One ``inspect`` call per payload, in order."""
-        return [
-            Verdict.from_detection(detector.inspect(p)) for p in payloads
-        ]
+        return serial_verdicts(detector, payloads)
 
 
 class LegacySerialPath(DetectorPath):
@@ -113,9 +112,7 @@ class LegacySerialPath(DetectorPath):
         if isinstance(signature_set, SignatureSet):
             detector = copy.copy(detector)
             detector.signature_set = signature_set.reference()
-        return [
-            Verdict.from_detection(detector.inspect(p)) for p in payloads
-        ]
+        return serial_verdicts(detector, payloads)
 
 
 class EngineRunPath(DetectorPath):

@@ -9,6 +9,12 @@ Two paths *conform* when their verdict sequences are element-wise equal
 (scores within a tolerance); every disagreement becomes a structured
 :class:`Divergence` rather than a bare assertion failure, so a report
 can name the payload, the paths, and the field that split.
+
+This module is the repo's one verdict referee: the oracle, the golden
+diff, canary shadowing, ``repro loadgen``'s parity check and the fleet's
+shard spot-check all compare :class:`Verdict` lists with
+:func:`diff_verdicts`.  It imports nothing from ``repro``, so the
+serving supervisor can load it without the offline pipeline.
 """
 
 from __future__ import annotations
@@ -20,8 +26,11 @@ __all__ = [
     "ConformanceError",
     "ConformanceReport",
     "Divergence",
+    "SCORE_TOLERANCE",
     "Verdict",
+    "carries_verdict",
     "diff_verdicts",
+    "serial_verdicts",
     "verdicts_from_responses",
 ]
 
@@ -63,6 +72,16 @@ class Verdict:
             fired=tuple(int(s) for s in detection.matched_sids),
         )
 
+    @classmethod
+    def from_response(cls, response: dict) -> "Verdict":
+        """Normalize one decoded data-plane response that
+        :func:`carries_verdict`."""
+        return cls(
+            alert=bool(response.get("alert")),
+            score=float(response.get("score", 0.0)),
+            fired=tuple(int(s) for s in response.get("matched", [])),
+        )
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (golden-corpus record body)."""
         return {
@@ -70,6 +89,21 @@ class Verdict:
             "score": self.score,
             "fired": list(self.fired),
         }
+
+
+def serial_verdicts(detector, payloads) -> list[Verdict]:
+    """Reference verdicts: one ``detector.inspect`` call per payload."""
+    return [Verdict.from_detection(detector.inspect(p)) for p in payloads]
+
+
+def carries_verdict(response: dict | None) -> bool:
+    """Did the data plane answer with a verdict?  Not when the answer
+    is missing (``None``), a shed notice, or an error."""
+    return (
+        response is not None
+        and not response.get("shed")
+        and "error" not in response
+    )
 
 
 def verdicts_from_responses(
@@ -87,19 +121,13 @@ def verdicts_from_responses(
             Live callers size their queue bounds so that nothing sheds,
             so any of these is a serving defect, not a verdict.
     """
-    verdicts: list[Verdict] = []
     for index, response in enumerate(responses):
-        if response is None or response.get("shed") or "error" in response:
+        if not carries_verdict(response):
             raise ConformanceError(
                 f"{source} gave no verdict for payload {index}: "
                 f"{response!r}"
             )
-        verdicts.append(Verdict(
-            alert=bool(response.get("alert")),
-            score=float(response.get("score", 0.0)),
-            fired=tuple(int(s) for s in response.get("matched", [])),
-        ))
-    return verdicts
+    return [Verdict.from_response(response) for response in responses]
 
 
 @dataclass(frozen=True)

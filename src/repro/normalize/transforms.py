@@ -116,12 +116,36 @@ class WhitespaceCanonicalize(Transform):
 
     name = "whitespace"
 
-    _INLINE_COMMENT = re.compile(r"/\*!?.*?\*/", re.S)
     _WHITESPACE_RUN = re.compile(r"[\s\x00\x0b\x0c]+")
 
     def __call__(self, text: str) -> str:
-        text = self._INLINE_COMMENT.sub(" ", text)
-        return self._WHITESPACE_RUN.sub(" ", text)
+        return self._WHITESPACE_RUN.sub(" ", strip_inline_comments(text))
+
+
+def strip_inline_comments(text: str) -> str:
+    r"""Replace each SQL inline comment (``/*...*/``, ``/*!...*/``) with
+    one space, in time linear in ``len(text)``.
+
+    The output equals ``re.sub(r"/\*!?.*?\*/", " ", text, flags=re.S)``,
+    whose failed attempts rescan from every unclosed ``/*`` to the end
+    of the text: quadratic on a line of openers.  Here, once an opener
+    has no ``*/`` after it, no later opener has one either, so the scan
+    stops.
+    """
+    start = text.find("/*")
+    if start < 0:
+        return text
+    parts = []
+    done = 0
+    while start >= 0:
+        close = text.find("*/", start + 2)
+        if close < 0:
+            break
+        parts.append(text[done:start])
+        done = close + 2
+        start = text.find("/*", done)
+    parts.append(text[done:])
+    return " ".join(parts)
 
 
 #: The paper's five transformations, in application order.  URL decoding runs

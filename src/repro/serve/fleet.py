@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.serve.gateway import DetectionGateway, GatewayConfig
+from repro.serve.protocol import response_fields
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import Telemetry
 
@@ -296,17 +297,14 @@ class _ShardServer:
         return host, port
 
     def _selfcheck(self, payloads: list[str]) -> list[dict]:
-        """Inspect probe payloads with the live detector, serially."""
-        detector = self.store.current().detector
-        out = []
-        for payload in payloads:
-            detection = detector.inspect(payload)
-            out.append({
-                "alert": bool(detection.alert),
-                "score": float(detection.score),
-                "matched": [int(s) for s in detection.matched_sids],
-            })
-        return out
+        """Answer probe payloads with the live generation, serially, in
+        the data plane's response fields."""
+        current = self.store.current()
+        inspect = current.detector.inspect
+        return [
+            response_fields(inspect(payload), current.version)
+            for payload in payloads
+        ]
 
     async def _stage(self, message: dict) -> None:
         """Build + warm a reload candidate off the data path."""

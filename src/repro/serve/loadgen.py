@@ -6,22 +6,26 @@ deterministic mixed trace (SQLmap and Vega scans of the vulnerable
 webapp interleaved with benign portal traffic), replays it over many
 concurrent pipelined connections at an in-process gateway or a
 supervised fleet, and reports sustained throughput, shed rate,
-client-observed latency percentiles, SLO attainment, and — via
-:mod:`repro.eval.serving` — alert parity with the offline engine.
+client-observed latency percentiles, SLO attainment, and — through
+the one verdict referee, :func:`~repro.conformance.verdict.diff_verdicts`
+— parity with the offline detector.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.eval.serving import (
-    ParityReport,
-    offline_detections,
-    parity_of_responses,
+from repro.conformance.verdict import (
+    Divergence,
+    Verdict,
+    carries_verdict,
+    diff_verdicts,
+    serial_verdicts,
 )
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
@@ -86,6 +90,7 @@ class LoadReport:
         completed: items answered with a verdict.
         shed: items refused by admission control.
         errors: undecodable or error responses.
+        missing: items that got no answer at all.
         alerts: verdicts that alerted.
         duration_s: first send to last response.
         throughput_rps: answered (verdict, shed or error) responses per
@@ -100,7 +105,9 @@ class LoadReport:
             pulled from the supervisor after the replay — the kernel's
             connection balancing made visible; empty for the in-process
             gateway.
-        parity: diff against the offline engine (None when skipped).
+        divergences: the answered verdicts' disagreements with the
+            offline detector, each indexed by its item's position in
+            the trace (None when the check is skipped).
     """
 
     detector: str
@@ -112,6 +119,7 @@ class LoadReport:
     completed: int
     shed: int
     errors: int
+    missing: int
     alerts: int
     duration_s: float
     throughput_rps: float
@@ -119,7 +127,15 @@ class LoadReport:
     slo_attainment: float
     latency_ms: dict[str, float] = field(default_factory=dict)
     per_shard: dict[str, dict] = field(default_factory=dict)
-    parity: ParityReport | None = None
+    divergences: list[Divergence] | None = None
+
+    @property
+    def parity_ok(self) -> bool:
+        """True when parity was checked and every item that was not shed
+        got a verdict equal to the offline detector's."""
+        return self.divergences is not None and not (
+            self.divergences or self.errors or self.missing
+        )
 
     @property
     def shed_rate(self) -> float:
@@ -275,11 +291,13 @@ async def run_loadgen(
     ``REPRO-FRAME/2`` frames carrying that selection.  ``connections``,
     ``window`` and ``rate`` are :func:`replay`'s.
 
-    With ``check_parity`` every response is diffed against the offline
-    detector — ``detector.inspect`` per payload, or the surface-aware
-    fold (:func:`repro.surfaces.score_request` with the same selection)
-    per framed request, so a wire/extraction divergence between gateway
-    and library fails the check even when both "look alerted".
+    With ``check_parity`` every answered verdict is diffed against the
+    offline detector's with :func:`~repro.conformance.verdict.diff_verdicts`
+    — ``detector.inspect`` per payload, or the surface-aware fold
+    (:func:`repro.surfaces.score_request` with the same selection) per
+    framed request, so a wire/extraction divergence between gateway and
+    library fails the check even when both "look alerted".  Shed, error
+    and missing answers are counted, not diffed.
     """
     if surfaces is None:
         wires = [encode_line(payload) for payload in items]
@@ -306,20 +324,26 @@ async def run_loadgen(
             }
     finally:
         await server.stop()
-    parity = None
+    serviced = np.array([carries_verdict(r) for r in responses], dtype=bool)
+    divergences = None
     if check_parity:
+        compared = np.flatnonzero(serviced).tolist()
         if surfaces is None:
-            offline = offline_detections(detector, items)
+            texts = [items[i] for i in compared]
+            truth = serial_verdicts(detector, texts)
         else:
-            offline = [
-                score_request(detector.inspect, request, surfaces)
-                for request in items
+            texts = [items[i].flat_payload() for i in compared]
+            truth = [
+                Verdict.from_detection(
+                    score_request(detector.inspect, items[i], surfaces)
+                )
+                for i in compared
             ]
-        parity = parity_of_responses(offline, responses)
-    serviced = np.array([
-        r is not None and not r.get("shed") and "error" not in r
-        for r in responses
-    ], dtype=bool)
+        served = [Verdict.from_response(responses[i]) for i in compared]
+        divergences = [
+            dataclasses.replace(d, index=compared[d.index])
+            for d in diff_verdicts("offline", truth, "served", served, texts)
+        ]
     completed = int(serviced.sum())
     within_slo = serviced & (latencies * 1e3 <= slo_ms)
     answered = sum(1 for r in responses if r is not None)
@@ -334,6 +358,7 @@ async def run_loadgen(
         completed=completed,
         shed=shed,
         errors=answered - shed - completed,
+        missing=len(items) - answered,
         alerts=sum(
             1 for r in responses if r is not None and r.get("alert")
         ),
@@ -345,7 +370,7 @@ async def run_loadgen(
         ),
         latency_ms=_percentiles_ms(latencies[serviced]),
         per_shard=per_shard,
-        parity=parity,
+        divergences=divergences,
     )
 
 
@@ -384,6 +409,12 @@ def format_report(report: LoadReport) -> str:
             f"shed={counters.get('shed', 0)} "
             f"connections={counters.get('connections', 0)}"
         )
-    if report.parity is not None:
-        lines.append(f"  {report.parity.summary()}")
+    if report.divergences is not None:
+        mismatched = len({d.index for d in report.divergences})
+        lines.append(
+            f"  {'PARITY' if report.parity_ok else 'MISMATCH'}: "
+            f"{report.completed} compared, {report.shed} shed, "
+            f"{report.errors} errors, {report.missing} missing, "
+            f"{mismatched} mismatched"
+        )
     return "\n".join(lines)

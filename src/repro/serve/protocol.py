@@ -68,6 +68,7 @@ __all__ = [
     "read_http_message",
     "refuse_http",
     "reload_rejection",
+    "response_fields",
     "run_until_signalled",
     "serve_http",
 ]
@@ -99,40 +100,38 @@ def is_http_request_line(line: bytes) -> bool:
     return _HTTP_REQUEST_LINE.match(line) is not None
 
 
+def response_fields(detection: Detection, version: int) -> dict:
+    """The verdict fields of one data-plane answer, in wire order.
+
+    Every verdict-carrying response line starts with exactly these four
+    keys; the fleet's shard spot-check answers its probes with them
+    too, so the supervisor reads them like any client.
+    """
+    return {
+        "alert": bool(detection.alert),
+        "score": float(detection.score),
+        "matched": [int(s) for s in detection.matched_sids],
+        "version": version,
+    }
+
+
+def _response_line(fields: dict) -> bytes:
+    return json.dumps(fields, separators=(",", ":")).encode() + b"\n"
+
+
 def encode_detection(detection: Detection, version: int) -> bytes:
     """One data-plane response line for a serviced inspection."""
-    return (
-        json.dumps(
-            {
-                "alert": bool(detection.alert),
-                "score": float(detection.score),
-                "matched": [int(s) for s in detection.matched_sids],
-                "version": version,
-            },
-            separators=(",", ":"),
-        ).encode()
-        + b"\n"
-    )
+    return _response_line(response_fields(detection, version))
 
 
 def encode_shed(reason: str) -> bytes:
     """Response line for a request refused by admission control."""
-    return (
-        json.dumps(
-            {"shed": True, "error": reason}, separators=(",", ":")
-        ).encode()
-        + b"\n"
-    )
+    return _response_line({"shed": True, "error": reason})
 
 
 def encode_error(reason: str) -> bytes:
     """Response line for a request the gateway could not process."""
-    return (
-        json.dumps(
-            {"error": reason}, separators=(",", ":")
-        ).encode()
-        + b"\n"
-    )
+    return _response_line({"error": reason})
 
 
 def frame_header_size(line: bytes) -> int | None:
@@ -260,24 +259,15 @@ def encode_surface_detection(detection, version: int) -> bytes:
     """Response line for a framed request: legacy fields + attribution.
 
     *detection* is a :class:`repro.surfaces.SurfaceDetection`; the first
-    four keys are exactly :func:`encode_detection`'s, so a client that
-    only reads the legacy shape can ignore the rest.
+    four keys are exactly :func:`encode_detection`'s
+    (:func:`response_fields`), so a client that only reads the legacy
+    shape can ignore the rest.
     """
     attribution = detection.attribution()
-    return (
-        json.dumps(
-            {
-                "alert": bool(detection.alert),
-                "score": float(detection.score),
-                "matched": [int(s) for s in detection.matched_sids],
-                "version": version,
-                "surfaces": attribution["surfaces"],
-                "verdicts": attribution["verdicts"],
-            },
-            separators=(",", ":"),
-        ).encode()
-        + b"\n"
-    )
+    fields = response_fields(detection, version)
+    fields["surfaces"] = attribution["surfaces"]
+    fields["verdicts"] = attribution["verdicts"]
+    return _response_line(fields)
 
 
 def decode_response(line: bytes) -> dict:

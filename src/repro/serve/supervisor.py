@@ -51,6 +51,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.conformance.verdict import (
+    ConformanceError,
+    diff_verdicts,
+    serial_verdicts,
+    verdicts_from_responses,
+)
 from repro.core.signature import SignatureSet
 from repro.ids.engine import Detector
 from repro.obs.prometheus import render_exposition
@@ -309,13 +315,24 @@ class FleetSupervisor:
 
     async def _bring_up(self, handle: _ShardHandle) -> None:
         """ping → conformance spot-check → open.  A shard that answers
-        the probes differently from the reference detector never joins
-        the accept group."""
+        the probes differently from the reference detector, or leaves
+        one unanswered, never joins the accept group."""
         await self._request(handle, "ping")
         reply = await self._request(
             handle, "selfcheck", payloads=list(PROBE_PAYLOADS)
         )
-        divergences = self._diff_probes(reply["verdicts"])
+        shard = f"shard-{handle.shard_id}"
+        reference = serial_verdicts(
+            self.store.current().detector, PROBE_PAYLOADS
+        )
+        try:
+            divergences = [d.describe() for d in diff_verdicts(
+                "reference", reference, shard,
+                verdicts_from_responses(reply["verdicts"], shard),
+                PROBE_PAYLOADS,
+            )]
+        except ConformanceError as error:
+            divergences = [str(error)]
         if divergences:
             self._destroy(handle)
             raise FleetError(
@@ -324,28 +341,6 @@ class FleetSupervisor:
             )
         await self._request(handle, "open")
         handle.serving = True
-
-    def _diff_probes(self, verdicts: list[dict]) -> list[str]:
-        """Compare shard probe verdicts against the reference detector."""
-        detector = self.store.current().detector
-        divergences: list[str] = []
-        for payload, shard_verdict in zip(PROBE_PAYLOADS, verdicts):
-            reference = detector.inspect(payload)
-            if (
-                bool(reference.alert) != shard_verdict["alert"]
-                or [int(s) for s in reference.matched_sids]
-                != shard_verdict["matched"]
-                or abs(float(reference.score) - shard_verdict["score"])
-                > 1e-9
-            ):
-                divergences.append(
-                    f"probe {payload!r}: shard said "
-                    f"{shard_verdict}, reference said "
-                    f"alert={reference.alert} "
-                    f"matched={list(reference.matched_sids)} "
-                    f"score={reference.score}"
-                )
-        return divergences
 
     async def stop(self) -> None:
         """Drain every shard within the deadline, then escalate

@@ -8,6 +8,8 @@ from repro.cluster.bicluster import (
     BLACK_HOLE_ROW_FEATURES,
     MIN_SAMPLE_FRACTION,
 )
+from repro.obs.registry import MetricsRegistry, use_registry
+from repro.obs.trace import current_tracer
 
 
 def _block_data(rng, n_per_block=60, n_features=30):
@@ -194,3 +196,15 @@ class TestTransforms:
         data[0, 0] = 1
         transformed = clusterer.transform_rows(data)
         assert np.isfinite(transformed).all()
+
+
+class TestLinkageTiming:
+    def test_a_fit_outside_a_tracer_records_the_linkage_time(self, planted):
+        """The linkage histogram times the UPGMA build itself, not an
+        unrecorded span whose wall time reads 0."""
+        assert current_tracer() is None
+        with use_registry(MetricsRegistry()) as registry:
+            Biclusterer().fit(planted)
+        linkage = registry.histogram("repro_cluster_linkage_seconds")
+        assert linkage.count == 1
+        assert linkage.max > 0.0

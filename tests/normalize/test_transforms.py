@@ -1,7 +1,13 @@
 """Tests for the five normalization transformations."""
 
-import pytest
+import re
+import time
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.ids import PSigeneDetector
 from repro.normalize import (
     DEFAULT_TRANSFORMS,
     HexDecode,
@@ -12,6 +18,10 @@ from repro.normalize import (
     WhitespaceCanonicalize,
     normalize,
 )
+from repro.normalize.transforms import strip_inline_comments
+
+#: The regex ``strip_inline_comments`` replaced, kept as its oracle.
+INLINE_COMMENT = re.compile(r"/\*!?.*?\*/", re.S)
 
 
 class TestLowercase:
@@ -99,6 +109,36 @@ class TestWhitespaceCanonicalize:
 
     def test_null_byte(self):
         assert WhitespaceCanonicalize()("a\x00b") == "a b"
+
+
+class TestStripInlineComments:
+    @given(st.text(alphabet="/*!a \n", max_size=40))
+    def test_equals_the_regex(self, text):
+        assert strip_inline_comments(text) == INLINE_COMMENT.sub(" ", text)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("a/**/b/*!x*/c", "a b c"),
+        ("/**/*/", " */"),
+        ("a/*b/*c", "a/*b/*c"),
+        ("a/**/b/*c", "a b/*c"),
+    ])
+    def test_cases(self, text, expected):
+        assert strip_inline_comments(text) == expected
+        assert INLINE_COMMENT.sub(" ", text) == expected
+
+    def test_text_without_an_opener_is_returned_as_is(self):
+        text = "q=1 union select 2"
+        assert strip_inline_comments(text) is text
+
+    def test_unclosed_openers_cost_linear_time(self, small_signatures):
+        """``q=`` + ``/*a`` x 21,000 is 63,002 B, under the line
+        protocol's 64 KiB cap; the regex spent 10 s of detector CPU on
+        it, rescanning to the end of the line from every opener."""
+        detector = PSigeneDetector(small_signatures)
+        started = time.process_time()
+        detection = detector.inspect("q=" + "/*a" * 21_000)
+        assert time.process_time() - started < 2.0
+        assert not detection.alert
 
 
 class TestNormalizer:

@@ -18,11 +18,13 @@ from repro.core import signature_set_to_json
 from repro.ids import DeterministicRuleSet, PSigeneDetector, Rule
 from repro.serve import (
     FleetConfig,
+    FleetError,
     FleetSupervisor,
     GatewayConfig,
     StoreError,
     reuseport_available,
 )
+from repro.serve.fleet import _ShardServer
 
 
 def toy_detector(name="toy"):
@@ -332,9 +334,10 @@ class TestFleetReload:
         """Offline/online parity across a fleet-wide two-phase reload
         racing live traffic: every verdict matches the offline engine
         no matter which shard or generation answered it."""
-        from repro.eval.serving import (
-            offline_detections,
-            parity_of_responses,
+        from repro.conformance.verdict import (
+            diff_verdicts,
+            serial_verdicts,
+            verdicts_from_responses,
         )
         from repro.serve.loadgen import replay
         from repro.serve.protocol import encode_line
@@ -369,10 +372,12 @@ class TestFleetReload:
             assert all(
                 info["version"] == 2 for info in stats["shards"].values()
             )
-            parity = parity_of_responses(
-                offline_detections(detector, payloads), responses,
+            divergences = diff_verdicts(
+                "offline", serial_verdicts(detector, payloads),
+                "fleet", verdicts_from_responses(responses, "fleet"),
+                payloads,
             )
-            assert parity.ok, parity.summary()
+            assert divergences == [], divergences[0].describe()
             # Both generations answered (versions observed on the wire
             # are 1 and/or 2, never anything else).
             versions = {r["version"] for r in responses if r}
@@ -555,5 +560,36 @@ class TestFleetResilience:
                 assert health["status"] == "degraded"
             finally:
                 await supervisor.stop()
+
+        asyncio.run(scenario())
+
+
+class TestFleetSpotCheck:
+    @pytest.mark.parametrize("fault", ["short", "flipped"])
+    def test_a_shard_that_answers_the_probes_wrong_never_joins(
+        self, fault, monkeypatch
+    ):
+        """A shard whose spot-check reply drops the last probe's answer,
+        or flips one alert, fails bring-up; the fork carries the patch
+        into the shard."""
+        honest = _ShardServer._selfcheck
+
+        def faulty(self, payloads):
+            answers = honest(self, payloads)
+            if fault == "short":
+                return answers[:-1]
+            answers[0]["alert"] = not answers[0]["alert"]
+            return answers
+
+        monkeypatch.setattr(_ShardServer, "_selfcheck", faulty)
+
+        async def scenario():
+            supervisor = FleetSupervisor(toy_detector(), fleet_config())
+            with pytest.raises(FleetError, match="spot-check"):
+                await supervisor.start()
+            assert not any(
+                handle.process is not None and handle.process.is_alive()
+                for handle in supervisor.handles
+            )
 
         asyncio.run(scenario())

@@ -39,7 +39,7 @@ class TestFramedLoadgen:
         ))
         assert report.completed == len(requests)
         assert report.shed == 0 and report.errors == 0
-        assert report.parity is not None and report.parity.ok
+        assert report.parity_ok
 
     def test_full_surface_parity_on_surface_corpus(self):
         trace = SurfaceCorpusGenerator(seed=11).mixed_trace(48)
@@ -52,6 +52,6 @@ class TestFramedLoadgen:
             window=16,
         ))
         assert report.completed == 48
-        assert report.parity is not None and report.parity.ok
+        assert report.parity_ok
         # The corpus's attack half must actually fire on some surface.
         assert report.alerts > 0

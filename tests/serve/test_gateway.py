@@ -13,8 +13,12 @@ import socket
 
 import pytest
 
+from repro.conformance.verdict import (
+    diff_verdicts,
+    serial_verdicts,
+    verdicts_from_responses,
+)
 from repro.core import SignatureSet, signature_set_to_json
-from repro.eval.serving import offline_detections, parity_of_responses
 from repro.http import HttpRequest, Trace
 from repro.ids import (
     DeterministicRuleSet,
@@ -474,14 +478,14 @@ class TestHotReload:
         assert all(r["version"] == 1 for r in first)
         assert all(r["version"] == 2 for r in second)
 
-        offline_full = offline_detections(
-            PSigeneDetector(full), payloads[:half]
-        )
-        offline_reduced = offline_detections(
-            PSigeneDetector(reduced), payloads[half:]
-        )
-        assert parity_of_responses(offline_full, first).ok
-        assert parity_of_responses(offline_reduced, second).ok
+        for signatures, part, responses in (
+            (full, payloads[:half], first), (reduced, payloads[half:], second)
+        ):
+            assert diff_verdicts(
+                "offline", serial_verdicts(PSigeneDetector(signatures), part),
+                "gateway", verdicts_from_responses(responses, "gateway"),
+                part,
+            ) == []
 
 
 class TestLoadgenParity:
@@ -500,7 +504,7 @@ class TestLoadgenParity:
             connections=4,
             window=8,
         ))
-        assert report.parity is not None and report.parity.ok
+        assert report.parity_ok
         assert report.shed == 0
         assert report.completed == len(payloads)
 

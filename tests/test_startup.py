@@ -107,6 +107,17 @@ def test_serve_boots_only_the_serving_path_on_one_thread(
     assert sorted(modules & set(OFFLINE)) == []
 
 
+def test_verdict_referee_loads_without_the_offline_pipeline():
+    # The fleet supervisor, and every shard forked from it, imports the
+    # referee for its spot-check.
+    code = (
+        "import sys, repro.conformance.verdict; print(sorted(m for m in "
+        "sys.modules if m.startswith(('repro.core.pipeline', "
+        "'repro.cluster', 'repro.corpus'))))"
+    )
+    assert _python(code).strip() == "[]"
+
+
 @pytest.mark.smoke
 @pytest.mark.parametrize(
     "extra", [[], ["--shards", "2"]], ids=["gateway", "fleet"]
