@@ -237,12 +237,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # One BLAS thread, set before anything loads numpy.  The gateway is
-    # one event loop whose scoring makes no threaded BLAS call: OpenBLAS's
-    # second thread spent 60-120 ms of CPU at launch and none over the
-    # next 5,000 requests.  Forked fleet shards inherit the setting; a
-    # caller's own setting wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import asyncio
 
     from repro.serve import DetectionGateway, GatewayConfig, SignatureStore

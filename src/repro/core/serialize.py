@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from repro.core.signature import GeneralizedSignature, SignatureSet
 from repro.features.definitions import FeatureCatalog, FeatureDefinition
 from repro.learn.logistic import LogisticModel
@@ -82,11 +80,16 @@ def _signature(entry: dict) -> GeneralizedSignature:
         )
         for i, f in enumerate(entry["features"])
     ]
-    theta = np.asarray(entry["theta"], dtype=np.float64)
-    if theta.shape[0] != len(definitions) + 1:
+    raw_theta = entry["theta"]
+    if not isinstance(raw_theta, list):
+        raise TypeError(
+            f"theta is a JSON {type(raw_theta).__name__}, not an array"
+        )
+    theta = [float(value) for value in raw_theta]
+    if len(theta) != len(definitions) + 1:
         raise ValueError(
             f"bicluster {entry.get('bicluster')}: theta length "
-            f"{theta.shape[0]} does not match {len(definitions)} features"
+            f"{len(theta)} does not match {len(definitions)} features"
         )
     return GeneralizedSignature(
         bicluster_index=int(entry["bicluster"]),

@@ -11,14 +11,16 @@ over the normalized request payload (Section III-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.features.definitions import FeatureCatalog
 from repro.learn.logistic import LogisticModel, logit, sigmoid
 from repro.match import FusedSetEvaluator
 from repro.normalize import Normalizer
 from repro.regexlib import compile_pattern
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sentinel cached when a set takes the per-signature loop (pinned, empty,
 # or its features defeat the fused compiler); evaluations then skip the
@@ -62,23 +64,21 @@ class GeneralizedSignature:
         """Signature size (Table VI column 4)."""
         return len(self.features)
 
-    def feature_vector(self, normalized_payload: str) -> np.ndarray:
+    def feature_vector(self, normalized_payload: str) -> list[int]:
         """Per-feature ``count_all`` values for one normalized payload."""
-        counts = np.zeros(len(self._compiled), dtype=np.float64)
-        for column, compiled in enumerate(self._compiled):
-            counts[column] = sum(
-                1 for _ in compiled.finditer(normalized_payload)
-            )
-        return counts
+        return [
+            sum(1 for _ in compiled.finditer(normalized_payload))
+            for compiled in self._compiled
+        ]
 
     def probability(self, normalized_payload: str) -> float:
         """``h_θ``: probability the payload belongs to this attack class."""
         z = logit(
             self.model.intercept,
-            enumerate(self.model.coefficients.tolist()),
+            enumerate(self.model.coefficients),
             self.feature_vector(normalized_payload),
         )
-        return float(sigmoid(z))
+        return sigmoid(z)
 
     def matches(self, normalized_payload: str) -> bool:
         """Deterministic verdict: probability at or above the threshold."""
@@ -184,6 +184,8 @@ class SignatureSet:
 
     def probabilities(self, payload: str) -> np.ndarray:
         """Per-signature probabilities for a raw payload."""
+        import numpy as np
+
         return np.array(self._probabilities(self.normalizer(payload)))
 
     def evaluate(self, payload: str) -> tuple[float, list[int]]:

@@ -1,5 +1,6 @@
 """Feature system: catalog from three sources, extraction, and pruning."""
 
+from repro._lazy import lazy_exports
 from repro.features.definitions import (
     SOURCE_REFERENCE,
     SOURCE_RESERVED,
@@ -9,9 +10,6 @@ from repro.features.definitions import (
     FeatureDefinition,
     build_catalog,
 )
-from repro.features.extractor import FeatureExtractor
-from repro.features.matrix import FeatureMatrix
-from repro.features.pruning import PruningReport, prune
 
 __all__ = [
     "FeatureDefinition",
@@ -26,3 +24,11 @@ __all__ = [
     "SOURCE_SIGNATURE",
     "SOURCE_REFERENCE",
 ]
+
+# Extraction and pruning work on numpy matrices and load on first use;
+# scoring needs only the catalog.
+__getattr__ = lazy_exports(__name__, {
+    "extractor": ("FeatureExtractor",),
+    "matrix": ("FeatureMatrix",),
+    "pruning": ("PruningReport", "prune"),
+})

@@ -71,7 +71,7 @@ class FeatureExtractor:
         normalized = self.normalizer(payload)
         matcher = self._fused_matcher()
         if matcher is not _UNFUSABLE:
-            return matcher.count_vector(normalized).astype(np.int32)
+            return np.asarray(matcher.counts(normalized), dtype=np.int32)
         counts = np.zeros(len(self.catalog), dtype=np.int32)
         for column, compiled in enumerate(self._compiled):
             counts[column] = sum(1 for _ in compiled.finditer(normalized))

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
-import numpy as np
-
 from repro.core.signature import SignatureSet
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
@@ -31,6 +29,8 @@ from repro.surfaces import (
 )
 
 if TYPE_CHECKING:  # imported lazily to avoid the ids <-> serve cycle
+    import numpy as np
+
     from repro.serve.telemetry import Telemetry
 
 
@@ -93,6 +93,14 @@ class Alert:
     matched: list[int]
 
 
+def _zeros(length: int, dtype: type) -> np.ndarray:
+    """``np.zeros``, imported where it runs: the serving path mounts
+    detectors through this module but never builds an :class:`EngineRun`."""
+    import numpy as np
+
+    return np.zeros(length, dtype=dtype)
+
+
 @dataclass
 class EngineRun:
     """Result of one trace inspection.
@@ -110,15 +118,9 @@ class EngineRun:
     detector: str
     trace_name: str
     alerts: list[Alert] = field(default_factory=list)
-    alert_flags: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=bool)
-    )
-    timings: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.float64)
-    )
-    scores: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.float64)
-    )
+    alert_flags: np.ndarray = field(default_factory=lambda: _zeros(0, bool))
+    timings: np.ndarray = field(default_factory=lambda: _zeros(0, float))
+    scores: np.ndarray = field(default_factory=lambda: _zeros(0, float))
 
     @property
     def alert_count(self) -> int:
@@ -218,12 +220,8 @@ class SignatureEngine:
             return self._run(trace, measure_time=measure_time)
 
     def _run(self, trace: Trace, *, measure_time: bool) -> EngineRun:
-        flags = np.zeros(len(trace), dtype=bool)
-        timings = (
-            np.zeros(len(trace), dtype=np.float64)
-            if measure_time
-            else np.zeros(0, dtype=np.float64)
-        )
+        flags = _zeros(len(trace), bool)
+        timings = _zeros(len(trace) if measure_time else 0, float)
         run = EngineRun(
             detector=self.detector.name, trace_name=trace.name,
         )

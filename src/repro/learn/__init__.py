@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 # Evaluation-only modules load on first use; scoring needs ``logistic``.
+# ``pcg`` stays eager (it imports numpy where it solves): a lazy export
+# named like its module would be rebound to the module by any direct
+# ``import repro.learn.pcg`` that came first.
 __getattr__ = lazy_exports(__name__, {
     "calibration": (
         "CalibrationReport", "ReliabilityBin", "calibration_report",

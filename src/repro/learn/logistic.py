@@ -7,16 +7,25 @@ Preconditioned Conjugate Gradients.  Here each Newton step's linear system
 ``(XᵀDX + λI) δ = -∇`` is solved by :func:`repro.learn.pcg.pcg` with a
 Jacobi preconditioner, which is the standard "PCG for logistic regression"
 formulation.
+
+Scoring a deployed signature is scalar arithmetic on a handful of counts,
+so :func:`logit`, :class:`LogisticModel`'s Θ and the scalar branch of
+:func:`sigmoid` run on Python floats and import nothing; numpy loads
+inside the functions that train or score whole matrices.  A serving
+process that only scores therefore never loads numpy.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.learn.pcg import pcg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def logit(
@@ -45,16 +54,20 @@ def logit(
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable sigmoid ``1 / (1 + e^{-z})``."""
     if isinstance(z, (float, int)):
-        # Scalar fast path — the IDS engines call this once per
-        # signature per request, where the array branch's mask plumbing
-        # costs more than the exponential.  np.exp on a float64 scalar
-        # runs the same ufunc inner loop as the array branch, so the
-        # result is bit-identical.
-        value = np.float64(z)
-        if value >= 0:
-            return float(1.0 / (1.0 + np.exp(-value)))
-        exp_z = np.exp(value)
-        return float(exp_z / (1.0 + exp_z))
+        # Scalar branch — the IDS engines call this once per signature
+        # per request.  It is the array branch's two formulas on libm's
+        # exp (math.exp), which is also numpy's exp on hosts without
+        # AVX512F.  With AVX512F numpy vectorizes exp, and the branches
+        # can differ in the last bits: on an AVX512F Xeon with numpy
+        # 2.4, 4,569 of 200,000 seeded z in [-40, 40] differ, by at most
+        # 2 ULP (tests/learn/test_logistic.py).  Training runs the array
+        # branch, so trained Θ does not depend on this one.
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        exp_z = math.exp(z)
+        return exp_z / (1.0 + exp_z)
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     positive = z >= 0
@@ -70,6 +83,8 @@ def log_loss(
     y: np.ndarray, probabilities: np.ndarray, *, eps: float = 1e-12
 ) -> float:
     """Mean negative log-likelihood of labels under predicted probabilities."""
+    import numpy as np
+
     p = np.clip(probabilities, eps, 1.0 - eps)
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
@@ -95,31 +110,37 @@ class LogisticModel:
     """A trained logistic classifier ``p = g(θ₀ + θᵀx)``.
 
     Attributes:
-        theta: coefficient vector, intercept first (the paper's Θ prints the
-            intercept as the leading constant, e.g. Θ₆ᵀ = −3.761054 + ...).
+        theta: Θ as a tuple of Python floats, intercept first (the
+            paper's Θ prints the intercept as the leading constant, e.g.
+            Θ₆ᵀ = −3.761054 + ...).  The values are the float64 ones the
+            trainer produced; array math passes them through
+            ``np.asarray``.
     """
 
-    def __init__(self, theta: np.ndarray) -> None:
-        self.theta = np.asarray(theta, dtype=np.float64)
+    def __init__(self, theta: Iterable[float]) -> None:
+        self.theta = tuple(float(value) for value in theta)
 
     @property
     def intercept(self) -> float:
         """θ₀, the bias term."""
-        return float(self.theta[0])
+        return self.theta[0]
 
     @property
-    def coefficients(self) -> np.ndarray:
+    def coefficients(self) -> tuple[float, ...]:
         """Per-feature weights θ₁..θ_d."""
         return self.theta[1:]
 
     def decision(self, features: np.ndarray) -> np.ndarray:
         """The linear score z = θ₀ + θᵀx per row."""
+        import numpy as np
+
+        theta = np.asarray(self.theta, dtype=np.float64)
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return self.theta[0] + features @ self.theta[1:]
+        return theta[0] + features @ theta[1:]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Probability that each row belongs to the attack class."""
-        return np.asarray(sigmoid(self.decision(features)))
+        return sigmoid(self.decision(features))
 
     def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 labels at the given probability threshold."""
@@ -157,6 +178,8 @@ def train_logistic(
             retraining (Experiment 2) converges in a fraction of the
             Newton steps when seeded with the previous Θ.
     """
+    import numpy as np
+
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2:
@@ -244,6 +267,8 @@ def _loss(
     ridge: np.ndarray,
     theta: np.ndarray,
 ) -> float:
+    import numpy as np
+
     z = design @ theta
     # log(1 + e^z) computed stably.
     softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.obs.registry import get_registry
 
-MatVec = Callable[[np.ndarray], np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+MatVec = Callable[["np.ndarray"], "np.ndarray"]
 
 
 def _record_solve(result: "PCGResult") -> "PCGResult":
@@ -80,6 +82,8 @@ def pcg(
         tol: relative residual tolerance ``||r|| ≤ tol·||b||``.
         max_iterations: iteration cap (default: problem dimension × 2).
     """
+    import numpy as np
+
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     if max_iterations is None:

@@ -23,6 +23,11 @@ signatures' features is matched once, and each signature reads its
 features out of the shared vector and scores them with the same
 :func:`repro.learn.logistic.logit` as ``GeneralizedSignature.probability``,
 so probabilities are bit-identical to the per-signature path.
+
+:meth:`FusedMatcher.counts` is the one counting implementation and
+returns Python ints, so scoring runs without numpy;
+:meth:`FusedMatcher.count_vector` wraps it for callers that want an
+``int64`` array.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.learn.logistic import logit, sigmoid
 from repro.match.automaton import (
@@ -52,13 +56,16 @@ from repro.regexlib import compile_pattern
 from repro.regexlib.nfa import UnsupportedPatternError
 from repro.regexlib.parser import RegexSyntaxError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass
 class MatchStats:
     """Traffic counters for one fused matcher (per process).
 
     Attributes:
-        payloads: count vectors produced.
+        payloads: :meth:`FusedMatcher.counts` calls.
         ascii_fallbacks: payloads that took the full reference loop
             because they contained non-ASCII characters.
         finditer_calls: exact-count regex runs the gates let through.
@@ -130,15 +137,14 @@ class FusedMatcher:
         self._direct_ids = tuple(sorted(direct_ids))
         self.stats = MatchStats()
 
-    def count_vector(self, normalized: str) -> np.ndarray:
-        """Exact ``count_all`` vector, index-aligned with ``patterns``."""
+    def counts(self, normalized: str) -> list[int]:
+        """Exact ``count_all`` values, index-aligned with ``patterns``."""
         stats = self.stats
         stats.payloads += 1
-        counts = np.zeros(len(self.patterns), dtype=np.int64)
         if not normalized:
             # Catalog patterns never match the empty string (validate()
             # rejects them), so the zero vector is already exact.
-            return counts
+            return [0] * len(self.patterns)
         compiled = self._compiled
         if not normalized.isascii():
             # len(findall()) equals the finditer match count (groups only
@@ -146,18 +152,13 @@ class FusedMatcher:
             # the whole non-overlapping search inside the C loop.
             stats.ascii_fallbacks += 1
             stats.finditer_calls += len(compiled)
-            for index, regex in enumerate(compiled):
-                counts[index] = len(regex.findall(normalized))
-            return counts
+            return [len(regex.findall(normalized)) for regex in compiled]
+        counts = [0] * len(self.patterns)
         scan = self._scanner.scan(normalized.lower())
         for index, token in self._literal_items:
-            value = scan.count(token)
-            if value:
-                counts[index] = value
+            counts[index] = scan.count(token)
         for index, token in self._word_items:
-            value = scan.count_word(token)
-            if value:
-                counts[index] = value
+            counts[index] = scan.count_word(token)
         pending: list[int] = []
         for index, factors in self._factored_items:
             for factor in factors:
@@ -179,6 +180,12 @@ class FusedMatcher:
         for index in pending:
             counts[index] = len(compiled[index].findall(normalized))
         return counts
+
+    def count_vector(self, normalized: str) -> np.ndarray:
+        """:meth:`counts` as an ``int64`` array."""
+        import numpy as np
+
+        return np.asarray(self.counts(normalized), dtype=np.int64)
 
     def describe(self) -> str:
         """One-line census of the compiled plan (``repro match explain``)."""
@@ -251,7 +258,7 @@ class FusedSetEvaluator:
                 signature.model.intercept,
                 tuple(zip(
                     [index_of[d.pattern] for d in signature.features],
-                    signature.model.coefficients.tolist(),
+                    signature.model.coefficients,
                 )),
             )
             for signature in signatures
@@ -259,7 +266,7 @@ class FusedSetEvaluator:
 
     def probabilities(self, normalized: str) -> list[float]:
         """Per-signature probabilities, in signature order."""
-        counts = self.matcher.count_vector(normalized).tolist()
+        counts = self.matcher.counts(normalized)
         return [
             sigmoid(logit(intercept, terms, counts))
             for intercept, terms in self._terms

@@ -70,6 +70,9 @@ class Telemetry:
         self._inspected = self._counter("inspected")
         self._alerted = self._counter("alerted")
         self._service = self._histogram("service")
+        # Per-surface counters, bound the first time each is needed.
+        self._surface_inspected: dict[InjectionSurface, Counter] = {}
+        self._surface_alerted: dict[InjectionSurface, Counter] = {}
 
     def _counter(self, name: str) -> Counter:
         """Registry counter for short name ``name`` (cached)."""
@@ -120,12 +123,33 @@ class Telemetry:
         ``surface_<name>_alerted`` — plain name-keyed counters
         (``repro_surface_query_inspected_total``...), so fleet
         ``merge_raw_states`` aggregation works on them unchanged.
+        Each counter is looked up by name once, when its surface is
+        first inspected or first alerts, so a surface that never alerts
+        exports no ``alerted`` series.
         """
         for verdict in getattr(detection, "verdicts", ()):
-            name = verdict.surface.metric_name
-            self._counter(f"surface_{name}_inspected").inc()
+            surface = verdict.surface
+            self._surface_counter(
+                self._surface_inspected, surface, "inspected"
+            ).inc()
             if verdict.detection.alert:
-                self._counter(f"surface_{name}_alerted").inc()
+                self._surface_counter(
+                    self._surface_alerted, surface, "alerted"
+                ).inc()
+
+    def _surface_counter(
+        self,
+        bound: dict[InjectionSurface, Counter],
+        surface: InjectionSurface,
+        kind: str,
+    ) -> Counter:
+        """Counter ``surface_<name>_<kind>``, bound in *bound* on first use."""
+        counter = bound.get(surface)
+        if counter is None:
+            counter = bound[surface] = self._counter(
+                f"surface_{surface.metric_name}_{kind}"
+            )
+        return counter
 
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""

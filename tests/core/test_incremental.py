@@ -35,7 +35,7 @@ class TestIncrementalUpdate:
         ]
         update = incremental_update(small_pipeline, small_result, fresh)
         changed = any(
-            new.model.theta.shape != old.model.theta.shape
+            len(new.model.theta) != len(old.model.theta)
             or not np.allclose(new.model.theta, old.model.theta)
             for new, old in zip(
                 update.signature_set, small_result.signature_set

@@ -1,5 +1,6 @@
 """Tests for logistic regression via Newton-PCG."""
 
+import math
 import struct
 
 import numpy as np
@@ -33,6 +34,32 @@ class TestSigmoid:
         z = np.random.default_rng(0).normal(0, 10, 100)
         p = sigmoid(z)
         assert ((p > 0) & (p < 1)).all()
+
+
+class TestScalarSigmoid:
+    """The scalar branch scores served requests; the array branch trains."""
+
+    Z = np.random.default_rng(2014).uniform(-40.0, 40.0, 200_000)
+
+    def test_is_the_two_math_exp_formulas(self):
+        for z in self.Z.tolist():
+            if z >= 0:
+                expected = 1.0 / (1.0 + math.exp(-z))
+            else:
+                expected = math.exp(z) / (1.0 + math.exp(z))
+            assert sigmoid(z) == expected
+            assert type(sigmoid(z)) is float
+
+    def test_within_two_ulp_of_the_array_branch(self):
+        scalar = np.array([sigmoid(z) for z in self.Z.tolist()])
+        array = sigmoid(self.Z)
+        # Every value is positive, so adjacent doubles are adjacent ints.
+        ulps = np.abs(scalar.view(np.int64) - array.view(np.int64))
+        assert ulps.max() <= 2
+
+    def test_integer_and_numpy_scalars_take_it(self):
+        assert sigmoid(3) == 1.0 / (1.0 + math.exp(-3))
+        assert sigmoid(np.float64(-2.5)) == sigmoid(-2.5)
 
 
 def _bits(value: float) -> bytes:
@@ -119,9 +146,11 @@ class TestTraining:
     def test_intercept_first_theta_layout(self, separable):
         x, y = separable
         model, _ = train_logistic(x, y)
-        assert model.theta.shape == (x.shape[1] + 1,)
+        assert isinstance(model.theta, tuple)
+        assert all(type(value) is float for value in model.theta)
+        assert len(model.theta) == x.shape[1] + 1
         assert model.intercept == model.theta[0]
-        assert (model.coefficients == model.theta[1:]).all()
+        assert model.coefficients == model.theta[1:]
 
     def test_regularization_shrinks_weights(self, separable):
         x, y = separable

@@ -79,6 +79,15 @@ class TestFusedMatcherExactness:
         matcher.count_vector("x")
         assert matcher.stats.payloads == seen + 1
 
+    def test_count_vector_is_counts_as_an_int64_array(self):
+        matcher = FusedMatcher(["union", r"\bselect\b"])
+        counts = matcher.counts("union select union")
+        assert counts == [2, 1]
+        assert all(type(count) is int for count in counts)
+        vector = matcher.count_vector("union select union")
+        assert vector.dtype == np.int64
+        assert vector[np.array([True, False])].tolist() == [2]
+
     def test_pickle_roundtrip_shares_memo(self):
         matcher = matcher_for_patterns(("union", r"\bselect\b"))
         clone = pickle.loads(pickle.dumps(matcher))

@@ -2,12 +2,16 @@
 
 ``python -m repro serve`` must not load the offline code (crawler,
 clusterer, corpus generators, evaluation, benches) that package
-re-exports would otherwise pull into every importer, and it starts with
-one BLAS thread.  Lazy re-exports must still resolve every name in each
-package's ``__all__``.  Sent SIGTERM, one gateway and a fleet alike
-drain and exit 0 without a word on stderr.
+re-exports would otherwise pull into every importer, and it runs one
+thread.  No serving process loads numpy: a gateway, a fleet supervisor
+or a shard, for every detector, framed or not, across a reload.  Lazy
+re-exports must still resolve every name in each package's ``__all__``.
+Sent SIGTERM, one gateway and a fleet alike drain and exit 0 without a
+word on stderr.
 """
 
+import contextlib
+import http.client
 import importlib
 import os
 import pkgutil
@@ -22,6 +26,8 @@ import pytest
 
 import repro
 from repro.core import signature_set_to_json
+from repro.http import HttpRequest
+from repro.serve.protocol import encode_framed_request
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -46,11 +52,18 @@ PACKAGES = ["repro"] + [
 ]
 
 
+ATTACK_LINE = b"id=1' union select 1,2,3-- -\n"
+
+# numpy's compiled core, as a loaded process maps it.
+NUMPY_CORE = "numpy/_core/_multiarray_umath"
+
+
 def _environ() -> dict[str, str]:
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])
     )
+    # Unset, so that a BLAS loaded after all would show its threads.
     env.pop("OPENBLAS_NUM_THREADS", None)
     return env
 
@@ -70,21 +83,16 @@ def signature_file(small_signatures, tmp_path_factory):
     return str(path)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # _cmd_serve sets the BLAS thread count before numpy first loads.
-    code = "import sys, repro, repro.__main__; print('numpy' in sys.modules)"
-    assert _python(code).strip() == "False"
+@contextlib.contextmanager
+def _serving(args: list[str], log):
+    """A ``repro serve`` process and its data port, stopped on exit.
 
-
-def test_serve_boots_only_the_serving_path_on_one_thread(
-    signature_file, tmp_path
-):
-    # -X importtime logs every import to stderr as it happens, so the
-    # log read after the first answer holds everything loaded up to it.
-    log = tmp_path / "importtime.log"
+    ``-X importtime`` logs every import to stderr (*log*) as it happens,
+    so the log read after an answer holds everything loaded up to it.
+    """
     with open(log, "wb") as stderr, subprocess.Popen(
         [sys.executable, "-X", "importtime", "-m", "repro", "serve",
-         "-s", signature_file, "--port", "0"],
+         "--port", "0", *args],
         env=_environ(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
         stderr=stderr,
     ) as server:
@@ -93,18 +101,143 @@ def test_serve_boots_only_the_serving_path_on_one_thread(
             line = server.stdout.readline().decode() if ready else ""
             match = re.search(r" on [^ ]+:(\d+) ", line)
             assert match, f"no startup line: {line!r}"
-            with socket.create_connection(
-                ("127.0.0.1", int(match.group(1))), timeout=30
-            ) as sock, sock.makefile("rb") as answers:
-                sock.sendall(b"id=1' union select 1,2,3-- -\n")
-                assert answers.readline().startswith(b"{")
-            if sys.platform.startswith("linux"):
-                assert len(os.listdir(f"/proc/{server.pid}/task")) == 1
-            modules = set(IMPORTED.findall(log.read_text()))
+            yield server, int(match.group(1))
         finally:
             server.terminate()
+
+
+def _imported(log) -> set[str]:
+    return set(IMPORTED.findall(log.read_text()))
+
+
+def _answer_line(port: int) -> None:
+    with socket.create_connection(
+        ("127.0.0.1", port), timeout=30
+    ) as sock, sock.makefile("rb") as answers:
+        sock.sendall(ATTACK_LINE)
+        assert answers.readline().startswith(b"{")
+
+
+def _answer_frame(port: int) -> None:
+    request = HttpRequest(
+        method="POST", path="/login", query="id=1' union select 1,2,3-- -",
+        headers={"cookie": "session=1' or 1=1-- -"},
+        body="user=admin'--&pass=x",
+    )
+    with socket.create_connection(
+        ("127.0.0.1", port), timeout=30
+    ) as sock, sock.makefile("rb") as answers:
+        sock.sendall(encode_framed_request(request))
+        answer = answers.readline()
+    assert answer.startswith(b"{") and b'"surfaces"' in answer, answer
+
+
+def _answer_then_reload(port: int) -> None:
+    _answer_line(port)
+    # No body: the gateway re-reads its signature file.
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request("POST", "/reload")
+        response = connection.getresponse()
+        assert response.status == 200, response.read()
+    finally:
+        connection.close()
+    _answer_line(port)
+
+
+def _children(pid: int) -> list[int]:
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/status") as status:
+                fields = dict(
+                    line.split(":", 1) for line in status if ":" in line
+                )
+        except OSError:
+            continue  # exited while we looked
+        if int(fields.get("PPid", "0")) == pid:
+            children.append(int(entry))
+    return children
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Every command imports its own code inside the command.
+    code = "import sys, repro, repro.__main__; print('numpy' in sys.modules)"
+    assert _python(code).strip() == "False"
+
+
+def test_learn_keeps_its_solver_when_the_module_loads_first():
+    # A lazy re-export named like its submodule would be the module here.
+    code = (
+        "import sys, repro.learn.pcg; from repro.learn import pcg; "
+        "print(callable(pcg), 'numpy' in sys.modules)"
+    )
+    assert _python(code).split() == ["True", "False"]
+
+
+def test_serve_boots_only_the_serving_path_on_one_thread(
+    signature_file, tmp_path
+):
+    log = tmp_path / "importtime.log"
+    with _serving(["-s", signature_file], log) as (server, port):
+        _answer_line(port)
+        if sys.platform.startswith("linux"):
+            assert len(os.listdir(f"/proc/{server.pid}/task")) == 1
+        modules = _imported(log)
     assert "repro.serve.gateway" in modules
     assert sorted(modules & set(OFFLINE)) == []
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "detector, options, exchange",
+    [
+        ("psigene", ["--surfaces", "all"], _answer_frame),
+        ("psigene", [], _answer_then_reload),
+        ("modsecurity", [], _answer_line),
+        ("snort", [], _answer_line),
+        ("snort-et", [], _answer_line),
+        ("bro", [], _answer_line),
+    ],
+    ids=[
+        "framed-all-surfaces", "reload", "modsecurity", "snort",
+        "snort-et", "bro",
+    ],
+)
+def test_no_gateway_loads_numpy(
+    detector, options, exchange, signature_file, tmp_path
+):
+    args = ["--detector", detector, *options]
+    if detector == "psigene":
+        args += ["-s", signature_file]
+    log = tmp_path / "importtime.log"
+    with _serving(args, log) as (_, port):
+        exchange(port)
+        modules = _imported(log)
+    assert "repro.serve.gateway" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/maps"
+)
+def test_no_fleet_process_maps_numpy(signature_file, tmp_path):
+    log = tmp_path / "importtime.log"
+    with _serving(
+        ["-s", signature_file, "--shards", "2"], log
+    ) as (server, port):
+        # Each shard has already answered the supervisor's spot-check.
+        for _ in range(4):
+            _answer_line(port)
+        pids = [server.pid, *_children(server.pid)]
+        mapped = {}
+        for pid in pids:
+            with open(f"/proc/{pid}/maps") as maps:
+                mapped[pid] = NUMPY_CORE in maps.read()
+    assert len(pids) >= 3, pids
+    assert not any(mapped.values()), mapped
 
 
 def test_verdict_referee_loads_without_the_offline_pipeline():
