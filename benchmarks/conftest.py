@@ -10,20 +10,28 @@ bench suite in minutes.  EXPERIMENTS.md records a full-scale run.
 
 Every bench writes two artifacts: a human-readable text table via
 ``record`` and a schema-versioned ``BENCH_<slug>.json`` via ``emit``
-(the shared :mod:`repro.bench` writer), so the whole evaluation has a
+(the :mod:`benchlib` writer), so the whole evaluation has a
 machine-readable trajectory that ``scripts/ci_bench_guard.py`` floors
 and ``scripts/reproduce_all.py`` folds into ``SUMMARY.json``.  Both
-honour the ``REPRO_BENCH_RESULTS_DIR`` override.
+honour the ``REPRO_BENCH_RESULTS_DIR`` override.  ``emit`` also holds
+each artifact to its slug's entry in the emitting module's ``FLOORS``:
+a bench declares its acceptance bars there once, and the guard reads
+the same declaration.
 """
 
 import os
 
 import pytest
 
-from repro.bench import BenchResult, corpus_digest, results_dir, write_artifact
+from benchlib import (
+    BenchResult,
+    check_floors,
+    corpus_digest,
+    load_artifact,
+    results_dir,
+    write_artifact,
+)
 from repro.eval import EvaluationContext
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 try:
     import pytest_benchmark  # noqa: F401
@@ -87,13 +95,23 @@ def record():
     return _write
 
 
-@pytest.fixture(scope="session")
-def emit():
-    """Writer that saves one ``BENCH_<slug>.json`` per bench result."""
+@pytest.fixture
+def emit(request):
+    """Writer that saves one ``BENCH_<slug>.json`` per bench result, then
+    checks the written metrics against the module's ``FLOORS[slug]``.
+
+    The artifact is written first, so a run that misses a floor still
+    records what it measured.
+    """
+    floors = request.module.FLOORS
 
     def _emit(result: BenchResult) -> str:
         path = write_artifact(result)
         print(f"[saved to {path}]")
+        check_floors(
+            result.bench, load_artifact(path)["metrics"],
+            floors[result.bench],
+        )
         return path
 
     return _emit

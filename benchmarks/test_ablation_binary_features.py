@@ -8,10 +8,22 @@ detection on the SQLmap set.
 
 import numpy as np
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table, percent
 from repro.ids import PSigeneDetector, SignatureEngine
 from repro.learn import confusion_from_alerts
+
+#: The paper's direction: binary features "did not produce good
+#: results".  What counts buy is precision — erasing repetition
+#: structure (char() runs, stacked quotes) makes benign text look more
+#: like attacks, so the binarized set must not have a *better* FPR,
+#: while the count set keeps comparable recall.
+FLOORS = {
+    "ablation_binary_features": (
+        ("fpr_penalty", ">=", 0.0),
+        ("tpr_edge", ">=", -0.08),
+    ),
+}
 
 
 def _retrain_binary(context):
@@ -82,11 +94,3 @@ def test_binary_features_ablation(benchmark, bench_context, record, emit,
         },
         corpus=context_corpus,
     ))
-
-    # The paper's direction: binary features "did not produce good
-    # results".  What counts buy is precision — erasing repetition
-    # structure (char() runs, stacked quotes) makes benign text look more
-    # like attacks, so the binarized set must not have a *better* FPR,
-    # while the count set keeps comparable recall.
-    assert counts.fpr <= binary.fpr
-    assert counts.tpr >= binary.tpr - 0.08

@@ -9,12 +9,21 @@ probe signature is essentially "alert on any quote".
 
 import numpy as np
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.core import SignatureSet
 from repro.core.generalizer import SignatureGeneralizer
 from repro.eval import format_table, percent
 from repro.ids import PSigeneDetector, SignatureEngine
 from repro.learn import confusion_from_alerts
+
+#: Including the probe clusters can only add coverage, but never at a
+#: better FPR: probe signatures are noisy.
+FLOORS = {
+    "ablation_blackhole_rule": (
+        ("tpr_gain", ">=", -1e-9),
+        ("fpr_cost", ">=", 0.0),
+    ),
+}
 
 
 def _with_black_holes(context):
@@ -84,8 +93,3 @@ def test_blackhole_rule_ablation(benchmark, bench_context, record, emit,
         },
         corpus=context_corpus,
     ))
-
-    # Including the probe clusters can only add coverage...
-    assert included.tpr >= without.tpr - 1e-9
-    # ...but never at a better FPR: probe signatures are noisy.
-    assert included.fpr >= without.fpr

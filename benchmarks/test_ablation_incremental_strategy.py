@@ -8,10 +8,19 @@ phase-4 retraining versus a Θ-only warm-started Newton refit, compared on
 detection quality and optimizer work.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.core.incremental import incremental_update
 from repro.eval import format_table, percent
 from repro.ids import PSigeneDetector, SignatureEngine
+
+#: The empirical evidence the paper asked for: warm restarts cost a
+#: fraction of the optimizer work at a low FPR.
+FLOORS = {
+    "ablation_incremental_strategy": (
+        ("iteration_savings", ">=", 1),
+        ("warm_fpr", "<", 0.005),
+    ),
+}
 
 
 def _measure(context, signature_set):
@@ -73,8 +82,5 @@ def test_incremental_strategy_ablation(benchmark, bench_context, record,
         corpus=context_corpus,
     ))
 
-    # The empirical evidence the paper asked for: warm restarts cost a
-    # fraction of the optimizer work at comparable detection quality.
-    assert warm.newton_iterations < retrain.newton_iterations
+    # Warm restarts keep detection quality comparable to a retrain.
     assert warm_tpr > retrain_tpr - 0.08
-    assert warm_fpr < 0.005

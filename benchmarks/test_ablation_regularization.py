@@ -7,11 +7,21 @@ the pruning threshold, producing smaller signatures at some TPR cost.
 
 import numpy as np
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.core import GeneralizerConfig, SignatureSet
 from repro.core.generalizer import SignatureGeneralizer
 from repro.eval import format_table, percent
 from repro.ids import PSigeneDetector, SignatureEngine
+
+#: Heavier regularization shrinks the weights, and every setting still
+#: detects the bulk of the attacks — the method is not knife-edge
+#: sensitive to the ridge.
+FLOORS = {
+    "ablation_regularization": (
+        ("weight_shrink", ">", 0.0),
+        ("min_tpr", ">", 0.5),
+    ),
+}
 
 
 def _retrain(context, l2):
@@ -91,11 +101,3 @@ def test_regularization_ablation(benchmark, bench_context, record, emit,
         data={"rows": rows},
         corpus=context_corpus,
     ))
-    # Heavier regularization shrinks the weights.
-    assert (
-        by_l2[100.0]["mean_weight_norm"]
-        < by_l2[0.01]["mean_weight_norm"]
-    )
-    # All settings still detect the bulk of the attacks — the method is
-    # not knife-edge sensitive to the ridge.
-    assert all(r["tpr"] > 0.5 for r in rows)

@@ -19,7 +19,7 @@ plus the human-readable ``results/canary_loop.txt``.
 
 import asyncio
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.canary import CanaryConfig, CanaryLoop, GatePolicy, TrainingState
 from repro.conformance import serial_verdicts
 from repro.ids import PSigeneDetector
@@ -41,6 +41,15 @@ PROBES = [
     "course=cs101&term=fall2012",
     "",
 ]
+#: A clean round promotes; a sabotaged one is rejected on its FPR budget
+#: and leaves the incumbent provably unchanged.
+FLOORS = {
+    "canary": (
+        ("promoted", "==", True),
+        ("rejected_fpr_budget", "==", True),
+        ("incumbent_unchanged", "==", True),
+    ),
+}
 
 
 def _round_payload(completed) -> dict:
@@ -89,7 +98,6 @@ def test_canary_loop_fleet(record, emit, tmp_path):
         await supervisor.start()
         try:
             promoted = await loop.run_round_fleet(supervisor)
-            assert promoted.promoted, promoted.decision.reasons
             assert promoted.decision.shadow.divergences == []
             assert supervisor.version == promoted.generation_after
 
@@ -102,7 +110,6 @@ def test_canary_loop_fleet(record, emit, tmp_path):
                 sabotage=lambda s: s.with_threshold(SABOTAGE_THRESHOLD),
             )
             assert not rejected.promoted
-            assert "fpr_budget" in rejected.decision.reasons
             after = serial_verdicts(
                 supervisor.store.current().detector, PROBES
             )
@@ -111,7 +118,6 @@ def test_canary_loop_fleet(record, emit, tmp_path):
                 and supervisor.store.staged_generations() == ()
                 and after == before
             )
-            assert incumbent_unchanged
             return promoted, rejected, incumbent_unchanged
         finally:
             await supervisor.stop()

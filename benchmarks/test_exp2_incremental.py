@@ -6,8 +6,19 @@ Paper: folding 20% of the SQLmap test set into training raises TPR from
 update is fully automatic.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import experiment2_incremental, format_table, percent
+
+#: By the 40% round TPR has not degraded, the gain is incremental, not
+#: transformative (paper: ~2% per round), and FPR stays in the same
+#: regime.
+FLOORS = {
+    "exp2_incremental": (
+        ("tpr_gain_40", ">=", 0.0),
+        ("tpr_gain_40", "<", 0.25),
+        ("fpr_cost_40", "<=", 0.002),
+    ),
+}
 
 
 def test_experiment2(benchmark, bench_context, record, emit, context_corpus):
@@ -48,10 +59,5 @@ def test_experiment2(benchmark, bench_context, record, emit, context_corpus):
         data={"rows": rows},
         corpus=context_corpus,
     ))
-    # TPR must not degrade and should improve by the 40% round.
+    # TPR must not degrade after the first round either.
     assert plus20["tpr_sqlmap"] >= base["tpr_sqlmap"] - 0.01
-    assert plus40["tpr_sqlmap"] >= base["tpr_sqlmap"]
-    # Improvements are incremental, not transformative (paper: ~2%/round).
-    assert plus40["tpr_sqlmap"] - base["tpr_sqlmap"] < 0.25
-    # FPR stays in the same regime.
-    assert plus40["fpr"] <= base["fpr"] + 0.002

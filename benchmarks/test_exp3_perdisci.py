@@ -6,8 +6,20 @@ sets, but 76.5% when tested on its own training samples — token
 subsequences memorize, they do not generalize.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import experiment3_perdisci, format_table, percent
+
+#: The key result: terrible generalization, near-zero FPR, strong recall
+#: on its own training samples — and pSigene's TPR dwarfs Perdisci's on
+#: the same test sets.
+FLOORS = {
+    "exp3_perdisci": (
+        ("tpr", "<", 0.35),
+        ("fpr", "<", 0.001),
+        ("train_gap", ">", 0.1),
+        ("psigene_margin", ">", 0.3),
+    ),
+}
 
 
 def test_experiment3(benchmark, bench_context, record, emit, context_corpus):
@@ -74,10 +86,3 @@ def test_experiment3(benchmark, bench_context, record, emit, context_corpus):
     )
     # Fine-grained cluster count lands in the paper's regime.
     assert 80 <= outcome["fine_grained_clusters"] <= 200
-    # Key result: terrible generalization, near-zero FPR, strong recall
-    # on its own training samples.
-    assert outcome["tpr"] < 0.35
-    assert outcome["fpr"] < 0.001
-    assert outcome["train_on_train_tpr"] > outcome["tpr"] + 0.1
-    # pSigene's TPR dwarfs Perdisci's on the same test sets.
-    assert psigene["tpr_sqlmap"] > outcome["tpr"] + 0.3

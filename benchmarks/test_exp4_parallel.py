@@ -10,7 +10,7 @@ request-axis fan-out of :func:`repro.parallel.process_map` behind
 ``run_batch`` (``exp4_batch_matching``).
 
 All three models share one timer-corrected per-item cost sampler
-(:func:`_item_costs`).  Speedup columns are critical-path models (the
+(:func:`_item_costs`, correcting by :func:`benchlib.timer_overhead_s`).  Speedup columns are critical-path models (the
 slowest worker's share of the measured per-item costs): the latency a
 core-per-worker deployment would exhibit, independent of how many cores
 this host has.  Pool wall-clock is reported alongside, unmodeled.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.bench import BenchResult, corpus_digest
+from benchlib import BenchResult, corpus_digest, timer_overhead_s
 from repro.corpus.grammar import CorpusGenerator
 from repro.eval import format_table
 from repro.features import FeatureExtractor
@@ -30,28 +30,37 @@ from repro.http import HttpRequest, LABEL_ATTACK, Trace
 from repro.ids import PSigeneDetector, SignatureEngine
 from repro.parallel import plan_chunks, run_batch
 
+#: Each model's verdicts equal the serial engine's; sharding approaches
+#: the critical-path limit (the most expensive single signature bounds
+#: the gain); and the batch fan-outs reach 1.5x at 4 workers.  Every
+#: speedup bound here binds a model, not a measured wall time.
+FLOORS = {
+    "exp4_parallel": (
+        ("verdict_parity", "==", True),
+        ("modeled_speedup_at_max", ">", 1.2),
+    ),
+    "exp4_batch_extraction": (
+        ("identical", "==", True),
+        ("modeled_speedup_at_4", ">=", 1.5),
+    ),
+    "exp4_batch_matching": (
+        ("identical", "==", True),
+        ("modeled_speedup_at_4", ">=", 1.5),
+    ),
+}
+
 # -- the timing model ----------------------------------------------------------
 
 
-def _perf_counter_pair_s(samples=2000):
-    """Median cost, in seconds, of one back-to-back ``perf_counter`` pair.
-
-    Every per-item sample carries one such pair inside its interval.  Left
-    in, it would inflate the serial estimate by one pair per item but each
-    worker's share by only its items' worth, flattering every speedup; the
-    median is robust to scheduler noise where the mean is not.
-    """
-    gaps = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        gaps.append(time.perf_counter() - start)
-    gaps.sort()
-    return gaps[len(gaps) // 2]
-
-
 def _item_costs(fn, items):
-    """``fn`` over *items*: per-item seconds (timer-corrected) and results."""
-    overhead = _perf_counter_pair_s()
+    """``fn`` over *items*: per-item seconds and results.
+
+    Each sample has the timer's own cost subtracted.  Left in, it would
+    inflate the serial estimate by one ``perf_counter`` pair per item but
+    each worker's share by only its items' worth, flattering every
+    speedup.
+    """
+    overhead = timer_overhead_s()
     costs = np.zeros(len(items))
     results = []
     for index, item in enumerate(items):
@@ -267,12 +276,9 @@ def test_cluster_mode_speedup(benchmark, bench_context, record, emit):
         ]},
         corpus={"sqlmap_sample": corpus_digest(sample.payloads())},
     ))
-    assert parity
-    # More workers, more speedup, approaching the critical-path limit
-    # (the most expensive single signature bounds the gain).
+    # More workers, more speedup.
     speedups = [run.speedup for run in runs]
     assert speedups[0] <= 1.05
-    assert speedups[-1] > 1.2
     assert max(speedups) == speedups[-1] or (
         speedups[-1] > 0.9 * max(speedups)
     )
@@ -355,13 +361,8 @@ def test_bench_batch_extraction(benchmark, record, emit):
         "exp4_batch_extraction", results, by_workers,
         corpus={"grammar_corpus": corpus_digest(payloads)},
     ))
-
-    # Parallel output is bit-identical to serial at every worker count.
-    assert all(r.identical for r in results)
     # One worker = no fan-out = no modeled gain.
     assert by_workers[1].modeled_speedup <= 1.05
-    # The ISSUE's bar: >= 1.5x modeled extraction speedup at 4 workers.
-    assert by_workers[4].modeled_speedup >= 1.5
 
 
 def test_bench_batch_matching(benchmark, bench_context, record, emit):
@@ -392,10 +393,7 @@ def test_bench_batch_matching(benchmark, bench_context, record, emit):
         "exp4_batch_matching", results, by_workers,
         corpus={"mixed_sample": corpus_digest(trace.payloads())},
     ))
-
-    assert all(r.identical for r in results)
     assert by_workers[1].modeled_speedup <= 1.05
-    assert by_workers[4].modeled_speedup >= 1.5
 
 
 # -- model unit tests ----------------------------------------------------------

@@ -9,8 +9,20 @@ Absolute numbers here reflect this machine; the asserted shape is the
 ordering and the roughly-order-of-magnitude slowdown.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import experiment4_performance, format_table
+
+#: The slowdown is in the "several-fold to order-of-magnitude" band, and
+#: the worst case stays in the paper's "not a bottleneck" regime (< 20 ms
+#: even on a shared CI machine).  Every bound binds a measured time.
+FLOORS = {
+    "exp4_performance": (
+        ("slowdown_vs_modsec", ">", 1.5),
+        ("slowdown_vs_modsec", "<", 100.0),
+        ("slowdown_vs_bro", ">", 1.5),
+        ("psigene_max_us", "<", 20_000.0),
+    ),
+}
 
 
 def test_experiment4(benchmark, bench_context, record, emit, context_corpus):
@@ -60,12 +72,7 @@ def test_experiment4(benchmark, bench_context, record, emit, context_corpus):
     # pSigene is the slowest detector (many count_all invocations).
     assert psigene["avg_us"] > modsec["avg_us"]
     assert psigene["avg_us"] > bro["avg_us"]
-    # The slowdown is in the "several-fold to order-of-magnitude" band.
-    assert 1.5 < psigene["avg_us"] / modsec["avg_us"] < 100
-    assert 1.5 < psigene["avg_us"] / bro["avg_us"] < 100
-    # Worst case stays in the paper's "not a bottleneck" regime (< 20 ms
-    # even on a shared CI machine).
-    assert psigene["max_us"] < 20_000
+    assert psigene["avg_us"] / bro["avg_us"] < 100
 
 
 def test_count_all_throughput(benchmark, bench_context):

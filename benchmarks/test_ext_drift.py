@@ -6,9 +6,18 @@ update (Experiment 2's machinery, warm-started) wins detection back
 without any manual signature work.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table, percent
 from repro.eval.drift import drift_study
+
+#: Generalization keeps drifted traffic mostly detected before any
+#: update, and the automatic update ends at a high operating point.
+FLOORS = {
+    "ext_drift": (
+        ("min_tpr_before", ">", 0.5),
+        ("final_tpr_after", ">", 0.7),
+    ),
+}
 
 
 def test_drift_and_recovery(benchmark, bench_context, record, emit):
@@ -69,12 +78,7 @@ def test_drift_and_recovery(benchmark, bench_context, record, emit):
     ))
 
     assert len(rounds) == 3
-    # Generalization keeps drifted traffic mostly detected even before
-    # any update...
-    assert all(r.tpr_before_update > 0.5 for r in rounds)
-    # ...and the automatic update never loses ground and ends at a high
-    # operating point.
+    # The automatic update never loses ground.
     assert all(
         r.tpr_after_update >= r.tpr_before_update - 0.05 for r in rounds
     )
-    assert rounds[-1].tpr_after_update > 0.7

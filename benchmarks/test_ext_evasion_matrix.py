@@ -7,7 +7,7 @@ Snort and Bro (single-pass decode) fall to double encoding, %u escapes,
 fullwidth unicode, and inline-comment splitting.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table
 from repro.eval.evasion import TECHNIQUES, evasion_matrix
 from repro.ids import PSigeneDetector
@@ -16,6 +16,16 @@ from repro.ids.rulesets import (
     build_merged_snort_et_ruleset,
     build_modsec_ruleset,
 )
+
+#: pSigene handles the control row, and the normalizing detectors
+#: survive the encoding techniques.
+FLOORS = {
+    "ext_evasion_matrix": (
+        ("psigene_min_identity", ">=", 0.8),
+        ("psigene_min_evasion_recall", ">=", 0.6),
+        ("modsec_min_evasion_recall", ">=", 0.6),
+    ),
+}
 
 
 def test_evasion_matrix(benchmark, bench_context, record, emit):
@@ -84,14 +94,9 @@ def test_evasion_matrix(benchmark, bench_context, record, emit):
         },
     ))
 
-    # Everyone handles the control row.
-    for name in names:
+    # The rule engines handle the control row too.
+    for name in names[1:]:
         assert recall("identity", name) >= 0.8, name
-    # Normalizing detectors survive the encoding techniques.
-    for technique in ("double-encoding", "inline-comments", "unicode-%u",
-                      "fullwidth-unicode"):
-        assert recall(technique, "psigene") >= 0.6, technique
-        assert recall(technique, "modsecurity") >= 0.6, technique
     # Single-decode engines lose to at least two encoding techniques.
     for detector in ("snort-et", "bro"):
         beaten = sum(

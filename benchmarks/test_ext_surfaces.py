@@ -12,7 +12,7 @@ same configuration and fails CI when any number moves without the
 artifact being re-committed.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.conformance import train_default_detector
 from repro.corpus import SURFACE_FAMILIES, SurfaceCorpusGenerator, VulnerableWebApp
 from repro.eval import format_table
@@ -50,6 +50,16 @@ FPR_CEILING = 0.02
 #: extraction must be provably blind to them (the store leg of
 #: second-order is an ordinary form POST, so it is excluded here).
 LEGACY_BLIND_FAMILIES = ("json-body", "cookie", "header", "multipart")
+#: The scanner's probes are invisible to legacy extraction and mostly
+#: caught in full; the evasion survival rate is a tracked ledger value
+#: (the guard pins it to the artifact), bounded here only as a rate.
+FLOORS = {
+    "surfaces": (
+        ("scanner_detected_legacy", "==", 0),
+        ("scanner_rate_full", ">=", 0.6),
+        ("evasion_survival_rate", "<=", 1.0),
+    ),
+}
 
 
 def measure_surfaces(detector) -> dict:
@@ -134,16 +144,10 @@ def test_surface_bench(record, emit):
         assert families[family]["legacy_tpr"] == 0.0, (
             family, families[family]
         )
-    # The scanner's probes: invisible to legacy, mostly caught in full.
-    assert ledger["scanner"]["detected_legacy"] == 0
-    assert ledger["scanner"]["rate_full"] >= 0.6
-
-    # The evasion search attacked real detections and its numbers are
-    # internally consistent; the survival rate itself is a tracked
-    # ledger value, not a hard bar — the guard pins it to the artifact.
+    # The evasion search attacked real detections.
     evasion = ledger["evasion"]
     assert evasion["attacked"] > 0
-    assert 0.0 <= evasion["survival_rate"] <= 1.0
+    assert evasion["survival_rate"] >= 0.0
 
     emit(BenchResult(
         bench="surfaces",

@@ -13,14 +13,13 @@ peak must stay within two ``(n, n)`` float64 matrices at the linkage's
 import os
 import tracemalloc
 
-from repro.bench import BenchResult, results_dir
+from benchlib import BenchResult, results_dir
 from repro.cluster.heatmap import render_ppm
 from repro.eval import figure2_heatmap
 from repro.obs.trace import Tracer
 
 #: Prototypes (distinct transformed rows) the bench context's UPGMA
-#: clusters; the memory ceiling below is sized for exactly this n, and
-#: ``scripts/ci_bench_guard.py`` floors the emitted n at the same value.
+#: clusters; the memory ceiling below is sized for exactly this n.
 LINKAGE_PROTOTYPES = 993
 #: Phase 3's traced-peak ceiling: two (n, n) float64 matrices.  Phase 3
 #: holds one, plus its condensed upper triangle.
@@ -29,6 +28,20 @@ BICLUSTER_PEAK_CEILING_MIB = 2 * LINKAGE_PROTOTYPES ** 2 * 8 / 2 ** 20
 #: caches and Python's free lists move the peak by about a KiB; an extra
 #: (n, n) row block or matrix would move it by megabytes.
 PEAK_REPEAT_TOLERANCE_BYTES = 64 * 2 ** 10
+#: The paper's shape (eleven biclusters, two black holes, a high
+#: cophenetic coefficient), and phase 3's measured memory: one (n, n)
+#: matrix at a time, at the n the ceiling is sized for.
+FLOORS = {
+    "figure2_heatmap": (
+        ("biclusters", ">=", 6),
+        ("biclusters", "<=", 11),
+        ("black_holes", ">=", 1),
+        ("black_holes", "<=", 3),
+        ("cophenetic", ">", 0.6),
+        ("linkage_prototypes", "==", LINKAGE_PROTOTYPES),
+        ("bicluster_traced_peak_mib", "<=", BICLUSTER_PEAK_CEILING_MIB),
+    ),
+}
 
 
 def traced_bicluster_peak_bytes(context) -> int:
@@ -97,13 +110,7 @@ def test_figure2(benchmark, bench_context, record, emit):
         },
     ))
 
-    # Shape assertions.
-    assert 6 <= total <= 11
-    assert 1 <= black_holes <= 3
-    assert cophenetic > 0.6
     # The heatmap rows must group bicluster members contiguously.
     assert transitions <= total + 2
-    # Phase 3's memory: repeatable, and one (n, n) matrix at a time.
-    assert prototypes == LINKAGE_PROTOTYPES
+    # Phase 3's traced peak is repeatable.
     assert abs(peaks[0] - peaks[1]) <= PEAK_REPEAT_TOLERANCE_BYTES
-    assert peak_mib <= BICLUSTER_PEAK_CEILING_MIB

@@ -8,8 +8,18 @@ an operator pick which signatures to enable.
 
 import numpy as np
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import figure3_roc, format_table
+
+#: Wide variability in signature quality (the paper's first
+#: observation), and the best signatures genuinely detect within the
+#: low-FPR window.
+FLOORS = {
+    "figure3_roc": (
+        ("best_partial_auc", ">", 0.02),
+        ("auc_spread", ">", 0.0),
+    ),
+}
 
 
 def test_figure3(benchmark, bench_context, record, emit, context_corpus):
@@ -61,10 +71,6 @@ def test_figure3(benchmark, bench_context, record, emit, context_corpus):
 
     # One curve per signature.
     assert len(curves) == len(bench_context.result.signature_set)
-    # Wide variability in signature quality (paper's first observation).
-    assert max(aucs) > min(aucs)
-    # The best signatures genuinely detect within the low-FPR window.
-    assert max(aucs) > 0.02
     # Curves are valid: monotone TPR over sorted FPR.
     for curve in curves.values():
         order = np.argsort(curve.fpr)

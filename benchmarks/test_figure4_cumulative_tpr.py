@@ -5,8 +5,17 @@ Paper: signatures sorted by quality; signature 1 contributes the most
 non-trivially and the running sum reaches the set's overall TPR.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import figure4_cumulative_tpr, format_table
+
+#: The top signature carries a large share, and the set as a whole
+#: detects most attacks.
+FLOORS = {
+    "figure4_cumulative_tpr": (
+        ("top_marginal", ">=", 0.1),
+        ("set_tpr", ">", 0.7),
+    ),
+}
 
 
 def test_figure4(benchmark, bench_context, record, emit, context_corpus):
@@ -46,8 +55,5 @@ def test_figure4(benchmark, bench_context, record, emit, context_corpus):
     # Ordered best-first and monotone cumulative.
     assert individual == sorted(individual, reverse=True)
     assert all(b >= a - 1e-12 for a, b in zip(cumulative, cumulative[1:]))
-    # The top signature carries a large share; the tail still adds some.
-    assert rows[0]["marginal"] >= 0.1
-    assert cumulative[-1] > 0.7
     # Marginal contributions decay (the paper's concave curve).
     assert rows[0]["marginal"] >= rows[-1]["marginal"]

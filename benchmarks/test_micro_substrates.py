@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.cluster import upgma
 from repro.corpus import CorpusGenerator
 from repro.features import FeatureExtractor
@@ -17,6 +17,15 @@ from repro.learn import train_logistic
 from repro.normalize import normalize
 
 PAYLOAD = "id=1%2527/**/UNION/**/SELECT/**/1,2,concat(database()),4--%20-"
+
+#: Sanity ceilings (100 ms) on two measured best-of-3 timings: they
+#: catch a hot path gone pathological, not a slowdown.
+FLOORS = {
+    "micro_substrates": (
+        ("normalize_us", "<=", 100_000.0),
+        ("extract_us", "<=", 100_000.0),
+    ),
+}
 
 
 def test_normalize_speed(benchmark):

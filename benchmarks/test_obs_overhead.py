@@ -10,7 +10,7 @@ exactly the bookkeeping the real registry performs.
 
 import time
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table
 from repro.http import Trace
 from repro.ids import PSigeneDetector, SignatureEngine
@@ -19,6 +19,14 @@ from repro.serve.telemetry import Telemetry
 
 REPEATS = 5
 REQUESTS = 600
+#: The acceptance bar: instrumentation costs at most 5% of the measured
+#: engine wall time; the per-request ceiling (100 ms) is a sanity bound.
+FLOORS = {
+    "obs_overhead": (
+        ("overhead_fraction", "<=", 0.05),
+        ("per_request_us", "<=", 100_000.0),
+    ),
+}
 
 
 def _min_wall_s_interleaved(
@@ -81,8 +89,8 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
     )
     record("obs_overhead", table)
 
-    # Emit before the overhead assertion so a noisy-machine failure still
-    # records the measurement.
+    # emit writes the artifact before it checks the floors, so a
+    # noisy-machine failure still records the measurement.
     emit(BenchResult(
         bench="obs_overhead",
         kind="perf",
@@ -98,9 +106,6 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
     ))
 
     assert per_request_us > 0.0
-    assert overhead <= 0.05, (
-        f"instrumentation overhead {overhead * 100:.2f}% exceeds 5%"
-    )
 
     # The instrumented arm really did count: one inc per request per pass.
     inspected = instrumented.telemetry.counter("inspected")

@@ -14,9 +14,13 @@ measurement does expose is the fleet's coordination overhead — the
 aggregate it retains when the same core is divided N ways
 (``efficiency = C_N / C_1``).  Modeled N-core throughput is
 ``N x C_1 x min(1, efficiency)``, i.e. perfect port-sharding scaling
-discounted by the *measured* multi-process overhead.  The acceptance
-bar (modeled speedup >= 2.5x at 4 shards) fails if shard coordination
-eats more than 37.5% of aggregate capacity.
+discounted by the *measured* multi-process overhead.
+
+So ``modeled_speedup_at_4`` is ``4 x min(1, C_4 / C_1)``: a model, not a
+measured speedup.  It reads 4.0 whenever four shards serve at least the
+one-shard rate (the committed run measured C_1 = 4,844 req/s and
+C_4 = 9,416 req/s), and its floor (>= 2.5x) fails only when shard
+coordination eats more than 37.5% of aggregate capacity.
 
 Saved to ``results/serve_fleet.txt`` and the machine-readable baseline
 ``results/BENCH_serving.json`` guarded by ``scripts/ci_bench_guard.py``.
@@ -24,7 +28,7 @@ Saved to ``results/serve_fleet.txt`` and the machine-readable baseline
 
 import asyncio
 
-from repro.bench import BenchResult, corpus_digest
+from benchlib import BenchResult, corpus_digest
 from repro.conformance import train_default_detector
 from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
@@ -35,6 +39,14 @@ WINDOW = 16
 PRESSURE_QUEUE_BOUND = 8
 SLO_MS = 50.0
 MIN_MODELED_SPEEDUP_AT_4 = 2.5
+#: Every serviced response matches the offline engine, and the modeled
+#: fleet reaches 2.5x single-shard throughput at 4 shards.
+FLOORS = {
+    "serving": (
+        ("parity_ok", "==", True),
+        ("modeled_speedup_at_4", ">=", MIN_MODELED_SPEEDUP_AT_4),
+    ),
+}
 
 
 def test_serve_fleet_scaling(record, emit):
@@ -53,10 +65,9 @@ def test_serve_fleet_scaling(record, emit):
             window=WINDOW,
             slo_ms=SLO_MS,
         ))
-        # Closed-loop block policy: every request serviced, bit parity.
+        # Closed-loop block policy: every request serviced.
         assert report.completed == report.requests
         assert report.shed == 0 and report.errors == 0
-        assert report.parity_ok
         capacity[shards] = report
 
     c1 = capacity[1].throughput_rps
@@ -91,7 +102,6 @@ def test_serve_fleet_scaling(record, emit):
         pressure.requests
     )
     assert pressure.errors == 0
-    assert pressure.parity_ok
 
     header = (
         f"{'shards':>6} {'meas req/s':>11} {'eff':>6} "
@@ -133,7 +143,10 @@ def test_serve_fleet_scaling(record, emit):
             "queue_bound": QUEUE_BOUND,
             "c1_rps": round(c1, 1),
             "modeled_speedup_at_4": scaling[-1]["modeled_speedup"],
-            "parity_ok": True,
+            "parity_ok": all(
+                report.parity_ok
+                for report in [*capacity.values(), pressure]
+            ),
         },
         data={
             "detector": detector.name,
@@ -152,8 +165,5 @@ def test_serve_fleet_scaling(record, emit):
         },
         corpus={"loadgen_trace": corpus_digest(payloads)},
     ))
-
-    # The ISSUE's bar: the modeled fleet reaches >= 2.5x single-shard
-    # throughput at 4 shards on the sqlmap+benign replay trace.
+    # The floored modeled_speedup_at_4 is the last scaling row's.
     assert scaling[-1]["shards"] == 4
-    assert scaling[-1]["modeled_speedup"] >= MIN_MODELED_SPEEDUP_AT_4

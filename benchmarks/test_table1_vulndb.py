@@ -7,8 +7,17 @@ high/medium-risk MySQL-backed vulnerabilities of that month, the crawled
 dataset contained launchable attack samples.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table, table1_vulnerability_coverage
+
+#: The paper's four printed rows, and samples for every reviewed
+#: vulnerability.
+FLOORS = {
+    "table1_vulndb": (
+        ("printed_rows", "==", 4),
+        ("coverage_ratio", "==", 1.0),
+    ),
+}
 
 
 def test_table1(benchmark, bench_context, record, emit):
@@ -41,7 +50,4 @@ def test_table1(benchmark, bench_context, record, emit):
         data={"rows": result["table1_rows"]},
     ))
 
-    assert len(result["table1_rows"]) == 4
     assert result["cohort_size"] >= 28
-    # The paper found samples for every reviewed vulnerability.
-    assert result["covered"] == result["cohort_size"]

@@ -9,7 +9,7 @@ Snort's the shortest (avg 27.1).
 
 import pytest
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table, table4_ruleset_comparison
 
 PAPER = {
@@ -17,6 +17,15 @@ PAPER = {
     "snort": (79, 61.0, 82.0),
     "emerging-threats": (4231, 0.0, 99.0),
     "modsecurity": (34, 100.0, 100.0),
+}
+#: The paper's rule counts, exactly.
+FLOORS = {
+    "table4_rulesets": (
+        ("bro_rules", "==", PAPER["bro"][0]),
+        ("snort_rules", "==", PAPER["snort"][0]),
+        ("et_rules", "==", PAPER["emerging-threats"][0]),
+        ("modsec_rules", "==", PAPER["modsecurity"][0]),
+    ),
 }
 
 
@@ -59,9 +68,8 @@ def test_table4(benchmark, record, emit):
         },
         data={"rows": rows},
     ))
-    for name, (count, enabled, regex) in PAPER.items():
+    for name, (_count, enabled, regex) in PAPER.items():
         row = measured[name]
-        assert row["sqli_rules"] == count, name
         assert row["enabled_pct"] == pytest.approx(enabled, abs=2.0), name
         assert row["regex_pct"] == pytest.approx(regex, abs=3.0), name
 

@@ -13,7 +13,7 @@ between ModSec and Snort/Bro; Bro has exactly zero false positives; Snort
 has the worst FPR; pSigene's FPR beats Snort's and ModSec's.
 """
 
-from repro.bench import BenchResult
+from benchlib import BenchResult
 from repro.eval import format_table, percent, table5_accuracy
 
 PAPER_ROWS = [
@@ -23,6 +23,15 @@ PAPER_ROWS = [
     ("snort-et", 79.55, 76.59, 0.1742),
     ("bro", 73.23, 76.33, 0.0000),
 ]
+#: Rough magnitudes, and Bro's exactly-zero false positives.
+FLOORS = {
+    "table5_accuracy": (
+        ("psigene_tpr_sqlmap", ">", 0.75),
+        ("modsec_tpr_sqlmap", ">", 0.9),
+        ("bro_fpr", "==", 0.0),
+        ("snort_fpr", "<", 0.01),
+    ),
+}
 
 
 def test_table5(benchmark, bench_context, record, emit, context_corpus):
@@ -87,12 +96,6 @@ def test_table5(benchmark, bench_context, record, emit, context_corpus):
     assert psigene["tpr_arachni"] > snort["tpr_arachni"]
 
     # -- FPR ordering -------------------------------------------------------
-    assert bro["fpr"] == 0.0
     assert snort["fpr"] > modsec["fpr"]
     assert psigene["fpr"] < snort["fpr"]
     assert psigene["fpr"] <= modsec["fpr"] + 0.0005
-
-    # -- rough magnitudes ---------------------------------------------------
-    assert psigene["tpr_sqlmap"] > 0.75
-    assert modsec["tpr_sqlmap"] > 0.9
-    assert snort["fpr"] < 0.01

@@ -1,28 +1,28 @@
 """CI guard: every committed bench artifact must validate and hold its floor.
 
 All benchmarks emit a machine-readable ``BENCH_<slug>.json`` next to their
-text table under ``benchmarks/results/`` (the shared :mod:`repro.bench`
+text table under ``benchmarks/results/`` (the ``benchmarks/benchlib.py``
 schema).  This guard holds the tree to that ledger in three layers:
 
 **Layer 1 — schema sweep.**  Every ``BENCH_*.json`` on disk must validate
 against the ``BenchResult`` schema and be byte-identical to its canonical
 re-serialization (one writer, one byte layout — diffs stay reviewable).
 
-**Layer 2 — per-bench floors.**  Every artifact slug must appear in the
-``FLOORS`` table below and clear its floors — constant (metric, op, bound)
-triples mirroring each bench's own acceptance assertions, so a regressed
-artifact cannot be committed even when the bench run that produced it was
-skipped.  A slug with no floors entry fails (unguarded artifact); a floors
-entry with no artifact fails (missing trajectory point).
+**Layer 2 — per-bench floors.**  Every artifact must clear the
+(metric, op, bound) floors its bench declares in ``FLOORS`` — the same
+tuples the bench's ``emit`` checks — so a regressed artifact cannot be
+committed even when the bench run that produced it was skipped.  An
+artifact no bench floors fails (unguarded artifact); a floored slug with
+no artifact fails (missing trajectory point).
 
 **Layer 3 — deep guards.**  Four benches get live re-measurement on top of
-the committed numbers:
+the committed numbers, three of them on one trained seed-2012 default
+detector:
 
-``BENCH_matching.json`` — the fused single-pass matcher is re-measured
-fresh (canonical small detector, seeded fuzz corpus); verdicts must stay
-bit-identical to the legacy path and the fresh speedup must hold 85% of
-the committed baseline speedup (a ratio of ratios — insensitive to the
-runner's absolute speed).
+``BENCH_matching.json`` — the bench's own ``measure_fused_matching`` runs
+fresh on a seeded fuzz corpus; verdicts must stay bit-identical to the
+legacy path and the fresh speedup must hold 85% of the committed baseline
+speedup (a ratio of ratios — insensitive to the runner's absolute speed).
 
 ``BENCH_serving.json`` — a live 2-shard fleet probe must serve with
 bit-exact parity and retain at least half of single-shard capacity.
@@ -32,8 +32,9 @@ through the *current* gate implementation; both decisions must reproduce,
 so gate-semantics drift fails CI before the live canary smoke step.
 
 ``BENCH_surfaces.json`` — the surface ledger is deterministic from
-committed seeds, so the guard recomputes the exact bench configuration
-and requires the fresh ledger to be *identical* to the committed one.
+committed seeds, so the guard recomputes the bench's exact configuration
+with its own ``measure_surfaces`` and requires the fresh ledger to be
+*identical* to the committed one.
 
 When a baseline artifact does not exist in HEAD (first run on a fresh
 branch), the deep guards record what they measured and pass: there is
@@ -44,180 +45,34 @@ Usage: ``PYTHONPATH=src python scripts/ci_bench_guard.py``
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+))
+
+from benchlib import (  # noqa: E402 - needs benchmarks/ on the path
+    check_floors,
+    collect_floors,
+    dump_bench_json,
+    list_artifacts,
+    load_artifact,
+    load_bench_module,
+)
+
 BASELINE_PATH = "benchmarks/results/BENCH_matching.json"
-SERVING_BASELINE_PATH = "benchmarks/results/BENCH_serving.json"
 CANARY_BASELINE_PATH = "benchmarks/results/BENCH_canary.json"
 SURFACES_BASELINE_PATH = "benchmarks/results/BENCH_surfaces.json"
+#: The canonical small detector's seed: the matching and fleet probes use
+#: it, and so does the surfaces bench (its ``SEED``).
+DETECTOR_SEED = 2012
 ALLOWED_FRACTION = 0.85
-MIN_MODELED_SPEEDUP_AT_4 = 2.5
 MIN_PROBE_EFFICIENCY = 0.5
 PROBE_PAYLOAD_COUNT = 400
-#: The bench context's UPGMA prototypes (``LINKAGE_PROTOTYPES`` in
-#: benchmarks/test_figure2_heatmap.py), which figure2's peak ceiling is
-#: sized for.
-FIGURE2_LINKAGE_PROTOTYPES = 993
-
-# Per-bench regression floors: slug -> ((metric, op, bound), ...).
-# Each triple mirrors an acceptance assertion in the bench module that
-# produced the artifact; ops are ">=", "<=", "==".  Derived-margin
-# metrics (e.g. ``tpr_gain_40`` = TPR(+40%) − TPR(base)) turn the
-# benches' cross-metric assertions into constant comparisons.
-FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
-    "matching": (
-        ("identical", "==", True),
-        ("speedup", ">=", 3.0),
-    ),
-    "serving": (
-        ("parity_ok", "==", True),
-        ("modeled_speedup_at_4", ">=", MIN_MODELED_SPEEDUP_AT_4),
-    ),
-    "canary": (
-        ("promoted", "==", True),
-        ("rejected_fpr_budget", "==", True),
-        ("incumbent_unchanged", "==", True),
-    ),
-    "surfaces": (
-        ("scanner_detected_legacy", "==", 0),
-        ("scanner_rate_full", ">=", 0.6),
-        ("evasion_survival_rate", "<=", 1.0),
-    ),
-    "exp2_incremental": (
-        ("tpr_gain_40", ">=", 0.0),
-        ("tpr_gain_40", "<=", 0.25),
-        ("fpr_cost_40", "<=", 0.002),
-    ),
-    "exp3_perdisci": (
-        ("tpr", "<=", 0.35),
-        ("fpr", "<=", 0.001),
-        ("train_gap", ">=", 0.1),
-        ("psigene_margin", ">=", 0.3),
-    ),
-    "exp4_performance": (
-        ("slowdown_vs_modsec", ">=", 1.5),
-        ("slowdown_vs_modsec", "<=", 100.0),
-        ("slowdown_vs_bro", ">=", 1.5),
-        ("psigene_max_us", "<=", 20_000.0),
-    ),
-    "exp4_parallel": (
-        ("verdict_parity", "==", True),
-        ("modeled_speedup_at_max", ">=", 1.2),
-    ),
-    "exp4_batch_extraction": (
-        ("identical", "==", True),
-        ("modeled_speedup_at_4", ">=", 1.5),
-    ),
-    "exp4_batch_matching": (
-        ("identical", "==", True),
-        ("modeled_speedup_at_4", ">=", 1.5),
-    ),
-    "ablation_binary_features": (
-        ("fpr_penalty", ">=", 0.0),
-        ("tpr_edge", ">=", -0.08),
-    ),
-    "ablation_blackhole_rule": (
-        ("tpr_gain", ">=", -1e-6),
-        ("fpr_cost", ">=", 0.0),
-    ),
-    "ablation_incremental_strategy": (
-        ("iteration_savings", ">=", 1),
-        ("warm_fpr", "<=", 0.005),
-    ),
-    "ablation_regularization": (
-        ("weight_shrink", ">=", 0.0),
-        ("min_tpr", ">=", 0.5),
-    ),
-    "ablation_selection_rule": (
-        ("paper_biclusters", ">=", 5),
-        ("paper_coverage", ">=", 0.6),
-    ),
-    "table1_vulndb": (
-        ("printed_rows", "==", 4),
-        ("coverage_ratio", "==", 1.0),
-    ),
-    "table2_feature_sources": (
-        ("sources", "==", 3),
-        ("initial_features", "==", 477),
-        ("final_features", ">=", 80),
-        ("final_features", "<=", 250),
-    ),
-    "table3_signature_features": (
-        ("theta_consistent", "==", True),
-        ("n_features", ">=", 1),
-        ("n_features", "<=", 40),
-    ),
-    "table4_rulesets": (
-        ("bro_rules", "==", 6),
-        ("snort_rules", "==", 79),
-        ("et_rules", "==", 4231),
-        ("modsec_rules", "==", 34),
-    ),
-    "table5_accuracy": (
-        ("psigene_tpr_sqlmap", ">=", 0.75),
-        ("modsec_tpr_sqlmap", ">=", 0.9),
-        ("bro_fpr", "==", 0.0),
-        ("snort_fpr", "<=", 0.01),
-    ),
-    "table6_cluster_details": (
-        ("n_signatures", ">=", 5),
-        ("n_signatures", "<=", 9),
-        ("size_spread", ">=", 1.5),
-    ),
-    "figure2_heatmap": (
-        ("biclusters", ">=", 6),
-        ("biclusters", "<=", 11),
-        ("black_holes", ">=", 1),
-        ("black_holes", "<=", 3),
-        ("cophenetic", ">=", 0.6),
-        # Phase 3's traced peak: at most two (n, n) float64 matrices at
-        # the n linkage prototypes the ceiling is sized for.
-        ("linkage_prototypes", "==", FIGURE2_LINKAGE_PROTOTYPES),
-        (
-            "bicluster_traced_peak_mib", "<=",
-            2 * FIGURE2_LINKAGE_PROTOTYPES ** 2 * 8 / 2 ** 20,
-        ),
-    ),
-    "figure3_roc": (
-        ("best_partial_auc", ">=", 0.02),
-        ("auc_spread", ">=", 0.0),
-    ),
-    "figure4_cumulative_tpr": (
-        ("top_marginal", ">=", 0.1),
-        ("set_tpr", ">=", 0.7),
-    ),
-    "ext_calibration": (
-        ("ece", "<=", 0.12),
-        ("brier", "<=", 0.1),
-        ("low_bin_rate", "<=", 0.2),
-        ("high_bin_rate", ">=", 0.8),
-    ),
-    "ext_drift": (
-        ("min_tpr_before", ">=", 0.5),
-        ("final_tpr_after", ">=", 0.7),
-    ),
-    "ext_evasion_matrix": (
-        ("psigene_min_identity", ">=", 0.8),
-        ("psigene_min_evasion_recall", ">=", 0.6),
-        ("modsec_min_evasion_recall", ">=", 0.6),
-    ),
-    "serve_loadgen": (
-        ("parity_ok", "==", True),
-        ("tight_queue_shed_rate", "<=", 1.0),
-    ),
-    "obs_overhead": (
-        ("overhead_fraction", "<=", 0.05),
-        ("per_request_us", "<=", 100_000.0),
-    ),
-    "micro_substrates": (
-        ("normalize_us", "<=", 100_000.0),
-        ("extract_us", "<=", 100_000.0),
-    ),
-}
 
 
 def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
@@ -241,10 +96,9 @@ def sweep_artifacts() -> str:
     """Layer 1 + 2: validate every on-disk artifact and apply its floors.
 
     Returns the verdict line; raises AssertionError on the first broken
-    artifact, missing floors entry, or missing artifact.
+    artifact, unguarded artifact, or missing artifact.
     """
-    from repro.bench import dump_bench_json, list_artifacts, load_artifact
-
+    floors = collect_floors()
     paths = list_artifacts()
     if not paths:
         raise AssertionError(
@@ -259,35 +113,17 @@ def sweep_artifacts() -> str:
         if dump_bench_json(payload) != raw:
             raise AssertionError(
                 f"{path} is not in canonical serialization; rewrite it "
-                f"through repro.bench.write_artifact"
+                f"through benchlib.write_artifact"
             )
         slug = payload["bench"]
         seen.add(slug)
-        floors = FLOORS.get(slug)
-        if floors is None:
+        if slug not in floors:
             raise AssertionError(
-                f"{path}: bench '{slug}' has no FLOORS entry in "
-                f"scripts/ci_bench_guard.py — every artifact must be "
-                f"guarded"
+                f"{path}: no bench module declares FLOORS for '{slug}' "
+                f"— every artifact must be guarded"
             )
-        for metric, op, bound in floors:
-            if metric not in payload["metrics"]:
-                raise AssertionError(
-                    f"{path}: floors expect metric '{metric}' which the "
-                    f"artifact does not record"
-                )
-            value = payload["metrics"][metric]
-            ok = (
-                value >= bound if op == ">=" else
-                value <= bound if op == "<=" else
-                value == bound
-            )
-            if not ok:
-                raise AssertionError(
-                    f"{path}: {metric}={value!r} violates floor "
-                    f"'{metric} {op} {bound!r}'"
-                )
-    missing = sorted(set(FLOORS) - seen)
+        check_floors(path, payload["metrics"], floors[slug])
+    missing = sorted(set(floors) - seen)
     if missing:
         raise AssertionError(
             f"floors defined but artifact missing for: {', '.join(missing)}"
@@ -295,26 +131,27 @@ def sweep_artifacts() -> str:
         )
     return (
         f"artifact sweep OK: {len(paths)} artifacts schema-valid, "
-        f"canonical, and clear of {sum(len(f) for f in FLOORS.values())} "
-        f"floors across {len(FLOORS)} benches"
+        f"canonical, and clear of {sum(len(f) for f in floors.values())} "
+        f"floors across {len(floors)} benches"
     )
 
 
-def fresh_measurement() -> dict:
-    """Benchmark the canonical small detector on the seeded fuzz corpus."""
-    from repro.conformance import generate_corpus, train_default_detector
-    from repro.match import bench_fused_matching
+def fresh_measurement(detector) -> dict:
+    """The matching bench's metrics, re-measured on the seeded fuzz
+    corpus."""
+    from repro.conformance import generate_corpus
 
-    detector = train_default_detector(2012)
-    payloads = generate_corpus(seed=2012, budget="small")
-    result = bench_fused_matching(detector.signature_set, payloads)
-    return json.loads(result.to_json())
+    bench = load_bench_module("test_match_fused")
+    payloads = generate_corpus(seed=DETECTOR_SEED, budget="small")
+    return bench.measure_fused_matching(
+        detector.signature_set, payloads
+    ).metrics
 
 
 def check(baseline: dict | None, fresh: dict) -> str:
     """The guard's verdict line; raises AssertionError on regression."""
-    speedup = fresh["metrics"]["speedup"]
-    if not fresh["metrics"]["identical"]:
+    speedup = fresh["speedup"]
+    if not fresh["identical"]:
         raise AssertionError(
             "fused verdicts diverged from the legacy path"
         )
@@ -341,7 +178,7 @@ def check(baseline: dict | None, fresh: dict) -> str:
     )
 
 
-def serving_probe() -> dict:
+def serving_probe(detector) -> dict:
     """A small live 2-shard fleet run: parity and retained capacity.
 
     Closed-loop over a slice of the deterministic replay trace, one
@@ -352,10 +189,8 @@ def serving_probe() -> dict:
     """
     import asyncio
 
-    from repro.conformance import train_default_detector
     from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
-    detector = train_default_detector(2012)
     trace = build_load_trace(seed=7, n_benign=300, n_vulnerabilities=6)
     payloads = trace.payloads()[:PROBE_PAYLOAD_COUNT]
     reports = {}
@@ -382,8 +217,12 @@ def serving_probe() -> dict:
     }
 
 
-def check_serving(baseline: dict | None, probe: dict) -> str:
-    """Serving guard verdict; raises AssertionError on regression."""
+def check_serving(probe: dict) -> str:
+    """Serving guard verdict; raises AssertionError on regression.
+
+    The committed artifact's parity and modeled speedup are floored by
+    the sweep; this checks the live probe.
+    """
     if not probe["parity_ok"]:
         raise AssertionError(
             "fleet probe lost parity with the offline engine"
@@ -395,26 +234,8 @@ def check_serving(baseline: dict | None, probe: dict) -> str:
             f"single-shard capacity (floor {MIN_PROBE_EFFICIENCY}): "
             f"shard coordination overhead regressed"
         )
-    if baseline is None:
-        return (
-            f"serving guard OK (no committed {SERVING_BASELINE_PATH} "
-            f"baseline): probe efficiency {efficiency:.2f}, parity OK"
-        )
-    metrics = baseline["metrics"]
-    modeled = float(metrics.get("modeled_speedup_at_4", 0.0))
-    if modeled < MIN_MODELED_SPEEDUP_AT_4:
-        raise AssertionError(
-            f"committed {SERVING_BASELINE_PATH} modeled_speedup_at_4 "
-            f"{modeled:.2f}x < {MIN_MODELED_SPEEDUP_AT_4}x bar"
-        )
-    if not metrics.get("parity_ok", False):
-        raise AssertionError(
-            f"committed {SERVING_BASELINE_PATH} records parity_ok=false"
-        )
     return (
-        f"serving guard OK: baseline modeled speedup {modeled:.2f}x "
-        f">= {MIN_MODELED_SPEEDUP_AT_4}x at 4 shards, "
-        f"probe efficiency {efficiency:.2f}, parity OK"
+        f"serving guard OK: probe efficiency {efficiency:.2f}, parity OK"
     )
 
 
@@ -536,33 +357,14 @@ def check_canary(baseline: dict | None) -> str:
     )
 
 
-def _bench_surfaces_module():
-    """The surfaces bench module, loaded from its file.
-
-    The guard reuses the bench's own ``measure_surfaces`` and floors so
-    there is exactly one definition of the measured configuration — a
-    drifting copy here would make "identical to the artifact" vacuous.
-    """
-    path = os.path.join("benchmarks", "test_ext_surfaces.py")
-    spec = importlib.util.spec_from_file_location(
-        "_bench_ext_surfaces", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def surfaces_measurement() -> dict:
+def surfaces_measurement(detector) -> dict:
     """Recompute the surface ledger in the bench's exact configuration."""
-    from repro.conformance import train_default_detector
-
-    bench = _bench_surfaces_module()
-    return bench.measure_surfaces(train_default_detector(bench.SEED))
+    return load_bench_module("test_ext_surfaces").measure_surfaces(detector)
 
 
 def check_surfaces(baseline: dict | None, fresh: dict) -> str:
     """Surfaces guard verdict; raises AssertionError on any drift."""
-    bench = _bench_surfaces_module()
+    bench = load_bench_module("test_ext_surfaces")
     for family, floor in bench.TPR_FLOORS.items():
         stats = fresh["families"][family]
         if stats["tpr"] < floor:
@@ -612,16 +414,15 @@ def main() -> int:
     """Run all guard layers; returns a process exit code."""
     try:
         print(sweep_artifacts())
-        baseline = committed_baseline()
-        fresh = fresh_measurement()
-        print(check(baseline, fresh))
-        serving = committed_baseline(SERVING_BASELINE_PATH)
-        probe = serving_probe()
-        print(check_serving(serving, probe))
+        from repro.conformance import train_default_detector
+
+        detector = train_default_detector(DETECTOR_SEED)
+        print(check(committed_baseline(), fresh_measurement(detector)))
+        print(check_serving(serving_probe(detector)))
         print(check_canary(committed_baseline(CANARY_BASELINE_PATH)))
         print(check_surfaces(
             committed_baseline(SURFACES_BASELINE_PATH),
-            surfaces_measurement(),
+            surfaces_measurement(detector),
         ))
     except Exception as error:  # noqa: BLE001 - CI wants any failure loud
         print(f"bench guard FAILED: {error}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Runs the benchmark suite (every experiment, table, figure, ablation, and
 extension bench) so each one re-emits its ``BENCH_<slug>.json`` artifact
-through the shared :mod:`repro.bench` writer, then folds the bundle into:
+through the ``benchmarks/benchlib.py`` writer, which also holds it to the
+floors its bench declares, then folds the bundle into:
 
 ``CORPUS_HASHES.json`` — the corpus content-hash ledger, the union of
 every artifact's recorded corpus fingerprints (order-sensitive SHA-256
@@ -71,7 +72,7 @@ def run_benches(paths: tuple[str, ...], out_dir: str) -> int:
 
 def fold_bundle(out_dir: str, mode: str) -> None:
     """Build the corpus ledger and SUMMARY.json from ``out_dir``."""
-    from repro.bench import (
+    from benchlib import (
         build_summary,
         dump_bench_json,
         list_artifacts,
@@ -136,7 +137,10 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = os.path.abspath(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    sys.path[:0] = [
+        os.path.join(REPO_ROOT, "src"),
+        os.path.join(REPO_ROOT, "benchmarks"),
+    ]
 
     mode = "quick" if args.quick else "full"
     paths = QUICK_BENCHES if args.quick else ("benchmarks",)

@@ -10,7 +10,7 @@ Commands:
     loadgen  replay attack+benign traffic against a gateway or fleet
     obs      observability: dump /metrics, validate run manifests
     conform  differential conformance: oracle runs, golden corpora
-    match    fused matching engine: benchmark it, explain its plan
+    match    fused matching engine: explain its compiled plan
     canary   closed-loop continual learning: run a shadow-scored,
              gate-promoted retraining round; inspect the history
 
@@ -35,7 +35,7 @@ commands:
   loadgen  replay traffic at a gateway or fleet, report throughput
   obs      dump a gateway's /metrics or validate a run manifest
   conform  run the differential oracle, record/diff golden corpora
-  match    benchmark the fused matching engine or explain its plan
+  match    explain the fused matching engine's compiled plan
   canary   run one continual-learning round, or inspect its history
 
 run `repro <command> --help` for per-command options.
@@ -533,34 +533,6 @@ def _cmd_conform_diff(args: argparse.Namespace) -> int:
     return 6
 
 
-def _cmd_match_bench(args: argparse.Namespace) -> int:
-    from repro.conformance import generate_corpus
-    from repro.match import bench_fused_matching
-
-    detector, source = _conform_detector(args)
-    payloads = generate_corpus(seed=args.seed, budget=args.budget)
-    print(
-        f"repro match: {len(payloads)} payloads "
-        f"(budget={args.budget}, seed={args.seed}), detector {source}"
-    )
-    result = bench_fused_matching(
-        detector.signature_set, payloads, pairs=args.repeats
-    )
-    print(
-        f"  legacy  {result.legacy_us_per_request:8.1f} us/req\n"
-        f"  fused   {result.fused_us_per_request:8.1f} us/req "
-        f"(p50 {result.fused_p50_us:.1f}, p95 {result.fused_p95_us:.1f})\n"
-        f"  speedup {result.speedup:8.2f}x over "
-        f"{result.signatures} signatures / {result.patterns} patterns\n"
-        f"  verdicts identical: {result.identical}"
-    )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(result.to_json() + "\n")
-        print(f"wrote {args.json}")
-    return 0 if result.identical else 7
-
-
 def _cmd_match_explain(args: argparse.Namespace) -> int:
     from repro.match import FusedSetEvaluator
 
@@ -1007,24 +979,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     match = sub.add_parser(
         "match",
-        help="fused matching engine: benchmark and plan inspection",
+        help="fused matching engine: plan inspection",
     )
     match_sub = match.add_subparsers(dest="match_command", required=True)
-    match_bench = match_sub.add_parser(
-        "bench",
-        help="time fused vs legacy serial matching on a fuzz corpus",
-        parents=[conform_options, budget_option],
-    )
-    match_bench.add_argument(
-        "--repeats", type=_positive_int, default=9,
-        help="interleaved fused/legacy pass pairs; the speedup is the "
-             "median pair ratio (default: 9)",
-    )
-    match_bench.add_argument(
-        "--json", default=None,
-        help="also write the machine-readable result to this path",
-    )
-    match_bench.set_defaults(func=_cmd_match_bench)
     match_explain = match_sub.add_parser(
         "explain",
         help="print the fused engine's compiled plan census",

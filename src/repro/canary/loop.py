@@ -23,6 +23,7 @@ The loop owns three invariants the stages cannot each enforce alone:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -56,6 +57,16 @@ __all__ = [
     "fresh_attack_batch",
     "fresh_benign_batch",
 ]
+
+
+@contextlib.contextmanager
+def _stage(walls: dict[str, float], stage: str, **attrs):
+    """Time one round stage: a ``canary.<stage>`` span with ``attrs``,
+    and its wall seconds in ``walls[stage]`` once it completes."""
+    with obs_trace.span(f"canary.{stage}", **attrs):
+        started = time.perf_counter()
+        yield
+        walls[stage] = time.perf_counter() - started
 
 
 def fresh_attack_batch(
@@ -363,21 +374,16 @@ class CanaryLoop:
         walls: dict[str, float] = {}
         generation_before = self.store.version
         with obs_trace.span("canary.round", mode="store"):
-            with obs_trace.span("canary.ingest"):
-                started = time.perf_counter()
+            with _stage(walls, "ingest"):
                 ingested = self._ingest(attacks, benign)
-                walls["ingest"] = time.perf_counter() - started
-            with obs_trace.span("canary.refresh"):
-                started = time.perf_counter()
+            with _stage(walls, "refresh"):
                 outcome = self._refresh()
                 candidate = outcome.candidate
                 if sabotage is not None:
                     candidate = sabotage(candidate)
                 candidate_json = signature_set_to_json(candidate)
-                walls["refresh"] = time.perf_counter() - started
             generation = generation_before + 1
-            with obs_trace.span("canary.shadow", generation=generation):
-                started = time.perf_counter()
+            with _stage(walls, "shadow", generation=generation):
                 shadow = shadow_with_store(
                     self.store,
                     candidate_json,
@@ -386,23 +392,16 @@ class CanaryLoop:
                     benign=self.ledger.pending("benign"),
                     source=self.config.source,
                 )
-                walls["shadow"] = time.perf_counter() - started
-            with obs_trace.span("canary.gate"):
-                started = time.perf_counter()
+            with _stage(walls, "gate"):
                 churn = signature_churn(self.state.signature_set, candidate)
                 decision = evaluate_gate(shadow, churn, self.config.policy)
-                walls["gate"] = time.perf_counter() - started
-            with obs_trace.span(
-                "canary.promote", promoted=decision.promoted
-            ):
-                started = time.perf_counter()
+            with _stage(walls, "promote", promoted=decision.promoted):
                 if decision.promoted:
                     self.store.commit_staged(generation)
                     self.state.result = outcome.result
                     self.ledger.mark_consumed()
                 else:
                     self.store.abort_staged(generation)
-                walls["promote"] = time.perf_counter() - started
         return self._finish(
             mode="store",
             strategy=outcome.strategy,
@@ -440,21 +439,16 @@ class CanaryLoop:
         walls: dict[str, float] = {}
         generation_before = self.store.version
         with obs_trace.span("canary.round", mode="fleet"):
-            with obs_trace.span("canary.ingest"):
-                started = time.perf_counter()
+            with _stage(walls, "ingest"):
                 ingested = self._ingest(attacks, benign)
-                walls["ingest"] = time.perf_counter() - started
-            with obs_trace.span("canary.refresh"):
-                started = time.perf_counter()
+            with _stage(walls, "refresh"):
                 outcome = self._refresh()
                 candidate = outcome.candidate
                 if sabotage is not None:
                     candidate = sabotage(candidate)
                 candidate_json = signature_set_to_json(candidate)
-                walls["refresh"] = time.perf_counter() - started
             generation = generation_before + 1
-            with obs_trace.span("canary.shadow", generation=generation):
-                started = time.perf_counter()
+            with _stage(walls, "shadow", generation=generation):
                 shadow = await shadow_with_fleet(
                     supervisor,
                     candidate_json,
@@ -463,16 +457,10 @@ class CanaryLoop:
                     benign=self.ledger.pending("benign"),
                     source=self.config.source,
                 )
-                walls["shadow"] = time.perf_counter() - started
-            with obs_trace.span("canary.gate"):
-                started = time.perf_counter()
+            with _stage(walls, "gate"):
                 churn = signature_churn(self.state.signature_set, candidate)
                 decision = evaluate_gate(shadow, churn, self.config.policy)
-                walls["gate"] = time.perf_counter() - started
-            with obs_trace.span(
-                "canary.promote", promoted=decision.promoted
-            ):
-                started = time.perf_counter()
+            with _stage(walls, "promote", promoted=decision.promoted):
                 if decision.promoted:
                     await supervisor.reload_json(
                         candidate_json, source=self.config.source
@@ -481,7 +469,6 @@ class CanaryLoop:
                     self.ledger.mark_consumed()
                 else:
                     self.store.abort_staged(generation)
-                walls["promote"] = time.perf_counter() - started
         return self._finish(
             mode="fleet",
             strategy=outcome.strategy,

@@ -18,7 +18,6 @@ conformance harness proves the two paths identical.
 
 from __future__ import annotations
 
-from repro._lazy import lazy_exports
 from repro.match.automaton import (
     DfaBudgetError,
     MergedAutomaton,
@@ -39,7 +38,6 @@ from repro.match.scanner import ScanResult, TokenScanner
 
 __all__ = [
     "DfaBudgetError",
-    "FusedMatchBench",
     "FusedMatcher",
     "FusedSetEvaluator",
     "MatchStats",
@@ -48,13 +46,7 @@ __all__ = [
     "ScanResult",
     "TokenScanner",
     "UnmergeablePatternError",
-    "bench_fused_matching",
     "classify_pattern",
     "matcher_for_patterns",
     "pattern_factors",
 ]
-
-# The benchmark loads on first use.
-__getattr__ = lazy_exports(__name__, {
-    "bench": ("FusedMatchBench", "bench_fused_matching"),
-})

@@ -45,6 +45,7 @@ from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
     decode_framed_request,
+    discard_request,
     encode_detection,
     encode_error,
     encode_framed_request,
@@ -413,6 +414,7 @@ class DetectionGateway:
                 self.telemetry.increment("protocol_errors")
                 writer.write(encode_error("line too long"))
                 await writer.drain()
+                await discard_request(reader, writer)
                 return
             if not first:
                 return

@@ -26,7 +26,8 @@ line of a connection:
 Keeping framing in one module means the gateway, the load generator,
 and the tests all parse and emit identical bytes.  The gateway and the
 fleet supervisor share its control-plane pieces too: :func:`serve_http`,
-:func:`reload_rejection` and :func:`run_until_signalled`.
+:func:`refuse_http`, :func:`discard_request`, :func:`reload_rejection`
+and :func:`run_until_signalled`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "ProtocolError",
     "decode_framed_request",
     "decode_response",
+    "discard_request",
     "encode_detection",
     "encode_error",
     "encode_framed_request",
@@ -88,6 +90,12 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 FRAME_MAGIC = b"REPRO-FRAME/2"
 FRAME_VERSION = 2
 MAX_FRAME_BYTES = MAX_BODY_BYTES
+
+#: After an answer that ends a connection early, the server reads and
+#: drops at most this much of what the client still sends, for at most
+#: this long, before it closes.
+DISCARD_MAX_BYTES = 1024 * 1024
+DISCARD_MAX_S = 1.0
 
 
 class ProtocolError(ValueError):
@@ -409,7 +417,7 @@ async def serve_http(
     try:
         message = await read_http_message(reader, first_line)
     except (ProtocolError, asyncio.IncompleteReadError) as exc:
-        await refuse_http(writer, telemetry, str(exc))
+        await refuse_http(reader, writer, telemetry, str(exc))
         return
     status, payload = await route(message)
     writer.write(http_response(status, payload))
@@ -417,13 +425,45 @@ async def serve_http(
 
 
 async def refuse_http(
-    writer: asyncio.StreamWriter, telemetry: Telemetry, error: str
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    telemetry: Telemetry,
+    error: str,
 ) -> None:
-    """Answer a malformed HTTP request with 400 and count one
-    ``protocol_errors`` on ``telemetry``."""
+    """Answer a malformed HTTP request with 400, count one
+    ``protocol_errors`` on ``telemetry``, and :func:`discard_request`."""
     telemetry.increment("protocol_errors")
     writer.write(http_response(400, {"error": error}))
     await writer.drain()
+    await discard_request(reader, writer)
+
+
+async def discard_request(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close after an early answer, then drop the unread request.
+
+    Closing a socket that still holds unread bytes makes the kernel
+    reset the connection, and a reset can destroy the answer before the
+    client reads it.  So the answer is followed by a FIN, and what the
+    client still sends is read and dropped until it closes its side, up
+    to ``DISCARD_MAX_BYTES`` or ``DISCARD_MAX_S``, whichever comes first.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + DISCARD_MAX_S
+    left = DISCARD_MAX_BYTES
+    try:
+        while left > 0:
+            chunk = await asyncio.wait_for(
+                reader.read(left), max(0.0, deadline - loop.time())
+            )
+            if not chunk:
+                return
+            left -= len(chunk)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 async def run_until_signalled(server) -> None:

@@ -722,7 +722,7 @@ class FleetSupervisor:
                 first = await reader.readline()
             except ValueError:  # asyncio's stream limit overrun
                 await refuse_http(
-                    writer, self.telemetry, "request line too long"
+                    reader, writer, self.telemetry, "request line too long"
                 )
                 return
             if first:

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.bench import list_artifacts, load_artifact, validate_summary
+from benchlib import list_artifacts, load_artifact, validate_summary
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 SCRIPT = os.path.join(REPO_ROOT, "scripts", "reproduce_all.py")

@@ -1,11 +1,12 @@
-"""The shared bench-artifact schema: round-trips, rejections, canon.
+"""The bench harness (``benchmarks/benchlib.py``): schema, canon, floors.
 
 Every benchmark emits through one writer, so these tests pin the three
 properties the trajectory depends on: a valid result survives a
 serialize → load → validate round-trip unchanged; malformed payloads are
 rejected loudly (missing, extra, and mistyped fields alike); and every
 committed ``BENCH_*.json`` re-serializes byte-identically — nobody wrote
-one by hand or through a different dumper.
+one by hand or through a different dumper.  ``check_floors``, which
+every ``emit`` and the guard's sweep run, gets one case per op.
 """
 
 import json
@@ -15,16 +16,20 @@ import os
 import numpy as np
 import pytest
 
-from repro.bench import (
+from benchlib import (
     BENCH_KINDS,
     BENCH_SCHEMA,
+    FLOOR_OPS,
+    RESULTS_DIR_ENV,
     BenchResult,
     BenchSchemaError,
     build_summary,
+    check_floors,
     corpus_digest,
     dump_bench_json,
     list_artifacts,
     load_artifact,
+    results_dir,
     validate_bench,
     validate_summary,
     write_artifact,
@@ -92,9 +97,6 @@ class TestRoundTrip:
         assert list_artifacts(str(tmp_path)) == [path]
 
     def test_results_dir_env_override(self, tmp_path, monkeypatch):
-        from repro.bench import results_dir
-        from repro.bench.writer import RESULTS_DIR_ENV
-
         monkeypatch.setenv(RESULTS_DIR_ENV, str(tmp_path / "scratch"))
         assert results_dir() == str(tmp_path / "scratch")
         assert os.path.isdir(results_dir())
@@ -197,7 +199,7 @@ class TestCommittedArtifacts:
                 raw = handle.read()
             assert dump_bench_json(payload) == raw, (
                 f"{os.path.basename(path)} is not canonical; rewrite it "
-                f"through repro.bench.write_artifact"
+                f"through benchlib.write_artifact"
             )
 
     def test_committed_slugs_match_filenames(self):
@@ -205,3 +207,47 @@ class TestCommittedArtifacts:
             name = os.path.basename(path)
             slug = name[len("BENCH_"):-len(".json")]
             assert load_artifact(path)["bench"] == slug, name
+
+
+#: (op, value, bound, holds): each op on both sides of its bound; the
+#: strict ops also at the bound itself, which they reject.
+FLOOR_CASES = [
+    (">=", 1.0, 1.0, True),
+    (">=", 0.9, 1.0, False),
+    (">", 1.1, 1.0, True),
+    (">", 1.0, 1.0, False),
+    ("<=", 1.0, 1.0, True),
+    ("<=", 1.1, 1.0, False),
+    ("<", 0.9, 1.0, True),
+    ("<", 1.0, 1.0, False),
+    ("==", True, True, True),
+    ("==", False, True, False),
+]
+
+
+class TestCheckFloors:
+    @pytest.mark.parametrize("op, value, bound, holds", FLOOR_CASES)
+    def test_each_op(self, op, value, bound, holds):
+        floors = (("metric", op, bound),)
+        if holds:
+            check_floors("demo", {"metric": value}, floors)
+        else:
+            with pytest.raises(AssertionError, match=f"'metric {op} "):
+                check_floors("demo", {"metric": value}, floors)
+
+    def test_the_cases_cover_every_op(self):
+        assert {case[0] for case in FLOOR_CASES} == set(FLOOR_OPS)
+        assert len(FLOOR_OPS) == 5
+
+    def test_unrecorded_metric_fails(self):
+        with pytest.raises(AssertionError, match="no metric 'gone'"):
+            check_floors("demo", {"speedup": 3.0}, (("gone", ">=", 1),))
+
+    def test_every_miss_is_named(self):
+        with pytest.raises(AssertionError) as raised:
+            check_floors(
+                "demo", {"a": 0, "b": 0},
+                (("a", ">", 0), ("b", "<", 0)),
+            )
+        assert "'a > 0'" in str(raised.value)
+        assert "'b < 0'" in str(raised.value)

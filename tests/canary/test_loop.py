@@ -20,6 +20,7 @@ from repro.canary import (
 )
 from repro.conformance import serial_verdicts
 from repro.ids import PSigeneDetector
+from repro.obs.trace import Tracer
 from repro.serve import FleetConfig, FleetSupervisor, GatewayConfig
 from repro.serve.store import SignatureStore
 
@@ -254,3 +255,29 @@ class TestFleetRound:
 
         with pytest.raises(ValueError, match="reference store"):
             asyncio.run(loop.run_round_fleet(FakeSupervisor()))
+
+
+class TestRoundTrace:
+    def test_round_records_five_stage_spans(self, state, store, tmp_path):
+        tracer = Tracer()
+        with tracer.activate():
+            completed = make_loop(state, store, tmp_path).run_round()
+        (root,) = tracer.roots
+        assert (root.name, root.attrs) == ("canary.round", {"mode": "store"})
+        stages = ["ingest", "refresh", "shadow", "gate", "promote"]
+        assert [child.name for child in root.children] == [
+            f"canary.{stage}" for stage in stages
+        ]
+        assert list(completed.stage_wall_s) == stages
+        by_stage = dict(zip(stages, root.children))
+        assert by_stage["shadow"].attrs == {
+            "generation": completed.generation_before + 1
+        }
+        assert by_stage["promote"].attrs == {"promoted": completed.promoted}
+        for stage in ("ingest", "refresh", "gate"):
+            assert by_stage[stage].attrs == {}
+        # Each stage's wall time is taken inside its own span.
+        for stage in stages:
+            assert 0.0 <= completed.stage_wall_s[stage] <= (
+                by_stage[stage].wall_s
+            )

@@ -327,6 +327,24 @@ class TestFleetControlPlane:
         assert errors == 1
         assert health[0] == 200 and health[1]["status"] == "ok"
 
+    def test_control_400_survives_a_client_still_sending(self):
+        from tests.serve.test_gateway_errors import send_past_the_answer
+
+        async def scenario():
+            supervisor = FleetSupervisor(
+                toy_detector(), fleet_config(shards=1)
+            )
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                return await send_past_the_answer(
+                    chost, cport, b"GET /" + b"a" * (300 * 1024),
+                )
+            finally:
+                await supervisor.stop()
+
+        assert asyncio.run(scenario()).startswith(b"HTTP/1.1 400")
+
 
 class TestFleetReload:
     @pytest.mark.smoke

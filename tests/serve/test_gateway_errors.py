@@ -40,6 +40,22 @@ async def raw_http(host, port, raw: bytes):
     return int(header.split()[1]), json.loads(payload)
 
 
+async def send_past_the_answer(host, port, head: bytes) -> bytes:
+    """Send ``head``, then keep sending after the server has answered it
+    and stopped reading, and only then read everything it sent."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(head)
+    await writer.drain()
+    for _ in range(3):
+        await asyncio.sleep(0.1)
+        writer.write(b"a" * 4096)
+        await writer.drain()
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
 class TestMalformedControlPlane:
     def test_header_without_colon_gets_400(self):
         async def scenario():
@@ -100,6 +116,24 @@ class TestMalformedControlPlane:
         assert "too long" in body["error"]
         assert errors == 1
         assert after_status == 200
+
+    def test_a_client_still_sending_reads_its_400(self):
+        # After the 400 the gateway half-closes and drops what the
+        # client still sends: closing with it unread would reset the
+        # connection and could destroy the answer.
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            response = await send_past_the_answer(
+                host, port,
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (300 * 1024),
+            )
+            await gateway.stop()
+            return response
+
+        head, _, body = asyncio.run(scenario()).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert "too long" in json.loads(body)["error"]
 
     def test_truncated_body_gets_400_not_a_hang(self):
         # Content-Length promises more bytes than the client sends, then
@@ -216,6 +250,20 @@ class TestOversizedDataPlane:
         error, fresh = asyncio.run(scenario())
         assert error == {"error": "line too long"}
         assert fresh[0]["alert"] is True
+
+    def test_oversized_first_line_answer_survives_more_input(self):
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            response = await send_past_the_answer(
+                host, port, b"z" * (5 * MAX_LINE_BYTES)
+            )
+            await gateway.stop()
+            return response
+
+        assert json.loads(asyncio.run(scenario())) == {
+            "error": "line too long"
+        }
 
 
 class TestReloadMissingFile:

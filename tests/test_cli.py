@@ -231,11 +231,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["explode"])
 
-    def test_match_bench_needs_a_pair(self):
-        with pytest.raises(SystemExit) as raised:
-            main(["match", "bench", "--repeats", "0"])
-        assert raised.value.code == 2
-
     @pytest.mark.parametrize("command", ["serve", "loadgen"])
     def test_queue_bound_must_be_positive(self, command, capsys):
         with pytest.raises(SystemExit) as raised:

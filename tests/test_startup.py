@@ -1,8 +1,8 @@
 """The serving process boots only the serving path, and drains on SIGTERM.
 
 ``python -m repro serve`` must not load the offline code (crawler,
-clusterer, corpus generators, evaluation, benches) that package
-re-exports would otherwise pull into every importer, and it runs one
+clusterer, corpus generators, evaluation) that package re-exports
+would otherwise pull into every importer, and it runs one
 thread.  No serving process loads numpy: a gateway, a fleet supervisor
 or a shard, for every detector, framed or not, across a reload.  Lazy
 re-exports must still resolve every name in each package's ``__all__``.
@@ -34,7 +34,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 OFFLINE = (
     "repro.crawler", "repro.cluster", "repro.corpus", "repro.eval",
     "repro.scanners", "repro.perdisci", "repro.canary",
-    "repro.conformance", "repro.parallel", "repro.bench",
+    "repro.conformance", "repro.parallel",
     "repro.core.pipeline", "repro.core.generalizer",
     "repro.serve.loadgen", "repro.surfaces.evasion",
 )
