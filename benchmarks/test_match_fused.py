@@ -1,11 +1,13 @@
-"""Fused single-pass matching versus the per-signature reference loop.
+"""Fused matching versus the per-signature reference loop.
 
 The serial matching baseline the fused engine attacks is the
 ``WORKERS=1`` row of ``exp4_batch_matching`` (~261 µs/request when the
 engine landed): each request walked every signature's every feature with
-its own compiled regex.  The fused engine makes one pass — token scan,
-factor gates, and a shared count vector reduced by sparse gathers — and
-must produce bit-identical verdicts while doing it.
+its own compiled regex.  The fused engine counts each distinct feature
+once — ``str.count`` for literals, ``findall`` only when a literal every
+match must contain is in the text — into a shared vector that each
+signature reads by index, and must produce bit-identical verdicts while
+doing it.
 
 One signature set, one payload mix, two engines: the fused path and the
 set pinned to the reference loop by ``SignatureSet.reference()``.  The

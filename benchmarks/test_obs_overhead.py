@@ -2,12 +2,25 @@
 
 Acceptance bar for the observability layer: full instrumentation
 (registry counters + latency histogram fed on every request) may cost at
-most 5% on ``SignatureEngine.run`` versus the same engine reporting into
-a :class:`~repro.obs.registry.NullRegistry`.  Both arms run the identical
-code path — telemetry attached, timers on — so the measured delta is
-exactly the bookkeeping the real registry performs.
+most 5% of ``SignatureEngine.run``'s per-request time.
+
+The bookkeeping is timed directly.  Over the same 600 SQLmap detections,
+the calls the engine makes per request — ``record_inspection`` then
+``record_surfaces`` — feed a :class:`~repro.obs.registry.MetricsRegistry`
+telemetry in one arm and a :class:`~repro.obs.registry.NullRegistry` one
+in the other, so the difference between the arms is exactly what the
+real registry adds.  The arms are paired per round, alternating which
+goes first, and the overhead is the median per-round difference divided
+by the median per-request time of the un-instrumented engine run.
+
+Timing the two whole engine runs instead and taking the ratio of their
+walls measured host noise: a bookkeeping delta of 2–4 µs rides on about
+100 µs of engine time per request, and the ratio of two best-of-5 walls
+of 0.06 s read anywhere from −18% to +38% on one tree on a 2-vCPU host.
+The two walls are still timed and recorded.
 """
 
+import statistics
 import time
 
 from benchlib import BenchResult
@@ -16,11 +29,14 @@ from repro.http import Trace
 from repro.ids import PSigeneDetector, SignatureEngine
 from repro.obs.registry import MetricsRegistry, NullRegistry
 from repro.serve.telemetry import Telemetry
+from repro.surfaces import score_request
 
 REPEATS = 5
+ROUNDS = 21
 REQUESTS = 600
 #: The acceptance bar: instrumentation costs at most 5% of the measured
-#: engine wall time; the per-request ceiling (100 ms) is a sanity bound.
+#: engine time per request; the per-request ceiling (100 ms) is a sanity
+#: bound.
 FLOORS = {
     "obs_overhead": (
         ("overhead_fraction", "<=", 0.05),
@@ -29,23 +45,44 @@ FLOORS = {
 }
 
 
-def _min_wall_s_interleaved(
+def _engine_walls_s(
     first: SignatureEngine, second: SignatureEngine, trace: Trace
-) -> tuple[float, float]:
-    """Best-of-N wall time per engine, arms alternated within each round.
-
-    Interleaving matters: measuring one arm's five repeats as a block and
-    then the other's lets clock-frequency drift and cache state masquerade
-    as instrumentation overhead (observed at >10% on a sequential layout
-    for a real delta under 1%).
-    """
-    bests = [float("inf"), float("inf")]
+) -> tuple[list[float], list[float]]:
+    """Wall time of every engine run per arm, alternated within a round."""
+    walls: tuple[list[float], list[float]] = ([], [])
     for _ in range(REPEATS):
         for slot, engine in enumerate((first, second)):
             start = time.perf_counter()
             engine.run(trace)
-            bests[slot] = min(bests[slot], time.perf_counter() - start)
-    return bests[0], bests[1]
+            walls[slot].append(time.perf_counter() - start)
+    return walls
+
+
+def _bookkeeping_s(telemetry: Telemetry, detections, latencies) -> float:
+    """One pass of the engine's per-request telemetry calls."""
+    record_inspection = telemetry.record_inspection
+    record_surfaces = telemetry.record_surfaces
+    start = time.perf_counter()
+    for detection, seconds in zip(detections, latencies):
+        record_inspection(detection.alert, seconds)
+        record_surfaces(detection)
+    return time.perf_counter() - start
+
+
+def _paired_bookkeeping_s(
+    instrumented: Telemetry, null: Telemetry, detections, latencies
+) -> float:
+    """Median over rounds of the instrumented minus the null pass."""
+    deltas = []
+    for round_index in range(ROUNDS):
+        took = {}
+        # Instrumented first on even rounds, null first on odd ones.
+        for real in (round_index % 2 == 0, round_index % 2 == 1):
+            took[real] = _bookkeeping_s(
+                instrumented if real else null, detections, latencies
+            )
+        deltas.append(took[True] - took[False])
+    return statistics.median(deltas)
 
 
 def test_instrumentation_overhead_under_5_percent(bench_context, record,
@@ -63,28 +100,42 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
         telemetry=Telemetry(NullRegistry()),
     )
 
-    # Warm both arms (regex caches, branch predictors) before timing.
+    # Warm both arms (regex caches, branch predictors) before timing;
+    # the null run's per-request times are the latencies replayed below.
     instrumented.run(trace)
-    null.run(trace)
+    latencies = null.run(trace, measure_time=True).timings.tolist()
 
-    instrumented_s, null_s = _min_wall_s_interleaved(
+    instrumented_walls, null_walls = _engine_walls_s(
         instrumented, null, trace
     )
-    overhead = instrumented_s / null_s - 1.0
+    instrumented_s, null_s = min(instrumented_walls), min(null_walls)
+
+    detections = [
+        score_request(null.detector.inspect, request, null.surfaces)
+        for request in trace
+    ]
+    bookkeeping = Telemetry(MetricsRegistry())
+    delta_s = _paired_bookkeeping_s(
+        bookkeeping, Telemetry(NullRegistry()), detections, latencies
+    )
+    overhead = delta_s / statistics.median(null_walls)
 
     per_request_us = instrumented_s / len(trace) * 1e6
+    bookkeeping_us = delta_s / len(trace) * 1e6
     table = format_table(
         ["ARM", "WALL s", "PER-REQ µs"],
         [
             ["MetricsRegistry", f"{instrumented_s:.4f}",
-             f"{instrumented_s / len(trace) * 1e6:.1f}"],
+             f"{per_request_us:.1f}"],
             ["NullRegistry", f"{null_s:.4f}",
              f"{null_s / len(trace) * 1e6:.1f}"],
+            ["bookkeeping", "", f"{bookkeeping_us:.2f}"],
             ["overhead", f"{overhead * 100:+.2f}%", ""],
         ],
         title=(
             f"Observability overhead on SignatureEngine.run "
-            f"({len(trace)} requests, best of {REPEATS})"
+            f"({len(trace)} requests; walls best of {REPEATS}, "
+            f"bookkeeping median of {ROUNDS} paired rounds)"
         ),
     )
     record("obs_overhead", table)
@@ -101,12 +152,15 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
             "instrumented_wall_s": round(instrumented_s, 6),
             "null_wall_s": round(null_s, 6),
             "per_request_us": round(per_request_us, 3),
+            "bookkeeping_us": round(bookkeeping_us, 3),
             "overhead_fraction": round(overhead, 6),
         },
     ))
 
     assert per_request_us > 0.0
 
-    # The instrumented arm really did count: one inc per request per pass.
+    # Both instrumented arms really did count: one inc per request per
+    # pass.
     inspected = instrumented.telemetry.counter("inspected")
     assert inspected == (REPEATS + 1) * len(trace)
+    assert bookkeeping.counter("inspected") == ROUNDS * len(trace)

@@ -24,8 +24,10 @@ fresh on a seeded fuzz corpus; verdicts must stay bit-identical to the
 legacy path and the fresh speedup must hold 85% of the committed baseline
 speedup (a ratio of ratios — insensitive to the runner's absolute speed).
 
-``BENCH_serving.json`` — a live 2-shard fleet probe must serve with
-bit-exact parity and retain at least half of single-shard capacity.
+``BENCH_serving.json`` — a live fleet probe, three alternated passes
+each at one and two shards, must serve with bit-exact parity on every
+pass, and the median two-shard throughput must retain at least half of
+the median single-shard one.
 
 ``BENCH_canary.json`` — the committed promote/reject rounds replay
 through the *current* gate implementation; both decisions must reproduce,
@@ -73,6 +75,8 @@ DETECTOR_SEED = 2012
 ALLOWED_FRACTION = 0.85
 MIN_PROBE_EFFICIENCY = 0.5
 PROBE_PAYLOAD_COUNT = 400
+#: Shard count of each probe pass: three each, alternated.
+PROBE_ORDER = (1, 2, 2, 1, 1, 2)
 
 
 def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
@@ -181,21 +185,25 @@ def check(baseline: dict | None, fresh: dict) -> str:
 def serving_probe(detector) -> dict:
     """A small live 2-shard fleet run: parity and retained capacity.
 
-    Closed-loop over a slice of the deterministic replay trace, one
-    shard then two, on the same host.  Returns measured throughputs and
-    the parity verdict — cheap enough for every CI run, live enough to
-    catch a fleet that no longer serves or diverges from the offline
-    engine.
+    Closed-loop over a slice of the deterministic replay trace, three
+    passes per shard count in the order ``PROBE_ORDER``, on the same
+    host.  Returns the median throughput per shard count and the parity
+    verdict over every pass — cheap enough for every CI run, live
+    enough to catch a fleet that no longer serves or diverges from the
+    offline engine.  One pass per shard count read c2/c1 anywhere from
+    0.58 to 3.10 on a 2-vCPU host; the medians of alternated passes keep
+    one slow pass from deciding the ratio.
     """
     import asyncio
+    import statistics
 
     from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
     trace = build_load_trace(seed=7, n_benign=300, n_vulnerabilities=6)
     payloads = trace.payloads()[:PROBE_PAYLOAD_COUNT]
-    reports = {}
-    for shards in (1, 2):
-        reports[shards] = asyncio.run(run_loadgen(
+    reports = {1: [], 2: []}
+    for shards in PROBE_ORDER:
+        reports[shards].append(asyncio.run(run_loadgen(
             detector,
             payloads,
             config=GatewayConfig(
@@ -204,15 +212,15 @@ def serving_probe(detector) -> dict:
             shards=shards,
             connections=4,
             window=16,
-        ))
+        )))
     return {
         "requests": len(payloads),
-        "c1_rps": reports[1].throughput_rps,
-        "c2_rps": reports[2].throughput_rps,
+        "c1_rps": statistics.median(r.throughput_rps for r in reports[1]),
+        "c2_rps": statistics.median(r.throughput_rps for r in reports[2]),
         "parity_ok": all(
             r.parity_ok
             and r.completed == r.requests and r.errors == 0
-            for r in reports.values()
+            for passes in reports.values() for r in passes
         ),
     }
 
@@ -235,7 +243,9 @@ def check_serving(probe: dict) -> str:
             f"shard coordination overhead regressed"
         )
     return (
-        f"serving guard OK: probe efficiency {efficiency:.2f}, parity OK"
+        f"serving guard OK: probe efficiency {efficiency:.2f} "
+        f"(median c1 {probe['c1_rps']:.0f}, c2 {probe['c2_rps']:.0f} "
+        f"req/s), parity OK"
     )
 
 

@@ -814,10 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="admission queue capacity (default: 1024)",
         )
         command.add_argument(
-            "--policy", choices=("block", "shed", "cost"),
-            default="block",
-            help="full-queue behaviour (default: block); 'cost' sheds "
-                 "expensive payloads first once the queue is congested",
+            "--policy", choices=("block", "shed"), default="block",
+            help="full-queue behaviour (default: block)",
         )
 
     serve = sub.add_parser(

@@ -203,7 +203,7 @@ class SignatureSet:
     ) -> tuple[float, list[int]]:
         """:meth:`evaluate` for an already-normalized payload.
 
-        Takes the fused single-pass engine (:mod:`repro.match`) unless
+        Takes the fused engine (:mod:`repro.match`) unless
         the set is pinned to the reference loop or its features defeat
         the fused compiler.  Both engines score through the same
         :func:`~repro.learn.logistic.logit`, so scores and verdicts are

@@ -63,10 +63,10 @@ class FeatureExtractor:
     def extract(self, payload: str) -> np.ndarray:
         """Count vector for one payload (normalization included).
 
-        Runs the fused single-pass engine (:mod:`repro.match`), falling
-        back to the per-feature reference loop when the catalog cannot
-        be fused; the two produce identical counts (the conformance
-        extraction oracle checks this).
+        Runs the fused engine (:mod:`repro.match`), falling back to the
+        per-feature reference loop when the catalog cannot be fused; the
+        two produce identical counts (the conformance extraction oracle
+        checks this).
         """
         normalized = self.normalizer(payload)
         matcher = self._fused_matcher()

@@ -1,12 +1,12 @@
-"""repro.match — fused single-pass feature matching.
+"""repro.match — fused feature matching.
 
-The performance tentpole of the reproduction: instead of one compiled
-regex traversal per feature per signature, the full catalog is compiled
-into one combined plan (token scan + factor gates + merged NFA→DFA) so a
-single pass over the normalized payload yields the entire feature count
-vector, and per-signature scoring collapses to index reads against that
-shared vector.  See :mod:`repro.match.engine` for the construction and
-DESIGN.md §14 for the exactness argument.
+Instead of one compiled regex traversal per feature per signature, the
+union of a set's features is classified once, and one loop over the
+case-folded payload yields the entire feature count vector: literals are
+counted with ``str.count``, and a regex runs only when a literal every
+match must contain is ``in`` the text.  Per-signature scoring collapses
+to index reads against that shared vector.  See :mod:`repro.match.engine`
+for the loop and DESIGN.md §14 for the exactness argument.
 
 The fused path is wired behind the existing APIs
 (``FeatureExtractor.extract``, ``SignatureSet.evaluate_normalized``) and
@@ -18,11 +18,6 @@ conformance harness proves the two paths identical.
 
 from __future__ import annotations
 
-from repro.match.automaton import (
-    DfaBudgetError,
-    MergedAutomaton,
-    UnmergeablePatternError,
-)
 from repro.match.classify import (
     PatternPlan,
     classify_pattern,
@@ -34,18 +29,12 @@ from repro.match.engine import (
     MatchStats,
     matcher_for_patterns,
 )
-from repro.match.scanner import ScanResult, TokenScanner
 
 __all__ = [
-    "DfaBudgetError",
     "FusedMatcher",
     "FusedSetEvaluator",
     "MatchStats",
-    "MergedAutomaton",
     "PatternPlan",
-    "ScanResult",
-    "TokenScanner",
-    "UnmergeablePatternError",
     "classify_pattern",
     "matcher_for_patterns",
     "pattern_factors",

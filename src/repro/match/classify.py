@@ -2,32 +2,26 @@
 
 Every catalog feature is assigned a :class:`PatternPlan` that decides how
 the fused engine (:mod:`repro.match.engine`) obtains its exact
-``count_all`` value from one shared scan of the payload:
+``count_all`` value from the payload case-folded once:
 
 ``literal``
-    The pattern spells a plain (case-insensitive) literal string; the
-    shared token scan yields its exact non-overlapping count directly.
+    The pattern spells a plain (case-insensitive) literal string;
+    ``str.count`` on the folded text is its exact non-overlapping count.
 ``word``
     ``\\b<literal>\\b`` — the reserved-word shape that dominates the
-    catalog.  Token-scan positions plus an ASCII word-boundary filter
-    reproduce ``re.finditer`` exactly.
+    catalog.  Every match contains the word, so the regex runs only when
+    the word is in the folded text.
 ``factored``
     A real regex with *required literal factors*: every match must
     contain at least one of the factor strings.  Factor absence proves a
-    count of zero without running the regex; ``finditer`` runs only when
+    count of zero without running the regex; ``findall`` runs only when
     a factor is present.
-``automaton``
-    No usable factor, but inside the supported NFA subset of
-    :mod:`repro.regexlib.nfa` with ``re.IGNORECASE``-faithful case
-    semantics; presence is decided by the merged lazily-determinized
-    automaton, and ``finditer`` runs only on presence.
 ``direct``
-    Everything else: always counted with the compiled regex — the
-    automatic fallback the tentpole requires for unfusable patterns.
+    Everything else: always counted with the compiled regex.
 
 Classification is deliberately conservative.  A factor is emitted only
 when it is a *necessary* condition on the case-folded text, so skipping
-``finditer`` can never change a count; anything ambiguous degrades to
+``findall`` can never change a count; anything ambiguous degrades to
 ``direct``, which is merely slower, never wrong.
 """
 
@@ -51,7 +45,6 @@ from repro.regexlib.parser import (
 KIND_LITERAL = "literal"
 KIND_WORD = "word"
 KIND_FACTORED = "factored"
-KIND_AUTOMATON = "automaton"
 KIND_DIRECT = "direct"
 
 # A factor set larger than this gates nothing in practice; degrade.
@@ -102,7 +95,7 @@ def _token_char(token: Token) -> str | None:
 def literal_of(pattern: str) -> str | None:
     """The lowercased literal *pattern* spells, or None for a real regex.
 
-    Only ASCII literals qualify: the scanner matches on ``str.lower()``
+    Only ASCII literals qualify: the engine counts on ``str.lower()``
     folded text, which agrees with ``re.IGNORECASE`` on ASCII alone.
     """
     try:
@@ -329,25 +322,6 @@ def pattern_factors(pattern: str) -> tuple[str, ...]:
     return tuple(sorted(factors))
 
 
-def _automaton_safe(node: Node) -> bool:
-    """True when the NFA's semantics match ``re.IGNORECASE`` on ASCII.
-
-    Boundary guards need positional context the merged DFA does not
-    carry, and a case-asymmetric non-folding charset (only reachable via
-    ``\\xNN`` letter escapes) would disagree with ``re.IGNORECASE``.
-    """
-    if node.kind == "boundary":
-        return False
-    if node.kind == "char":
-        charset = node.charset
-        if not charset.fold:
-            letters = {c for c in charset.chars if c.isalpha()}
-            if any(c.swapcase() not in charset.chars for c in letters):
-                return False
-        return True
-    return all(_automaton_safe(child) for child in node.children)
-
-
 def classify_pattern(pattern: str) -> PatternPlan:
     """Build the :class:`PatternPlan` for one catalog pattern."""
     literal = literal_of(pattern)
@@ -359,10 +333,4 @@ def classify_pattern(pattern: str) -> PatternPlan:
     factors = pattern_factors(pattern)
     if factors:
         return PatternPlan(pattern, KIND_FACTORED, factors=factors)
-    try:
-        tree = parse_pattern(pattern)
-    except (UnsupportedPatternError, RegexSyntaxError):
-        tree = None
-    if tree is not None and _automaton_safe(tree):
-        return PatternPlan(pattern, KIND_AUTOMATON)
     return PatternPlan(pattern, KIND_DIRECT)

@@ -1,22 +1,21 @@
-"""The fused single-pass matching engine.
+"""The fused matching engine.
 
-``FusedMatcher`` compiles a pattern list once into a three-tier plan
-(:mod:`repro.match.classify`) and then produces the *entire* ``count_all``
-vector from one scan of the normalized payload:
+``FusedMatcher`` classifies a pattern list once
+(:mod:`repro.match.classify`) and then produces the *entire*
+``count_all`` vector from the payload case-folded once:
 
-1. one token scan (:mod:`repro.match.scanner`) counts every literal and
-   reserved-word feature exactly;
-2. the same scan's occurrence index gates factored regexes — ``finditer``
-   runs only when a required literal factor is present;
-3. the merged automaton (:mod:`repro.match.automaton`) decides presence
-   for factor-less patterns in one pass, again gating ``finditer``.
+- a ``literal`` plan is ``str.count`` of its literal on the folded text;
+- a ``word`` or ``factored`` plan runs ``len(findall(normalized))`` only
+  when its word, or one of its factors, is ``in`` the folded text;
+- a ``direct`` plan always runs ``findall``.
 
-Counts are exact by construction: every skipped ``finditer`` is skipped
-only because a *necessary* condition for any match is absent, and every
-taken shortcut (literal/word counting) replays ``finditer``'s
-non-overlapping left-to-right discipline.  Non-ASCII payloads — where
-``str.lower()`` and ``re.IGNORECASE``'s folding can disagree — route
-around the scanner entirely and run the reference loop.
+Counts are exact by construction.  Every nonzero count comes either from
+``findall`` itself or from ``str.count`` of a literal, which takes
+occurrences left to right without overlap exactly as ``finditer`` does
+on ASCII text; and a ``findall`` is skipped only when a literal that
+every match must contain is absent.  Non-ASCII payloads — where
+``str.lower()`` and ``re.IGNORECASE``'s folding can disagree — skip the
+gates and run every pattern's ``findall``.
 
 ``FusedSetEvaluator`` layers pSigene scoring on top: the union of all
 signatures' features is matched once, and each signature reads its
@@ -32,29 +31,20 @@ returns Python ints, so scoring runs without numpy;
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.learn.logistic import logit, sigmoid
-from repro.match.automaton import (
-    DfaBudgetError,
-    MergedAutomaton,
-    UnmergeablePatternError,
-)
 from repro.match.classify import (
-    KIND_AUTOMATON,
     KIND_DIRECT,
     KIND_FACTORED,
     KIND_LITERAL,
     KIND_WORD,
     classify_pattern,
 )
-from repro.match.scanner import TokenScanner
 from repro.regexlib import compile_pattern
-from repro.regexlib.nfa import UnsupportedPatternError
-from repro.regexlib.parser import RegexSyntaxError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,11 +56,14 @@ class MatchStats:
 
     Attributes:
         payloads: :meth:`FusedMatcher.counts` calls.
-        ascii_fallbacks: payloads that took the full reference loop
+        ascii_fallbacks: payloads that ran every pattern's ``findall``
             because they contained non-ASCII characters.
-        finditer_calls: exact-count regex runs the gates let through.
-        dfa_overflows: times the merged automaton blew its state budget
-            (after which its patterns run ``finditer`` unconditionally).
+        finditer_calls: ``findall`` runs: every ``word``, ``factored``
+            or ``direct`` plan whose gate opened (a ``direct`` plan's
+            always does), and every pattern of a non-ASCII payload.
+        dfa_overflows: always 0.  The engine has no automaton and so no
+            state budget to overflow; the field stays because per-layer
+            benchmark records read it.
     """
 
     payloads: int = 0
@@ -93,48 +86,24 @@ class FusedMatcher:
         self.patterns = tuple(patterns)
         self._compiled = [compile_pattern(p) for p in self.patterns]
         self.plans = tuple(classify_pattern(p) for p in self.patterns)
-        literal_items: list[tuple[int, str]] = []
-        word_items: list[tuple[int, str]] = []
-        factored_items: list[tuple[int, tuple[str, ...]]] = []
-        automaton_ids: list[int] = []
-        direct_ids: list[int] = []
+        # A literal plan is counted with str.count.  Every other plan runs
+        # findall once one of its gates is in the folded text; a direct
+        # plan's only gate is "", which is in every text.
+        literals: list[tuple[int, str]] = []
+        gated: list[tuple[int, tuple[str, ...], Callable]] = []
         for index, plan in enumerate(self.plans):
             if plan.kind == KIND_LITERAL:
-                literal_items.append((index, plan.literal))
-            elif plan.kind == KIND_WORD:
-                word_items.append((index, plan.literal))
+                literals.append((index, plan.literal))
+                continue
+            if plan.kind == KIND_WORD:
+                gates = (plan.literal,)
             elif plan.kind == KIND_FACTORED:
-                factored_items.append((index, plan.factors))
-            elif plan.kind == KIND_AUTOMATON:
-                automaton_ids.append(index)
+                gates = plan.factors
             else:
-                direct_ids.append(index)
-        automaton = None
-        if automaton_ids:
-            try:
-                automaton = MergedAutomaton(
-                    [(i, self.patterns[i]) for i in automaton_ids]
-                )
-            except (
-                UnmergeablePatternError,
-                UnsupportedPatternError,
-                RegexSyntaxError,
-            ):
-                # Classification said "automaton" but construction
-                # disagreed; degrade those patterns to the direct path.
-                direct_ids.extend(automaton_ids)
-                automaton_ids = []
-        vocabulary = {token for _, token in literal_items}
-        vocabulary.update(token for _, token in word_items)
-        for _, factors in factored_items:
-            vocabulary.update(factors)
-        self._scanner = TokenScanner(vocabulary)
-        self._literal_items = tuple(literal_items)
-        self._word_items = tuple(word_items)
-        self._factored_items = tuple(factored_items)
-        self._automaton_ids = tuple(automaton_ids)
-        self._automaton = automaton
-        self._direct_ids = tuple(sorted(direct_ids))
+                gates = ("",)
+            gated.append((index, gates, self._compiled[index].findall))
+        self._literals = tuple(literals)
+        self._gated = tuple(gated)
         self.stats = MatchStats()
 
     def counts(self, normalized: str) -> list[int]:
@@ -153,32 +122,18 @@ class FusedMatcher:
             stats.ascii_fallbacks += 1
             stats.finditer_calls += len(compiled)
             return [len(regex.findall(normalized)) for regex in compiled]
+        lowered = normalized.lower()
         counts = [0] * len(self.patterns)
-        scan = self._scanner.scan(normalized.lower())
-        for index, token in self._literal_items:
-            counts[index] = scan.count(token)
-        for index, token in self._word_items:
-            counts[index] = scan.count_word(token)
-        pending: list[int] = []
-        for index, factors in self._factored_items:
-            for factor in factors:
-                if scan.present(factor):
-                    pending.append(index)
+        for index, literal in self._literals:
+            counts[index] = lowered.count(literal)
+        calls = 0
+        for index, gates, findall in self._gated:
+            for gate in gates:
+                if gate in lowered:
+                    calls += 1
+                    counts[index] = len(findall(normalized))
                     break
-        automaton = self._automaton
-        if automaton is not None:
-            try:
-                pending.extend(automaton.present(normalized))
-            except DfaBudgetError:
-                stats.dfa_overflows += 1
-                self._automaton = None
-                pending.extend(self._automaton_ids)
-        else:
-            pending.extend(self._automaton_ids)
-        pending.extend(self._direct_ids)
-        stats.finditer_calls += len(pending)
-        for index in pending:
-            counts[index] = len(compiled[index].findall(normalized))
+        stats.finditer_calls += calls
         return counts
 
     def count_vector(self, normalized: str) -> np.ndarray:
@@ -193,26 +148,15 @@ class FusedMatcher:
             KIND_LITERAL: 0,
             KIND_WORD: 0,
             KIND_FACTORED: 0,
-            KIND_AUTOMATON: 0,
             KIND_DIRECT: 0,
         }
         for plan in self.plans:
             kinds[plan.kind] += 1
-        automaton = self._automaton
-        merged = (
-            f"{len(self._automaton_ids)} patterns/"
-            f"{automaton.nfa_states} NFA states"
-            if automaton is not None
-            else "disabled"
-        )
         return (
             f"{len(self.patterns)} patterns: "
             f"{kinds[KIND_WORD]} word, {kinds[KIND_LITERAL]} literal, "
             f"{kinds[KIND_FACTORED]} factored, "
-            f"{kinds[KIND_AUTOMATON]} automaton, "
-            f"{kinds[KIND_DIRECT]} direct | "
-            f"scanner vocabulary {len(self._scanner.vocabulary)} | "
-            f"merged automaton {merged}"
+            f"{kinds[KIND_DIRECT]} direct"
         )
 
     def __reduce__(self):

@@ -2,7 +2,6 @@
 
 from repro.regexlib.nfa import (
     CharSet,
-    NfaFragment,
     NfaMatcher,
     Node,
     UnsupportedPatternError,
@@ -46,7 +45,6 @@ __all__ = [
     "matches",
     "validate",
     "NfaMatcher",
-    "NfaFragment",
     "Node",
     "parse_pattern",
     "CharSet",

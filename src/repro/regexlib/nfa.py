@@ -381,39 +381,6 @@ class _State:
     target: int = -1
 
 
-@dataclass(frozen=True)
-class NfaFragment:
-    """Flattened structural copy of one compiled NFA.
-
-    ``repro.match`` merges per-pattern fragments into a single
-    multi-pattern automaton by renumbering states into a shared arena;
-    the tuples here are index-aligned per state, so a consumer only has
-    to add its offset to every transition target.
-
-    Attributes:
-        epsilon: per-state unguarded ε-transition targets.
-        guarded: per-state ``(target, guard)`` boundary-guarded ε-edges
-            (guard is ``"b"`` or ``"B"``).
-        charsets: per-state consuming edge's :class:`CharSet`, or ``None``
-            when the state has no consuming edge.
-        targets: per-state consuming edge's target (-1 when none).
-        start: initial state index.
-        accept: accepting state index.
-    """
-
-    epsilon: tuple[tuple[int, ...], ...]
-    guarded: tuple[tuple[tuple[int, str], ...], ...]
-    charsets: tuple[CharSet | None, ...]
-    targets: tuple[int, ...]
-    start: int
-    accept: int
-
-    @property
-    def has_guards(self) -> bool:
-        """True when any state carries a boundary-guarded ε-edge."""
-        return any(edges for edges in self.guarded)
-
-
 class NfaMatcher:
     """A compiled pattern with linear-time search and counting.
 
@@ -518,17 +485,6 @@ class NfaMatcher:
     def state_count(self) -> int:
         """Number of NFA states (matching cost is O(text · states))."""
         return len(self._states)
-
-    def fragment(self) -> NfaFragment:
-        """Structural copy of this NFA for multi-pattern composition."""
-        return NfaFragment(
-            epsilon=tuple(tuple(s.epsilon) for s in self._states),
-            guarded=tuple(tuple(s.guarded) for s in self._states),
-            charsets=tuple(s.charset for s in self._states),
-            targets=tuple(s.target for s in self._states),
-            start=self.start,
-            accept=self.accept,
-        )
 
     # -- simulation -----------------------------------------------------------
 

@@ -7,7 +7,7 @@ a line-delimited TCP data plane plus an HTTP control plane
 (``/healthz``, ``/stats``, ``/metrics``, ``/reload``, ``/inspect``),
 with a versioned
 hot-swappable signature store, bounded admission queues with
-block/shed/cost backpressure, and live telemetry.  ``repro serve
+block/shed backpressure, and live telemetry.  ``repro serve
 --shards N`` scales the same data plane across N worker processes on
 one shared port under a supervising control plane
 (:mod:`repro.serve.supervisor`) with atomic two-phase fleet reloads.

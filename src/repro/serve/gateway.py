@@ -48,7 +48,6 @@ from repro.serve.protocol import (
     discard_request,
     encode_detection,
     encode_error,
-    encode_framed_request,
     encode_shed,
     encode_surface_detection,
     frame_header_size,
@@ -87,8 +86,8 @@ class GatewayConfig:
         host: bind address.
         port: bind port (0 picks an ephemeral port, reported by ``start``).
         queue_bound: backlog capacity (admitted, unanswered requests).
-        policy: full-backlog behaviour (``block``, ``shed`` or ``cost``;
-            a string is normalized to :class:`BackpressurePolicy`).
+        policy: full-backlog behaviour (``block`` or ``shed``; a
+            string is normalized to :class:`BackpressurePolicy`).
         allow_reload: accept ``POST /reload`` on this gateway's own
             control plane.  Fleet shards set this False — their reloads
             arrive only through the supervisor's two-phase protocol, so
@@ -270,7 +269,7 @@ class DetectionGateway:
     async def inspect(self, payload: str) -> dict:
         """In-process client: run ``payload`` through the full admission
         path and return the decoded response object."""
-        return json.loads(await self._inspect(payload, _price(payload)))
+        return json.loads(await self._inspect(payload))
 
     async def inspect_request(
         self,
@@ -279,17 +278,14 @@ class DetectionGateway:
     ) -> dict:
         """In-process framed-mode client: full admission path, decoded
         surface-attributed response."""
-        frame = encode_framed_request(request, surfaces)
-        body_len = len(frame) - frame.index(b"\n") - 2
         return json.loads(await self._inspect(
-            ScoreRequest(request=request, surfaces=surfaces),
-            float(body_len),
+            ScoreRequest(request=request, surfaces=surfaces)
         ))
 
-    async def _inspect(self, work: str | ScoreRequest, cost: float) -> bytes:
+    async def _inspect(self, work: str | ScoreRequest) -> bytes:
         """Submit ``work`` with a future as its sink; await the answer."""
         future = asyncio.get_running_loop().create_future()
-        await self._submit(work, future, cost)
+        await self._submit(work, future)
         return await future
 
     async def _room(self, sink: _Sink) -> None:
@@ -308,13 +304,11 @@ class DetectionGateway:
         ):
             await self._drained.wait()
 
-    async def _submit(
-        self, work: str | ScoreRequest, sink: _Sink, cost: float
-    ) -> None:
+    async def _submit(self, work: str | ScoreRequest, sink: _Sink) -> None:
         """Admit ``work`` into the backlog, or queue its refusal there."""
         await self._room(sink)
         try:
-            self.admission.admit(cost)
+            self.admission.admit()
         except Shed as exc:
             self._push(encode_shed(str(exc)), None, sink)
         except QueueClosed as exc:
@@ -464,7 +458,7 @@ class DetectionGateway:
                         payload = line.rstrip(b"\r\n").decode(
                             "utf-8", errors="replace"
                         )
-                        await self._submit(payload, conn, _price(payload))
+                        await self._submit(payload, conn)
                 line = await self._next_line(reader, conn)
         finally:
             # Answer what the connection sent, even when it broke
@@ -495,7 +489,7 @@ class DetectionGateway:
 
         The header line is already consumed; this reads exactly the
         declared body bytes plus the line-aligning newline, decodes the
-        request, and admits a surface-aware request priced by body size.
+        request, and admits it as a surface-aware request.
         """
         body = await reader.readexactly(frame_size)
         # The frame body is followed by a newline that keeps the
@@ -514,9 +508,7 @@ class DetectionGateway:
             return
         self.telemetry.increment("framed")
         await self._submit(
-            ScoreRequest(request=request, surfaces=surfaces),
-            conn,
-            float(frame_size),
+            ScoreRequest(request=request, surfaces=surfaces), conn
         )
 
     # -- control plane -------------------------------------------------
@@ -594,7 +586,3 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
             continue
         return None if overlong else line
 
-
-def _price(payload: str) -> float:
-    """A payload line's price: its UTF-8 byte length."""
-    return float(len(payload.encode("utf-8", errors="replace")))

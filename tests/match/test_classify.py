@@ -6,7 +6,6 @@ import pytest
 
 from repro.features.definitions import build_catalog
 from repro.match.classify import (
-    KIND_AUTOMATON,
     KIND_DIRECT,
     KIND_FACTORED,
     KIND_LITERAL,
@@ -92,12 +91,12 @@ class TestClassifyPattern:
         assert plan.kind == KIND_FACTORED
         assert plan.factors
 
-    def test_automaton_for_factorless_subset_pattern(self):
-        # Alternation of single characters: no usable factor run longer
-        # than one char per branch still yields factors; use a charset
-        # with ranges so no factor exists but the NFA hosts it.
+    def test_direct_for_factorless_charset_pattern(self):
+        # Charsets with ranges carry no required literal, so nothing
+        # can gate the regex: it always runs.
         plan = classify_pattern(r"[0-9][a-f]")
-        assert plan.kind == KIND_AUTOMATON
+        assert plan.kind == KIND_DIRECT
+        assert plan.factors == ()
 
     def test_direct_for_boundary_regex(self):
         # \b inside a non-word-shape pattern: not a word plan, factors
@@ -139,6 +138,6 @@ class TestClassifyPattern:
         ]
         kinds = {k: sum(1 for p in plans if p.kind == k)
                  for k in (KIND_LITERAL, KIND_WORD, KIND_FACTORED,
-                           KIND_AUTOMATON, KIND_DIRECT)}
+                           KIND_DIRECT)}
         fused = len(plans) - kinds[KIND_DIRECT]
         assert fused >= 0.9 * len(plans)

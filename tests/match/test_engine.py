@@ -2,9 +2,11 @@
 
 import pickle
 import random
+import re
 import string
 
 import numpy as np
+import pytest
 
 from repro.features.definitions import build_catalog
 from repro.match import (
@@ -12,6 +14,7 @@ from repro.match import (
     FusedSetEvaluator,
     matcher_for_patterns,
 )
+from repro.match.classify import KIND_FACTORED, KIND_LITERAL, KIND_WORD
 from repro.regexlib import count_all
 
 
@@ -38,6 +41,18 @@ CRAFTED = [
     "union select",  # non-ASCII whitespace
 ]
 
+# Tokens and texts where str.count and the word gate must replay
+# finditer's left-to-right, non-overlapping discipline: "aa" twice in
+# "aaaa", "or" rejected inside "oror" without consuming it, "--" whose
+# non-word edges flip the sense of \b, "un" shadowed by "union".
+EDGE_TOKENS = ["aa", "'", "or", "--", "select", "1=1", "union", "un", "ab"]
+EDGE_TEXTS = [
+    "aaaa", "a'b''c", "or for order or", "oror ", "a--b", "--",
+    "a -- b", "----", "1' or '1'='1", "select * from t -- comment",
+    "ORDER BY 1--", "union all select null,null", "x" * 50, "",
+    "or or or", "1=1=1=1", "---- --", "union", "abab xab",
+]
+
 
 class TestFusedMatcherExactness:
     def test_crafted_payloads_match_reference(self):
@@ -62,6 +77,52 @@ class TestFusedMatcherExactness:
             )
             fused = matcher.count_vector(payload).tolist()
             assert fused == reference_vector(patterns, payload), payload
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_literal_and_word_edges_match_reference(self, text):
+        patterns = []
+        for token in EDGE_TOKENS:
+            escaped = re.escape(token)
+            patterns += [escaped, rf"\b{escaped}\b"]
+        matcher = FusedMatcher(patterns)
+        kinds = {plan.kind for plan in matcher.plans}
+        assert kinds == {KIND_LITERAL, KIND_WORD}
+        assert matcher.counts(text) == reference_vector(patterns, text)
+
+    def test_token_soup_matches_reference(self):
+        """Payloads built from the catalog's own tokens open every gate."""
+        patterns = [d.pattern for d in build_catalog()]
+        matcher = FusedMatcher(patterns)
+        gated = [
+            (plan.literal,) if plan.kind == KIND_WORD else plan.factors
+            for plan in matcher.plans
+            if plan.kind in (KIND_WORD, KIND_FACTORED)
+        ]
+        tokens = sorted(
+            {plan.literal for plan in matcher.plans if plan.literal}
+            | {factor for plan in matcher.plans for factor in plan.factors}
+        )
+        rng = random.Random(2405)
+        rng.shuffle(tokens)
+        glue = ["", " ", "'", "(", ")", ",", "=", "--", "/**/", ";", "%20"]
+        payloads = []
+        while tokens:
+            size = rng.randrange(1, 9)
+            chunk, tokens = tokens[:size], tokens[size:]
+            payloads.append("".join(
+                "".join(c.upper() if rng.random() < 0.5 else c for c in token)
+                + rng.choice(glue)
+                for token in chunk
+            ))
+        folded = [payload.lower() for payload in payloads]
+        assert all(
+            any(gate in text for text in folded for gate in gates)
+            for gates in gated
+        )
+        for payload in payloads:
+            assert matcher.counts(payload) == reference_vector(
+                patterns, payload
+            ), payload
 
     def test_non_ascii_counts_fallbacks(self):
         matcher = FusedMatcher(["union"])

@@ -1,10 +1,17 @@
-"""Token scanner: counts must replay ``re.finditer`` exactly."""
+"""Token scanning: literal and ``\\b…\\b`` counts must replay ``re.finditer``.
+
+``FusedMatcher`` counts a ``literal`` plan with ``str.count`` on the
+folded text and runs a ``word`` plan's ``findall`` only when its word is
+``in`` that text.  These cases pin both to ``finditer``'s left-to-right,
+non-overlapping discipline on the tokens where it is easiest to break.
+"""
 
 import re
 
 import pytest
 
-from repro.match.scanner import ScanResult, TokenScanner
+from repro.match import FusedMatcher
+from repro.match.classify import KIND_LITERAL, KIND_WORD
 
 
 def reference_count(token: str, text: str) -> int:
@@ -19,86 +26,39 @@ def reference_word_count(token: str, text: str) -> int:
     ))
 
 
+def token_matcher(token: str) -> FusedMatcher:
+    """*token* as a literal plan and as a ``\\b…\\b`` word plan."""
+    escaped = re.escape(token)
+    matcher = FusedMatcher([escaped, rf"\b{escaped}\b"])
+    assert [plan.kind for plan in matcher.plans] == [KIND_LITERAL, KIND_WORD]
+    return matcher
+
+
 class TestTokenScanner:
-    def test_rejects_empty_token(self):
-        with pytest.raises(ValueError):
-            TokenScanner([""])
-
-    def test_rejects_uppercase_token(self):
-        with pytest.raises(ValueError):
-            TokenScanner(["Union"])
-
-    def test_rejects_non_ascii_token(self):
-        with pytest.raises(ValueError):
-            TokenScanner(["sélect"])
-
-    def test_empty_vocabulary_scans(self):
-        result = TokenScanner([]).scan("anything")
-        assert isinstance(result, ScanResult)
-        assert not result.present("x" * 2)
-
     def test_positions_are_all_occurrences(self):
-        scanner = TokenScanner(["ab"])
-        assert scanner.scan("abab xab").positions("ab") == [0, 2, 6]
-
-    def test_shadowed_prefix_still_counted(self):
-        # "un" matches at position 0 where the longer "union" wins the
-        # alternation; the prefix closure must recover it.
-        scanner = TokenScanner(["union", "un"])
-        result = scanner.scan("union")
-        assert result.positions("union") == [0]
-        assert result.positions("un") == [0]
-
-    def test_single_char_token_uses_str_count(self):
-        scanner = TokenScanner(["'"])
-        result = scanner.scan("a'b''c")
-        assert result.count("'") == 3
-        assert result.positions("'") == [1, 3, 4]
-        assert result.present("'")
-
-    def test_nonoverlap_discipline(self):
-        # "aa" in "aaaa": finditer takes 0 and 2, skips 1 and 3.
-        scanner = TokenScanner(["aa"])
-        assert scanner.scan("aaaa").count("aa") == 2
-        assert reference_count("aa", "aaaa") == 2
-
-    def test_count_word_boundaries(self):
-        scanner = TokenScanner(["or"])
-        result = scanner.scan("or for order or")
-        assert result.count_word("or") == reference_word_count(
-            "or", "or for order or"
-        )
+        # "ab" starts at 0, 2 and 6; the literal count takes every one.
+        text = "abab xab"
+        assert [m.start() for m in re.finditer("ab", text)] == [0, 2, 6]
+        assert token_matcher("ab").counts(text)[0] == 3
 
     def test_count_word_rejected_position_does_not_advance(self):
         # In "oror" the occurrence at 0 fails the trailing boundary; the
         # one at 2 must still be eligible (finditer never consumed 0).
-        scanner = TokenScanner(["or"])
         text = "oror "
-        assert scanner.scan(text).count_word("or") == (
+        assert token_matcher("or").counts(text)[1] == (
             reference_word_count("or", text)
         )
 
-    def test_punctuation_edge_tokens(self):
-        # A token starting with non-word chars flips the boundary sense.
-        scanner = TokenScanner(["--"])
-        for text in ("a--b", "--", "a -- b", "----"):
-            assert scanner.scan(text).count_word("--") == (
-                reference_word_count("--", text)
-            ), text
-
     @pytest.mark.parametrize("token", ["select", "'", "1=1", "--", "or"])
     def test_counts_match_reference_on_corpus(self, token):
-        scanner = TokenScanner(["select", "'", "1=1", "--", "or"])
+        matcher = token_matcher(token)
         payloads = [
             "1' or '1'='1", "select * from t -- comment",
             "ORDER BY 1--", "union all select null,null",
             "x" * 50, "", "or or or", "1=1=1=1", "---- --",
         ]
         for payload in payloads:
-            result = scanner.scan(payload.lower())
-            assert result.count(token) == reference_count(
-                token, payload
-            ), (token, payload)
-            assert result.count_word(token) == reference_word_count(
-                token, payload
-            ), (token, payload)
+            assert matcher.counts(payload) == [
+                reference_count(token, payload),
+                reference_word_count(token, payload),
+            ], (token, payload)

@@ -33,6 +33,13 @@ class TestPolicies:
         controller = AdmissionController(policy="shed")
         assert controller.policy is BackpressurePolicy.SHED
 
+    def test_policy_is_block_or_shed(self):
+        assert [policy.value for policy in BackpressurePolicy] == [
+            "block", "shed",
+        ]
+        with pytest.raises(ValueError):
+            AdmissionController(policy="cost")
+
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             AdmissionController(queue_bound=0)
@@ -154,47 +161,3 @@ class TestDrain:
         assert elapsed < 5.0
         assert connections == {}
         assert caplog.records == []
-
-
-class TestCostPolicy:
-    # COST_THRESHOLD is 256 bytes and HIGH_WATER half the backlog.
-
-    def test_expensive_shed_only_past_high_water(self):
-        telemetry = Telemetry()
-        controller = AdmissionController(
-            queue_bound=4, policy="cost", telemetry=telemetry
-        )
-        # Below high water (depth 0, 1 < 2): expensive admitted.
-        controller.admit(cost=500.0)
-        controller.admit(cost=500.0)
-        # At high water: the next expensive request is priced out.
-        with pytest.raises(Shed):
-            controller.admit(cost=500.0)
-        assert telemetry.counter("shed") == 1
-        assert telemetry.counter("shed_cost") == 1
-        assert controller.depth == 2
-
-    def test_cheap_admitted_until_actually_full(self):
-        telemetry = Telemetry()
-        controller = AdmissionController(
-            queue_bound=2, policy="cost", telemetry=telemetry
-        )
-        controller.admit(cost=10.0)
-        controller.admit(cost=10.0)
-        # Backlog genuinely full: cheap requests shed too, but as a
-        # plain full-backlog shed, not a cost shed.
-        with pytest.raises(Shed):
-            controller.admit(cost=10.0)
-        assert telemetry.counter("shed") == 1
-        assert telemetry.counter("shed_cost") == 0
-
-    def test_unpriced_requests_are_never_cost_shed(self):
-        telemetry = Telemetry()
-        controller = AdmissionController(
-            queue_bound=4, policy="cost", telemetry=telemetry
-        )
-        for _ in range(4):
-            controller.admit(cost=None)
-        with pytest.raises(Shed):
-            controller.admit(cost=None)
-        assert telemetry.counter("shed_cost") == 0

@@ -262,3 +262,14 @@ class TestParser:
             build_parser().parse_args([*argv, "--detector", "modsecurity"])
         assert raised.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_policy_is_block_or_shed(self, command, capsys):
+        parser = build_parser()
+        for policy in ("block", "shed"):
+            args = parser.parse_args([command, "--policy", policy])
+            assert args.policy == policy
+        with pytest.raises(SystemExit) as raised:
+            parser.parse_args([command, "--policy", "cost"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'cost'" in capsys.readouterr().err
