@@ -15,12 +15,17 @@ module names would be two classes):
   so a committed artifact re-serializes byte for byte;
 - :func:`corpus_digest`, :func:`build_summary` — corpus content hashing
   and the ``SUMMARY.json`` fold that ``scripts/reproduce_all.py`` writes;
+- :func:`committed_json` — a results file as HEAD committed it, the
+  baseline the guard and ``scripts/reproduce_all.py`` compare against;
 - :func:`check_floors`, :func:`collect_floors` — each bench module
   declares ``FLOORS = {slug: ((metric, op, bound), ...)}`` once; the
   ``emit`` fixture checks every artifact it writes against it, and the
   guard collects the same tuples from every bench module;
 - :func:`timer_overhead_s` — the ``perf_counter`` correction every
-  per-item timing sample subtracts.
+  per-item timing sample subtracts;
+- :data:`BENCH_CONTEXT` — the shared bench-scale evaluation context's
+  parameters, which the ``bench_context`` fixture and the guard's
+  matching probe both build from.
 
 ``REPRO_BENCH_RESULTS_DIR`` redirects the results directory, so a bundle
 can be regenerated into scratch space without touching the committed one.
@@ -36,6 +41,7 @@ import operator
 import os
 import platform
 import re
+import subprocess
 import sys
 import time
 from collections.abc import Iterable
@@ -46,6 +52,18 @@ BENCHMARKS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 #: Environment override for the artifact directory.
 RESULTS_DIR_ENV = "REPRO_BENCH_RESULTS_DIR"
+
+#: ``EvaluationContext.build`` arguments of the shared bench context
+#: (``benchmarks/conftest.py``): 3,000 crawled training samples, the full
+#: 136-vulnerability application and 20,000 benign test requests.
+BENCH_CONTEXT = {
+    "seed": 2012,
+    "n_attack_samples": 3000,
+    "n_benign_train": 8000,
+    "n_benign_test": 20_000,
+    "max_cluster_rows": 1500,
+    "n_vulnerabilities": 136,
+}
 
 #: Current artifact and summary schema versions.
 BENCH_SCHEMA = 1
@@ -288,6 +306,24 @@ def load_artifact(path: str) -> dict[str, Any]:
     """Read and schema-validate one artifact file."""
     with open(path) as handle:
         return validate_bench(json.load(handle))
+
+
+def committed_json(path: str) -> Any:
+    """The JSON file at *path* (relative to the repository root) as
+    committed in HEAD, or None when HEAD has no such file.
+
+    Raises:
+        json.JSONDecodeError: the committed file is not JSON.
+    """
+    result = subprocess.run(
+        ["git", "show", f"HEAD:{path}"],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(BENCHMARKS_DIR),
+    )
+    if result.returncode != 0:
+        return None
+    return json.loads(result.stdout)
 
 
 def list_artifacts(directory: str | None = None) -> list[str]:

@@ -24,6 +24,7 @@ import os
 import pytest
 
 from benchlib import (
+    BENCH_CONTEXT,
     BenchResult,
     check_floors,
     corpus_digest,
@@ -61,14 +62,7 @@ if not _HAVE_BENCHMARK_PLUGIN:
 
 @pytest.fixture(scope="session")
 def bench_context():
-    return EvaluationContext.build(
-        seed=2012,
-        n_attack_samples=3000,
-        n_benign_train=8000,
-        n_benign_test=20_000,
-        max_cluster_rows=1500,
-        n_vulnerabilities=136,
-    )
+    return EvaluationContext.build(**BENCH_CONTEXT)
 
 
 @pytest.fixture(scope="session")

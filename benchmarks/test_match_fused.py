@@ -20,9 +20,9 @@ from one per-request pass with the timer's own cost
 
 Alongside the human-readable table this bench writes
 ``benchmarks/results/BENCH_matching.json``; ``scripts/ci_bench_guard.py``
-re-measures :func:`measure_fused_matching` on a fuzz corpus and fails
-the build if the fresh speedup regresses more than 15% against that
-committed baseline.
+re-measures :func:`measure_fused_matching` on the same set and payloads
+(:func:`bench_inputs`) and fails the build if the fresh speedup
+regresses more than 15% against that committed baseline.
 """
 
 import statistics
@@ -56,7 +56,7 @@ def measure_fused_matching(signature_set, payloads, *, pairs=9):
     the same fixed prologue either way and is excluded, as in the exp4
     matching bench).  Verdict parity is checked on every payload before
     any timing.  Returns the ``matching`` :class:`~benchlib.BenchResult`,
-    seeded 2012 like the bench context and the guard's fuzz corpus.
+    seeded 2012 like the bench context it is measured on.
     """
     normalized = [signature_set.normalizer(p) for p in payloads]
     signature_set.warm()
@@ -116,14 +116,19 @@ def measure_fused_matching(signature_set, payloads, *, pairs=9):
     )
 
 
-def test_bench_fused_matching(benchmark, bench_context, record, emit):
-    nine, _ = bench_context.psigene_sets()
-    requests = list(bench_context.datasets.sqlmap.requests[:600])
-    requests += list(bench_context.datasets.benign.requests[:600])
-    payloads = [request.flat_payload() for request in requests]
+def bench_inputs(context):
+    """The bench's signature set and payloads: Experiment 1's 9-set and
+    the first 600 SQLmap plus the first 600 benign test requests of
+    *context*.  ``scripts/ci_bench_guard.py`` measures on these too."""
+    nine, _ = context.psigene_sets()
+    requests = list(context.datasets.sqlmap.requests[:600])
+    requests += list(context.datasets.benign.requests[:600])
+    return nine, [request.flat_payload() for request in requests]
 
+
+def test_bench_fused_matching(benchmark, bench_context, record, emit):
     result = benchmark.pedantic(
-        measure_fused_matching, args=(nine, payloads),
+        measure_fused_matching, args=bench_inputs(bench_context),
         rounds=1, iterations=1,
     )
     metrics = result.metrics

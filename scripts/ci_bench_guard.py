@@ -16,13 +16,16 @@ artifact no bench floors fails (unguarded artifact); a floored slug with
 no artifact fails (missing trajectory point).
 
 **Layer 3 — deep guards.**  Four benches get live re-measurement on top of
-the committed numbers, three of them on one trained seed-2012 default
+the committed numbers, two of them on one trained seed-2012 default
 detector:
 
 ``BENCH_matching.json`` — the bench's own ``measure_fused_matching`` runs
-fresh on a seeded fuzz corpus; verdicts must stay bit-identical to the
-legacy path and the fresh speedup must hold 85% of the committed baseline
-speedup (a ratio of ratios — insensitive to the runner's absolute speed).
+fresh on the bench's own signature set and 1,200 payloads, built from
+the shared bench context (``benchlib.BENCH_CONTEXT``); verdicts must
+stay bit-identical to the legacy path and the fresh speedup must hold
+85% of the committed baseline speedup (a ratio of ratios — insensitive
+to the runner's absolute speed, and like for like because both sides
+time the same set on the same payloads).
 
 ``BENCH_serving.json`` — a live fleet probe, three alternated passes
 each at one and two shards, must serve with bit-exact parity on every
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 
 sys.path.insert(0, os.path.join(
@@ -58,8 +60,10 @@ sys.path.insert(0, os.path.join(
 ))
 
 from benchlib import (  # noqa: E402 - needs benchmarks/ on the path
+    BENCH_CONTEXT,
     check_floors,
     collect_floors,
+    committed_json,
     dump_bench_json,
     list_artifacts,
     load_artifact,
@@ -69,8 +73,8 @@ from benchlib import (  # noqa: E402 - needs benchmarks/ on the path
 BASELINE_PATH = "benchmarks/results/BENCH_matching.json"
 CANARY_BASELINE_PATH = "benchmarks/results/BENCH_canary.json"
 SURFACES_BASELINE_PATH = "benchmarks/results/BENCH_surfaces.json"
-#: The canonical small detector's seed: the matching and fleet probes use
-#: it, and so does the surfaces bench (its ``SEED``).
+#: The canonical small detector's seed: the fleet probe uses it, and so
+#: does the surfaces bench (its ``SEED``).
 DETECTOR_SEED = 2012
 ALLOWED_FRACTION = 0.85
 MIN_PROBE_EFFICIENCY = 0.5
@@ -81,15 +85,8 @@ PROBE_ORDER = (1, 2, 2, 1, 1, 2)
 
 def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
     """The baseline artifact as committed in HEAD, or None if absent."""
-    result = subprocess.run(
-        ["git", "show", f"HEAD:{path}"],
-        capture_output=True,
-        text=True,
-    )
-    if result.returncode != 0:
-        return None
     try:
-        return json.loads(result.stdout)
+        return committed_json(path)
     except json.JSONDecodeError as error:
         raise AssertionError(
             f"committed {path} is not valid JSON: {error}"
@@ -140,15 +137,15 @@ def sweep_artifacts() -> str:
     )
 
 
-def fresh_measurement(detector) -> dict:
-    """The matching bench's metrics, re-measured on the seeded fuzz
-    corpus."""
-    from repro.conformance import generate_corpus
+def fresh_measurement() -> dict:
+    """The matching bench's metrics, re-measured on the bench's own
+    signature set and payloads."""
+    from repro.eval import EvaluationContext
 
     bench = load_bench_module("test_match_fused")
-    payloads = generate_corpus(seed=DETECTOR_SEED, budget="small")
+    context = EvaluationContext.build(**BENCH_CONTEXT)
     return bench.measure_fused_matching(
-        detector.signature_set, payloads
+        *bench.bench_inputs(context)
     ).metrics
 
 
@@ -424,10 +421,10 @@ def main() -> int:
     """Run all guard layers; returns a process exit code."""
     try:
         print(sweep_artifacts())
+        print(check(committed_baseline(), fresh_measurement()))
         from repro.conformance import train_default_detector
 
         detector = train_default_detector(DETECTOR_SEED)
-        print(check(committed_baseline(), fresh_measurement(detector)))
         print(check_serving(serving_probe(detector)))
         print(check_canary(committed_baseline(CANARY_BASELINE_PATH)))
         print(check_surfaces(

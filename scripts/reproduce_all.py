@@ -9,7 +9,12 @@ floors its bench declares, then folds the bundle into:
 every artifact's recorded corpus fingerprints (order-sensitive SHA-256
 over per-payload digests).  A conflict — two artifacts recording
 different digests for the same corpus name — fails the run: the bundle
-would not describe one coherent evaluation.
+would not describe one coherent evaluation.  So does a digest that
+differs from the one HEAD's committed ledger records for the same name
+(read with ``git show``): the seeded generators must rebuild the
+committed corpora byte for byte.  The fresh ledger and summary are
+written first, so a deliberate corpus change leaves them to review and
+commit.  A name HEAD's ledger lacks is printed and passes.
 
 ``SUMMARY.json`` — the unified, schema-validated evaluation summary:
 per-bench kind/seed/metrics plus the corpus ledger and environment
@@ -54,6 +59,9 @@ QUICK_BENCHES = (
     "benchmarks/test_figure4_cumulative_tpr.py",
 )
 
+#: The committed corpus ledger, relative to the repository root.
+LEDGER_PATH = "benchmarks/results/CORPUS_HASHES.json"
+
 
 def run_benches(paths: tuple[str, ...], out_dir: str) -> int:
     """Run the bench suite with artifacts redirected to ``out_dir``."""
@@ -70,10 +78,35 @@ def run_benches(paths: tuple[str, ...], out_dir: str) -> int:
     return subprocess.run(command, env=env, cwd=REPO_ROOT).returncode
 
 
+def check_ledger(
+    fresh: dict[str, str], committed: dict[str, str]
+) -> list[str]:
+    """Compare fresh corpus digests with the committed ledger.
+
+    Returns the names the committed ledger lacks.
+
+    Raises:
+        SystemExit: a name in both ledgers whose digests differ.
+    """
+    changed = [
+        f"{name!r} hashed {digest[:12]}… (committed "
+        f"{committed[name][:12]}…)"
+        for name, digest in sorted(fresh.items())
+        if name in committed and committed[name] != digest
+    ]
+    if changed:
+        raise SystemExit(
+            f"corpus ledger differs from {LEDGER_PATH} at HEAD: "
+            + "; ".join(changed)
+        )
+    return sorted(set(fresh) - set(committed))
+
+
 def fold_bundle(out_dir: str, mode: str) -> None:
     """Build the corpus ledger and SUMMARY.json from ``out_dir``."""
     from benchlib import (
         build_summary,
+        committed_json,
         dump_bench_json,
         list_artifacts,
         load_artifact,
@@ -116,6 +149,14 @@ def fold_bundle(out_dir: str, mode: str) -> None:
     print(
         f"[saved to {summary_path}] ({len(summary['benches'])} benches, "
         f"mode={mode})"
+    )
+
+    committed = (committed_json(LEDGER_PATH) or {"corpora": {}})["corpora"]
+    for name in check_ledger(corpus_hashes, committed):
+        print(f"corpus {name!r} is new to {LEDGER_PATH}")
+    print(
+        f"corpus ledger matches {LEDGER_PATH} at HEAD on "
+        f"{len(set(corpus_hashes) & set(committed))} corpora"
     )
 
 

@@ -239,8 +239,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
-
+    # By module name, not through the package's lazy re-exports: a
+    # module that ``importlib`` loads is missing from ``-X importtime``.
+    from repro.serve.gateway import DetectionGateway, GatewayConfig
+    from repro.serve.store import SignatureStore
     from repro.surfaces import parse_surfaces
 
     try:

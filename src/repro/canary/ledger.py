@@ -16,7 +16,12 @@ promotion) and are consumed on promotion.
 
 With a ``path`` the ledger also appends each batch as a JSON line, so a
 restarted process can :meth:`CorpusLedger.load` the exact corpus state
-back — content hashes included, which makes tampering visible.
+back — content hashes included, which makes tampering visible.  A crash
+mid-append leaves a final line that is cut short: no trailing newline,
+not valid JSON.  :meth:`CorpusLedger.load` drops that one record and
+keeps every batch before it, and the ledger's next append cuts the torn
+tail off first, so the journal never carries a corrupt line in its
+middle.  Any other malformed line still fails the load.
 """
 
 from __future__ import annotations
@@ -100,6 +105,10 @@ class CorpusLedger:
         self._seen: dict[str, set[str]] = {kind: set() for kind in KINDS}
         self._pending: dict[str, list[str]] = {kind: [] for kind in KINDS}
         self._consumed: dict[str, int] = {kind: 0 for kind in KINDS}
+        #: What :meth:`load` found at the journal's end, for the next
+        #: append to mend first: the byte offset to truncate to and the
+        #: text to write there (a newline the last record lacks).
+        self._repair: tuple[int, str] | None = None
 
     # -- ingestion -----------------------------------------------------
 
@@ -145,17 +154,21 @@ class CorpusLedger:
         self.batches.append(batch)
         self._pending[kind].extend(added)
         if self.path is not None:
-            self._journal(batch, added)
+            self._append({**batch.to_dict(), "payloads": added})
         return batch
 
-    def _journal(self, batch: IngestBatch, payloads: list[str]) -> None:
+    def _append(self, record: dict) -> None:
+        """Append one journal line, first mending a torn tail."""
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
+        lead = ""
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(
-                {**batch.to_dict(), "payloads": payloads}
-            ) + "\n")
+            if self._repair is not None:
+                offset, lead = self._repair
+                handle.truncate(offset)
+                self._repair = None
+            handle.write(lead + json.dumps(record) + "\n")
 
     # -- consumption ---------------------------------------------------
 
@@ -181,10 +194,7 @@ class CorpusLedger:
             self._consumed[kind] += len(self._pending[kind])
             self._pending[kind] = []
         if self.path is not None and any(counts.values()):
-            with open(self.path, "a") as handle:
-                handle.write(json.dumps(
-                    {"event": "consume", "counts": counts}
-                ) + "\n")
+            self._append({"event": "consume", "counts": counts})
         return counts
 
     @property
@@ -198,41 +208,64 @@ class CorpusLedger:
     def load(cls, path: str) -> "CorpusLedger":
         """Reconstruct a ledger from its JSONL journal.
 
+        A final line with no trailing newline that does not parse is a
+        torn append: it is dropped, and the loaded ledger's next append
+        truncates the journal back to where that line starts.  (One that
+        does parse is kept, and the next append ends it with a newline.)
+
         Raises:
             LedgerError: malformed journal lines or a recorded batch
                 whose content hash does not match its payloads.
         """
         ledger = cls(path=None)
-        with open(path) as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LedgerError(
-                        f"{path}:{number}: invalid JSON: {exc}"
-                    ) from exc
-                if record.get("event") == "consume":
-                    for kind, count in record.get("counts", {}).items():
-                        if kind in KINDS:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        start = 0
+        for number, raw in enumerate(data.split(b"\n"), start=1):
+            line_start, start = start, start + len(raw) + 1
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                if start > len(data):  # the last line, no newline
+                    ledger._repair = (line_start, "")
+                    break
+                raise LedgerError(
+                    f"{path}:{number}: invalid JSON: {exc}"
+                ) from exc
+            malformed = f"{path}:{number}: malformed ledger record"
+            if not isinstance(record, dict):
+                raise LedgerError(malformed)
+            if record.get("event") == "consume":
+                counts = record.get("counts", {})
+                if not isinstance(counts, dict):
+                    raise LedgerError(malformed)
+                for kind, count in counts.items():
+                    if kind in KINDS:
+                        try:
                             ledger._consumed[kind] += int(count)
-                            ledger._pending[kind] = []
-                    continue
-                payloads = record.get("payloads")
-                kind = record.get("kind")
-                if kind not in KINDS or not isinstance(payloads, list):
-                    raise LedgerError(
-                        f"{path}:{number}: malformed ledger record"
-                    )
-                digests = [payload_digest(p) for p in payloads]
-                if batch_digest(digests) != record.get("content_hash"):
-                    raise LedgerError(
-                        f"{path}:{number}: content hash mismatch — the "
-                        "journal does not match its recorded payloads"
-                    )
-                ledger.version += 1
+                        except (TypeError, ValueError) as exc:
+                            raise LedgerError(malformed) from exc
+                        ledger._pending[kind] = []
+                continue
+            payloads = record.get("payloads")
+            kind = record.get("kind")
+            if (
+                kind not in KINDS
+                or not isinstance(payloads, list)
+                or not all(isinstance(p, str) for p in payloads)
+            ):
+                raise LedgerError(malformed)
+            digests = [payload_digest(p) for p in payloads]
+            if batch_digest(digests) != record.get("content_hash"):
+                raise LedgerError(
+                    f"{path}:{number}: content hash mismatch — the "
+                    "journal does not match its recorded payloads"
+                )
+            ledger.version += 1
+            try:
                 batch = IngestBatch(
                     version=int(record["version"]),
                     kind=kind,
@@ -242,13 +275,17 @@ class CorpusLedger:
                     duplicates=int(record["duplicates"]),
                     content_hash=str(record["content_hash"]),
                 )
-                if batch.version != ledger.version:
-                    raise LedgerError(
-                        f"{path}:{number}: version {batch.version} out of "
-                        f"order (expected {ledger.version})"
-                    )
-                ledger.batches.append(batch)
-                ledger._seen[kind].update(digests)
-                ledger._pending[kind].extend(payloads)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LedgerError(malformed) from exc
+            if batch.version != ledger.version:
+                raise LedgerError(
+                    f"{path}:{number}: version {batch.version} out of "
+                    f"order (expected {ledger.version})"
+                )
+            ledger.batches.append(batch)
+            ledger._seen[kind].update(digests)
+            ledger._pending[kind].extend(payloads)
+        if ledger._repair is None and data and not data.endswith(b"\n"):
+            ledger._repair = (len(data), "\n")
         ledger.path = path
         return ledger

@@ -15,8 +15,7 @@ drives false positives in keyword-matching rulesets (the paper's
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.corpus.draws import DrawStream
 from repro.http import HttpRequest, LABEL_BENIGN, Trace
 from repro.http.url import quote
 
@@ -85,10 +84,7 @@ class BenignTrafficGenerator:
     """
 
     def __init__(self, seed: int = 1406) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def _pick(self, options: tuple[str, ...]) -> str:
-        return options[int(self._rng.integers(len(options)))]
+        self._rng = DrawStream(seed)
 
     def request(self) -> HttpRequest:
         """Generate one benign request."""
@@ -103,8 +99,8 @@ class BenignTrafficGenerator:
 
     def _static(self) -> HttpRequest:
         return HttpRequest(
-            host=self._pick(_HOSTS),
-            path=self._pick(_STATIC_PATHS),
+            host=self._rng.choice(_HOSTS),
+            path=self._rng.choice(_STATIC_PATHS),
             label=LABEL_BENIGN,
         )
 
@@ -117,17 +113,18 @@ class BenignTrafficGenerator:
                 if roll < cursor:
                     return phrase
         if roll < 0.10:
-            return self._pick(_SQLISH_PHRASES)
-        return self._pick(_MUNDANE_PHRASES)
+            return self._rng.choice(_SQLISH_PHRASES)
+        return self._rng.choice(_MUNDANE_PHRASES)
 
     def _search(self) -> HttpRequest:
         phrase = self._search_phrase()
-        page = int(self._rng.integers(1, 5))
+        page = self._rng.integers(1, 5)
         query = f"q={quote(phrase)}&page={page}"
         if self._rng.random() < 0.3:
-            query += "&sort=" + self._pick(("date", "relevance", "title"))
+            sort = self._rng.choice(("date", "relevance", "title"))
+            query += f"&sort={sort}"
         return HttpRequest(
-            host=self._pick(_HOSTS), path="/search", query=query,
+            host=self._rng.choice(_HOSTS), path="/search", query=query,
             label=LABEL_BENIGN,
         )
 
@@ -135,18 +132,19 @@ class BenignTrafficGenerator:
         kind = self._rng.random()
         if kind < 0.4:
             query = (
-                f"course={self._pick(_COURSE_CODES)}"
-                f"&term=fall2012&section={int(self._rng.integers(1, 9))}"
+                f"course={self._rng.choice(_COURSE_CODES)}"
+                f"&term=fall2012&section={self._rng.integers(1, 9)}"
             )
             path = "/register/enroll"
         elif kind < 0.7:
-            name = f"{self._pick(_FIRST_NAMES)} {self._pick(_LAST_NAMES)}"
-            query = f"name={quote(name)}&id={int(self._rng.integers(10000, 99999))}"
+            first = self._rng.choice(_FIRST_NAMES)
+            name = f"{first} {self._rng.choice(_LAST_NAMES)}"
+            query = f"name={quote(name)}&id={self._rng.integers(10000, 99999)}"
             path = "/directory/lookup"
         else:
             query = (
-                f"isbn=97{int(self._rng.integers(10 ** 10, 10 ** 11))}"
-                f"&format={self._pick(('pdf', 'print', 'ebook'))}"
+                f"isbn=97{self._rng.integers(10 ** 10, 10 ** 11)}"
+                f"&format={self._rng.choice(('pdf', 'print', 'ebook'))}"
             )
             path = "/library/catalog"
         return HttpRequest(
@@ -156,15 +154,15 @@ class BenignTrafficGenerator:
 
     def _mail_or_payment(self) -> HttpRequest:
         if self._rng.random() < 0.5:
-            folder = self._pick(("inbox", "sent", "archive", "trash"))
-            query = f"folder={folder}&msg={int(self._rng.integers(1, 5000))}"
+            folder = self._rng.choice(("inbox", "sent", "archive", "trash"))
+            query = f"folder={folder}&msg={self._rng.integers(1, 5000)}"
             return HttpRequest(
                 host="mail.university.edu", path="/webmail/view", query=query,
                 label=LABEL_BENIGN,
             )
         query = (
-            f"invoice={int(self._rng.integers(100000, 999999))}"
-            f"&amount={int(self._rng.integers(10, 2000))}.00&currency=usd"
+            f"invoice={self._rng.integers(100000, 999999)}"
+            f"&amount={self._rng.integers(10, 2000)}.00&currency=usd"
         )
         return HttpRequest(
             host="pay.university.edu", path="/billing/status", query=query,

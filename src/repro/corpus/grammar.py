@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.corpus.draws import DrawStream, RandomSource
 from repro.corpus.families import FAMILIES, Family
 from repro.corpus.mutators import MUTATORS, Mutator
 
@@ -65,11 +66,13 @@ class AttackSample:
 class TemplateRenderer:
     """Fills ``{slot}`` placeholders in family templates.
 
-    All randomness flows through one :class:`numpy.random.Generator`, making
-    corpus generation fully reproducible from a seed.
+    All randomness flows through one random source (the corpus
+    generator's :class:`~repro.corpus.draws.DrawStream`, or a numpy
+    ``Generator``), making corpus generation fully reproducible from a
+    seed.
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: RandomSource) -> None:
         self._rng = rng
 
     # -- slot fillers ------------------------------------------------------
@@ -179,7 +182,7 @@ class CorpusGenerator:
     ) -> None:
         if not families:
             raise ValueError("at least one family is required")
-        self._rng = np.random.default_rng(seed)
+        self._rng = DrawStream(seed)
         self._families = families
         self._mutators = mutators
         self._mutation_rate = mutation_rate
@@ -190,23 +193,18 @@ class CorpusGenerator:
     def sample(self, sample_id: str = "s0") -> AttackSample:
         """Generate a single attack sample."""
         family = self._families[
-            int(self._rng.choice(len(self._families), p=self._probs))
+            self._rng.choice(len(self._families), p=self._probs)
         ]
-        template = family.templates[
-            int(self._rng.integers(len(family.templates)))
-        ]
+        template = self._rng.choice(family.templates)
         value = self._renderer.render(template)
         if self._rng.random() < self._mutation_rate:
-            passes = int(self._rng.integers(1, 3))
-            for _ in range(passes):
-                mutator = self._mutators[
-                    int(self._rng.integers(len(self._mutators)))
-                ]
+            for _ in range(self._rng.integers(1, 3)):
+                mutator = self._rng.choice(self._mutators)
                 value = mutator(value, self._rng)
-        param = PARAM_NAMES[int(self._rng.integers(len(PARAM_NAMES)))]
+        param = self._rng.choice(PARAM_NAMES)
         payload = f"{param}={value}"
         if self._rng.random() < 0.3:
-            extra = PARAM_NAMES[int(self._rng.integers(len(PARAM_NAMES)))]
+            extra = self._rng.choice(PARAM_NAMES)
             payload = f"{extra}={self._rng.integers(1, 100)}&{payload}"
         return AttackSample(sample_id=sample_id, payload=payload, family=family.name)
 

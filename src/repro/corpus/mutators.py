@@ -2,7 +2,10 @@
 
 Public sample dumps are full of encoding and whitespace tricks — the same
 tricks that motivate the paper's normalization transformations.  Each
-mutator takes a payload value and an RNG and returns a transformed value.
+mutator takes a payload value and a random source (the corpus
+generator's :class:`~repro.corpus.draws.DrawStream`, or a numpy
+``Generator``: the conformance fuzzer and the surface evasion probes
+pass one) and returns a transformed value.
 The normalizer must undo all of them; a property test
 (``tests/corpus/test_mutators.py``) asserts exactly that.
 """
@@ -11,12 +14,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-import numpy as np
+from repro.corpus.draws import RandomSource
 
-Mutator = Callable[[str, np.random.Generator], str]
+Mutator = Callable[[str, RandomSource], str]
 
 
-def mixed_case(value: str, rng: np.random.Generator) -> str:
+def mixed_case(value: str, rng: RandomSource) -> str:
     """Randomize letter case: ``union select`` → ``UnIoN SeLeCt``."""
     flips = rng.random(len(value)) < 0.5
     return "".join(
@@ -25,7 +28,7 @@ def mixed_case(value: str, rng: np.random.Generator) -> str:
     )
 
 
-def url_encode_specials(value: str, rng: np.random.Generator) -> str:
+def url_encode_specials(value: str, rng: RandomSource) -> str:
     """Percent-encode quotes, spaces, and commas (scanner wire format)."""
     table = {"'": "%27", '"': "%22", " ": "%20", ",": "%2C", "#": "%23",
              ";": "%3B", "(": "%28", ")": "%29"}
@@ -39,19 +42,19 @@ def url_encode_specials(value: str, rng: np.random.Generator) -> str:
     return "".join(out)
 
 
-def double_encode_quotes(value: str, rng: np.random.Generator) -> str:
+def double_encode_quotes(value: str, rng: RandomSource) -> str:
     """Double-encode quotes: ``'`` → ``%2527`` (decodes to ``%27`` then ``'``)."""
     del rng
     return value.replace("'", "%2527").replace('"', "%2522")
 
 
-def plus_spaces(value: str, rng: np.random.Generator) -> str:
+def plus_spaces(value: str, rng: RandomSource) -> str:
     """Encode spaces as ``+`` (form-urlencoded convention)."""
     del rng
     return value.replace(" ", "+")
 
 
-def comment_spaces(value: str, rng: np.random.Generator) -> str:
+def comment_spaces(value: str, rng: RandomSource) -> str:
     """Replace spaces with inline comments: ``union select`` →
     ``union/**/select`` — the classic keyword-splitting evasion."""
     separators = ("/**/", "/*x*/", "%09", "%0a")
@@ -64,7 +67,7 @@ def comment_spaces(value: str, rng: np.random.Generator) -> str:
     return "".join(out)
 
 
-def tab_spaces(value: str, rng: np.random.Generator) -> str:
+def tab_spaces(value: str, rng: RandomSource) -> str:
     """Replace spaces with tabs/newlines (alternate SQL whitespace)."""
     whitespace = ("\t", "\n", "  ")
     out = []
@@ -76,7 +79,7 @@ def tab_spaces(value: str, rng: np.random.Generator) -> str:
     return "".join(out)
 
 
-def unicode_fullwidth(value: str, rng: np.random.Generator) -> str:
+def unicode_fullwidth(value: str, rng: RandomSource) -> str:
     """Swap some ASCII characters for their fullwidth Unicode forms."""
     out = []
     for ch in value:

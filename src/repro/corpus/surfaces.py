@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
+from repro.corpus.draws import DrawStream
 from repro.corpus.grammar import CorpusGenerator
 from repro.http import HttpRequest, LABEL_ATTACK, LABEL_BENIGN, Trace
 from repro.http.url import parse_query
@@ -84,7 +83,7 @@ class SurfaceCorpusGenerator:
             raise ValueError("attack_fraction must be in (0, 1]")
         self.seed = seed
         self.attack_fraction = attack_fraction
-        self._rng = np.random.default_rng(seed)
+        self._rng = DrawStream(seed)
         self._attack_values: list[str] = []
         self._next_attack = 0
 
@@ -105,15 +104,10 @@ class SurfaceCorpusGenerator:
         return value
 
     def _benign(self) -> str:
-        return _BENIGN_STRINGS[
-            int(self._rng.integers(len(_BENIGN_STRINGS)))
-        ]
-
-    def _pick(self, options: tuple[str, ...]) -> str:
-        return options[int(self._rng.integers(len(options)))]
+        return self._rng.choice(_BENIGN_STRINGS)
 
     def _is_attack(self) -> bool:
-        return bool(self._rng.random() < self.attack_fraction)
+        return self._rng.random() < self.attack_fraction
 
     # -- families ------------------------------------------------------
 
@@ -125,13 +119,13 @@ class SurfaceCorpusGenerator:
         """
         attack = self._is_attack()
         value = self._attack() if attack else self._benign()
-        key = self._pick(_JSON_KEYS)
+        key = self._rng.choice(_JSON_KEYS)
         if attack and self._rng.random() < 0.5:
-            value = json.dumps({self._pick(_JSON_KEYS): value})
+            value = json.dumps({self._rng.choice(_JSON_KEYS): value})
         document = {
-            "page": int(self._rng.integers(1, 40)),
+            "page": self._rng.integers(1, 40),
             key: value,
-            "opts": {"sort": self._pick(("asc", "desc"))},
+            "opts": {"sort": self._rng.choice(("asc", "desc"))},
         }
         return HttpRequest(
             method="POST",
@@ -146,9 +140,9 @@ class SurfaceCorpusGenerator:
         """A page view whose cookie jar may carry an attack."""
         attack = self._is_attack()
         value = self._attack() if attack else self._benign()
-        name = self._pick(_COOKIE_NAMES)
+        name = self._rng.choice(_COOKIE_NAMES)
         jar = (
-            f"sid={int(self._rng.integers(10**8)):08d}; "
+            f"sid={self._rng.integers(10**8):08d}; "
             f"{name}={value}"
         )
         return HttpRequest(
@@ -162,13 +156,13 @@ class SurfaceCorpusGenerator:
     def header_request(self) -> HttpRequest:
         """A request whose tracking/client header may carry an attack."""
         attack = self._is_attack()
-        name = self._pick(_HEADER_NAMES)
+        name = self._rng.choice(_HEADER_NAMES)
         value = self._attack() if attack else (
-            self._pick(_BENIGN_AGENTS)
+            self._rng.choice(_BENIGN_AGENTS)
             if name == "user-agent"
             else self._benign()
         )
-        headers = {"user-agent": self._pick(_BENIGN_AGENTS), name: value}
+        headers = {"user-agent": self._rng.choice(_BENIGN_AGENTS), name: value}
         return HttpRequest(
             host="www.victim.test",
             path="/landing",
@@ -181,7 +175,7 @@ class SurfaceCorpusGenerator:
         """A form upload whose field (or filename) may carry an attack."""
         attack = self._is_attack()
         value = self._attack() if attack else self._benign()
-        boundary = f"----repro{int(self._rng.integers(10**8)):08d}"
+        boundary = f"----repro{self._rng.integers(10**8):08d}"
         in_filename = attack and self._rng.random() < 0.3
         filename = value if in_filename else "notes.txt"
         field = self._benign() if in_filename else value
@@ -218,7 +212,7 @@ class SurfaceCorpusGenerator:
         """
         attack = self._is_attack()
         value = self._attack() if attack else self._benign()
-        key = self._pick(_STORED_KEYS)
+        key = self._rng.choice(_STORED_KEYS)
         label = LABEL_ATTACK if attack else LABEL_BENIGN
         store = HttpRequest(
             method="POST",
@@ -233,7 +227,7 @@ class SurfaceCorpusGenerator:
         replay = HttpRequest(
             host="forum.victim.test",
             path="/thread",
-            query="id=" + str(int(self._rng.integers(1, 500))),
+            query=f"id={self._rng.integers(1, 500)}",
             stored=((key, value),),
             label=label,
         )
@@ -269,9 +263,7 @@ class SurfaceCorpusGenerator:
         """All families interleaved — the full-surface workload."""
         trace = Trace(name=name)
         while len(trace) < count:
-            family = SURFACE_FAMILIES[
-                int(self._rng.integers(len(SURFACE_FAMILIES)))
-            ]
+            family = self._rng.choice(SURFACE_FAMILIES)
             if family == "second-order":
                 store, replay = self.second_order_pair()
                 trace.append(store)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
+from repro.corpus.draws import DrawStream
 
 #: Response behaviours an injection point can exhibit.
 BEHAVIOR_ERROR = "error"        # reflects a MySQL error message
@@ -82,7 +82,7 @@ class VulnerableWebApp:
     """
 
     def __init__(self, seed: int = 7, n_vulnerabilities: int = 136) -> None:
-        rng = np.random.default_rng(seed)
+        rng = DrawStream(seed)
         pages = (
             "/case/product", "/case/article", "/case/user", "/case/search",
             "/case/login", "/case/report", "/case/gallery", "/case/forum",
@@ -92,14 +92,14 @@ class VulnerableWebApp:
             path = f"{pages[index % len(pages)]}{index:03d}.jsp"
             parameter = ("id", "msg", "username", "target", "orderby",
                          "item", "q")[index % 7]
-            context = _CONTEXTS[int(rng.integers(len(_CONTEXTS)))]
-            behavior = BEHAVIORS[int(rng.integers(len(BEHAVIORS)))]
+            context = rng.choice(_CONTEXTS)
+            behavior = rng.choice(BEHAVIORS)
             self.points.append(
                 InjectionPoint(path, parameter, context, behavior)
             )
         self._by_path = {p.path: p for p in self.points}
         #: number of columns the hidden query selects (union probing target)
-        self._columns = {p.path: int(rng.integers(2, 9)) for p in self.points}
+        self._columns = {p.path: rng.integers(2, 9) for p in self.points}
 
     def __len__(self) -> int:
         return len(self.points)

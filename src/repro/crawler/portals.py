@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.corpus.draws import DrawStream
 from repro.corpus.grammar import AttackSample, CorpusGenerator
 
 PORTAL_NAMES: tuple[str, ...] = (
@@ -76,7 +75,7 @@ class Portal:
         self.host = host
         self.api = api
         self._samples = samples
-        self._rng = np.random.default_rng(seed)
+        self._rng = DrawStream(seed)
         self._pages: dict[str, Page] = {}
         self._build(per_page)
 
@@ -140,12 +139,12 @@ class Portal:
         return Page(200, "text/html", body)
 
     def _advisory_page(self, number: int, sample: AttackSample) -> Page:
-        victim = f"http://victim{int(self._rng.integers(1, 99))}.example"
+        victim = f"http://victim{self._rng.integers(1, 99)}.example"
         page = self._rng.choice(
-            ["/products.php", "/view.php", "/article.php", "/item.jsp"]
+            ("/products.php", "/view.php", "/article.php", "/item.jsp")
         )
         poc = f"{victim}{page}?{sample.payload}"
-        style = int(self._rng.integers(3))
+        style = self._rng.integers(3)
         if style == 0:
             embed = f"<code>{html_escape(poc)}</code>"
         elif style == 1:
@@ -204,15 +203,15 @@ class SimulatedWeb:
     ) -> None:
         generator = CorpusGenerator(seed=seed)
         samples = generator.generate(corpus_size)
-        rng = np.random.default_rng(seed + 1)
+        rng = DrawStream(seed + 1)
         assignment: dict[str, list[AttackSample]] = {
             name: [] for name in PORTAL_NAMES
         }
         for sample in samples:
-            primary = PORTAL_NAMES[int(rng.integers(len(PORTAL_NAMES)))]
+            primary = rng.choice(PORTAL_NAMES)
             assignment[primary].append(sample)
             if rng.random() < overlap:
-                secondary = PORTAL_NAMES[int(rng.integers(len(PORTAL_NAMES)))]
+                secondary = rng.choice(PORTAL_NAMES)
                 if secondary != primary:
                     assignment[secondary].append(sample)
         self.portals: dict[str, Portal] = {}

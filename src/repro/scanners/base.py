@@ -11,8 +11,7 @@ boolean differences, timing) the way its real counterpart does.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.corpus.draws import DrawStream
 from repro.corpus.webapp import VulnerableWebApp
 from repro.http.request import HttpRequest
 from repro.http.traffic import LABEL_ATTACK, Trace
@@ -42,7 +41,7 @@ class ScannerBase:
         if not 0.0 <= post_fraction <= 1.0:
             raise ValueError("post_fraction must be in [0, 1]")
         self.app = app
-        self.rng = np.random.default_rng(seed)
+        self.rng = DrawStream(seed)
         self.post_fraction = post_fraction
         self._trace = Trace(name=f"{self.name}-test")
 
@@ -80,7 +79,7 @@ class ScannerBase:
 
     def random_int(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] from the scanner's RNG."""
-        return int(self.rng.integers(low, high + 1))
+        return self.rng.integers(low, high + 1)
 
     def trace(self) -> Trace:
         """All probes issued so far, in order."""

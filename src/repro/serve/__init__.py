@@ -18,15 +18,6 @@ See DESIGN.md §11 and §15.
 """
 
 from repro._lazy import lazy_exports
-from repro.serve.admission import (
-    AdmissionController,
-    BackpressurePolicy,
-    QueueClosed,
-    Shed,
-)
-from repro.serve.gateway import DetectionGateway, GatewayConfig
-from repro.serve.store import SignatureStore, StoreError, StoreVersion
-from repro.serve.telemetry import Telemetry, merge_raw_states
 
 __all__ = [
     "AdmissionController",
@@ -53,13 +44,21 @@ __all__ = [
     "run_loadgen",
 ]
 
-# The fleet and the load driver (which loads the scanners and the
-# evaluation code) load on first use: one gateway needs neither.
+# Every submodule loads on first use: one gateway needs neither the
+# fleet nor the load driver (which loads the scanners and the evaluation
+# code), and the wire codec (``repro.serve.protocol``) needs no event
+# loop, so importing it alone loads neither asyncio nor the gateway.
 __getattr__ = lazy_exports(__name__, {
+    "admission": (
+        "AdmissionController", "BackpressurePolicy", "QueueClosed", "Shed",
+    ),
     "fleet": ("PROBE_PAYLOADS", "ShardBoot", "reuseport_available"),
+    "gateway": ("DetectionGateway", "GatewayConfig"),
     "loadgen": (
         "LoadReport", "build_load_trace", "format_report", "replay",
         "run_loadgen",
     ),
+    "store": ("SignatureStore", "StoreError", "StoreVersion"),
     "supervisor": ("FleetConfig", "FleetError", "FleetSupervisor"),
+    "telemetry": ("Telemetry", "merge_raw_states"),
 })

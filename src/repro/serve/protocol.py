@@ -32,12 +32,11 @@ and :func:`run_until_signalled`.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
 import signal
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable
+from typing import TYPE_CHECKING, Awaitable, Callable
 
 from repro.http.request import HttpRequest
 from repro.ids.rules import Detection
@@ -49,6 +48,11 @@ from repro.surfaces import (
     format_surfaces,
     parse_surfaces,
 )
+
+if TYPE_CHECKING:
+    # The codec alone (load drivers, benchmarks) needs no event loop;
+    # the async helpers below import asyncio when they run.
+    import asyncio
 
 __all__ = [
     "FRAME_MAGIC",
@@ -414,6 +418,8 @@ async def serve_http(
     gateway and the fleet supervisor both serve their control plane
     with this.
     """
+    import asyncio
+
     try:
         message = await read_http_message(reader, first_line)
     except (ProtocolError, asyncio.IncompleteReadError) as exc:
@@ -449,6 +455,8 @@ async def discard_request(
     client still sends is read and dropped until it closes its side, up
     to ``DISCARD_MAX_BYTES`` or ``DISCARD_MAX_S``, whichever comes first.
     """
+    import asyncio
+
     if writer.can_write_eof():
         writer.write_eof()
     loop = asyncio.get_running_loop()
@@ -469,6 +477,8 @@ async def discard_request(
 async def run_until_signalled(server) -> None:
     """Wait for SIGTERM or SIGINT, then ``await server.stop()``: how the
     gateway's and the fleet's ``serve_forever`` both end."""
+    import asyncio
+
     loop = asyncio.get_running_loop()
     signalled = asyncio.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):

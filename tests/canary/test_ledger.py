@@ -135,3 +135,103 @@ class TestPersistence:
         path.write_text("not json\n")
         with pytest.raises(LedgerError, match="invalid JSON"):
             CorpusLedger.load(str(path))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [1, 2],
+            "batch",
+            7,
+            {"event": "consume", "counts": ["attack"]},
+            {"event": "consume", "counts": {"attack": "many"}},
+            {"kind": "attack", "payloads": [1], "content_hash": "x"},
+            # A well-hashed batch that lacks its version and counts.
+            {
+                "kind": "attack", "payloads": ["id=1"],
+                "content_hash": batch_digest([payload_digest("id=1")]),
+            },
+        ],
+        ids=[
+            "list", "string", "number", "consume-counts-list",
+            "consume-count-text", "payload-not-text", "missing-fields",
+        ],
+    )
+    def test_load_rejects_a_malformed_record(self, tmp_path, record):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(LedgerError, match=":1: malformed ledger record"):
+            CorpusLedger.load(str(path))
+
+
+class TestTornAppend:
+    """A crash mid-append cuts the journal's last line short."""
+
+    @staticmethod
+    def _journal(tmp_path, batches):
+        path = str(tmp_path / "ledger.jsonl")
+        ledger = CorpusLedger(path=path)
+        for payloads in batches:
+            ledger.ingest(payloads, kind="attack", source="t")
+        return path, ledger
+
+    def test_torn_final_record_is_dropped_and_mended(self, tmp_path):
+        path, ledger = self._journal(
+            tmp_path, [["id=1"], ["id=2", "id=3"], ["id=4"]]
+        )
+        data = open(path, "rb").read()
+        third = data.rindex(b"\n", 0, len(data) - 1) + 1
+        cut = third + (len(data) - third) // 2
+        with open(path, "r+b") as handle:
+            handle.truncate(cut)  # half of the third record, no newline
+
+        loaded = CorpusLedger.load(path)
+        assert loaded.version == 2
+        assert loaded.pending("attack") == ["id=1", "id=2", "id=3"]
+
+        batch = loaded.ingest(["id=4"], kind="attack", source="t")
+        assert batch.version == 3
+        assert open(path, "rb").read() == data  # the torn tail is gone
+        reloaded = CorpusLedger.load(path)
+        assert [b.content_hash for b in reloaded.batches] == [
+            b.content_hash for b in ledger.batches
+        ]
+        assert reloaded.pending("attack") == ["id=1", "id=2", "id=3", "id=4"]
+
+    def test_consume_after_a_torn_record_mends_it(self, tmp_path):
+        path, _ = self._journal(tmp_path, [["id=1"], ["id=2"]])
+        with open(path, "a") as handle:
+            handle.write('{"version": 3, "kind": "att')
+        loaded = CorpusLedger.load(path)
+        assert loaded.mark_consumed() == {"attack": 2, "benign": 0}
+        reloaded = CorpusLedger.load(path)
+        assert reloaded.version == 2
+        assert reloaded.consumed_counts["attack"] == 2
+        assert reloaded.pending("attack") == []
+
+    def test_unterminated_complete_record_is_kept(self, tmp_path):
+        path, _ = self._journal(tmp_path, [["id=1"], ["id=2"]])
+        data = open(path, "rb").read()
+        with open(path, "r+b") as handle:
+            handle.truncate(len(data) - 1)  # only the newline was lost
+        loaded = CorpusLedger.load(path)
+        assert loaded.version == 2
+        loaded.ingest(["id=3"], kind="attack", source="t")
+        assert CorpusLedger.load(path).pending("attack") == [
+            "id=1", "id=2", "id=3"
+        ]
+
+    def test_malformed_middle_line_still_raises(self, tmp_path):
+        path, _ = self._journal(tmp_path, [["id=1"], ["id=2"]])
+        lines = open(path).read().splitlines()
+        with open(path, "w") as handle:
+            handle.write(lines[0][: len(lines[0]) // 2] + "\n")
+            handle.write(lines[1] + "\n")
+        with pytest.raises(LedgerError, match=":1: invalid JSON"):
+            CorpusLedger.load(path)
+
+    def test_malformed_terminated_final_line_still_raises(self, tmp_path):
+        path, _ = self._journal(tmp_path, [["id=1"]])
+        with open(path, "a") as handle:
+            handle.write('{"version": 2, "kind": "att\n')
+        with pytest.raises(LedgerError, match=":2: invalid JSON"):
+            CorpusLedger.load(path)

@@ -168,6 +168,29 @@ def test_cli_import_leaves_numpy_unloaded():
     assert _python(code).strip() == "False"
 
 
+def test_wire_codec_loads_no_event_loop():
+    # Load drivers and benchmarks encode and decode frames without
+    # serving: the codec and telemetry alone load neither asyncio (nor
+    # ssl through it) nor the gateway.
+    code = """
+import sys
+from repro.http import HttpRequest
+from repro.serve.protocol import (
+    decode_framed_request, encode_framed_request, frame_header_size,
+)
+from repro.serve.telemetry import Telemetry
+request = HttpRequest(path="/a", query="id=1'", headers={"cookie": "x=1"})
+header, _, body = encode_framed_request(request).partition(b"\\n")
+decoded, _ = decode_framed_request(body[:frame_header_size(header)])
+Telemetry().increment("inspected")
+print(decoded == request, *(
+    name in sys.modules
+    for name in ("asyncio", "ssl", "repro.serve.gateway", "numpy")
+))
+"""
+    assert _python(code).split() == ["True", "False", "False", "False", "False"]
+
+
 def test_learn_keeps_its_solver_when_the_module_loads_first():
     # A lazy re-export named like its submodule would be the module here.
     code = (
