@@ -1,7 +1,9 @@
 """Fleet serving bench: shard scaling, overload shedding, parity.
 
 Replays the deterministic scanner+benign trace through live fleets of
-1, 2, and 4 shards (closed-loop, ``block`` policy — capacity), then
+1, 2, and 4 shards (closed-loop, ``block`` policy — capacity), three
+passes per shard count in the alternating order ``PASS_ORDER``, and
+reads each count's capacity as the median of its passes.  It then
 drives a 2-shard fleet past capacity open-loop (``shed`` policy, tight
 queues — overload behaviour).  Parity with the offline engine is
 asserted on every serviced response.
@@ -17,22 +19,28 @@ aggregate it retains when the same core is divided N ways
 discounted by the *measured* multi-process overhead.
 
 So ``modeled_speedup_at_4`` is ``4 x min(1, C_4 / C_1)``: a model, not a
-measured speedup.  It reads 4.0 whenever four shards serve at least the
-one-shard rate (the committed run measured C_1 = 4,844 req/s and
-C_4 = 9,416 req/s), and its floor (>= 2.5x) fails only when shard
-coordination eats more than 37.5% of aggregate capacity.
+measured speedup.  ``C_N`` is a median over alternated passes because one
+pass per count, 1-shard first, let a slow first pass inflate the ratio.
+It reads 4.0 whenever four shards serve at least the one-shard rate (the
+committed run measured C_1 = 28,986 req/s and C_4 = 42,834 req/s), and
+its floor (>= 2.5x) fails only when shard coordination eats more than
+37.5% of aggregate capacity.
 
 Saved to ``results/serve_fleet.txt`` and the machine-readable baseline
 ``results/BENCH_serving.json`` guarded by ``scripts/ci_bench_guard.py``.
 """
 
 import asyncio
+import statistics
 
 from benchlib import BenchResult, corpus_digest
 from repro.conformance import train_default_detector
 from repro.serve import GatewayConfig, build_load_trace, run_loadgen
 
 SHARD_COUNTS = (1, 2, 4)
+#: Three closed-loop passes per shard count, each count first, middle
+#: and last once.
+PASS_ORDER = (1, 2, 4, 4, 1, 2, 2, 4, 1)
 QUEUE_BOUND = 256
 CONNECTIONS = 8
 WINDOW = 16
@@ -54,8 +62,8 @@ def test_serve_fleet_scaling(record, emit):
     trace = build_load_trace(seed=7, n_benign=2000, n_vulnerabilities=12)
     payloads = trace.payloads()
 
-    capacity = {}
-    for shards in SHARD_COUNTS:
+    passes = {shards: [] for shards in SHARD_COUNTS}
+    for shards in PASS_ORDER:
         report = asyncio.run(run_loadgen(
             detector,
             payloads,
@@ -68,12 +76,15 @@ def test_serve_fleet_scaling(record, emit):
         # Closed-loop block policy: every request serviced.
         assert report.completed == report.requests
         assert report.shed == 0 and report.errors == 0
-        capacity[shards] = report
+        passes[shards].append(report)
 
-    c1 = capacity[1].throughput_rps
+    def median(shards, read):
+        return statistics.median(read(report) for report in passes[shards])
+
+    c1 = median(1, lambda report: report.throughput_rps)
     scaling = []
     for shards in SHARD_COUNTS:
-        measured = capacity[shards].throughput_rps
+        measured = median(shards, lambda report: report.throughput_rps)
         efficiency = min(1.0, measured / c1)
         modeled = shards * c1 * efficiency
         scaling.append({
@@ -82,9 +93,12 @@ def test_serve_fleet_scaling(record, emit):
             "efficiency": round(efficiency, 3),
             "modeled_rps": round(modeled, 1),
             "modeled_speedup": round(modeled / c1, 2),
-            "p50_ms": round(capacity[shards].latency_ms["p50_ms"], 3),
-            "p95_ms": round(capacity[shards].latency_ms["p95_ms"], 3),
-            "p99_ms": round(capacity[shards].latency_ms["p99_ms"], 3),
+            **{
+                key: round(median(
+                    shards, lambda report: report.latency_ms[key]
+                ), 3)
+                for key in ("p50_ms", "p95_ms", "p99_ms")
+            },
         })
 
     # Overload: offer 2x single-shard capacity to a 2-shard fleet with
@@ -110,7 +124,8 @@ def test_serve_fleet_scaling(record, emit):
     )
     lines = [
         f"Fleet scaling ({detector.name}, {len(payloads)} payloads, "
-        f"closed-loop block, queue {QUEUE_BOUND}/shard; "
+        f"closed-loop block, queue {QUEUE_BOUND}/shard, medians of "
+        f"{len(PASS_ORDER) // len(SHARD_COUNTS)} alternated passes; "
         f"modeled = N x C1 x efficiency)",
         header,
         "-" * len(header),
@@ -145,7 +160,7 @@ def test_serve_fleet_scaling(record, emit):
             "modeled_speedup_at_4": scaling[-1]["modeled_speedup"],
             "parity_ok": all(
                 report.parity_ok
-                for report in [*capacity.values(), pressure]
+                for report in [*sum(passes.values(), []), pressure]
             ),
         },
         data={

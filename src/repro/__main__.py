@@ -237,8 +237,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     # By module name, not through the package's lazy re-exports: a
     # module that ``importlib`` loads is missing from ``-X importtime``.
     from repro.serve.gateway import DetectionGateway, GatewayConfig
@@ -259,9 +257,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         surfaces=surfaces,
     )
     if args.shards > 1:
+        import asyncio
+
         from repro.serve import FleetConfig, FleetSupervisor
 
-        server = FleetSupervisor(
+        asyncio.run(FleetSupervisor(
             detector,
             FleetConfig(
                 shards=args.shards,
@@ -270,13 +270,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 signature_path=reload_path,
             ),
             source=source,
-        )
+        ).serve_forever())
     else:
-        server = DetectionGateway(
+        DetectionGateway(
             SignatureStore(detector, path=reload_path, source=source),
             config,
-        )
-    asyncio.run(server.serve_forever())
+        ).serve_forever()
     return 0
 
 
@@ -825,7 +824,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[signature_options, surface_options],
     )
     add_gateway_options(serve)
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument(
+        "--host", default="127.0.0.1",
+        help="bind address; a single gateway listens on every address "
+             "it resolves to, IPv6 included (default: 127.0.0.1)",
+    )
     serve.add_argument(
         "--port", type=int, default=9037,
         help="listen port; 0 picks an ephemeral one (default: 9037)",

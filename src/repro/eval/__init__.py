@@ -1,39 +1,6 @@
 """Evaluation harness: one driver per paper table and figure."""
 
-from repro.eval.datasets import TestDatasets, build_test_datasets
-from repro.eval.experiments import (
-    EvaluationContext,
-    experiment2_incremental,
-    experiment3_perdisci,
-    experiment4_performance,
-    figure2_heatmap,
-    figure3_roc,
-    figure4_cumulative_tpr,
-    table1_vulnerability_coverage,
-    table2_feature_sources,
-    table3_signature_features,
-    table4_ruleset_comparison,
-    table5_accuracy,
-    table6_cluster_details,
-)
-from repro.eval.drift import DriftRound, drift_study, drifted_families
-from repro.eval.evasion import (
-    BASE_ATTACKS,
-    TECHNIQUES,
-    EvasionCell,
-    evasion_matrix,
-    evasion_payloads,
-)
-from repro.eval.report import (
-    format_table,
-    html,
-    percent,
-    render_report,
-    tables,
-    write_report,
-)
-from repro.eval.svg import LineChart, render_dendrogram_svg
-from repro.eval.tuning import SignatureTuning, tune_thresholds
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TestDatasets",
@@ -70,3 +37,36 @@ __all__ = [
     "drifted_families",
     "DriftRound",
 ]
+
+# Each export loads on first use: importing one submodule (the test
+# traces in ``repro.eval.datasets``, say) loads only it and what it
+# imports, not every experiment, report and chart.
+__getattr__ = lazy_exports(__name__, {
+    "datasets": ("TestDatasets", "build_test_datasets"),
+    "experiments": (
+        "EvaluationContext",
+        "experiment2_incremental",
+        "experiment3_perdisci",
+        "experiment4_performance",
+        "figure2_heatmap",
+        "figure3_roc",
+        "figure4_cumulative_tpr",
+        "table1_vulnerability_coverage",
+        "table2_feature_sources",
+        "table3_signature_features",
+        "table4_ruleset_comparison",
+        "table5_accuracy",
+        "table6_cluster_details",
+    ),
+    "drift": ("DriftRound", "drift_study", "drifted_families"),
+    "evasion": (
+        "BASE_ATTACKS", "TECHNIQUES", "EvasionCell", "evasion_matrix",
+        "evasion_payloads",
+    ),
+    "report": (
+        "format_table", "html", "percent", "render_report", "tables",
+        "write_report",
+    ),
+    "svg": ("LineChart", "render_dendrogram_svg"),
+    "tuning": ("SignatureTuning", "tune_thresholds"),
+})

@@ -1,10 +1,10 @@
 """Fleet data plane: one shard process per core, one shared port.
 
-The asyncio gateway is single-process — one event loop answers its
-whole backlog — so its throughput tops out at one core.  The fleet
-splits the data plane across N processes — each running the existing
-:class:`~repro.serve.gateway.DetectionGateway` unchanged — all
-accepting on **one** TCP port:
+One gateway is a single ``selectors`` loop on one thread, so its
+throughput tops out at one core.  The fleet splits the data plane across
+N processes — each running the existing
+:class:`~repro.serve.gateway.DetectionGateway` unchanged — all accepting
+on **one** TCP port:
 
 - With ``SO_REUSEPORT`` (Linux, modern BSDs) every shard binds its own
   listening socket to the shared port and the kernel load-balances new
@@ -20,7 +20,12 @@ picklable dicts), and the lifecycle of one shard.  The control plane —
 spawning, two-phase reload fan-out, telemetry aggregation, respawn —
 lives in :mod:`repro.serve.supervisor`.
 
-Shard lifecycle (commands arrive over the pipe)::
+A shard runs its gateway's loop on its main thread with the supervisor
+pipe on the same selector
+(:meth:`~repro.serve.gateway.DetectionGateway.add_reader`), so one
+select round serves both planes.  Commands are answered on the loop,
+except ``stage``, which warms the candidate on a thread and replies from
+there.  Shard lifecycle (commands arrive over the pipe)::
 
     spawn -> ping -> selfcheck -> open -> ... serving ...
                                         -> stage/commit/abort (reload)
@@ -39,11 +44,10 @@ fleet never serves a mixed generation.
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import os
 import signal
 import socket
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -154,6 +158,9 @@ class ShardBoot:
 
 def shard_entry(boot: ShardBoot, conn) -> None:
     """Process entrypoint for one fleet shard (runs in the child)."""
+    # A signal must not land in the supervisor's event loop through the
+    # wakeup descriptor the fork inherited.
+    signal.set_wakeup_fd(-1)
     # The supervisor coordinates shutdown: a stray ^C in the foreground
     # process group must not kill shards before they can drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -162,11 +169,11 @@ def shard_entry(boot: ShardBoot, conn) -> None:
             os.close(fd)
         except OSError:
             pass
-    asyncio.run(_ShardServer(boot, conn).run())
+    _ShardServer(boot, conn).run()
 
 
 class _ShardServer:
-    """One shard's control loop: a gateway plus the supervisor pipe."""
+    """One shard: a gateway whose loop also reads the supervisor pipe."""
 
     def __init__(self, boot: ShardBoot, conn) -> None:
         self.boot = boot
@@ -183,23 +190,24 @@ class _ShardServer:
         )
         self._data_socket: socket.socket | None = None
         self._serving = False
-        self._draining = False
-        self._done: asyncio.Event | None = None  # created inside run()'s loop
+        # The ``drain`` command, answered once the gateway has stopped.
+        self._drain_message: dict | None = None
+        # Staging replies from their own thread.
+        self._send_lock = threading.Lock()
 
-    async def run(self) -> None:
+    def run(self) -> None:
         """Serve until a ``drain`` command (or supervisor death)."""
-        loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
         # SIGTERM — the supervisor's escalation path (and any external
         # process manager) — triggers the same drain as the pipe command.
-        loop.add_signal_handler(
-            signal.SIGTERM, lambda: loop.create_task(self._drain_and_exit())
+        signal.signal(
+            signal.SIGTERM, lambda signum, frame: self.gateway.request_stop()
         )
-        loop.add_reader(self.conn.fileno(), self._on_readable)
+        self.gateway.add_reader(self.conn, self._on_readable)
         try:
-            await self._done.wait()
+            drained = self.gateway.run()
+            if self._drain_message is not None:
+                self._reply(self._drain_message, ok=True, drained=drained)
         finally:
-            loop.remove_reader(self.conn.fileno())
             if self._data_socket is not None:
                 self._data_socket.close()
             try:
@@ -210,27 +218,26 @@ class _ShardServer:
     # -- control channel -----------------------------------------------
 
     def _on_readable(self) -> None:
-        loop = asyncio.get_running_loop()
         try:
             while self.conn.poll():
-                message = self.conn.recv()
-                loop.create_task(self._handle(message))
+                self._handle(self.conn.recv())
         except (EOFError, OSError):
             # Supervisor is gone: drain on our own deadline and exit
             # rather than serving as an orphan forever.
-            loop.remove_reader(self.conn.fileno())
-            loop.create_task(self._drain_and_exit())
+            self.gateway.remove_reader(self.conn)
+            self.gateway.request_stop()
 
     def _reply(self, message: dict, **fields: Any) -> None:
         message_id = message.get("id")
         if message_id is None or message_id < 0:
             return
         try:
-            self.conn.send({"id": message_id, **fields})
+            with self._send_lock:
+                self.conn.send({"id": message_id, **fields})
         except (BrokenPipeError, OSError):
             pass
 
-    async def _handle(self, message: dict) -> None:
+    def _handle(self, message: dict) -> None:
         command = message.get("cmd")
         try:
             if command == "ping":
@@ -239,7 +246,7 @@ class _ShardServer:
                     version=self.store.version, serving=self._serving,
                 )
             elif command == "open":
-                host, port = await self._open()
+                host, port = self._open()
                 self._reply(message, ok=True, host=host, port=port)
             elif command == "selfcheck":
                 self._reply(
@@ -247,7 +254,9 @@ class _ShardServer:
                     verdicts=self._selfcheck(message["payloads"]),
                 )
             elif command == "stage":
-                await self._stage(message)
+                threading.Thread(
+                    target=self._stage, args=(message,), daemon=True
+                ).start()
             elif command == "commit":
                 published = self.store.commit_staged(message["generation"])
                 self._reply(message, ok=True, version=published.version)
@@ -263,17 +272,21 @@ class _ShardServer:
                     state=self.telemetry.raw_state(),
                 )
             elif command == "drain":
-                drained = await self._drain_and_exit()
-                self._reply(message, ok=True, drained=drained)
+                self._drain_message = message
+                self.gateway.request_stop()
             else:
                 self._reply(
                     message, ok=False, error=f"unknown command {command!r}"
                 )
-        except StoreError as exc:
+        except Exception as exc:
+            self._fail(message, exc)
+
+    def _fail(self, message: dict, exc: Exception) -> None:
+        if isinstance(exc, StoreError):
             self._reply(
                 message, ok=False, error=str(exc), reason=exc.reason
             )
-        except Exception as exc:  # control bug: answer, don't die
+        else:  # control bug: answer, don't die
             self._reply(
                 message, ok=False, error=f"{type(exc).__name__}: {exc}",
                 reason="internal",
@@ -281,7 +294,7 @@ class _ShardServer:
 
     # -- command implementations ---------------------------------------
 
-    async def _open(self) -> tuple[str, int]:
+    def _open(self) -> tuple[str, int]:
         """Join the accept group and start serving the data plane."""
         if self._serving:
             sockname = self._data_socket.getsockname()
@@ -292,7 +305,7 @@ class _ShardServer:
             self._data_socket = make_reuseport_listener(
                 self.boot.config.host, self.boot.config.port
             )
-        host, port = await self.gateway.start(sock=self._data_socket)
+        host, port = self.gateway.listen(sock=self._data_socket)
         self._serving = True
         return host, port
 
@@ -306,28 +319,20 @@ class _ShardServer:
             for payload in payloads
         ]
 
-    async def _stage(self, message: dict) -> None:
-        """Build + warm a reload candidate off the data path."""
-        stage = functools.partial(
-            self.store.stage_json,
-            message["text"],
-            generation=message["generation"],
-            source=message.get("source", "fleet"),
-        )
-        # Warming compiles the fused plan — CPU work that must not
-        # stall in-flight inspections, so it runs on a thread.
-        await asyncio.get_running_loop().run_in_executor(None, stage)
+    def _stage(self, message: dict) -> None:
+        """Build + warm a reload candidate off the loop: warming compiles
+        the fused plan, CPU work that must not stall in-flight
+        inspections."""
+        try:
+            self.store.stage_json(
+                message["text"],
+                generation=message["generation"],
+                source=message.get("source", "fleet"),
+            )
+        except Exception as exc:
+            self._fail(message, exc)
+            return
         self._reply(
             message, ok=True, staged=message["generation"],
             version=self.store.version,
         )
-
-    async def _drain_and_exit(self) -> bool:
-        """The gateway's deadline-bound drain; idempotent; releases
-        :meth:`run`."""
-        if self._draining:
-            return True
-        self._draining = True
-        drained = await self.gateway.stop() if self._serving else True
-        self._done.set()
-        return drained

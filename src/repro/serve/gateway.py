@@ -1,40 +1,54 @@
-"""The detection gateway: an asyncio server mounting any ``Detector``.
+"""The detection gateway: one ``selectors`` loop mounting any ``Detector``.
 
 Structure (one listening port, both dialects of ``protocol.py``):
 
-- A reader per connection parses each payload line or frame and admits
-  it synchronously through the
+- One loop owns the listening sockets and every connection.  Each select
+  round reads what is ready into each connection's buffer and parses
+  the payload lines, ``REPRO-FRAME/2`` frames and one-shot HTTP requests
+  in place.  Each request is admitted synchronously through the
   :class:`~repro.serve.admission.AdmissionController`, capturing the
   current :class:`~repro.serve.store.StoreVersion` **at admission time**
-  — a concurrent hot-swap never changes which signature generation
-  answers an already-admitted request.  The request joins one
-  gateway-wide FIFO backlog together with its sink: the connection it
-  came on, or a future for an in-process caller.  Refusals and protocol
-  errors wait in the same backlog, so every connection is answered
-  strictly in request order and clients correlate by position exactly
-  like the offline engine's per-index ``EngineRun`` vectors.
-- One drain step, scheduled when the backlog goes from empty to
-  non-empty, answers the whole backlog in order with
-  ``detector.inspect`` (pure CPU, microseconds per payload — see
-  Experiment 4 — so it runs on the event loop; process fan-out stays in
-  ``repro.parallel`` for offline batches) and writes each connection's
-  answers as one buffer.
+  — a hot-swap never changes which signature generation answers an
+  already-admitted request.  The request joins one gateway-wide FIFO
+  backlog together with its sink: the connection it came on, or an
+  in-process caller.  Refusals and protocol errors wait in the same
+  backlog, so every connection is answered strictly in request order and
+  clients correlate by position exactly like the offline engine's
+  per-index ``EngineRun`` vectors.
+- After the round's reads, one drain step answers the whole backlog in
+  order with ``detector.inspect`` (pure CPU, microseconds per payload —
+  see Experiment 4 — so it runs on the loop; process fan-out stays in
+  ``repro.parallel`` for offline batches), and each connection's answers
+  go out in one write.
 
-Backpressure reaches the edge without any protocol support: a reader
-stops reading until the next drain while its connection has
-``MAX_UNANSWERED_PER_CONNECTION`` unanswered requests, while its peer
-leaves the send buffer full, and under ``block`` while the backlog is at
-its bound; the socket buffer then fills and the client blocks.
+Backpressure reaches the edge without any protocol support: the loop
+stops reading a connection while it has
+``MAX_UNANSWERED_PER_CONNECTION`` unanswered requests, while answers it
+could not send wait on a full send buffer, and under ``block`` while the
+backlog is at its bound; the socket buffer then fills and the client
+blocks.
+
+``repro serve`` runs the loop on its main thread (:meth:`serve_forever`),
+and a fleet shard runs it with its supervisor pipe on the same selector
+(:meth:`add_reader`).  In-process callers use the ``async``
+:meth:`~DetectionGateway.start` / :meth:`~DetectionGateway.stop` facade,
+which runs the same loop on a thread, and :meth:`inspect`, which hands a
+request to that thread.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import selectors
+import signal
 import socket
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+from typing import Any, Callable
 
+from repro.obs.prometheus import render_exposition
 from repro.serve.admission import (
     AdmissionController,
     BackpressurePolicy,
@@ -42,21 +56,22 @@ from repro.serve.admission import (
     Shed,
 )
 from repro.serve.protocol import (
+    DISCARD_MAX_BYTES,
+    DISCARD_MAX_S,
     MAX_LINE_BYTES,
+    HttpMessage,
+    HttpRequestParser,
     ProtocolError,
     decode_framed_request,
-    discard_request,
     encode_detection,
     encode_error,
     encode_shed,
     encode_surface_detection,
     frame_header_size,
+    http_response,
     is_http_request_line,
     reload_rejection,
-    run_until_signalled,
-    serve_http,
 )
-from repro.obs.prometheus import render_exposition
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
 from repro.serve.telemetry import Telemetry, surfaces_section
 from repro.surfaces import (
@@ -68,13 +83,32 @@ from repro.surfaces import (
 
 __all__ = ["DRAIN_TIMEOUT_S", "DetectionGateway", "GatewayConfig"]
 
-#: Unanswered requests one connection may have in the backlog before its
-#: reader waits for the next drain.
+#: Unanswered requests one connection may have in the backlog before the
+#: loop stops reading it until the next drain.
 MAX_UNANSWERED_PER_CONNECTION = 64
 
-#: Seconds :meth:`DetectionGateway.stop` may spend answering the backlog
-#: and closing connections before it cancels what is left.
+#: Seconds a stop may spend answering the backlog and sending the
+#: answers before it closes what is left.
 DRAIN_TIMEOUT_S = 10.0
+
+#: Bytes one ``recv`` takes off a connection.
+RECV_BYTES = 64 * 1024
+
+#: Seconds the loop stops accepting after ``accept`` fails for want of
+#: file descriptors or memory, rather than spin on a listener that
+#: stays readable.
+ACCEPT_RETRY_S = 1.0
+
+#: A connection whose first line runs on past this many bytes cannot be
+#: told apart as either dialect: it is answered ``line too long`` and
+#: closed.  A later overlong line is dropped and the connection kept.
+FIRST_LINE_LIMIT = 4 * MAX_LINE_BYTES
+
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
+# Connection states: dialect not known yet; line protocol; one HTTP
+# request; answered for good (send, half-close, drop the rest); closed.
+_FIRST, _LINES, _HTTP, _CLOSING, _CLOSED = range(5)
 
 
 @dataclass
@@ -110,21 +144,92 @@ class GatewayConfig:
 
 
 class _Connection:
-    """A line-protocol connection as a backlog sink."""
+    """One client connection: its buffers, its dialect and its place in
+    the protocol."""
 
-    __slots__ = ("writer", "unanswered")
+    __slots__ = (
+        "sock", "state", "buffer", "scanned", "out", "unanswered", "eof",
+        "events", "frame", "skipping", "first", "http", "deadline",
+        "left",
+    )
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.state = _FIRST
+        self.buffer = bytearray()
+        # The newline search resumes here, so a line arriving in many
+        # small chunks is scanned once.
+        self.scanned = 0
+        # Answers the kernel has not taken yet.
+        self.out = bytearray()
         self.unanswered = 0
+        self.eof = False
+        self.events = 0
+        # A frame: the body size still awaited (int), then the body
+        # awaiting its newline (bytes).
+        self.frame: int | bytes | None = None
+        # Bytes dropped so far of an overlong line, already answered.
+        self.skipping: int | None = None
+        self.first = True
+        # The one HTTP request, parsed as its bytes arrive.
+        self.http: HttpRequestParser | None = None
+        # Half-closed: when to stop dropping what the client still sends,
+        # and how many more bytes to drop.
+        self.deadline = 0.0
+        self.left = DISCARD_MAX_BYTES
+
+
+class _Caller:
+    """An in-process caller's future, settled from the loop's thread."""
+
+    __slots__ = ("loop", "future")
+
+    def __init__(self, loop, future) -> None:
+        self.loop = loop
+        self.future = future
+
+    def settle(self, answer: bytes) -> None:
+        try:
+            self.loop.call_soon_threadsafe(_settle, self.future, answer)
+        except RuntimeError:  # the caller's event loop is closed
+            pass
+
+
+def _settle(future, answer: bytes) -> None:
+    if not future.done():  # the caller may have gone away
+        future.set_result(answer)
+
+
+def _bind(host: str, port: int) -> list[socket.socket]:
+    """A listening socket on each address ``host`` resolves to."""
+    for family in (socket.AF_INET, socket.AF_INET6):
+        try:
+            socket.inet_pton(family, host)
+        except OSError:
+            continue
+        # A numeric address needs no resolver: the first getaddrinfo
+        # call maps about 0.7 MiB of resolver state.
+        return [socket.create_server((host, port), family=family)]
+    listeners: list[socket.socket] = []
+    try:
+        for family, _, _, _, address in dict.fromkeys(socket.getaddrinfo(
+            host or None, port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
+        )):
+            listeners.append(socket.create_server(address, family=family))
+    except BaseException:
+        for listener in listeners:
+            listener.close()
+        raise
+    return listeners
 
 
 # A backlog entry is ``(work, snapshot, sink, admitted_at)``.  ``work``
 # is a payload line (str) or a framed ScoreRequest, answered by the
 # ``snapshot`` generation; a refusal or protocol error has ``snapshot``
 # None and its already-encoded answer as ``work``.  ``sink`` is a
-# _Connection or an in-process caller's future.
-_Sink = _Connection | asyncio.Future
+# _Connection or a _Caller.
+_Sink = _Connection | _Caller
 
 
 class DetectionGateway:
@@ -168,19 +273,48 @@ class DetectionGateway:
             "Deployed signature store generation.",
             function=lambda: float(self.store.version),
         )
-        self._server: asyncio.base_events.Server | None = None
-        # Each open connection's writer and the task handling it.
-        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._selector = selectors.DefaultSelector()
+        # Any thread (or a signal handler) wakes the loop by sending a
+        # byte here.
+        self._wake_in, self._wake_out = socket.socketpair()
+        for end in (self._wake_in, self._wake_out):
+            end.setblocking(False)
+        self._selector.register(self._wake_in, _READ, self._on_wake)
+        self._listeners: list[socket.socket] = []
+        self._thread: threading.Thread | None = None
+        # Guards the two flags below, so an in-process caller either
+        # reaches the loop or is answered at once.
+        self._lock = threading.Lock()
+        self._running = False
+        self._closed = False
+        # Open connections by file descriptor.
+        self._connections: dict[int, _Connection] = {}
         self._backlog: list[tuple] = []
-        # Pulsed (set, then cleared) by every drain step.
-        self._drained = asyncio.Event()
+        # In-process requests handed over by other threads.
+        self._callers: deque[tuple[Any, _Caller]] = deque()
+        # Connections that stopped for want of room (an ordered set).
+        self._blocked: dict[_Connection, None] = {}
+        # Connections with answers to send this round.
+        self._dirty: dict[_Connection, None] = {}
+        # Half-closed connections dropping what their client still sends.
+        self._discarding: set[_Connection] = set()
+        # When accepting resumes after a failed ``accept`` (0: accepting).
+        self._accept_at = 0.0
+        self._stop_requested = False
+        self._stopping = False
+        self._stop_deadline = 0.0
+        self._drained = False
+        self._finished = False
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(
-        self, *, sock: socket.socket | None = None
-    ) -> tuple[str, int]:
-        """Bind and return the bound ``(host, port)``.
+    def listen(self, *, sock: socket.socket | None = None) -> tuple[str, int]:
+        """Bind (or adopt ``sock``), start accepting in the loop, and
+        return the bound ``(host, port)``.
+
+        ``config.host`` is bound on every address it resolves to, IPv4
+        and IPv6 alike (an empty host: every interface); the first
+        one's address is returned.
 
         Args:
             sock: an already-bound listening socket to serve on instead
@@ -188,83 +322,106 @@ class DetectionGateway:
                 one port (their own ``SO_REUSEPORT`` socket, or a
                 fork-inherited listener).
         """
-        if self._server is not None:
+        if self._listeners:
             raise RuntimeError("gateway already started")
-        # Stream limit above MAX_LINE_BYTES so our own oversized-line
-        # handling (answer an error, keep the connection) gets to run
-        # before asyncio's reader gives up.
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._accept, sock=sock, limit=4 * MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._accept, self.config.host, self.config.port,
-                limit=4 * MAX_LINE_BYTES,
-            )
-        sockname = self._server.sockets[0].getsockname()
+        self._listeners = [sock] if sock is not None else _bind(
+            self.config.host, self.config.port
+        )
+        for listener in self._listeners:
+            listener.setblocking(False)
+        self._accept_on()
+        sockname = self._listeners[0].getsockname()
         return sockname[0], sockname[1]
 
-    async def stop(self) -> bool:
-        """Graceful drain: stop accepting, answer what was admitted, then
-        close every connection and wait for its handler.
+    def add_reader(self, fileobj, callback: Callable[[], None]) -> None:
+        """Call ``callback`` on the loop whenever ``fileobj`` is readable
+        (a fleet shard's supervisor pipe)."""
+        self._selector.register(fileobj, _READ, callback)
 
-        The whole drain shares one ``DRAIN_TIMEOUT_S`` deadline; a
-        handler still blocked at the deadline (say, on a peer that never
-        reads) has its connection aborted and is cancelled.  Returns
-        True when every admitted request was answered, False when the
-        deadline expired first.
+    def remove_reader(self, fileobj) -> None:
+        """Stop watching ``fileobj``."""
+        self._selector.unregister(fileobj)
+
+    def request_stop(self) -> None:
+        """Ask the loop to drain and stop; safe from any thread and from
+        a signal handler."""
+        self._stop_requested = True
+        self._wake()
+
+    def run(self) -> bool:
+        """Run the loop on this thread until a requested stop finishes.
+
+        The stop closes the listeners, answers what was admitted, sends
+        the answers and closes every connection, all within one
+        ``DRAIN_TIMEOUT_S`` deadline; what is left at the deadline is
+        closed unanswered.  Returns True when every admitted request
+        was answered, False when the deadline expired first.
         """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + DRAIN_TIMEOUT_S
-        if self._server is not None:
-            self._server.close()
-        self.admission.close()
-        drained = True
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("gateway already stopped")
+            self._running = True
         try:
-            await asyncio.wait_for(
-                self._admitted_answered(), DRAIN_TIMEOUT_S
+            while not self._finished:
+                self._round()
+        finally:
+            self._teardown()
+        return self._drained
+
+    def serve_forever(self) -> None:
+        """Listen, then serve on this (main) thread until SIGTERM or
+        SIGINT, and drain on the way out."""
+        handlers = {
+            signum: signal.signal(
+                signum, lambda signum, frame: self.request_stop()
             )
-        except asyncio.TimeoutError:
-            drained = False
-        for writer in self._connections:
-            writer.close()
-        if self._connections:
-            await asyncio.wait(
-                list(self._connections.values()),
-                timeout=max(0.0, deadline - loop.time()),
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            host, port = self.listen()
+            detector = self.store.current().detector.name
+            print(
+                f"repro.serve: detector={detector} on {host}:{port} "
+                f"(queue={self.config.queue_bound}, "
+                f"policy={self.config.policy.value})",
+                flush=True,
             )
-        late = [
-            (writer, task) for writer, task in self._connections.items()
-            if not task.done()
-        ]
-        for writer, task in late:
-            writer.transport.abort()
-            task.cancel()
-        await asyncio.gather(
-            *(task for _, task in late), return_exceptions=True
+            self.run()
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+
+    async def start(
+        self, *, sock: socket.socket | None = None
+    ) -> tuple[str, int]:
+        """In-process facade: :meth:`listen`, then run the loop on a
+        thread; returns the bound ``(host, port)``."""
+        address = self.listen(sock=sock)
+        self._thread = threading.Thread(
+            target=self.run, name="repro-gateway", daemon=True
         )
-        if self._server is not None:
-            await self._server.wait_closed()
-        return drained
+        with self._lock:
+            # From here on a caller is handed to the thread.
+            self._running = True
+        self._thread.start()
+        return address
 
-    async def _admitted_answered(self) -> None:
-        while self.admission.depth:
-            await self._drained.wait()
+    async def stop(self) -> bool:
+        """In-process facade: drain and stop the loop thread; returns
+        what :meth:`run` returns.  A gateway whose loop never ran has
+        nothing to drain: it is closed, and True returned."""
+        import asyncio
 
-    async def serve_forever(self) -> None:
-        """Start, then serve until SIGTERM/SIGINT and drain on the way
-        out."""
-        host, port = await self.start()
-        detector = self.store.current().detector.name
-        print(
-            f"repro.serve: detector={detector} on {host}:{port} "
-            f"(queue={self.config.queue_bound}, "
-            f"policy={self.config.policy.value})"
+        self.request_stop()
+        if self._thread is None:
+            if not self._running:
+                self.admission.close()
+                self._teardown()
+            return True
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._thread.join
         )
-        await run_until_signalled(self)
-
-    # -- data plane ----------------------------------------------------
+        return self._drained
 
     async def inspect(self, payload: str) -> dict:
         """In-process client: run ``payload`` through the full admission
@@ -283,30 +440,402 @@ class DetectionGateway:
         ))
 
     async def _inspect(self, work: str | ScoreRequest) -> bytes:
-        """Submit ``work`` with a future as its sink; await the answer."""
-        future = asyncio.get_running_loop().create_future()
-        await self._submit(work, future)
+        """Hand ``work`` to the loop's thread and await its answer.
+        Before the loop runs, the request is answered here, as a round
+        would; once it has stopped, with the draining error."""
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        caller = _Caller(loop, future)
+        with self._lock:
+            if self._closed:
+                return encode_error("gateway is draining")
+            if self._running:
+                self._callers.append((work, caller))
+                self._wake()
+            else:
+                self._submit(work, caller)
+                self._drain()
         return await future
 
-    async def _room(self, sink: _Sink) -> None:
-        """Wait until ``sink`` may add to the backlog.
+    # -- the loop ------------------------------------------------------
 
-        A connection first waits for its peer to take its answers off the
-        send buffer; then every sink waits for the next drain while the
-        ``block`` backlog is at its bound, and a connection also while it
-        has ``MAX_UNANSWERED_PER_CONNECTION`` unanswered requests.
-        """
-        connection = isinstance(sink, _Connection)
-        if connection:
-            await sink.writer.drain()
-        while self.admission.must_wait or (
-            connection and sink.unanswered >= MAX_UNANSWERED_PER_CONNECTION
+    def _round(self) -> None:
+        """One select round: serve what is ready, then drain the backlog
+        once and send each connection's answers in one write."""
+        for key, events in self._selector.select(self._timeout()):
+            if isinstance(key.data, _Connection):
+                if events & _WRITE:
+                    self._send(key.data)
+                if events & _READ and key.data.state != _CLOSED:
+                    self._receive(key.data)
+            else:
+                key.data()
+        while self._callers and not self.admission.must_wait:
+            self._submit(*self._callers.popleft())
+        if self._stop_requested and not self._stopping:
+            self._begin_stop()
+        if self._backlog:
+            self._drain()
+        dirty, self._dirty = self._dirty, {}
+        for conn in dirty:
+            if conn.state != _CLOSED:
+                self._send(conn)
+        for conn in list(self._blocked):
+            if self._has_room(conn):
+                del self._blocked[conn]
+                self._serve(conn)
+                self._watch(conn)
+        self._expire()
+
+    def _timeout(self) -> float | None:
+        if self._backlog or self._callers:
+            return 0.0
+        deadlines = [conn.deadline for conn in self._discarding]
+        if self._accept_at:
+            deadlines.append(self._accept_at)
+        if self._stopping:
+            deadlines.append(self._stop_deadline)
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
+
+    def _expire(self) -> None:
+        now = time.monotonic()
+        for conn in [c for c in self._discarding if c.deadline <= now]:
+            self._close(conn)
+        if self._accept_at and now >= self._accept_at and not self._stopping:
+            self._accept_at = 0.0
+            self._accept_on()
+        if not self._stopping:
+            return
+        if not self.admission.depth:
+            # Every admitted request is answered: close each connection
+            # once its answers are sent.
+            self._drained = True
+            for conn in list(self._connections.values()):
+                if not conn.out:
+                    self._close(conn)
+            self._finished = not self._connections
+        if now >= self._stop_deadline:
+            self._finished = True
+
+    def _begin_stop(self) -> None:
+        self._stopping = True
+        self._stop_deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        if not self._accept_at:
+            self._accept_off()
+        for listener in self._listeners:
+            listener.close()
+        self.admission.close()
+
+    def _teardown(self) -> None:
+        with self._lock:
+            self._closed = True
+        for conn in list(self._connections.values()):
+            self._close(conn)
+        while self._callers:
+            self._callers.popleft()[1].settle(
+                encode_error("gateway is draining")
+            )
+        for listener in self._listeners:
+            listener.close()
+        self._selector.close()
+        self._wake_in.close()
+        self._wake_out.close()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_out.send(b"\0")
+        except OSError:  # already pending, or the loop is gone
+            pass
+
+    def _on_wake(self) -> None:
+        try:
+            while self._wake_in.recv(4096):
+                pass
+        except OSError:
+            pass
+
+    # -- connections ---------------------------------------------------
+
+    def _accept_on(self) -> None:
+        for listener in self._listeners:
+            self._selector.register(
+                listener, _READ, lambda sock=listener: self._accept(sock)
+            )
+
+    def _accept_off(self) -> None:
+        for listener in self._listeners:
+            self._selector.unregister(listener)
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:  # reset before it was taken
+                continue
+            except OSError:  # out of file descriptors, say
+                self._accept_off()
+                self._accept_at = time.monotonic() + ACCEPT_RETRY_S
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock)
+            self._connections[sock.fileno()] = conn
+            self.telemetry.increment("connections")
+            self._watch(conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        if conn.state == _CLOSING and not conn.deadline:
+            return  # its answers are not sent yet
+        try:
+            data = conn.sock.recv(RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if conn.state == _CLOSING:
+            # Half-closed after its answer: drop what the client sends.
+            conn.left -= len(data)
+            if not data or conn.left <= 0:
+                self._close(conn)
+            return
+        if data:
+            conn.buffer += data
+        else:
+            conn.eof = True
+        self._serve(conn)
+        self._watch(conn)
+
+    def _send(self, conn: _Connection) -> None:
+        if conn.out:
+            try:
+                sent = conn.sock.send(conn.out)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._close(conn)
+                return
+            del conn.out[:sent]
+        self._finish(conn)
+
+    def _finish(self, conn: _Connection) -> None:
+        """Half-close a hung-up connection once its answers are sent,
+        then drop what its client still sends within the discard
+        limits; watch the connection for what it waits on."""
+        if (
+            conn.state == _CLOSING and not conn.deadline
+            and not conn.out and not conn.unanswered
         ):
-            await self._drained.wait()
+            try:
+                conn.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                conn.eof = True
+            if conn.eof:
+                self._close(conn)
+                return
+            conn.deadline = time.monotonic() + DISCARD_MAX_S
+            self._discarding.add(conn)
+        self._watch(conn)
 
-    async def _submit(self, work: str | ScoreRequest, sink: _Sink) -> None:
+    def _hang_up(self, conn: _Connection) -> None:
+        """No more requests from ``conn``: answer what it sent, then
+        half-close it (:meth:`_finish`)."""
+        conn.state = _CLOSING
+        conn.buffer.clear()
+        self._blocked.pop(conn, None)
+        self._finish(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        if conn.state == _CLOSED:
+            return
+        if conn.events:
+            self._selector.unregister(conn.sock)
+        del self._connections[conn.sock.fileno()]
+        conn.sock.close()
+        conn.state = _CLOSED
+        conn.out.clear()
+        self._blocked.pop(conn, None)
+        self._discarding.discard(conn)
+
+    def _has_room(self, conn: _Connection) -> bool:
+        """May ``conn`` add to the backlog now?"""
+        return not (
+            conn.out
+            or self.admission.must_wait
+            or conn.unanswered >= MAX_UNANSWERED_PER_CONNECTION
+        )
+
+    def _watch(self, conn: _Connection) -> None:
+        """Register ``conn`` for what it waits on: writable while answers
+        wait to be sent, readable while it may send more."""
+        if conn.state == _CLOSED:
+            return
+        events = _WRITE if conn.out else 0
+        if conn.state == _CLOSING:
+            if conn.deadline:
+                events |= _READ
+        elif not conn.eof and not (conn.state == _HTTP and conn.unanswered):
+            if conn in self._blocked:
+                pass
+            elif self._has_room(conn):
+                events |= _READ
+            else:
+                self._blocked[conn] = None
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif not events:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, events, conn)
+        conn.events = events
+
+    # -- data plane ----------------------------------------------------
+
+    def _serve(self, conn: _Connection) -> None:
+        """Parse and admit what ``conn``'s buffer holds."""
+        if conn.state == _FIRST:
+            self._classify(conn)
+        if conn.state == _LINES:
+            self._serve_lines(conn)
+        elif conn.state == _HTTP:
+            self._serve_http(conn)
+
+    def _classify(self, conn: _Connection) -> None:
+        """Tell the dialect from the connection's first line."""
+        buffer = conn.buffer
+        newline = buffer.find(b"\n", conn.scanned)
+        if newline >= 0:
+            first = bytes(buffer[:newline + 1])
+        elif conn.eof:
+            if not buffer:
+                self._hang_up(conn)
+                return
+            first = bytes(buffer)
+        elif len(buffer) > MAX_LINE_BYTES:
+            conn.state = _LINES  # overlong: the line protocol refuses it
+            return
+        else:
+            conn.scanned = len(buffer)
+            return
+        if is_http_request_line(first):
+            conn.state, conn.http = _HTTP, HttpRequestParser()
+        else:
+            conn.state = _LINES
+
+    def _serve_lines(self, conn: _Connection) -> None:
+        """The line protocol: admit each complete payload line or frame
+        in ``conn``'s buffer, in order, while the connection has room."""
+        buffer = conn.buffer
+        pos = 0
+        while True:
+            if not self._has_room(conn):
+                self._blocked[conn] = None
+                break
+            if type(conn.frame) is int:
+                if len(buffer) - pos < conn.frame:
+                    if conn.eof:  # a frame body cut short: no answer
+                        self._hang_up(conn)
+                        return
+                    break  # the rest of the frame body is still to come
+                end = pos + conn.frame
+                conn.frame, pos = bytes(buffer[pos:end]), end
+                conn.scanned = pos
+                continue
+            newline = buffer.find(b"\n", max(pos, conn.scanned))
+            end = newline + 1 if newline >= 0 else len(buffer)
+            if (
+                conn.skipping is None and newline < 0
+                and end - pos > MAX_LINE_BYTES
+            ):
+                # An overlong line gets one answer, then is dropped
+                # through its newline with nothing of it kept.
+                self._refuse(conn, (
+                    "frame body not newline-terminated"
+                    if conn.frame is not None else "line too long"
+                ))
+                conn.frame = None
+                conn.skipping = 0
+            if conn.skipping is not None:
+                conn.skipping += end - pos
+                pos = end
+                if conn.first and conn.skipping > FIRST_LINE_LIMIT:
+                    self._hang_up(conn)
+                    return
+                if newline >= 0:
+                    conn.skipping = None
+                    conn.first = False
+                    continue
+            elif newline >= 0 or (
+                conn.eof and (pos < end or conn.frame is not None)
+            ):
+                # A line; at the end of the stream the last one may be
+                # unterminated, and the end stands in for the newline
+                # after a frame body.
+                line, pos = bytes(buffer[pos:end]), end
+                conn.first = False
+                self._serve_line(conn, line)
+                continue
+            if conn.eof:
+                self._hang_up(conn)
+                return
+            conn.scanned = len(buffer)
+            break
+        del buffer[:pos]
+        conn.scanned = max(0, conn.scanned - pos)
+
+    def _serve_line(self, conn: _Connection, line: bytes) -> None:
+        """Admit one complete line: a payload, a frame header, or the
+        newline ending a frame body."""
+        if conn.frame is not None:
+            # The frame body is followed by a newline that keeps the
+            # connection line-aligned.  Anything else before it gets
+            # one error.
+            body, conn.frame = conn.frame, None
+            if line not in (b"\n", b"\r\n", b""):
+                self._refuse(conn, "frame body not newline-terminated")
+                return
+            try:
+                request, surfaces = decode_framed_request(
+                    body, default_surfaces=self.config.surfaces
+                )
+            except ProtocolError as exc:
+                self._refuse(conn, str(exc))
+                return
+            self.telemetry.increment("framed")
+            self._submit(
+                ScoreRequest(request=request, surfaces=surfaces), conn
+            )
+            return
+        if len(line) > MAX_LINE_BYTES:
+            self._refuse(conn, "line too long")
+            return
+        try:
+            conn.frame = frame_header_size(line)
+        except ProtocolError as exc:
+            # A malformed frame header: the client meant to frame, so
+            # treating the line as a payload would be wrong; answer the
+            # error and resync at the next line.
+            self._refuse(conn, str(exc))
+            return
+        if conn.frame is None:
+            # Every line is one payload — including the empty line: a
+            # request with no query string is still a request the
+            # offline engine would score, and skipping it would desync
+            # response ordering.
+            self._submit(
+                line.rstrip(b"\r\n").decode("utf-8", errors="replace"), conn
+            )
+
+    def _submit(self, work: str | ScoreRequest, sink: _Sink) -> None:
         """Admit ``work`` into the backlog, or queue its refusal there."""
-        await self._room(sink)
         try:
             self.admission.admit()
         except Shed as exc:
@@ -316,10 +845,9 @@ class DetectionGateway:
         else:
             self._push(work, self.store.current(), sink)
 
-    async def _refuse(self, conn: _Connection, reason: str) -> None:
+    def _refuse(self, conn: _Connection, reason: str) -> None:
         """Queue a protocol-error answer in request order."""
         self.telemetry.increment("protocol_errors")
-        await self._room(conn)
         self._push(encode_error(reason), None, conn)
 
     def _push(
@@ -328,17 +856,14 @@ class DetectionGateway:
         snapshot: StoreVersion | None,
         sink: _Sink,
     ) -> None:
-        if not self._backlog:
-            asyncio.get_running_loop().call_soon(self._drain)
         self._backlog.append((work, snapshot, sink, time.perf_counter()))
         if isinstance(sink, _Connection):
             sink.unanswered += 1
 
     def _drain(self) -> None:
-        """The drain step: answer the whole backlog in order, write each
-        connection's answers as one buffer, and wake every waiter."""
+        """The drain step: answer the whole backlog in order and queue
+        each connection's answers for this round's write."""
         backlog, self._backlog = self._backlog, []
-        writes: dict[_Connection, list[bytes]] = {}
         admitted = 0
         for work, snapshot, sink, admitted_at in backlog:
             if snapshot is None:
@@ -347,16 +872,23 @@ class DetectionGateway:
                 admitted += 1
                 answer = self._answer(work, snapshot, admitted_at)
             if isinstance(sink, _Connection):
-                sink.unanswered -= 1
-                writes.setdefault(sink, []).append(answer)
-            elif not sink.done():  # the in-process caller went away
-                sink.set_result(answer)
+                self._deliver(sink, answer)
+            else:
+                sink.settle(answer)
         self.admission.release(admitted)
-        for conn, answers in writes.items():
-            if not conn.writer.is_closing():
-                conn.writer.write(b"".join(answers))
-        self._drained.set()
-        self._drained.clear()
+
+    def _deliver(self, conn: _Connection, answer: bytes) -> None:
+        conn.unanswered -= 1
+        if conn.state == _CLOSED:
+            return
+        if conn.state == _HTTP:  # POST /inspect
+            result = json.loads(answer)
+            status = 503 if result.get("shed") or "error" in result else 200
+            conn.out += http_response(status, result)
+            self._hang_up(conn)
+        else:
+            conn.out += answer
+        self._dirty[conn] = None
 
     def _answer(
         self,
@@ -384,136 +916,38 @@ class DetectionGateway:
             return encode_surface_detection(detection, snapshot.version)
         return encode_detection(detection, snapshot.version)
 
-    # -- connection handling -------------------------------------------
-
-    def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Start a connection's handler as a task the gateway holds until
-        it ends, so :meth:`stop` can wait for it or cancel it."""
-        task = asyncio.get_running_loop().create_task(
-            self._handle_connection(reader, writer)
-        )
-        self._connections[writer] = task
-        task.add_done_callback(lambda _: self._connections.pop(writer))
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.telemetry.increment("connections")
-        try:
-            try:
-                first = await reader.readline()
-            except ValueError:  # line exceeded even the stream limit
-                self.telemetry.increment("protocol_errors")
-                writer.write(encode_error("line too long"))
-                await writer.drain()
-                await discard_request(reader, writer)
-                return
-            if not first:
-                return
-            if is_http_request_line(first):
-                await serve_http(
-                    reader, writer, first, self._route, self.telemetry
-                )
-            else:
-                await self._serve_lines(reader, writer, first)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _serve_lines(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        """The line protocol: one payload per line, answers in order."""
-        conn = _Connection(writer)
-        line = first
-        try:
-            while line:
-                try:
-                    frame_size = frame_header_size(line)
-                except ProtocolError as exc:
-                    # A malformed frame header: the client meant to frame,
-                    # so treating the line as a payload would be wrong;
-                    # answer the error and resync at next line.
-                    await self._refuse(conn, str(exc))
-                else:
-                    if frame_size is not None:
-                        await self._serve_frame(reader, conn, frame_size)
-                    elif len(line) > MAX_LINE_BYTES:
-                        await self._refuse(conn, "line too long")
-                    else:
-                        # Every line is one payload — including the empty
-                        # line: a request with no query string is still a
-                        # request the offline engine would score, and
-                        # skipping it would desync response ordering.
-                        payload = line.rstrip(b"\r\n").decode(
-                            "utf-8", errors="replace"
-                        )
-                        await self._submit(payload, conn)
-                line = await self._next_line(reader, conn)
-        finally:
-            # Answer what the connection sent, even when it broke
-            # off mid-frame.
-            while conn.unanswered:
-                await self._drained.wait()
-
-    async def _next_line(
-        self, reader: asyncio.StreamReader, conn: _Connection
-    ) -> bytes:
-        """The connection's next line, or b"" at end of stream.
-
-        A line longer than the stream limit is answered ``line too
-        long`` in order and dropped through its newline, so it gets one
-        answer however long it is.
-        """
-        while (line := await _read_line(reader)) is None:
-            await self._refuse(conn, "line too long")
-        return line
-
-    async def _serve_frame(
-        self,
-        reader: asyncio.StreamReader,
-        conn: _Connection,
-        frame_size: int,
-    ) -> None:
-        """Read and admit one framed full-request message.
-
-        The header line is already consumed; this reads exactly the
-        declared body bytes plus the line-aligning newline, decodes the
-        request, and admits it as a surface-aware request.
-        """
-        body = await reader.readexactly(frame_size)
-        # The frame body is followed by a newline that keeps the
-        # connection line-aligned; absorb it (tolerating EOF).  Anything
-        # else before the newline, however long, gets one error.
-        trailer = await _read_line(reader)
-        if trailer not in (b"\n", b"\r\n", b""):
-            await self._refuse(conn, "frame body not newline-terminated")
-            return
-        try:
-            request, surfaces = decode_framed_request(
-                body, default_surfaces=self.config.surfaces
-            )
-        except ProtocolError as exc:
-            await self._refuse(conn, str(exc))
-            return
-        self.telemetry.increment("framed")
-        await self._submit(
-            ScoreRequest(request=request, surfaces=surfaces), conn
-        )
-
     # -- control plane -------------------------------------------------
 
-    async def _route(self, message) -> tuple[int, dict | str]:
+    def _serve_http(self, conn: _Connection) -> None:
+        """One-shot HTTP: parse the request once it is in, answer it (an
+        ``/inspect`` through admission, answered by the drain step), and
+        hang up."""
+        if conn.unanswered:
+            return
+        try:
+            message = conn.http.feed(conn.buffer, eof=conn.eof)
+        except ProtocolError as exc:
+            self.telemetry.increment("protocol_errors")
+            self._answer_http(conn, 400, {"error": str(exc)})
+            return
+        if message is None:
+            return
+        if message.path == "/inspect" and message.method == "POST":
+            if not self._has_room(conn):
+                self._blocked[conn] = None
+                return
+            conn.buffer.clear()
+            self._submit(message.body, conn)
+            return
+        self._answer_http(conn, *self._route(message))
+
+    def _answer_http(
+        self, conn: _Connection, status: int, payload: dict | str
+    ) -> None:
+        conn.out += http_response(status, payload)
+        self._hang_up(conn)
+
+    def _route(self, message: HttpMessage) -> tuple[int, dict | str]:
         method, path = message.method, message.path
         if path == "/healthz" and method == "GET":
             current = self.store.current()
@@ -559,30 +993,6 @@ class DetectionGateway:
             }
         if path == "/metrics" and method == "GET":
             return 200, render_exposition(self.telemetry.registry)
-        if path == "/inspect" and method == "POST":
-            result = await self.inspect(message.body)
-            if result.get("shed") or "error" in result:
-                return 503, result
-            return 200, result
         if path in ("/healthz", "/stats", "/metrics", "/reload", "/inspect"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no route {path}"}
-
-
-async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
-    """The next line, b"" at end of stream, or None for a line longer
-    than the stream limit, which is dropped through its newline."""
-    overlong = False
-    while True:
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            line = exc.partial
-        except asyncio.LimitOverrunError as exc:
-            # asyncio leaves the scanned bytes buffered: drop them, and
-            # the rest of the line up to its newline after them.
-            await reader.readexactly(exc.consumed)
-            overlong = True
-            continue
-        return None if overlong else line
-

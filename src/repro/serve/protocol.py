@@ -5,11 +5,11 @@ line of a connection:
 
 - **Line protocol** (the data plane): every line the client sends is one
   detector-visible payload (exactly what
-  :meth:`~repro.http.request.HttpRequest.payload` yields — query string
-  plus form body, which never contains a newline).  The gateway answers
-  each line with one JSON object: ``{"alert": bool, "score": float,
-  "matched": [sids], "version": n}``, or ``{"shed": true, ...}`` when
-  admission control refused the request.
+  :meth:`~repro.http.request.HttpRequest.flat_payload` yields — query
+  string plus form body, which never contains a newline).  The gateway
+  answers each line with one JSON object: ``{"alert": bool, "score":
+  float, "matched": [sids], "version": n}``, or ``{"shed": true, ...}``
+  when admission control refused the request.
 - **Framed full-request mode** (wire format v2, same data plane): a line
   shaped like ``REPRO-FRAME/2 <nbytes>`` announces one whole HTTP
   request as an ``nbytes``-long JSON document (method, path, query,
@@ -25,23 +25,22 @@ line of a connection:
 
 Keeping framing in one module means the gateway, the load generator,
 and the tests all parse and emit identical bytes.  The gateway and the
-fleet supervisor share its control-plane pieces too: :func:`serve_http`,
-:func:`refuse_http`, :func:`discard_request`, :func:`reload_rejection`
-and :func:`run_until_signalled`.
+fleet supervisor share its control-plane pieces too: both parse a
+request with :class:`HttpRequestParser`, fed the bytes received so
+far, and answer with :func:`http_response` and
+:func:`reload_rejection`.  Nothing here does I/O, so the codec loads no
+event loop.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import signal
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Awaitable, Callable
 
 from repro.http.request import HttpRequest
 from repro.ids.rules import Detection
 from repro.obs.prometheus import CONTENT_TYPE
-from repro.serve.telemetry import Telemetry
 from repro.surfaces import (
     InjectionSurface,
     LEGACY_SURFACES,
@@ -49,19 +48,14 @@ from repro.surfaces import (
     parse_surfaces,
 )
 
-if TYPE_CHECKING:
-    # The codec alone (load drivers, benchmarks) needs no event loop;
-    # the async helpers below import asyncio when they run.
-    import asyncio
-
 __all__ = [
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "HttpMessage",
+    "HttpRequestParser",
     "ProtocolError",
     "decode_framed_request",
     "decode_response",
-    "discard_request",
     "encode_detection",
     "encode_error",
     "encode_framed_request",
@@ -71,12 +65,8 @@ __all__ = [
     "frame_header_size",
     "http_response",
     "is_http_request_line",
-    "read_http_message",
-    "refuse_http",
     "reload_rejection",
     "response_fields",
-    "run_until_signalled",
-    "serve_http",
 ]
 
 _HTTP_REQUEST_LINE = re.compile(
@@ -314,52 +304,98 @@ class HttpMessage:
     body: str = ""
 
 
-async def read_http_message(
-    reader: asyncio.StreamReader, first_line: bytes
-) -> HttpMessage:
-    """Read the remainder of an HTTP request whose request line was
-    already consumed.
+class HttpRequestParser:
+    """Parses one HTTP/1.x request from the bytes a client sent so far.
 
-    Raises:
-        ProtocolError: a first line that is not an HTTP request line,
-            a malformed head, a head line past the stream limit or an
-            oversized body.
+    The gateway feeds it a connection's buffer as bytes arrive and the
+    fleet supervisor its control connections, so both answer a malformed
+    request alike.  Each head line is parsed once, as soon as it is
+    complete, and the newline search resumes where the last one stopped:
+    a head that arrives in many small reads costs time linear in its
+    size, and a verdict never depends on how the bytes were split.
     """
-    if not is_http_request_line(first_line):
-        raise ProtocolError(
-            f"not an HTTP request line: {first_line[:80]!r}"
+
+    __slots__ = ("_message", "_start", "_scanned", "_size")
+
+    def __init__(self) -> None:
+        self._message = HttpMessage(method="", path="")
+        # Where the next head line starts; where the newline search
+        # resumes; the whole request's size once the head is in.
+        self._start = 0
+        self._scanned = 0
+        self._size = -1
+
+    def feed(
+        self, data: bytes | bytearray, *, eof: bool = False
+    ) -> HttpMessage | None:
+        """Parse what ``data`` gained since the last call.
+
+        Args:
+            data: everything received on the connection so far; it only
+                ever grows between calls.
+            eof: the client has sent all it will; an unterminated last
+                line ends the head.
+
+        Returns:
+            The request once it is complete, None while it is not.
+
+        Raises:
+            ProtocolError: a first line that is not an HTTP request
+                line, a header without a colon, a head longer than
+                ``MAX_LINE_BYTES``, a bad or oversized Content-Length,
+                or a body cut short by ``eof``.
+        """
+        message = self._message
+        while self._size < 0:
+            newline = data.find(b"\n", self._scanned)
+            end = newline + 1 if newline >= 0 else len(data)
+            if end > MAX_LINE_BYTES:
+                raise ProtocolError("request head too long")
+            if newline < 0 and not eof:
+                self._scanned = end
+                return None
+            line = bytes(data[self._start:end])
+            self._start = self._scanned = end
+            if not message.method:
+                if not is_http_request_line(line):
+                    raise ProtocolError(
+                        f"not an HTTP request line: {line[:80]!r}"
+                    )
+                message.method, message.path = (
+                    line.decode("latin-1").split()[:2]
+                )
+                continue
+            if line in (b"\r\n", b"\n", b""):
+                self._size = self._start + self._body_length()
+                break
+            text = line.decode("latin-1").rstrip("\r\n")
+            if ":" not in text:
+                raise ProtocolError(f"malformed header line: {text!r}")
+            name, value = text.split(":", 1)
+            message.headers[name.strip().lower()] = value.strip()
+        if len(data) < self._size:
+            if eof:
+                raise ProtocolError(
+                    f"body cut short: {len(data) - self._start} of "
+                    f"{self._size - self._start} bytes"
+                )
+            return None
+        message.body = bytes(data[self._start:self._size]).decode(
+            "utf-8", errors="replace"
         )
-    parts = first_line.decode("latin-1").split()
-    method, path = parts[0], parts[1]
-    headers: dict[str, str] = {}
-    while True:
+        return message
+
+    def _body_length(self) -> int:
+        length_text = self._message.headers.get("content-length", "0")
         try:
-            line = await reader.readline()
-        except ValueError as exc:  # asyncio's stream limit overrun
-            raise ProtocolError("header line too long") from exc
-        if line in (b"\r\n", b"\n", b""):
-            break
-        text = line.decode("latin-1").rstrip("\r\n")
-        if ":" not in text:
-            raise ProtocolError(f"malformed header line: {text!r}")
-        name, value = text.split(":", 1)
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError as exc:
-        raise ProtocolError(
-            f"bad content-length: {length_text!r}"
-        ) from exc
-    if length > MAX_BODY_BYTES:
-        raise ProtocolError(f"body too large: {length} bytes")
-    body = b""
-    if length > 0:
-        body = await reader.readexactly(length)
-    return HttpMessage(
-        method=method, path=path, headers=headers,
-        body=body.decode("utf-8", errors="replace"),
-    )
+            length = int(length_text)
+        except ValueError as exc:
+            raise ProtocolError(
+                f"bad content-length: {length_text!r}"
+            ) from exc
+        if length > MAX_BODY_BYTES:
+            raise ProtocolError(f"body too large: {length} bytes")
+        return max(0, length)
 
 
 _STATUS_TEXT = {
@@ -402,90 +438,3 @@ def reload_rejection(error: str, reason: str, version: int) -> dict:
         "error": error, "reason": reason, "rejected": True,
         "version": version,
     }
-
-
-async def serve_http(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    first_line: bytes,
-    route: Callable[[HttpMessage], Awaitable[tuple[int, dict | str]]],
-    telemetry: Telemetry,
-) -> None:
-    """Answer one HTTP exchange whose first line was already read.
-
-    A malformed request gets 400 and counts one ``protocol_errors`` on
-    ``telemetry``; a well-formed one is answered by ``route``.  The
-    gateway and the fleet supervisor both serve their control plane
-    with this.
-    """
-    import asyncio
-
-    try:
-        message = await read_http_message(reader, first_line)
-    except (ProtocolError, asyncio.IncompleteReadError) as exc:
-        await refuse_http(reader, writer, telemetry, str(exc))
-        return
-    status, payload = await route(message)
-    writer.write(http_response(status, payload))
-    await writer.drain()
-
-
-async def refuse_http(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    telemetry: Telemetry,
-    error: str,
-) -> None:
-    """Answer a malformed HTTP request with 400, count one
-    ``protocol_errors`` on ``telemetry``, and :func:`discard_request`."""
-    telemetry.increment("protocol_errors")
-    writer.write(http_response(400, {"error": error}))
-    await writer.drain()
-    await discard_request(reader, writer)
-
-
-async def discard_request(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    """Half-close after an early answer, then drop the unread request.
-
-    Closing a socket that still holds unread bytes makes the kernel
-    reset the connection, and a reset can destroy the answer before the
-    client reads it.  So the answer is followed by a FIN, and what the
-    client still sends is read and dropped until it closes its side, up
-    to ``DISCARD_MAX_BYTES`` or ``DISCARD_MAX_S``, whichever comes first.
-    """
-    import asyncio
-
-    if writer.can_write_eof():
-        writer.write_eof()
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + DISCARD_MAX_S
-    left = DISCARD_MAX_BYTES
-    try:
-        while left > 0:
-            chunk = await asyncio.wait_for(
-                reader.read(left), max(0.0, deadline - loop.time())
-            )
-            if not chunk:
-                return
-            left -= len(chunk)
-    except (asyncio.TimeoutError, ConnectionError):
-        pass
-
-
-async def run_until_signalled(server) -> None:
-    """Wait for SIGTERM or SIGINT, then ``await server.stop()``: how the
-    gateway's and the fleet's ``serve_forever`` both end."""
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    signalled = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, signalled.set)
-    try:
-        await signalled.wait()
-    finally:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.remove_signal_handler(signum)
-        await server.stop()

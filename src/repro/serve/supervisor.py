@@ -28,16 +28,18 @@ The supervisor owns everything the shards must agree on:
   reference detector (:data:`~repro.serve.fleet.PROBE_PAYLOADS`) before
   letting it join the accept group.  A slot revives at most
   ``MAX_RESPAWNS`` times.  ``stop()`` — and SIGTERM under
-  :meth:`FleetSupervisor.serve_forever`, which ends in the gateway's
-  :func:`~repro.serve.protocol.run_until_signalled` — drains every shard
-  within the gateway's deadline, then escalates terminate → kill, and
-  reaps everything.
+  :meth:`FleetSupervisor.serve_forever` — drains every shard within the
+  gateway's deadline, then escalates terminate → kill, and reaps
+  everything.
 
-The control plane itself is a small HTTP server on its own port
-(``/healthz``, ``/stats``, ``/metrics``, ``/reload``, ``/shards``),
-served by the same :func:`~repro.serve.protocol.serve_http` exchange as
-the single-process gateway's; a malformed request counts as the
-supervisor's ``protocol_errors``.
+The control plane itself is a small asyncio HTTP server on its own port
+(``/healthz``, ``/stats``, ``/metrics``, ``/reload``, ``/shards``).  It
+parses each request with the gateway's
+:class:`~repro.serve.protocol.HttpRequestParser`, so both answer a
+malformed request alike: a 400, counted as the supervisor's
+``protocol_errors``, after which the connection is half-closed and the
+rest of the request dropped within ``DISCARD_MAX_BYTES`` and
+``DISCARD_MAX_S``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import signal
 import socket
 import threading
 import time
@@ -71,11 +74,13 @@ from repro.serve.fleet import (
     shard_entry,
 )
 from repro.serve.protocol import (
+    DISCARD_MAX_BYTES,
+    DISCARD_MAX_S,
+    HttpRequestParser,
+    ProtocolError,
     encode_line,
-    refuse_http,
+    http_response,
     reload_rejection,
-    run_until_signalled,
-    serve_http,
 )
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import (
@@ -396,7 +401,16 @@ class FleetSupervisor:
             f"queue={gateway.queue_bound}/shard, "
             f"policy={gateway.policy.value})"
         )
-        await run_until_signalled(self)
+        loop = asyncio.get_running_loop()
+        signalled = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, signalled.set)
+        try:
+            await signalled.wait()
+        finally:
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                loop.remove_signal_handler(signum)
+            await self.stop()
 
     def _destroy(self, handle: _ShardHandle) -> None:
         """Tear down a slot's supervisor-side resources (reap happened
@@ -717,25 +731,34 @@ class FleetSupervisor:
     async def _handle_control(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        buffer = bytearray()
+        parser = HttpRequestParser()
         try:
-            try:
-                first = await reader.readline()
-            except ValueError:  # asyncio's stream limit overrun
-                await refuse_http(
-                    reader, writer, self.telemetry, "request line too long"
-                )
-                return
-            if first:
-                await serve_http(
-                    reader, writer, first, self._route, self.telemetry
-                )
-        except (ConnectionResetError, BrokenPipeError):
+            while True:
+                chunk = await reader.read(65536)
+                if not chunk and not buffer:
+                    return
+                buffer += chunk
+                try:
+                    message = parser.feed(buffer, eof=not chunk)
+                except ProtocolError as exc:
+                    self.telemetry.increment("protocol_errors")
+                    writer.write(http_response(400, {"error": str(exc)}))
+                    await writer.drain()
+                    await _discard_request(reader, writer)
+                    return
+                if message is not None:
+                    break
+            status, payload = await self._route(message)
+            writer.write(http_response(status, payload))
+            await writer.drain()
+        except ConnectionError:
             pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
     async def _route(self, message) -> tuple[int, dict | str]:
@@ -808,3 +831,31 @@ class FleetSupervisor:
             except (ConnectionResetError, BrokenPipeError):
                 pass
         return json.loads(line)
+
+
+async def _discard_request(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close after an early answer, then drop the unread request.
+
+    Closing a socket that still holds unread bytes makes the kernel
+    reset the connection, and a reset can destroy the answer before the
+    client reads it.  So the answer is followed by a FIN, and what the
+    client still sends is read and dropped until it closes its side, up
+    to ``DISCARD_MAX_BYTES`` or ``DISCARD_MAX_S``, whichever comes first.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + DISCARD_MAX_S
+    left = DISCARD_MAX_BYTES
+    try:
+        while left > 0:
+            chunk = await asyncio.wait_for(
+                reader.read(left), max(0.0, deadline - loop.time())
+            )
+            if not chunk:
+                return
+            left -= len(chunk)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass

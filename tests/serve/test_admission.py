@@ -77,15 +77,21 @@ class TestDrain:
         assert controller.depth == 0
 
     def test_drain_waits_for_the_backlog(self):
+        from repro.serve import DetectionGateway, SignatureStore
+        from tests.serve.test_gateway import GatedDetector
+
         async def scenario():
-            gateway = toy_gateway()
+            gate = GatedDetector()
+            gateway = DetectionGateway(SignatureStore(gate))
             await gateway.start()
-            pending = asyncio.ensure_future(
-                gateway.inspect("id=1' union select 1")
-            )
-            await asyncio.sleep(0)  # admitted; its drain step not yet run
+            held = gate.hold("hold id=1' union select 1")
+            pending = asyncio.ensure_future(gateway.inspect(held))
+            await gate.wait_entered(held)  # admitted; its drain step held
             depth = gateway.admission.depth
-            drained = await gateway.stop()
+            stopping = asyncio.ensure_future(gateway.stop())
+            await asyncio.sleep(0)
+            gate.released[held].set()
+            drained = await stopping
             return depth, drained, await pending
 
         depth, drained, answer = asyncio.run(scenario())

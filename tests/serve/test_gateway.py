@@ -10,6 +10,7 @@ it by the new one.
 import asyncio
 import json
 import socket
+import threading
 
 import pytest
 
@@ -190,6 +191,39 @@ class ExplodingDetector:
         return self.inner.inspect(payload)
 
 
+class GatedDetector:
+    """The toy rule set, except that a payload registered with
+    :meth:`hold` waits inside ``inspect`` until the test releases it.
+
+    The gateway's loop thread then stands still inside a drain step, so
+    a test can act while requests are admitted and not yet answered,
+    and requests it sends meanwhile wait for the next select round.
+    """
+
+    name = "gated"
+
+    def __init__(self):
+        self.inner = toy_detector()
+        self.entered = {}
+        self.released = {}
+
+    def hold(self, payload):
+        self.entered[payload] = threading.Event()
+        self.released[payload] = threading.Event()
+        return payload
+
+    def inspect(self, payload):
+        if payload in self.released:
+            self.entered[payload].set()
+            self.released[payload].wait(10)
+        return self.inner.inspect(payload)
+
+    async def wait_entered(self, payload):
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.entered[payload].wait, 10
+        )
+
+
 class TestBacklog:
     """The backlog's drain step over TCP: order, bounds, errors."""
 
@@ -337,8 +371,7 @@ class TestBacklog:
                     break
                 inspected = gateway.telemetry.counter("inspected")
             buffered = max(
-                w.transport.get_write_buffer_size()
-                for w in gateway._connections
+                len(conn.out) for conn in gateway._connections.values()
             )
             writer.transport.abort()
             await gateway.stop()
@@ -384,6 +417,56 @@ class TestControlPlane:
         assert status == 200
         assert body["alert"] is True
 
+    def test_inspect_endpoint_answers_503_when_shed(self):
+        """``POST /inspect`` goes through admission like a line: at a
+        full ``shed`` backlog it is refused, and the refusal is a 503."""
+        body = b"id=1' union select 1"
+
+        async def scenario():
+            gate = GatedDetector()
+            gateway = DetectionGateway(
+                SignatureStore(gate),
+                GatewayConfig(queue_bound=1, policy="shed"),
+            )
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b"POST /inspect HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body)
+            )
+            await writer.drain()
+            # One line connection: its held first line fills the bound,
+            # the next ones are shed up to its unanswered cap, and its
+            # last line waits in its buffer for that drain step to end.
+            held = gate.hold("hold id=0' union select 1")
+            lines = asyncio.ensure_future(burst(host, port, (
+                [held] + ["q=shed"] * (MAX_UNANSWERED_PER_CONNECTION - 1)
+                + ["q=last"]
+            )))
+            await gate.wait_entered(held)
+            # The body arrives while the drain step is held.  When it
+            # ends, ``q=last`` fills the backlog again before the next
+            # round reads the completed request.
+            writer.write(body)
+            await writer.drain()
+            gate.released[held].set()
+            raw = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            answers = await lines
+            await gateway.stop()
+            return raw, answers
+
+        raw, answers = asyncio.run(scenario())
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 503")
+        assert json.loads(payload) == {
+            "shed": True, "error": "queue full (1 waiting)",
+        }
+        assert answers[0]["alert"] is True
+        assert all(answer.get("shed") for answer in answers[1:-1])
+        assert answers[-1]["alert"] is False
+
     def test_unknown_route_and_method(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
@@ -415,30 +498,40 @@ class TestControlPlane:
 
 class TestHotReload:
     def test_admission_time_snapshot(self):
-        """Requests admitted before a swap answer with the old version,
-        later ones with the new — deterministically, via the in-process
-        admission path (no scheduling races)."""
+        """A request admitted before a swap answers with the old version,
+        a later one with the new — deterministically: the swap lands
+        while the first request is admitted and its drain step is held."""
 
         async def scenario():
-            store = SignatureStore(toy_detector())
+            gate = GatedDetector()
+            store = SignatureStore(gate)
             gateway = DetectionGateway(store)
             await gateway.start()
-            old = asyncio.ensure_future(
+            first = gate.hold("hold id=0' union select 1")
+            second = gate.hold("hold id=1' union select 1")
+            blocker = asyncio.ensure_future(gateway.inspect(first))
+            await gate.wait_entered(first)
+            # Both wait for the loop, which holds ``first``'s drain.
+            in_flight = asyncio.ensure_future(gateway.inspect(second))
+            queued = asyncio.ensure_future(
                 gateway.inspect("id=1' union select 1")
             )
-            # One loop turn admits request 1; its drain step is
-            # scheduled behind this coroutine, so the swap lands while
-            # request 1 is still in the backlog (in flight).
             await asyncio.sleep(0)
-            assert gateway.admission.depth == 1
+            gate.released[first].set()
+            await gate.wait_entered(second)
+            # One round admitted both with generation 1; its drain
+            # step holds ``second`` (in flight) while the swap lands.
+            assert gateway.admission.depth == 2
             store.swap_detector(
                 DeterministicRuleSet(
                     "toy2", [Rule(9, "any", r".")]
                 ),
                 source="test",
             )
+            gate.released[second].set()
             new = await gateway.inspect("id=1' union select 1")
-            old = await old
+            await asyncio.gather(blocker, in_flight)
+            old = await queued
             await gateway.stop()
             return old, new
 
@@ -518,24 +611,128 @@ class TestLoadgenParity:
 class TestDrainOnShutdown:
     def test_queued_work_answered_before_close(self):
         async def scenario():
+            gate = GatedDetector()
             gateway = DetectionGateway(
-                SignatureStore(toy_detector()),
-                GatewayConfig(queue_bound=64),
+                SignatureStore(gate), GatewayConfig(queue_bound=64),
             )
             await gateway.start()
+            held = gate.hold("hold id=0' union select 1")
+            blocker = asyncio.ensure_future(gateway.inspect(held))
+            await gate.wait_entered(held)
+            # The loop holds a drain step: these 20 and then the stop
+            # wait for its next round, which admits them first.
             pending = [
                 asyncio.ensure_future(
                     gateway.inspect(f"id={i}' union select 1")
                 )
                 for i in range(20)
             ]
-            await asyncio.sleep(0)  # all 20 admitted, none answered yet
+            await asyncio.sleep(0)
             depth = gateway.admission.depth
-            drained = await gateway.stop()
+            stopping = asyncio.ensure_future(gateway.stop())
+            await asyncio.sleep(0)
+            gate.released[held].set()
+            drained = await stopping
+            await blocker
             return depth, drained, await asyncio.gather(*pending)
 
         depth, drained, responses = asyncio.run(scenario())
-        assert depth == 20
+        assert depth == 1
         assert drained
         assert len(responses) == 20
         assert all(r["alert"] for r in responses)
+
+
+class TestInProcessFacade:
+    """``inspect`` answers at every point of a gateway's life, and
+    ``stop`` returns on one never started."""
+
+    ATTACK = "id=1' union select 1"
+
+    def test_inspect_before_start_is_answered(self):
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            before = await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
+            await gateway.start()
+            during = await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
+            await gateway.stop()
+            return before, during
+
+        before, during = asyncio.run(scenario())
+        assert before == during
+        assert before["alert"] is True
+
+    def test_stop_without_start_drains_nothing_and_refuses_after(self):
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            stopped = await asyncio.wait_for(gateway.stop(), 10)
+            after = await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
+            return stopped, after
+
+        stopped, after = asyncio.run(scenario())
+        assert stopped is True
+        assert after == {"error": "gateway is draining"}
+
+    def test_inspect_after_stop_is_refused(self):
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            await gateway.start()
+            await gateway.stop()
+            return await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
+
+        assert asyncio.run(scenario()) == {"error": "gateway is draining"}
+
+    def test_inspect_racing_stop_is_always_answered(self):
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            await gateway.start()
+            stopping = asyncio.ensure_future(gateway.stop())
+            calls = []
+            # Keep calling while the loop drains and tears down, and
+            # once more after it has.
+            while not stopping.done():
+                calls.append(asyncio.ensure_future(
+                    gateway.inspect(self.ATTACK)
+                ))
+                await asyncio.sleep(0)
+            calls.append(asyncio.ensure_future(gateway.inspect(self.ATTACK)))
+            drained = await stopping
+            return drained, await asyncio.wait_for(asyncio.gather(*calls), 10)
+
+        drained, answers = asyncio.run(scenario())
+        assert drained
+        assert answers[-1] == {"error": "gateway is draining"}
+        for answer in answers:
+            assert answer.get("alert") is True or answer == {
+                "error": "gateway is draining"
+            }
+
+
+def _ipv6_loopback():
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("bind", [
+    pytest.param("::1", marks=pytest.mark.skipif(
+        not _ipv6_loopback(), reason="no IPv6 loopback"
+    )),
+    "localhost",  # a name: bound on every address it resolves to
+])
+def test_a_gateway_listens_on_its_host(bind):
+    async def scenario():
+        gateway = DetectionGateway(
+            SignatureStore(toy_detector()), GatewayConfig(host=bind),
+        )
+        host, port = await gateway.start()
+        try:
+            return host, await send_lines(host, port, ["id=1' union select 1"])
+        finally:
+            await gateway.stop()
+
+    host, (answer,) = asyncio.run(scenario())
+    assert host == bind or bind == "localhost"
+    assert answer["alert"] is True

@@ -11,9 +11,18 @@ mounted signature generation all survive the bad request.
 import asyncio
 import gc
 import json
+import os
+import re
+import resource
+import select
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.http import HttpRequest
 from repro.ids import DeterministicRuleSet, Rule
 from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
@@ -305,3 +314,64 @@ class TestReloadMissingFile:
         assert status == 400
         assert "no signature path" in body["error"]
         assert failures == 1
+
+
+def _cpu_seconds(pid):
+    with open(f"/proc/{pid}/schedstat") as handle:
+        return int(handle.read().split()[0]) / 1e9
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/schedstat"
+)
+class TestDescriptorExhaustion:
+    def test_accept_pauses_instead_of_spinning(self):
+        """Out of file descriptors, the listener stays readable: the loop
+        stops accepting for a while instead of retrying at once, keeps
+        serving the connections it has, and accepts again once
+        descriptors are free."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__
+        )))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--detector",
+             "modsecurity", "--port", "0"],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_NOFILE, (32, 32)
+            ),
+        )
+        clients = []
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            line = server.stdout.readline() if ready else b""
+            port = int(re.search(rb" on [^ ]+:(\d+) ", line).group(1))
+            clients = [
+                socket.create_connection(("127.0.0.1", port), timeout=10)
+                for _ in range(48)
+            ]
+            time.sleep(0.3)  # it accepts what it can, then runs out
+            before = _cpu_seconds(server.pid)
+            time.sleep(1.0)
+            spent = _cpu_seconds(server.pid) - before
+            # A connection it accepted is still answered meanwhile.
+            first = clients[0]
+            first.sendall(b"id=1' union select 1,2,3-- -\n")
+            assert first.recv(4096).startswith(b"{")
+            for client in clients:
+                client.close()
+            clients = []
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=10
+            ) as fresh:
+                fresh.sendall(b"q=1\n")
+                assert fresh.recv(4096).startswith(b"{")
+        finally:
+            for client in clients:
+                client.close()
+            server.terminate()
+            server.wait(30)
+            server.stdout.close()
+        assert spent < 0.5, spent

@@ -4,7 +4,9 @@
 clusterer, corpus generators, evaluation) that package re-exports
 would otherwise pull into every importer, and it runs one
 thread.  No serving process loads numpy: a gateway, a fleet supervisor
-or a shard, for every detector, framed or not, across a reload.  Lazy
+or a shard, for every detector, framed or not, across a reload.  A
+single gateway serves on one ``selectors`` loop, so it loads no event
+loop either: none of asyncio, ssl, concurrent.futures or logging.  Lazy
 re-exports must still resolve every name in each package's ``__all__``.
 Sent SIGTERM, one gateway and a fleet alike drain and exit 0 without a
 word on stderr.
@@ -53,6 +55,9 @@ PACKAGES = ["repro"] + [
 
 
 ATTACK_LINE = b"id=1' union select 1,2,3-- -\n"
+
+# What asyncio loads and a single gateway never needs.
+EVENT_LOOP = ("asyncio", "ssl", "concurrent.futures", "logging")
 
 # numpy's compiled core, as a loaded process maps it.
 NUMPY_CORE = "numpy/_core/_multiarray_umath"
@@ -191,6 +196,18 @@ print(decoded == request, *(
     assert _python(code).split() == ["True", "False", "False", "False", "False"]
 
 
+def test_test_traces_load_without_the_experiments():
+    # The train-eval set-up probe builds the test traces: it must not
+    # load every experiment, report and chart module with them.
+    code = (
+        "import sys, repro.eval.datasets; print(sorted(m for m in ("
+        "'repro.eval.experiments', 'repro.eval.drift', "
+        "'repro.eval.evasion', 'repro.eval.report', 'repro.eval.svg', "
+        "'repro.eval.tuning') if m in sys.modules))"
+    )
+    assert _python(code).strip() == "[]"
+
+
 def test_learn_keeps_its_solver_when_the_module_loads_first():
     # A lazy re-export named like its submodule would be the module here.
     code = (
@@ -212,6 +229,7 @@ def test_serve_boots_only_the_serving_path_on_one_thread(
     assert "repro.serve.gateway" in modules
     assert sorted(modules & set(OFFLINE)) == []
     assert "numpy" not in modules
+    assert sorted(modules & set(EVENT_LOOP)) == []
 
 
 @pytest.mark.parametrize(
@@ -236,11 +254,15 @@ def test_no_gateway_loads_numpy(
     if detector == "psigene":
         args += ["-s", signature_file]
     log = tmp_path / "importtime.log"
-    with _serving(args, log) as (_, port):
+    with _serving(args, log) as (server, port):
         exchange(port)
+        if sys.platform.startswith("linux"):
+            assert len(os.listdir(f"/proc/{server.pid}/task")) == 1
         modules = _imported(log)
     assert "repro.serve.gateway" in modules
     assert "numpy" not in modules
+    # One selectors loop: no event loop, however the gateway was used.
+    assert sorted(modules & set(EVENT_LOOP)) == []
 
 
 @pytest.mark.skipif(
