@@ -1,14 +1,19 @@
-"""CI guard: boot the gateway, scrape ``/metrics``, fail on bad lines.
+"""CI guard: scrape a gateway's and a fleet's ``/metrics``, fail on bad lines.
 
-Runs the exact contract a Prometheus scraper depends on, end to end:
+Runs the exact contract a Prometheus scraper depends on, end to end,
+first for a single gateway and then for a 2-shard fleet:
 
 1. start a :class:`~repro.serve.gateway.DetectionGateway` on an
-   ephemeral port,
+   ephemeral port (then a :class:`~repro.serve.supervisor.FleetSupervisor`
+   with two shards on one shared port),
 2. push a few payloads through the line protocol so the counters move,
-3. ``GET /metrics`` over a raw socket,
+3. ``GET /metrics`` over a raw socket (the fleet's control port),
 4. strict-parse the exposition (:func:`repro.obs.prometheus.parse_exposition`
    raises on any malformed line), and
-5. cross-check the parsed counters against the ``/stats`` JSON.
+5. cross-check the parsed counters against the ``/stats`` JSON: the
+   gateway's ``inspected`` and ``alerted``, and every counter of the
+   fleet's ``shard="fleet"`` and ``shard="<n>"`` series against
+   ``fleet.counters`` and ``shards[<n>].counters``.
 
 Exits non-zero on any failure, with the offending detail on stderr.
 
@@ -20,6 +25,8 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
+
+PAYLOADS = ["id=1' union select 1", "q=hello", "page=2"]
 
 
 async def _http(host: str, port: int, path: str) -> tuple[int, str]:
@@ -34,62 +41,124 @@ async def _http(host: str, port: int, path: str) -> tuple[int, str]:
     return int(header.split()[1]), body.decode()
 
 
-async def _scenario() -> None:
-    from repro.ids import DeterministicRuleSet, Rule
-    from repro.obs.prometheus import parse_exposition, sample_value
-    from repro.serve import DetectionGateway, SignatureStore
+async def _send_lines(host: str, port: int) -> None:
+    """Send :data:`PAYLOADS` on one connection, reading each answer."""
+    reader, writer = await asyncio.open_connection(host, port)
+    for payload in PAYLOADS:
+        writer.write(payload.encode() + b"\n")
+        await writer.drain()
+        await reader.readline()
+    writer.close()
+    await writer.wait_closed()
 
-    detector = DeterministicRuleSet(
+
+async def _scrape(host: str, port: int) -> tuple[dict, dict]:
+    """Strict-parsed ``/metrics`` and decoded ``/stats`` of one port."""
+    from repro.obs.prometheus import parse_exposition
+
+    status, body = await _http(host, port, "/metrics")
+    if status != 200:
+        raise AssertionError(f"/metrics returned HTTP {status}")
+    families = parse_exposition(body)  # raises on malformed lines
+    if not families:
+        raise AssertionError("/metrics exposition is empty")
+    stats_status, stats_body = await _http(host, port, "/stats")
+    if stats_status != 200:
+        raise AssertionError(f"/stats returned HTTP {stats_status}")
+    return families, json.loads(stats_body)
+
+
+def _detector():
+    from repro.ids import DeterministicRuleSet, Rule
+
+    return DeterministicRuleSet(
         "ci-guard", [Rule(1, "union", r"union\s+select")]
     )
-    gateway = DetectionGateway(SignatureStore(detector))
+
+
+def _check_inspected(counters: dict, expected: int) -> None:
+    if counters["inspected"] != expected:
+        raise AssertionError(
+            f"expected {expected} inspections, "
+            f"counted {counters['inspected']}"
+        )
+
+
+async def _gateway() -> str:
+    from repro.obs.prometheus import sample_value
+    from repro.serve import DetectionGateway, SignatureStore
+
+    gateway = DetectionGateway(SignatureStore(_detector()))
     host, port = await gateway.start()
     try:
-        reader, writer = await asyncio.open_connection(host, port)
-        payloads = ["id=1' union select 1", "q=hello", "page=2"]
-        for payload in payloads:
-            writer.write(payload.encode() + b"\n")
-            await writer.drain()
-            await reader.readline()
-        writer.close()
-        await writer.wait_closed()
-
-        status, body = await _http(host, port, "/metrics")
-        if status != 200:
-            raise AssertionError(f"/metrics returned HTTP {status}")
-        families = parse_exposition(body)  # raises on malformed lines
-        if not families:
-            raise AssertionError("/metrics exposition is empty")
-
-        stats_status, stats_body = await _http(host, port, "/stats")
-        if stats_status != 200:
-            raise AssertionError(f"/stats returned HTTP {stats_status}")
-        counters = json.loads(stats_body)["counters"]
-        for short_name in ("inspected", "alerted"):
-            exposed = sample_value(families, f"repro_{short_name}_total")
-            if exposed != counters[short_name]:
-                raise AssertionError(
-                    f"{short_name}: /metrics says {exposed}, "
-                    f"/stats says {counters[short_name]}"
-                )
-        if counters["inspected"] != len(payloads):
-            raise AssertionError(
-                f"expected {len(payloads)} inspections, "
-                f"counted {counters['inspected']}"
-            )
-        print(
-            f"metrics guard OK: {len(families)} families, "
-            f"{sum(len(s) for s in families.values())} samples, "
-            f"counters agree with /stats"
-        )
+        await _send_lines(host, port)
+        families, stats = await _scrape(host, port)
     finally:
         await gateway.stop()
+    counters = stats["counters"]
+    for short_name in ("inspected", "alerted"):
+        exposed = sample_value(families, f"repro_{short_name}_total")
+        if exposed != counters[short_name]:
+            raise AssertionError(
+                f"{short_name}: /metrics says {exposed}, "
+                f"/stats says {counters[short_name]}"
+            )
+    _check_inspected(counters, len(PAYLOADS))
+    return (
+        f"metrics guard OK: {len(families)} families, "
+        f"{sum(len(s) for s in families.values())} samples, "
+        f"counters agree with /stats"
+    )
+
+
+async def _fleet() -> str:
+    from repro.serve import FleetConfig, FleetSupervisor
+
+    supervisor = FleetSupervisor(_detector(), FleetConfig(shards=2))
+    host, port = await supervisor.start()
+    try:
+        # Several connections, so that the kernel hands both shards some.
+        for _ in range(4):
+            await _send_lines(host, port)
+        families, stats = await _scrape(*supervisor.control_address)
+    finally:
+        await supervisor.stop()
+    expected = {"fleet": stats["fleet"]["counters"]}
+    for shard, info in stats["shards"].items():
+        expected[shard] = info["counters"]
+    exposed: dict[str, dict[str, float]] = {shard: {} for shard in expected}
+    for samples in families.values():
+        for sample in samples:
+            shard = sample.labels.get("shard")
+            if shard in exposed and sample.name.endswith("_total"):
+                exposed[shard][sample.name] = sample.value
+    for shard, counters in expected.items():
+        wanted = {
+            f"repro_{name}_total": float(value)
+            for name, value in counters.items()
+        }
+        if exposed[shard] != wanted:
+            raise AssertionError(
+                f'shard="{shard}": /metrics says {exposed[shard]}, '
+                f"/stats says {wanted}"
+            )
+    if sorted(expected) != ["0", "1", "fleet"]:
+        raise AssertionError(
+            f"expected two shards, /stats has {sorted(expected)}"
+        )
+    _check_inspected(expected["fleet"], 4 * len(PAYLOADS))
+    return (
+        f"fleet metrics guard OK: {len(families)} families, "
+        f"{sum(len(c) for c in expected.values())} counters of "
+        f"{len(expected)} series sets agree with /stats"
+    )
 
 
 def main() -> int:
     """Run the guard; returns a process exit code."""
     try:
-        asyncio.run(_scenario())
+        for scenario in (_gateway, _fleet):
+            print(asyncio.run(scenario()))
     except Exception as error:  # noqa: BLE001 - CI wants any failure loud
         print(f"metrics guard FAILED: {error}", file=sys.stderr)
         return 1

@@ -257,11 +257,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         surfaces=surfaces,
     )
     if args.shards > 1:
-        import asyncio
+        from repro.serve.supervisor import FleetConfig, FleetSupervisor
 
-        from repro.serve import FleetConfig, FleetSupervisor
-
-        asyncio.run(FleetSupervisor(
+        FleetSupervisor(
             detector,
             FleetConfig(
                 shards=args.shards,
@@ -270,7 +268,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 signature_path=reload_path,
             ),
             source=source,
-        ).serve_forever())
+        ).serve_forever()
     else:
         DetectionGateway(
             SignatureStore(detector, path=reload_path, source=source),
@@ -826,8 +824,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_gateway_options(serve)
     serve.add_argument(
         "--host", default="127.0.0.1",
-        help="bind address; a single gateway listens on every address "
-             "it resolves to, IPv6 included (default: 127.0.0.1)",
+        help="bind address; a single gateway (and a fleet's control "
+             "port) listens on every address it resolves to, a fleet's "
+             "shared data port on the first, IPv6 included "
+             "(default: 127.0.0.1)",
     )
     serve.add_argument(
         "--port", type=int, default=9037,

@@ -4,7 +4,8 @@ One gateway is a single ``selectors`` loop on one thread, so its
 throughput tops out at one core.  The fleet splits the data plane across
 N processes — each running the existing
 :class:`~repro.serve.gateway.DetectionGateway` unchanged — all accepting
-on **one** TCP port:
+on **one** TCP port, bound on the first address ``--host`` resolves to,
+in that address's family (IPv4 or IPv6; :func:`bind_data_port`):
 
 - With ``SO_REUSEPORT`` (Linux, modern BSDs) every shard binds its own
   listening socket to the shared port and the kernel load-balances new
@@ -18,7 +19,11 @@ This module is the *shard side*: the process entrypoint, the control
 channel it speaks with the supervisor (a duplex pipe carrying small
 picklable dicts), and the lifecycle of one shard.  The control plane —
 spawning, two-phase reload fan-out, telemetry aggregation, respawn —
-lives in :mod:`repro.serve.supervisor`.
+lives in :mod:`repro.serve.supervisor`.  A shard is forked from a
+supervisor that runs no event loop either, and it closes every
+descriptor of the supervisor's loop first (:attr:`ShardBoot.close_fds`),
+so it holds no control connection, no other shard's pipe and no
+placeholder.
 
 A shard runs its gateway's loop on its main thread with the supervisor
 pipe on the same selector
@@ -51,7 +56,11 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from repro.serve.gateway import DetectionGateway, GatewayConfig
+from repro.serve.gateway import (
+    DetectionGateway,
+    GatewayConfig,
+    host_addresses,
+)
 from repro.serve.protocol import response_fields
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import Telemetry
@@ -59,8 +68,8 @@ from repro.serve.telemetry import Telemetry
 __all__ = [
     "PROBE_PAYLOADS",
     "ShardBoot",
+    "bind_data_port",
     "fleet_context",
-    "make_reuseport_listener",
     "reuseport_available",
     "shard_entry",
 ]
@@ -86,22 +95,29 @@ def reuseport_available() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
 
 
-def make_reuseport_listener(
+def bind_data_port(
     host: str, port: int, *, listen: bool = True, backlog: int = 128
 ) -> socket.socket:
-    """A fresh ``SO_REUSEPORT`` socket bound to ``(host, port)``.
+    """A socket bound to the fleet's data port: the first address
+    ``host`` resolves to, in that address's family.
 
-    With ``listen=False`` the socket is bound but never enters the
-    kernel's accept group — the supervisor uses one as a *placeholder*
-    that reserves an ephemeral port for the fleet (and keeps it
-    reserved across shard deaths) without ever stealing a connection.
+    With ``SO_REUSEPORT`` every shard binds its own listening one, and
+    the supervisor holds one with ``listen=False``: bound but never in
+    the kernel's accept group, it reserves the port for the fleet (and
+    keeps it reserved across shard deaths) without ever taking a
+    connection.  Without ``SO_REUSEPORT`` the supervisor binds the one
+    listener every shard inherits.
     """
-    if not reuseport_available():
-        raise RuntimeError("SO_REUSEPORT is not available on this platform")
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    family, address = host_addresses(host, port)[0]
+    sock = socket.socket(family, socket.SOCK_STREAM)
     try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
+        sock.setsockopt(
+            socket.SOL_SOCKET,
+            socket.SO_REUSEPORT if reuseport_available()
+            else socket.SO_REUSEADDR,
+            1,
+        )
+        sock.bind(address)
         if listen:
             sock.listen(backlog)
     except BaseException:
@@ -134,17 +150,19 @@ class ShardBoot:
     Attributes:
         shard_id: stable slot number (respawns keep it).
         detector: the detector to mount (current fleet generation).
-        config: the fleet's gateway config, with ``port`` set to the
-            shared data port and ``allow_reload`` False.
+        config: the fleet's gateway config, with ``host`` and ``port``
+            set to the shared data address and ``allow_reload`` False.
         generation: store version the detector represents.
         source: provenance string for the shard's store.
         listen_socket: fork-inherited shared listener when the platform
             has no ``SO_REUSEPORT``; otherwise None, and the shard binds
             its own ``SO_REUSEPORT`` listener to ``config.port``.
-        close_fds: supervisor-side descriptors a forked child should
-            close immediately (other shards' pipes, the control-plane
-            listener) so a respawned shard never holds them open past
-            the supervisor's own close.
+        close_fds: supervisor-side descriptors a forked child closes
+            first (everything the supervisor's loop holds — its
+            selector, wake-up pair, control listeners and connections,
+            the other shards' sentinels — plus the other shards' pipes
+            and the port placeholder), so a shard never holds one open
+            past the supervisor's own close.
     """
 
     shard_id: int
@@ -158,8 +176,8 @@ class ShardBoot:
 
 def shard_entry(boot: ShardBoot, conn) -> None:
     """Process entrypoint for one fleet shard (runs in the child)."""
-    # A signal must not land in the supervisor's event loop through the
-    # wakeup descriptor the fork inherited.
+    # A signal must not land in an in-process caller's event loop
+    # through a wake-up descriptor the fork inherited.
     signal.set_wakeup_fd(-1)
     # The supervisor coordinates shutdown: a stray ^C in the foreground
     # process group must not kill shards before they can drain.
@@ -302,7 +320,7 @@ class _ShardServer:
         if self.boot.listen_socket is not None:
             self._data_socket = self.boot.listen_socket
         else:
-            self._data_socket = make_reuseport_listener(
+            self._data_socket = bind_data_port(
                 self.boot.config.host, self.boot.config.port
             )
         host, port = self.gateway.listen(sock=self._data_socket)

@@ -30,10 +30,12 @@ blocks.
 
 ``repro serve`` runs the loop on its main thread (:meth:`serve_forever`),
 and a fleet shard runs it with its supervisor pipe on the same selector
-(:meth:`add_reader`).  In-process callers use the ``async``
-:meth:`~DetectionGateway.start` / :meth:`~DetectionGateway.stop` facade,
-which runs the same loop on a thread, and :meth:`inspect`, which hands a
-request to that thread.
+(:meth:`add_reader`).  The fleet supervisor serves its control port on
+the same loop and HTTP exchange, answering its own routes in place of
+the gateway's (:mod:`repro.serve.supervisor`).  In-process callers use
+the ``async`` :meth:`~DetectionGateway.start` /
+:meth:`~DetectionGateway.stop` facade, which runs the same loop on a
+thread, and :meth:`inspect`, which hands a request to that thread.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ from repro.surfaces import (
     score_request,
 )
 
-__all__ = ["DRAIN_TIMEOUT_S", "DetectionGateway", "GatewayConfig"]
+__all__ = [
+    "DRAIN_TIMEOUT_S", "DetectionGateway", "GatewayConfig", "host_addresses",
+]
 
 #: Unanswered requests one connection may have in the backlog before the
 #: loop stops reading it until the next drain.
@@ -200,8 +204,9 @@ def _settle(future, answer: bytes) -> None:
         future.set_result(answer)
 
 
-def _bind(host: str, port: int) -> list[socket.socket]:
-    """A listening socket on each address ``host`` resolves to."""
+def host_addresses(host: str, port: int) -> list[tuple[int, tuple]]:
+    """``(family, address)`` for each address ``host`` resolves to, for
+    binding ``port`` (an empty host: every interface)."""
     for family in (socket.AF_INET, socket.AF_INET6):
         try:
             socket.inet_pton(family, host)
@@ -209,13 +214,21 @@ def _bind(host: str, port: int) -> list[socket.socket]:
             continue
         # A numeric address needs no resolver: the first getaddrinfo
         # call maps about 0.7 MiB of resolver state.
-        return [socket.create_server((host, port), family=family)]
-    listeners: list[socket.socket] = []
-    try:
-        for family, _, _, _, address in dict.fromkeys(socket.getaddrinfo(
+        return [(family, (host, port))]
+    return list(dict.fromkeys(
+        (family, address)
+        for family, _, _, _, address in socket.getaddrinfo(
             host or None, port, type=socket.SOCK_STREAM,
             flags=socket.AI_PASSIVE,
-        )):
+        )
+    ))
+
+
+def _bind(host: str, port: int) -> list[socket.socket]:
+    """A listening socket on each address ``host`` resolves to."""
+    listeners: list[socket.socket] = []
+    try:
+        for family, address in host_addresses(host, port):
             listeners.append(socket.create_server(address, family=family))
     except BaseException:
         for listener in listeners:
@@ -342,6 +355,19 @@ class DetectionGateway:
         """Stop watching ``fileobj``."""
         self._selector.unregister(fileobj)
 
+    def descriptors(self) -> set[int]:
+        """Every descriptor the loop holds: its selector and wake-up
+        pair, its listeners, its connections and the readers added to
+        it — what a process forked from it closes before anything else
+        (a fleet shard forked by the supervisor)."""
+        fds = {self._wake_in.fileno(), self._wake_out.fileno()}
+        if hasattr(self._selector, "fileno"):  # epoll, kqueue, devpoll
+            fds.add(self._selector.fileno())
+        fds.update(key.fd for key in self._selector.get_map().values())
+        fds.update(listener.fileno() for listener in self._listeners)
+        fds.update(self._connections)
+        return fds
+
     def request_stop(self) -> None:
         """Ask the loop to drain and stop; safe from any thread and from
         a signal handler."""
@@ -378,18 +404,19 @@ class DetectionGateway:
             for signum in (signal.SIGTERM, signal.SIGINT)
         }
         try:
-            host, port = self.listen()
-            detector = self.store.current().detector.name
-            print(
-                f"repro.serve: detector={detector} on {host}:{port} "
-                f"(queue={self.config.queue_bound}, "
-                f"policy={self.config.policy.value})",
-                flush=True,
-            )
+            print(self._banner(*self.listen()), flush=True)
             self.run()
         finally:
             for signum, handler in handlers.items():
                 signal.signal(signum, handler)
+
+    def _banner(self, host: str, port: int) -> str:
+        """The line :meth:`serve_forever` prints once it listens."""
+        return (
+            f"repro.serve: detector={self.store.current().detector.name} "
+            f"on {host}:{port} (queue={self.config.queue_bound}, "
+            f"policy={self.config.policy.value})"
+        )
 
     async def start(
         self, *, sock: socket.socket | None = None
@@ -919,8 +946,7 @@ class DetectionGateway:
     # -- control plane -------------------------------------------------
 
     def _serve_http(self, conn: _Connection) -> None:
-        """One-shot HTTP: parse the request once it is in, answer it (an
-        ``/inspect`` through admission, answered by the drain step), and
+        """One-shot HTTP: parse the request once it is in, answer it, and
         hang up."""
         if conn.unanswered:
             return
@@ -930,8 +956,13 @@ class DetectionGateway:
             self.telemetry.increment("protocol_errors")
             self._answer_http(conn, 400, {"error": str(exc)})
             return
-        if message is None:
-            return
+        if message is not None:
+            self._respond(conn, message)
+
+    def _respond(self, conn: _Connection, message: HttpMessage) -> None:
+        """Answer one complete request: ``POST /inspect`` through
+        admission (the drain step answers it), anything else from
+        :meth:`_route`."""
         if message.path == "/inspect" and message.method == "POST":
             if not self._has_room(conn):
                 self._blocked[conn] = None

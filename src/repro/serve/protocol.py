@@ -24,11 +24,11 @@ line of a connection:
   (Prometheus text format), ``POST /reload``, ``POST /inspect``.
 
 Keeping framing in one module means the gateway, the load generator,
-and the tests all parse and emit identical bytes.  The gateway and the
-fleet supervisor share its control-plane pieces too: both parse a
-request with :class:`HttpRequestParser`, fed the bytes received so
-far, and answer with :func:`http_response` and
-:func:`reload_rejection`.  Nothing here does I/O, so the codec loads no
+and the tests all parse and emit identical bytes.  The gateway parses
+each HTTP request with :class:`HttpRequestParser`, fed the bytes
+received so far, and answers with :func:`http_response` and
+:func:`reload_rejection`; the fleet supervisor's control port is the
+gateway's own exchange.  Nothing here does I/O, so the codec loads no
 event loop.
 """
 
@@ -307,9 +307,9 @@ class HttpMessage:
 class HttpRequestParser:
     """Parses one HTTP/1.x request from the bytes a client sent so far.
 
-    The gateway feeds it a connection's buffer as bytes arrive and the
-    fleet supervisor its control connections, so both answer a malformed
-    request alike.  Each head line is parsed once, as soon as it is
+    The gateway feeds it a connection's buffer as bytes arrive, on its
+    data port and on a fleet supervisor's control port alike.  Each
+    head line is parsed once, as soon as it is
     complete, and the newline search resumes where the last one stopped:
     a head that arrives in many small reads costs time linear in its
     size, and a verdict never depends on how the bytes were split.

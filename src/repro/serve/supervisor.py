@@ -2,13 +2,15 @@
 
 The supervisor owns everything the shards must agree on:
 
-- **The shared data port.**  Under ``SO_REUSEPORT`` it binds a
-  placeholder socket (bound, *not* listening — a non-listening socket
-  never joins the kernel's accept group) so the port stays reserved for
-  the fleet even while every shard is down; each shard then binds its
-  own listening socket to the same port.  Without ``SO_REUSEPORT`` it
-  binds one listening socket before forking and the shards accept on
-  the inherited descriptor.
+- **The shared data port.**  It binds the first address the gateway's
+  ``host`` resolves to, in that address's family
+  (:func:`~repro.serve.fleet.bind_data_port`).  Under ``SO_REUSEPORT``
+  it binds a placeholder socket (bound, *not* listening — a
+  non-listening socket never joins the kernel's accept group) so the
+  port stays reserved for the fleet even while every shard is down;
+  each shard then binds its own listening socket to the same address.
+  Without ``SO_REUSEPORT`` it binds one listening socket before forking
+  and the shards accept on the inherited descriptor.
 - **The signature generation.**  Reloads use a two-phase protocol over
   the shards' control pipes: ``stage`` (parse + build + warm, off the
   data path) on the supervisor's own reference store first — a bad
@@ -22,36 +24,40 @@ The supervisor owns everything the shards must agree on:
   (:func:`~repro.serve.telemetry.merge_raw_states`), and expose both
   per-shard series (labelled ``shard="0"``...) and fleet aggregates —
   including merged latency histograms, not just sums of percentiles.
-- **The lifecycle.**  A monitor task detects a dead shard (pipe EOF or
-  process exit), reaps the zombie, respawns the slot with the *current*
-  generation, and spot-checks the replacement against the supervisor's
-  reference detector (:data:`~repro.serve.fleet.PROBE_PAYLOADS`) before
-  letting it join the accept group.  A slot revives at most
-  ``MAX_RESPAWNS`` times.  ``stop()`` — and SIGTERM under
-  :meth:`FleetSupervisor.serve_forever` — drains every shard within the
-  gateway's deadline, then escalates terminate → kill, and reaps
-  everything.
+- **The lifecycle.**  Each shard's ``process.sentinel`` sits on the
+  control plane's selector.  When a shard dies the loop reaps it,
+  respawns the slot with the *current* generation, and spot-checks the
+  replacement against the supervisor's reference detector
+  (:data:`~repro.serve.fleet.PROBE_PAYLOADS`) before letting it join the
+  accept group.  A slot revives at most ``MAX_RESPAWNS`` times.
+  ``stop()`` — and SIGTERM under :meth:`FleetSupervisor.serve_forever` —
+  drains every shard within the gateway's deadline, then escalates
+  terminate → kill, and reaps everything.
 
-The control plane itself is a small asyncio HTTP server on its own port
-(``/healthz``, ``/stats``, ``/metrics``, ``/reload``, ``/shards``).  It
-parses each request with the gateway's
-:class:`~repro.serve.protocol.HttpRequestParser`, so both answer a
-malformed request alike: a 400, counted as the supervisor's
-``protocol_errors``, after which the connection is half-closed and the
-rest of the request dropped within ``DISCARD_MAX_BYTES`` and
-``DISCARD_MAX_S``.
+The control plane is the gateway's own ``selectors`` loop and HTTP
+exchange on its own port (accept, parse, a 400 counted as the
+supervisor's ``protocol_errors``, half-close, bounded discard),
+answering the fleet's routes (``/healthz``, ``/stats``, ``/metrics``,
+``/reload``, ``/shards``) in place of the gateway's.  Every control
+connection is HTTP from its first byte, and nothing is admitted.  The
+supervisor talks to its shards one conversation at a time: it sends a
+command to each shard concerned, then waits for their replies with
+:func:`multiprocessing.connection.wait` under the command's deadline,
+so control requests are answered one at a time.  ``repro serve
+--shards N`` runs the loop on its main thread and loads no event loop;
+in-process callers use the ``async`` facade (``start``, ``stop``,
+``reload_json``, ``stats``, ``metrics``, ``inspect``), which runs the
+loop on a thread and the supervisor's work on the caller's executor.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
-import signal
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.conformance.verdict import (
@@ -64,22 +70,24 @@ from repro.core.signature import SignatureSet
 from repro.ids.engine import Detector
 from repro.obs.prometheus import render_exposition
 from repro.obs.registry import MetricsRegistry
-from repro.serve.gateway import DRAIN_TIMEOUT_S, GatewayConfig
+from repro.serve.gateway import (
+    _HTTP,
+    DRAIN_TIMEOUT_S,
+    DetectionGateway,
+    GatewayConfig,
+)
 from repro.serve.fleet import (
     PROBE_PAYLOADS,
     ShardBoot,
+    bind_data_port,
     fleet_context,
-    make_reuseport_listener,
     reuseport_available,
     shard_entry,
 )
 from repro.serve.protocol import (
-    DISCARD_MAX_BYTES,
-    DISCARD_MAX_S,
+    HttpMessage,
     HttpRequestParser,
-    ProtocolError,
     encode_line,
-    http_response,
     reload_rejection,
 )
 from repro.serve.store import SignatureStore, StoreError
@@ -132,15 +140,38 @@ class _ShardHandle:
     alive: bool = False
     serving: bool = False
     respawns: int = 0
-    send_lock: threading.Lock = field(default_factory=threading.Lock)
-    pending: dict[int, asyncio.Future] = field(default_factory=dict)
 
-    def fail_pending(self, error: Exception) -> None:
-        """Resolve every outstanding request with ``error``."""
-        for future in self.pending.values():
-            if not future.done():
-                future.set_exception(error)
-        self.pending.clear()
+
+class _ControlPlane(DetectionGateway):
+    """The supervisor's control port: the gateway's loop and HTTP
+    exchange answering the fleet's routes.  Every connection is HTTP
+    from its first byte, so a payload line is a malformed request, and
+    nothing is admitted (no ``/inspect``)."""
+
+    def __init__(self, supervisor: FleetSupervisor) -> None:
+        super().__init__(
+            supervisor.store,
+            GatewayConfig(
+                host=supervisor.config.gateway.host,
+                port=supervisor.config.control_port,
+            ),
+            supervisor.telemetry,
+        )
+        self.supervisor = supervisor
+        self.address: tuple[str, int] | None = None
+
+    def listen(self, *, sock=None) -> tuple[str, int]:
+        self.address = super().listen(sock=sock)
+        return self.address
+
+    def _classify(self, conn) -> None:
+        conn.state, conn.http = _HTTP, HttpRequestParser()
+
+    def _respond(self, conn, message: HttpMessage) -> None:
+        self._answer_http(conn, *self.supervisor._route(message))
+
+    def _banner(self, host: str, port: int) -> str:
+        return self.supervisor._banner(host, port)
 
 
 class FleetSupervisor:
@@ -193,17 +224,16 @@ class FleetSupervisor:
         ]
         self._ctx = fleet_context()
         self._use_reuseport = reuseport_available()
-        self._placeholder: socket.socket | None = None
-        self._shared_listener: socket.socket | None = None
+        # The placeholder under SO_REUSEPORT, else the shared listener.
+        self._data_socket = None
         self._data_host = self.config.gateway.host
         self._data_port = self.config.gateway.port
-        self._control_server: asyncio.base_events.Server | None = None
-        self._monitor_task: asyncio.Task | None = None
-        self._reload_lock: asyncio.Lock | None = None
+        self._control = _ControlPlane(self)
+        # One conversation with the shards at a time: a bring-up, a
+        # reload, a telemetry pull, a respawn or the shutdown.
+        self._conversation = threading.Lock()
         self._message_ids = 0
         self._started = False
-        self._stopping = False
-        self._stopped = asyncio.Event()
         self._started_at = 0.0
 
     # -- addresses -----------------------------------------------------
@@ -216,10 +246,9 @@ class FleetSupervisor:
     @property
     def control_address(self) -> tuple[str, int]:
         """Where the control-plane HTTP endpoints answer."""
-        if self._control_server is None:
+        if self._control.address is None:
             raise RuntimeError("fleet not started")
-        sockname = self._control_server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return self._control.address
 
     @property
     def version(self) -> int:
@@ -232,73 +261,110 @@ class FleetSupervisor:
 
     # -- lifecycle -----------------------------------------------------
 
+    def serve_forever(self) -> None:
+        """Bring the fleet up, serve the control port on this (main)
+        thread until SIGTERM or SIGINT, and drain every shard on the way
+        out."""
+        try:
+            self._launch()
+            self._control.serve_forever()
+        finally:
+            self._shut_down()
+
     async def start(self) -> tuple[str, int]:
-        """Reserve the port, spawn and verify every shard, open the
-        control plane; returns the data-plane address."""
+        """In-process facade: reserve the port, spawn and verify every
+        shard, then serve the control plane on a thread; returns the
+        data-plane address."""
+        if self._started:
+            raise RuntimeError("fleet already started")
+        try:
+            await _in_thread(self._launch)
+            await self._control.start()
+        except BaseException:
+            await self.stop()
+            raise
+        return self.data_address
+
+    async def stop(self) -> None:
+        """In-process facade: stop the control plane, then drain every
+        shard within the deadline, escalate terminate → kill, and reap
+        every child."""
+        await self._control.stop()
+        await _in_thread(self._shut_down)
+
+    def _launch(self) -> None:
+        """Reserve the data port, then spawn and verify every shard."""
         if self._started:
             raise RuntimeError("fleet already started")
         self._started = True
         self._started_at = time.monotonic()
-        self._reload_lock = asyncio.Lock()
         gateway = self.config.gateway
-        if self._use_reuseport:
-            self._placeholder = make_reuseport_listener(
-                gateway.host, gateway.port, listen=False
-            )
-            sockname = self._placeholder.getsockname()
-        else:
-            self._shared_listener = socket.socket(
-                socket.AF_INET, socket.SOCK_STREAM
-            )
-            self._shared_listener.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-            )
-            self._shared_listener.bind((gateway.host, gateway.port))
-            self._shared_listener.listen(128)
-            sockname = self._shared_listener.getsockname()
+        self._data_socket = bind_data_port(
+            gateway.host, gateway.port, listen=not self._use_reuseport
+        )
+        sockname = self._data_socket.getsockname()
         self._data_host, self._data_port = sockname[0], sockname[1]
-        try:
+        with self._conversation:
             for handle in self.handles:
                 self._spawn(handle)
-                await self._bring_up(handle)
-        except BaseException:
-            await self.stop()
-            raise
-        self._control_server = await asyncio.start_server(
-            self._handle_control, gateway.host, self.config.control_port
+                self._bring_up(handle)
+
+    def _shut_down(self) -> None:
+        """Drain every shard within the gateway's deadline, then escalate
+        terminate → kill, reap every child and release the data port."""
+        with self._conversation:
+            self._converse(self.live_handles(), "drain")
+            for handle in self.handles:
+                process = handle.process
+                if process is None:
+                    continue
+                process.join(2.0)
+                if process.is_alive():
+                    process.terminate()
+                    process.join(1.0)
+                if process.is_alive():
+                    process.kill()
+                    process.join(1.0)
+                self._destroy(handle)
+            if self._data_socket is not None:
+                self._data_socket.close()
+                self._data_socket = None
+
+    def _banner(self, host: str, port: int) -> str:
+        gateway = self.config.gateway
+        return (
+            f"repro.serve.fleet: {len(self.live_handles())} shards on "
+            f"{self._data_host}:{self._data_port} "
+            f"(control {host}:{port}, "
+            f"queue={gateway.queue_bound}/shard, "
+            f"policy={gateway.policy.value})"
         )
-        self._monitor_task = asyncio.get_running_loop().create_task(
-            self._monitor()
-        )
-        return self.data_address
 
     def _spawn(self, handle: _ShardHandle) -> None:
-        """Fork one shard process into ``handle``'s slot."""
+        """Fork one shard process into ``handle``'s slot, and watch its
+        sentinel on the control plane's selector."""
         parent_conn, child_conn = self._ctx.Pipe()
         close_fds: tuple[int, ...] = ()
         if self._ctx.get_start_method() == "fork":
-            fds = [parent_conn.fileno()]
-            for other in self.handles:
-                if other is not handle and other.conn is not None:
-                    fds.append(other.conn.fileno())
-            if self._placeholder is not None:
-                fds.append(self._placeholder.fileno())
-            if self._control_server is not None:
-                fds.extend(
-                    sock.fileno() for sock in self._control_server.sockets
-                )
-            close_fds = tuple(fds)
+            fds = {parent_conn.fileno(), *self._control.descriptors()}
+            fds.update(
+                other.conn.fileno() for other in self.handles
+                if other.conn is not None
+            )
+            if self._use_reuseport:
+                fds.add(self._data_socket.fileno())
+            close_fds = tuple(sorted(fds))
         current = self.store.current()
         boot = ShardBoot(
             shard_id=handle.shard_id,
             detector=current.detector,
             config=dataclasses.replace(
-                self.config.gateway, port=self._data_port,
-                allow_reload=False,
+                self.config.gateway, host=self._data_host,
+                port=self._data_port, allow_reload=False,
             ),
             generation=current.version,
             source=current.source,
-            listen_socket=self._shared_listener,
+            listen_socket=None if self._use_reuseport else self._data_socket,
             close_fds=close_fds,
         )
         process = self._ctx.Process(
@@ -314,16 +380,16 @@ class FleetSupervisor:
         handle.pid = process.pid or 0
         handle.alive = True
         handle.serving = False
-        asyncio.get_running_loop().add_reader(
-            parent_conn.fileno(), self._on_shard_message, handle
+        self._control.add_reader(
+            process.sentinel, lambda: self._on_exit(handle, process)
         )
 
-    async def _bring_up(self, handle: _ShardHandle) -> None:
+    def _bring_up(self, handle: _ShardHandle) -> None:
         """ping → conformance spot-check → open.  A shard that answers
         the probes differently from the reference detector, or leaves
         one unanswered, never joins the accept group."""
-        await self._request(handle, "ping")
-        reply = await self._request(
+        self._request(handle, "ping")
+        reply = self._request(
             handle, "selfcheck", payloads=list(PROBE_PAYLOADS)
         )
         shard = f"shard-{handle.shard_id}"
@@ -344,84 +410,40 @@ class FleetSupervisor:
                 f"shard {handle.shard_id} failed conformance spot-check "
                 f"before joining the fleet: {divergences[0]}"
             )
-        await self._request(handle, "open")
+        self._request(handle, "open")
         handle.serving = True
 
-    async def stop(self) -> None:
-        """Drain every shard within the deadline, then escalate
-        terminate → kill, reap all children, and close both planes."""
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            try:
-                await self._monitor_task
-            except asyncio.CancelledError:
-                pass
-        if self._control_server is not None:
-            self._control_server.close()
-            await self._control_server.wait_closed()
-        await asyncio.gather(
-            *(self._request(handle, "drain") for handle in self.live_handles()),
-            return_exceptions=True,
-        )
-        loop = asyncio.get_running_loop()
-        for handle in self.handles:
-            process = handle.process
-            if process is None:
-                continue
-            await loop.run_in_executor(None, process.join, 2.0)
-            if process.is_alive():
-                process.terminate()
-                await loop.run_in_executor(None, process.join, 1.0)
-            if process.is_alive():
-                process.kill()
-                await loop.run_in_executor(None, process.join, 1.0)
+    def _on_exit(self, handle: _ShardHandle, process) -> None:
+        """A shard process ended (its sentinel is readable): reap it and
+        revive the slot, unless its respawns are spent."""
+        with self._conversation:
+            self._control.remove_reader(process.sentinel)
+            process.join()
+            process.close()  # its sentinel, before the next fork
+            handle.process = None
             self._destroy(handle)
-        if self._placeholder is not None:
-            self._placeholder.close()
-            self._placeholder = None
-        if self._shared_listener is not None:
-            self._shared_listener.close()
-            self._shared_listener = None
-        self._stopped.set()
+            if handle.respawns >= MAX_RESPAWNS:
+                self.telemetry.increment("respawn_exhausted")
+                return
+            handle.respawns += 1
+            self.telemetry.increment("respawns")
+            try:
+                self._spawn(handle)
+                self._bring_up(handle)
+            except (FleetError, OSError):
+                self.telemetry.increment("respawn_failures")
+                self._kill_shard(handle)
 
-    async def serve_forever(self) -> None:
-        """Start, then serve until SIGTERM/SIGINT and drain on the way
-        out."""
-        await self.start()
-        control_host, control_port = self.control_address
-        gateway = self.config.gateway
-        print(
-            f"repro.serve.fleet: {len(self.live_handles())} shards on "
-            f"{self._data_host}:{self._data_port} "
-            f"(control {control_host}:{control_port}, "
-            f"queue={gateway.queue_bound}/shard, "
-            f"policy={gateway.policy.value})"
-        )
-        loop = asyncio.get_running_loop()
-        signalled = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, signalled.set)
-        try:
-            await signalled.wait()
-        finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(signum)
-            await self.stop()
+    def _kill_shard(self, handle: _ShardHandle) -> None:
+        """Forcibly remove a misbehaving shard: SIGKILL, so that its
+        sentinel fires (and the slot is revived) even if it is wedged."""
+        if handle.process is not None and handle.process.is_alive():
+            handle.process.kill()
+        self._destroy(handle)
 
     def _destroy(self, handle: _ShardHandle) -> None:
-        """Tear down a slot's supervisor-side resources (reap happened
-        or is about to)."""
+        """Release a slot's pipe; the process is reaped separately."""
         if handle.conn is not None:
-            try:
-                asyncio.get_running_loop().remove_reader(
-                    handle.conn.fileno()
-                )
-            except (RuntimeError, OSError):
-                pass
             try:
                 handle.conn.close()
             except OSError:
@@ -429,67 +451,82 @@ class FleetSupervisor:
             handle.conn = None
         handle.alive = False
         handle.serving = False
-        handle.fail_pending(FleetError(f"shard {handle.shard_id} is down"))
 
     # -- control channel -----------------------------------------------
 
-    def _on_shard_message(self, handle: _ShardHandle) -> None:
-        try:
-            while handle.conn is not None and handle.conn.poll():
-                reply = handle.conn.recv()
-                future = handle.pending.pop(reply.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except (EOFError, OSError):
-            # Shard process died; the monitor reaps and respawns.
-            self._destroy(handle)
+    def _converse(
+        self, handles: list[_ShardHandle], command: str, **fields: Any
+    ) -> list[dict | FleetError]:
+        """Send one command to each of ``handles``, then wait for every
+        reply under the command's deadline.
 
-    async def _request(
-        self, handle: _ShardHandle, command: str, **fields: Any
-    ) -> dict:
-        """Send one command to ``handle`` and await its reply.
-
-        Raises:
-            FleetError: the shard is down, answered ``ok=False``, or
-                missed the deadline.
+        Returns each handle's reply, or the :class:`FleetError` it failed
+        with: the shard is down or its pipe broke, it answered
+        ``ok=False``, or it missed the deadline.  A reply to an earlier,
+        timed-out conversation carries an older id and is dropped.
         """
-        if handle.conn is None or not handle.alive:
-            raise FleetError(f"shard {handle.shard_id} is down")
         self._message_ids += 1
         message = {"id": self._message_ids, "cmd": command, **fields}
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        handle.pending[message["id"]] = future
-        conn, lock = handle.conn, handle.send_lock
-
-        def _send() -> None:
-            # Connection.send is not safe for interleaved writers; the
-            # per-handle lock serializes the executor threads.
-            with lock:
-                conn.send(message)
-
-        try:
-            await loop.run_in_executor(None, _send)
-            reply = await asyncio.wait_for(
-                future, self._TIMEOUTS.get(command, 30.0)
-            )
-        except asyncio.TimeoutError:
-            handle.pending.pop(message["id"], None)
-            raise FleetError(
+        deadline = time.monotonic() + self._TIMEOUTS.get(command, 30.0)
+        outcomes: dict[int, dict | FleetError] = {}
+        waiting: dict[Any, _ShardHandle] = {}
+        for handle in handles:
+            if handle.conn is None or not handle.alive:
+                outcomes[handle.shard_id] = FleetError(
+                    f"shard {handle.shard_id} is down"
+                )
+                continue
+            try:
+                handle.conn.send(message)
+            except OSError as exc:
+                outcomes[handle.shard_id] = FleetError(
+                    f"shard {handle.shard_id} pipe failed: {exc}"
+                )
+                continue
+            waiting[handle.conn] = handle
+        while waiting:
+            ready = wait(list(waiting), max(0.0, deadline - time.monotonic()))
+            if not ready:
+                break
+            for conn in ready:
+                handle = waiting[conn]
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    del waiting[conn]
+                    self._destroy(handle)  # its sentinel reaps it
+                    outcomes[handle.shard_id] = FleetError(
+                        f"shard {handle.shard_id} is down"
+                    )
+                    continue
+                if reply.get("id") != message["id"]:
+                    continue
+                del waiting[conn]
+                outcomes[handle.shard_id] = reply if reply.get("ok") else (
+                    FleetError(
+                        f"shard {handle.shard_id} rejected {command!r}: "
+                        f"{reply.get('error', 'unknown error')}"
+                    )
+                )
+        for handle in waiting.values():
+            outcomes[handle.shard_id] = FleetError(
                 f"shard {handle.shard_id} did not answer {command!r} "
                 "in time"
-            ) from None
-        except (BrokenPipeError, OSError) as exc:
-            handle.pending.pop(message["id"], None)
-            raise FleetError(
-                f"shard {handle.shard_id} pipe failed: {exc}"
-            ) from exc
-        if not reply.get("ok"):
-            raise FleetError(
-                f"shard {handle.shard_id} rejected {command!r}: "
-                f"{reply.get('error', 'unknown error')}"
             )
-        return reply
+        return [outcomes[handle.shard_id] for handle in handles]
+
+    def _request(
+        self, handle: _ShardHandle, command: str, **fields: Any
+    ) -> dict:
+        """One command to one shard; its reply.
+
+        Raises:
+            FleetError: as :meth:`_converse` reports it.
+        """
+        (outcome,) = self._converse([handle], command, **fields)
+        if isinstance(outcome, FleetError):
+            raise outcome
+        return outcome
 
     # -- two-phase reload ----------------------------------------------
 
@@ -500,77 +537,50 @@ class FleetSupervisor:
 
         Stage order: reference store first (a candidate that cannot
         parse or warm dies here, before any shard spends cycles), then
-        every live shard concurrently.  Any failure aborts the staged
-        candidate everywhere and raises; only unanimous staging commits
-        — reference first, then fan-out — so the fleet generation flips
-        once and completely.
+        every live shard in one conversation.  Any failure aborts the
+        staged candidate everywhere and raises; only unanimous staging
+        commits — reference first, then fan-out — so the fleet
+        generation flips once and completely.
 
         Raises:
             StoreError: the candidate was rejected (parse/warm/stage).
             FleetError: a shard failed to stage or commit.
         """
-        async with self._reload_lock:
+        return await _in_thread(self._reload, text, source)
+
+    def _reload(self, text: str, source: str) -> dict:
+        with self._conversation:
             generation = self.store.version + 1
-            loop = asyncio.get_running_loop()
-            # Local stage runs in an executor: warming compiles the
-            # fused plan, and the control plane should keep answering.
-            await loop.run_in_executor(
-                None,
-                lambda: self.store.stage_json(
-                    text, generation=generation, source=source
-                ),
-            )
+            self.store.stage_json(text, generation=generation, source=source)
             live = self.live_handles()
-            outcomes = await asyncio.gather(
-                *(
-                    self._request(
-                        handle, "stage",
-                        text=text, generation=generation, source=source,
-                    )
-                    for handle in live
-                ),
-                return_exceptions=True,
+            outcomes = self._converse(
+                live, "stage", text=text, generation=generation,
+                source=source,
             )
             failures = [
-                (handle, outcome)
-                for handle, outcome in zip(live, outcomes)
-                if isinstance(outcome, BaseException)
+                outcome for outcome in outcomes
+                if isinstance(outcome, FleetError)
             ]
             if failures:
                 self.store.abort_staged(generation)
-                await asyncio.gather(
-                    *(
-                        self._request(
-                            handle, "abort", generation=generation
-                        )
-                        for handle in live
-                        if handle.alive
-                    ),
-                    return_exceptions=True,
+                self._converse(
+                    [handle for handle in live if handle.alive],
+                    "abort", generation=generation,
                 )
                 self.telemetry.increment("reload_failures")
                 self.telemetry.increment("reload_rejected")
-                first_failure = failures[0][1]
                 raise FleetError(
                     f"reload aborted: {len(failures)}/{len(live)} shards "
                     f"failed to stage generation {generation} "
-                    f"(first: {first_failure})"
+                    f"(first: {failures[0]})"
                 )
             self.store.commit_staged(generation)
-            commit_outcomes = await asyncio.gather(
-                *(
-                    self._request(
-                        handle, "commit", generation=generation
-                    )
-                    for handle in live
-                ),
-                return_exceptions=True,
-            )
-            for handle, outcome in zip(live, commit_outcomes):
-                if isinstance(outcome, BaseException):
-                    # The shard staged successfully but could not commit
-                    # — it is wedged or dead.  Take it out; the monitor
-                    # respawns it straight into the new generation.
+            commits = self._converse(live, "commit", generation=generation)
+            for handle, outcome in zip(live, commits):
+                if isinstance(outcome, FleetError):
+                    # The shard staged but could not commit — it is
+                    # wedged or dead.  Take it out; it is respawned
+                    # straight into the new generation.
                     self._kill_shard(handle)
             return {
                 "version": generation,
@@ -579,59 +589,26 @@ class FleetSupervisor:
                 "shards": len(self.live_handles()),
             }
 
-    def _kill_shard(self, handle: _ShardHandle) -> None:
-        """Forcibly remove a misbehaving shard; the monitor reaps it."""
-        if handle.process is not None and handle.process.is_alive():
-            handle.process.terminate()
-        self._destroy(handle)
-
-    # -- monitor / respawn ---------------------------------------------
-
-    async def _monitor(self) -> None:
-        """Detect dead shards, reap them, and revive their slots."""
-        while True:
-            await asyncio.sleep(0.2)
-            for handle in self.handles:
-                process = handle.process
-                if process is None:
-                    continue
-                if handle.alive and process.is_alive():
-                    continue
-                # Reap the zombie and release its resources.
-                process.join(timeout=0)
-                self._destroy(handle)
-                if handle.respawns >= MAX_RESPAWNS:
-                    self.telemetry.increment("respawn_exhausted")
-                    handle.process = None
-                    continue
-                handle.respawns += 1
-                self.telemetry.increment("respawns")
-                try:
-                    self._spawn(handle)
-                    await self._bring_up(handle)
-                except (FleetError, OSError):
-                    self.telemetry.increment("respawn_failures")
-                    self._kill_shard(handle)
-
     # -- aggregation ---------------------------------------------------
 
-    async def _collect_states(self) -> list[tuple[_ShardHandle, dict]]:
+    def _collect_states(self) -> list[tuple[_ShardHandle, dict]]:
         """Pull ``stats`` from every live shard (dead ones are skipped,
         freshly-dead ones tolerated)."""
-        live = self.live_handles()
-        replies = await asyncio.gather(
-            *(self._request(handle, "stats") for handle in live),
-            return_exceptions=True,
-        )
+        with self._conversation:
+            live = self.live_handles()
+            replies = self._converse(live, "stats")
         return [
             (handle, reply)
             for handle, reply in zip(live, replies)
-            if not isinstance(reply, BaseException)
+            if not isinstance(reply, FleetError)
         ]
 
     async def stats(self) -> dict:
         """Fleet ``/stats`` document: per-shard and merged telemetry."""
-        collected = await self._collect_states()
+        return await _in_thread(self._stats)
+
+    def _stats(self) -> dict:
+        collected = self._collect_states()
         merged = merge_raw_states(
             [reply["state"] for _, reply in collected]
         )
@@ -680,7 +657,10 @@ class FleetSupervisor:
         shards bucket-by-bucket (concatenating per-shard expositions
         would emit duplicate families, which strict parsers reject).
         """
-        collected = await self._collect_states()
+        return await _in_thread(self._metrics)
+
+    def _metrics(self) -> str:
+        collected = self._collect_states()
         states = [reply["state"] for _, reply in collected]
         merged = merge_raw_states(states)
         registry = MetricsRegistry()
@@ -726,42 +706,9 @@ class FleetSupervisor:
         ).set(float(self.store.version))
         return render_exposition(registry)
 
-    # -- control-plane HTTP --------------------------------------------
+    # -- control-plane routes ------------------------------------------
 
-    async def _handle_control(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        buffer = bytearray()
-        parser = HttpRequestParser()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk and not buffer:
-                    return
-                buffer += chunk
-                try:
-                    message = parser.feed(buffer, eof=not chunk)
-                except ProtocolError as exc:
-                    self.telemetry.increment("protocol_errors")
-                    writer.write(http_response(400, {"error": str(exc)}))
-                    await writer.drain()
-                    await _discard_request(reader, writer)
-                    return
-                if message is not None:
-                    break
-            status, payload = await self._route(message)
-            writer.write(http_response(status, payload))
-            await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _route(self, message) -> tuple[int, dict | str]:
+    def _route(self, message: HttpMessage) -> tuple[int, dict | str]:
         method, path = message.method, message.path
         if path == "/healthz" and method == "GET":
             live = len(self.live_handles())
@@ -776,13 +723,13 @@ class FleetSupervisor:
                 "live": live,
             }
         if path == "/stats" and method == "GET":
-            return 200, await self.stats()
+            return 200, self._stats()
         if path == "/metrics" and method == "GET":
-            return 200, await self.metrics()
+            return 200, self._metrics()
         if path == "/shards" and method == "GET":
             return 200, {
                 "data_port": self._data_port,
-                "reuseport": self._shared_listener is None,
+                "reuseport": self._use_reuseport,
                 "shards": [
                     {
                         "shard_id": handle.shard_id,
@@ -795,15 +742,15 @@ class FleetSupervisor:
                 ],
             }
         if path == "/reload" and method == "POST":
-            return await self._route_reload(message.body)
+            return self._route_reload(message.body)
         if path in ("/healthz", "/stats", "/metrics", "/shards", "/reload"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no route {path}"}
 
-    async def _route_reload(self, body: str) -> tuple[int, dict]:
+    def _route_reload(self, body: str) -> tuple[int, dict]:
         try:
             text, source = self.store.reload_text(body)
-            return 200, await self.reload_json(text, source=source)
+            return 200, self._reload(text, source)
         except StoreError as exc:
             return 400, reload_rejection(
                 str(exc), exc.reason, self.store.version
@@ -817,6 +764,8 @@ class FleetSupervisor:
 
     async def inspect(self, payload: str) -> dict:
         """One round-trip through the shared data port (test helper)."""
+        import asyncio
+
         reader, writer = await asyncio.open_connection(
             self._data_host, self._data_port
         )
@@ -833,29 +782,10 @@ class FleetSupervisor:
         return json.loads(line)
 
 
-async def _discard_request(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    """Half-close after an early answer, then drop the unread request.
+async def _in_thread(function: Callable[..., Any], *args: Any) -> Any:
+    """Await ``function(*args)`` on the running event loop's executor."""
+    import asyncio
 
-    Closing a socket that still holds unread bytes makes the kernel
-    reset the connection, and a reset can destroy the answer before the
-    client reads it.  So the answer is followed by a FIN, and what the
-    client still sends is read and dropped until it closes its side, up
-    to ``DISCARD_MAX_BYTES`` or ``DISCARD_MAX_S``, whichever comes first.
-    """
-    if writer.can_write_eof():
-        writer.write_eof()
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + DISCARD_MAX_S
-    left = DISCARD_MAX_BYTES
-    try:
-        while left > 0:
-            chunk = await asyncio.wait_for(
-                reader.read(left), max(0.0, deadline - loop.time())
-            )
-            if not chunk:
-                return
-            left -= len(chunk)
-    except (asyncio.TimeoutError, ConnectionError):
-        pass
+    return await asyncio.get_running_loop().run_in_executor(
+        None, function, *args
+    )

@@ -206,8 +206,8 @@ def test_a_head_of_many_lines_in_small_reads_is_parsed_once(
 
 
 def test_the_http_parser_reads_each_head_line_once():
-    # The supervisor's control plane feeds the same parser as its reads
-    # arrive; a byte at a time, its work must stay linear too.
+    # The parser alone, fed a byte at a time: its work stays linear
+    # however the reads split the head.
     head = (
         b"POST /reload HTTP/1.1\r\n" + b"a:b\r\n" * 2000
         + b"Content-Length: 4\r\n\r\nbody"

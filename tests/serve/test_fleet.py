@@ -10,6 +10,7 @@ import asyncio
 import json
 import os
 import signal
+import sys
 import time
 
 import pytest
@@ -286,6 +287,43 @@ class TestFleetControlPlane:
         assert health[0] == 200 and health[1]["status"] == "ok"
 
 
+    def test_a_late_reply_is_dropped(self, monkeypatch):
+        """A shard that misses a command's deadline is left out of that
+        answer, and the next conversation drops its late reply rather
+        than take it for its own."""
+        honest = _ShardServer._handle
+
+        def slow_once(self, message):
+            if message.get("cmd") == "stats" and not hasattr(self, "slowed"):
+                self.slowed = True
+                time.sleep(0.5)
+            honest(self, message)
+
+        monkeypatch.setattr(_ShardServer, "_handle", slow_once)
+
+        async def scenario():
+            supervisor = FleetSupervisor(
+                toy_detector(), fleet_config(shards=1)
+            )
+            host, port = await supervisor.start()
+            try:
+                supervisor._TIMEOUTS = {
+                    **FleetSupervisor._TIMEOUTS, "stats": 0.2,
+                }
+                first = await supervisor.stats()
+                del supervisor._TIMEOUTS  # the usual deadlines again
+                # Answered after the shard's sleep, so after its late
+                # reply went out.
+                await send_lines(host, port, ["id=1 union select x"])
+                second = await supervisor.stats()
+            finally:
+                await supervisor.stop()
+            return first, second
+
+        first, second = asyncio.run(scenario())
+        assert first["shards"] == {}
+        assert second["shards"]["0"]["counters"]["inspected"] == 1
+
     def test_request_line_past_the_stream_limit_gets_400(self):
         from tests.serve.test_gateway_errors import raw_http
 
@@ -466,6 +504,20 @@ async def resilient_inspect(supervisor, payload):
     raise AssertionError(f"fleet stopped answering: {last!r}")
 
 
+def _files(pid, fds):
+    """The sockets and pipes among process ``pid``'s descriptors
+    ``fds``, by their ``/proc`` link (which names the inode)."""
+    files = set()
+    for fd in fds:
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # closed meanwhile
+            continue
+        if link.startswith(("socket:", "pipe:")):
+            files.add(link)
+    return files
+
+
 class TestFleetResilience:
     def test_shard_death_respawn_with_current_generation(
         self, small_signatures
@@ -509,6 +561,94 @@ class TestFleetResilience:
                 await supervisor.stop()
 
         asyncio.run(scenario())
+
+    def test_a_respawned_shard_holds_no_control_connection(self):
+        """A control connection open while a shard is respawned is
+        answered and then closed: the new shard was forked with every
+        descriptor of the supervisor's loop closed, so the client reads
+        EOF at once rather than when that shard exits."""
+        async def scenario():
+            supervisor = FleetSupervisor(toy_detector(), fleet_config())
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                reader, writer = await asyncio.open_connection(chost, cport)
+                writer.write(b"GET /healthz HTTP/1.1\r\n")
+                await writer.drain()
+                await asyncio.sleep(0.2)  # accepted, half a request read
+                victim = supervisor.handles[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 15.0
+                while not (victim.respawns == 1 and victim.serving):
+                    assert time.monotonic() < deadline, "no respawn"
+                    await asyncio.sleep(0.05)
+                inherited = None
+                if sys.platform.startswith("linux"):
+                    # The new shard holds the write end of its own
+                    # sentinel's pipe, and nothing else of the loop's.
+                    held = _files(
+                        os.getpid(),
+                        supervisor._control.descriptors()
+                        - {victim.process.sentinel},
+                    )
+                    assert held
+                    inherited = held & _files(
+                        victim.pid, os.listdir(f"/proc/{victim.pid}/fd")
+                    )
+                writer.write(b"Host: t\r\n\r\n")
+                await writer.drain()
+                answer = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await supervisor.stop()
+            return answer, inherited
+
+        answer, inherited = asyncio.run(scenario())
+        assert answer.startswith(b"HTTP/1.1 200")
+        assert not inherited
+
+    def test_a_shard_that_fails_its_commit_is_respawned(
+        self, small_signatures, monkeypatch
+    ):
+        """A shard that staged but cannot commit is killed, and its slot
+        comes back in the generation the reload committed."""
+        honest = _ShardServer._handle
+
+        def wedged(self, message):
+            if message.get("cmd") == "commit" and (
+                self.boot.shard_id, self.boot.generation
+            ) == (0, 1):
+                self._reply(message, ok=False, error="wedged")
+            else:
+                honest(self, message)
+
+        monkeypatch.setattr(_ShardServer, "_handle", wedged)
+
+        async def scenario():
+            supervisor = FleetSupervisor(
+                PSigeneDetector(small_signatures), fleet_config()
+            )
+            await supervisor.start()
+            try:
+                result = await supervisor.reload_json(
+                    signature_set_to_json(small_signatures)
+                )
+                victim = supervisor.handles[0]
+                deadline = time.monotonic() + 15.0
+                while not (victim.respawns == 1 and victim.serving):
+                    assert time.monotonic() < deadline, "no respawn"
+                    await asyncio.sleep(0.05)
+                stats = await supervisor.stats()
+            finally:
+                await supervisor.stop()
+            return result, stats
+
+        result, stats = asyncio.run(scenario())
+        assert (result["version"], result["shards"]) == (2, 1)
+        assert [info["version"] for info in stats["shards"].values()] == [
+            2, 2,
+        ]
 
     def test_stop_reaps_every_child(self):
         async def scenario():

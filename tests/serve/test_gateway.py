@@ -9,11 +9,18 @@ it by the new one.
 
 import asyncio
 import json
+import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.conformance.verdict import (
     diff_verdicts,
     serial_verdicts,
@@ -716,12 +723,15 @@ def _ipv6_loopback():
     return True
 
 
-@pytest.mark.parametrize("bind", [
+HOSTS = [
     pytest.param("::1", marks=pytest.mark.skipif(
         not _ipv6_loopback(), reason="no IPv6 loopback"
     )),
     "localhost",  # a name: bound on every address it resolves to
-])
+]
+
+
+@pytest.mark.parametrize("bind", HOSTS)
 def test_a_gateway_listens_on_its_host(bind):
     async def scenario():
         gateway = DetectionGateway(
@@ -736,3 +746,53 @@ def test_a_gateway_listens_on_its_host(bind):
     host, (answer,) = asyncio.run(scenario())
     assert host == bind or bind == "localhost"
     assert answer["alert"] is True
+
+
+def _fetch(address, request: bytes) -> bytes:
+    """Send ``request`` on one connection, end it, and read to EOF."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    return answer
+
+
+@pytest.mark.parametrize("bind", HOSTS)
+def test_a_fleet_listens_on_its_host(bind, tmp_path):
+    # The shared data port binds the first address the host resolves
+    # to, in its family; the control port binds as a gateway does.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    log = tmp_path / "stderr.log"
+    with open(log, "wb") as stderr, subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--detector",
+         "modsecurity", "--shards", "2", "--host", bind, "--port", "0",
+         "--control-port", "0"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=stderr,
+    ) as server:
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            line = server.stdout.readline().decode() if ready else ""
+            match = re.search(r" on (\S+):(\d+) \(control (\S+):(\d+),", line)
+            assert match, f"no startup line: {line!r}"
+            data = (match.group(1), int(match.group(2)))
+            control = (match.group(3), int(match.group(4)))
+            answer = json.loads(_fetch(data, b"id=1' union select 1\n"))
+            health = _fetch(control, b"GET /healthz HTTP/1.1\r\n\r\n")
+            server.send_signal(signal.SIGTERM)
+            code = server.wait(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+    assert bind == "localhost" or data[0] == control[0] == bind
+    assert answer["alert"] is True
+    head, _, body = health.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200")
+    assert json.loads(body)["live"] == 2
+    assert code == 0
+    assert log.read_text() == ""

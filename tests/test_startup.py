@@ -5,11 +5,12 @@ clusterer, corpus generators, evaluation) that package re-exports
 would otherwise pull into every importer, and it runs one
 thread.  No serving process loads numpy: a gateway, a fleet supervisor
 or a shard, for every detector, framed or not, across a reload.  A
-single gateway serves on one ``selectors`` loop, so it loads no event
-loop either: none of asyncio, ssl, concurrent.futures or logging.  Lazy
-re-exports must still resolve every name in each package's ``__all__``.
-Sent SIGTERM, one gateway and a fleet alike drain and exit 0 without a
-word on stderr.
+gateway, a fleet supervisor and each shard serve on one ``selectors``
+loop, so they load no event loop either: none of asyncio, ssl,
+concurrent.futures or logging, and no fleet process maps ``_ssl``.
+Each runs one thread.  Lazy re-exports must still resolve every name
+in each package's ``__all__``.  Sent SIGTERM, one gateway and a fleet
+alike drain and exit 0 without a word on stderr.
 """
 
 import contextlib
@@ -56,11 +57,13 @@ PACKAGES = ["repro"] + [
 
 ATTACK_LINE = b"id=1' union select 1,2,3-- -\n"
 
-# What asyncio loads and a single gateway never needs.
+# What asyncio loads and no serving process needs.
 EVENT_LOOP = ("asyncio", "ssl", "concurrent.futures", "logging")
 
-# numpy's compiled core, as a loaded process maps it.
+# numpy's compiled core, and the ssl module, as a loaded process maps
+# them.
 NUMPY_CORE = "numpy/_core/_multiarray_umath"
+SSL_MODULE = "/_ssl."
 
 
 def _environ() -> dict[str, str]:
@@ -266,9 +269,12 @@ def test_no_gateway_loads_numpy(
 
 
 @pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/maps"
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>"
 )
 def test_no_fleet_process_maps_numpy(signature_file, tmp_path):
+    # Nor _ssl, nor an event loop, nor a second thread: the supervisor's
+    # control plane is the gateway's loop, and every shard is forked
+    # from it.
     log = tmp_path / "importtime.log"
     with _serving(
         ["-s", signature_file, "--shards", "2"], log
@@ -277,12 +283,20 @@ def test_no_fleet_process_maps_numpy(signature_file, tmp_path):
         for _ in range(4):
             _answer_line(port)
         pids = [server.pid, *_children(server.pid)]
-        mapped = {}
+        mapped, threads = {}, {}
         for pid in pids:
             with open(f"/proc/{pid}/maps") as maps:
-                mapped[pid] = NUMPY_CORE in maps.read()
+                text = maps.read()
+            mapped[pid] = [
+                name for name in (NUMPY_CORE, SSL_MODULE) if name in text
+            ]
+            threads[pid] = len(os.listdir(f"/proc/{pid}/task"))
+        modules = _imported(log)
     assert len(pids) >= 3, pids
     assert not any(mapped.values()), mapped
+    assert "repro.serve.supervisor" in modules
+    assert sorted(modules & set(EVENT_LOOP)) == []
+    assert set(threads.values()) == {1}, threads
 
 
 def test_verdict_referee_loads_without_the_offline_pipeline():
