@@ -8,6 +8,13 @@ admitted-request latency flat, a roomy one absorbs the burst and pushes
 the tail out instead.  Parity with the offline engine is asserted on
 every serviced response.
 
+The shed counts are a timing outcome, not a deterministic metric: the
+gateway is a ``selectors`` loop on its own thread, and how many requests
+each select round reads depends on how the in-process client and that
+thread interleave.  Five runs read 170–1,084 bound-8 sheds for
+pSigene (and 122–760 for ModSecurity), so ``tight_queue_shed_rate`` and
+each run's ``shed`` and ``completed`` change from run to run.
+
 Saved to ``results/serve_loadgen.txt``.
 """
 

@@ -51,11 +51,13 @@ REPO_ROOT = os.path.dirname(
 
 #: The smoke subset: cheap benches sharing one pipeline build, still
 #: exercising context-corpus hashing and all three artifact kinds'
-#: plumbing (table + figure + the shared writer).
+#: plumbing (table + figure + the shared writer), and re-measuring
+#: phase 3's traced memory peak against its floor (figure 2).
 QUICK_BENCHES = (
     "benchmarks/test_table1_vulndb.py",
     "benchmarks/test_table2_feature_sources.py",
     "benchmarks/test_table4_rulesets.py",
+    "benchmarks/test_figure2_heatmap.py",
     "benchmarks/test_figure4_cumulative_tpr.py",
 )
 

@@ -533,12 +533,20 @@ def _cmd_conform_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_match_explain(args: argparse.Namespace) -> int:
+    from repro.features.definitions import build_catalog
     from repro.match import FusedSetEvaluator
+    from repro.regexlib.redos import lint_pattern
 
     detector, source = _conform_detector(args)
     matcher = FusedSetEvaluator(detector.signature_set.signatures).matcher
     print(f"repro match: detector {source}")
     print(matcher.describe())
+    for name, patterns in (
+        ("served set", matcher.patterns),
+        ("catalog", build_catalog().patterns),
+    ):
+        flagged = sum(1 for p in patterns if lint_pattern(p).findings)
+        print(f"redos lint, {name}: {flagged} of {len(patterns)} patterns flagged")
     if args.patterns:
         for plan in matcher.plans:
             detail = plan.literal or ",".join(plan.factors)

@@ -12,6 +12,7 @@ from repro.cluster.bicluster import (
 )
 from repro.cluster.dendrogram import Dendrogram
 from repro.cluster.distance import (
+    condensed_halves,
     euclidean_condensed,
     euclidean_matrix,
     unique_rows_with_weights,
@@ -27,6 +28,7 @@ from repro.cluster.linkage import upgma, validate_linkage
 from repro.cluster.validity import davies_bouldin, silhouette_mean
 
 __all__ = [
+    "condensed_halves",
     "euclidean_matrix",
     "euclidean_condensed",
     "unique_rows_with_weights",

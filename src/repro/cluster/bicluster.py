@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram
 from repro.cluster.distance import (
-    condense,
+    condensed_halves,
     euclidean_matrix,
     unique_rows_with_weights,
 )
@@ -216,10 +216,11 @@ class Biclusterer:
         )
         if prototypes.shape[0] < 2:
             raise ValueError("all samples identical; nothing to cluster")
-        # One (n, n) matrix at a time: upgma works in the distances, so the
-        # cophenetic coefficient keeps their condensed upper triangle.
-        distances = euclidean_matrix(prototypes)
-        condensed = condense(distances)
+        # Phase 3 in one (n, n) float64 buffer: upgma packs the distances'
+        # upper triangle into its first half and merges in the second,
+        # and the cophenetic triangle is then written into that dead
+        # second half.
+        buffer = euclidean_matrix(prototypes)
         # UPGMA is the quadratic heart of phase 3 — it gets its own span
         # and a registry histogram so scaling work can watch it directly.
         # The histogram times the build itself: outside an active tracer
@@ -228,15 +229,17 @@ class Biclusterer:
             "cluster.linkage", prototypes=int(prototypes.shape[0]),
         ):
             started = time.perf_counter()
-            linkage = upgma(prototypes, weights=weights, distances=distances)
+            linkage = upgma(prototypes, weights=weights, distances=buffer)
             linkage_s = time.perf_counter() - started
-        del distances
         get_registry().histogram(
             "repro_cluster_linkage_seconds",
             "Wall time of one UPGMA linkage build.",
         ).observe(linkage_s)
         dendrogram = Dendrogram(linkage, prototypes.shape[0])
-        cophenetic = dendrogram.cophenetic_correlation(condensed)
+        original, spare = condensed_halves(buffer)
+        cophenetic = dendrogram.cophenetic_correlation(original, out=spare)
+        # Free the buffer before the cut and the feature side allocate.
+        del buffer, original, spare
 
         labels = self._select_cut(dendrogram, weights)
         total_weight = weights.sum()

@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.distance import row_starts
+
+#: Leaf pairs one merge writes per step of
+#: :meth:`Dendrogram.cophenetic_condensed`; bounds its index arrays.
+COPHENETIC_BLOCK = 1 << 13
+
 
 class Dendrogram:
     """A parsed linkage matrix with query operations.
@@ -112,55 +118,85 @@ class Dendrogram:
 
     # -- cophenetic validation ----------------------------------------------
 
-    def cophenetic_condensed(self) -> np.ndarray:
+    def cophenetic_condensed(self, out: np.ndarray | None = None) -> np.ndarray:
         """Condensed (upper-triangle, row-major) cophenetic distances.
 
         The cophenetic distance between two leaves is the height of the
-        merge that first placed them in one cluster.
+        merge that first placed them in one cluster.  Each merge writes its
+        height to its ``|L|×|R|`` leaf pairs a block at a time, so no index
+        array exceeds ``COPHENETIC_BLOCK`` cells.
+
+        Args:
+            out: optional ``n(n-1)/2`` float64 array to fill (every cell is
+                written); a new one is allocated when omitted.
         """
         n = self.n_leaves
+        size = n * (n - 1) // 2
+        if out is None:
+            out = np.zeros(size, dtype=np.float64)
+        elif out.shape != (size,):
+            raise ValueError(f"expected {size} condensed cells, got {out.shape}")
+        starts = row_starts(n)
         leaves = np.arange(n)
-        # The condensed index of leaves (a, b), a < b, is row_start[a] + b.
-        row_start = leaves * (2 * n - 3 - leaves) // 2 - 1
-        coph = np.zeros(n * (n - 1) // 2, dtype=np.float64)
         component = {i: leaves[i:i + 1] for i in range(n)}
         for step in range(n - 1):
             left = component.pop(int(self.linkage[step, 0]))
             right = component.pop(int(self.linkage[step, 1]))
-            index = row_start[np.minimum.outer(left, right)]
-            index += np.maximum.outer(left, right)
-            coph[index] = self.linkage[step, 2]
+            height = self.linkage[step, 2]
+            columns = min(right.size, COPHENETIC_BLOCK)
+            rows = COPHENETIC_BLOCK // columns
+            for row in range(0, left.size, rows):
+                a = left[row:row + rows, None]
+                for column in range(0, right.size, columns):
+                    b = right[None, column:column + columns]
+                    index = starts[np.minimum(a, b)]
+                    index += np.maximum(a, b)
+                    out[index] = height
             component[n + step] = np.concatenate([left, right])
-        return coph
+        return out
 
-    def cophenetic_correlation(self, original: np.ndarray) -> float:
+    def cophenetic_correlation(
+        self, original: np.ndarray, *, out: np.ndarray | None = None
+    ) -> float:
         """Pearson correlation between cophenetic and original distances.
 
-        Both sides are condensed upper triangles, centred in place, so no
-        ``(n, n)`` array is built here.
+        Both sides are condensed upper triangles, and they are the only
+        ``n(n-1)/2``-sized arrays: *original* is centred and then squared
+        in place, and the cophenetic triangle is written into *out* twice,
+        once for the cross products and again for its own squares.  Every
+        sum runs over the same values in the same order as the textbook
+        three-array formula, so the coefficient has the same bits.
 
         Args:
             original: the condensed distances the tree was built from
-                (:func:`~repro.cluster.distance.condense`); centred in place.
+                (:func:`~repro.cluster.distance.condensed_halves`);
+                overwritten.
+            out: optional spare ``n(n-1)/2`` float64 array for the
+                cophenetic triangle, such as the dead working half of
+                :func:`~repro.cluster.linkage.upgma`'s buffer; overwritten.
 
         Raises:
             ValueError: when *original* is not ``n(n-1)/2`` long, such as a
                 square matrix.
         """
         x = np.asarray(original, dtype=np.float64)
-        y = self.cophenetic_condensed()
-        if x.shape != y.shape:
+        size = self.n_leaves * (self.n_leaves - 1) // 2
+        if x.shape != (size,):
             raise ValueError(
-                f"expected {y.size} condensed distances, got shape {x.shape}"
+                f"expected {size} condensed distances, got shape {x.shape}"
             )
         x -= x.mean()
-        y -= y.mean()
-        product = x * y
-        covariance = product.sum()
-        np.multiply(x, x, out=product)
-        x_squares = product.sum()
-        np.multiply(y, y, out=product)
-        denom = np.sqrt(x_squares * product.sum())
+        y = self.cophenetic_condensed(out)
+        y_mean = y.mean()
+        y -= y_mean
+        y *= x
+        covariance = y.sum()
+        x *= x
+        x_squares = x.sum()
+        self.cophenetic_condensed(y)
+        y -= y_mean
+        y *= y
+        denom = np.sqrt(x_squares * y.sum())
         if denom == 0:
             return 1.0
         return float(covariance / denom)

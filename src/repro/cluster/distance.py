@@ -1,12 +1,21 @@
-"""Pairwise distance computation for the clustering substrate."""
+"""Pairwise distance computation for the clustering substrate.
+
+Phase 3 keeps its distances in one ``(n, n)`` float64 buffer: the matrix
+:func:`euclidean_matrix` returns, whose strict upper triangle
+:func:`pack_upper` then packs in place into the buffer's first
+``n(n-1)/2`` cells (scipy's condensed order).  :func:`condensed_halves`
+names that first half and the equally long second half, where
+:func:`~repro.cluster.linkage.upgma` merges and the cophenetic triangle
+is later written.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Rows finished per block in :func:`euclidean_matrix`; bounds its one
-#: temporary at ``_BLOCK_ROWS × n`` floats.
-_BLOCK_ROWS = 256
+#: Cells finished per block in :func:`euclidean_matrix`; bounds its
+#: temporaries at this many floats whatever the row count.
+_BLOCK_CELLS = 1 << 13
 
 
 def euclidean_matrix(data: np.ndarray) -> np.ndarray:
@@ -32,8 +41,9 @@ def euclidean_matrix(data: np.ndarray) -> np.ndarray:
     # rows merge at height 0 (the weighted-UPGMA equivalence depends on
     # it).
     scale = float(squared_norms.max(initial=0.0))
-    for start in range(0, matrix.shape[0], _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
+    rows = max(1, _BLOCK_CELLS // max(1, matrix.shape[0]))
+    for start in range(0, matrix.shape[0], rows):
+        stop = start + rows
         block = matrix[start:stop]
         np.subtract(
             squared_norms[start:stop, None] + squared_norms[None, :],
@@ -48,25 +58,52 @@ def euclidean_matrix(data: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def condense(matrix: np.ndarray) -> np.ndarray:
-    """Condensed (upper-triangle, row-major) copy of a square matrix.
+def row_starts(n: int) -> np.ndarray:
+    """Offsets that place pair ``(i, j)``, ``i < j``, at ``row_starts[i] + j``.
 
-    Scipy's ``squareform`` order, copied row by row so that no index
-    arrays are built.
+    Scipy's condensed (upper-triangle, row-major) order over *n* points.
+    """
+    rows = np.arange(n)
+    return rows * (2 * n - 3 - rows) // 2 - 1
+
+
+def pack_upper(matrix: np.ndarray) -> np.ndarray:
+    """Pack a square matrix's strict upper triangle into its first cells.
+
+    Row by row, in condensed order, in the matrix's own buffer: each row's
+    cells land at or before where they are read from, so nothing is read
+    after it was overwritten.  Returns the packed ``n(n-1)/2`` cells as a
+    view; the rest of the buffer keeps stale values.
     """
     n = matrix.shape[0]
-    condensed = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    if matrix.shape != (n, n) or not matrix.flags.c_contiguous:
+        raise ValueError("pack_upper needs a C-contiguous square matrix")
+    flat = matrix.reshape(-1)
     start = 0
     for row in range(n - 1):
         stop = start + n - 1 - row
-        condensed[start:stop] = matrix[row, row + 1:]
+        source = row * n + row + 1
+        flat[start:stop] = flat[source:source + stop - start]
         start = stop
-    return condensed
+    return flat[:start]
+
+
+def condensed_halves(buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second ``n(n-1)/2`` cells of an ``(n, n)`` buffer."""
+    n = buffer.shape[0]
+    size = n * (n - 1) // 2
+    flat = buffer.reshape(-1)
+    return flat[:size], flat[size:2 * size]
+
+
+def condense(matrix: np.ndarray) -> np.ndarray:
+    """Condensed (upper-triangle, row-major) copy of a square matrix."""
+    return pack_upper(np.array(matrix, dtype=np.float64)).copy()
 
 
 def euclidean_condensed(data: np.ndarray) -> np.ndarray:
     """Condensed (upper-triangle, row-major) form, scipy-compatible."""
-    return condense(euclidean_matrix(data))
+    return pack_upper(euclidean_matrix(data)).copy()
 
 
 def unique_rows_with_weights(

@@ -15,15 +15,21 @@ update — the Lance–Williams recurrence
 ``d(k, i∪j) = (n_i·d(k,i) + n_j·d(k,j)) / (n_i + n_j)`` — uses the summed
 weights, making the result identical to UPGMA over the uncollapsed matrix.
 
-Output is a scipy-compatible ``Z`` linkage matrix, so results can be
-cross-checked against :func:`scipy.cluster.hierarchy.linkage` in tests.
+The merges run over a condensed triangle (one cell per pair of points) in
+the second half of the ``(n, n)`` distance buffer; the first half keeps
+the original distances for the cophenetic coefficient (see
+:mod:`repro.cluster.distance`).  Output is a scipy-compatible ``Z``
+linkage matrix, so results can be cross-checked against
+:func:`scipy.cluster.hierarchy.linkage` in tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from repro.cluster.distance import euclidean_matrix
+from repro.cluster.distance import euclidean_matrix, pack_upper, row_starts
 
 
 def upgma(
@@ -34,18 +40,24 @@ def upgma(
 ) -> np.ndarray:
     """UPGMA linkage of the rows of *data*.
 
-    Each merge joins the closest pair of live clusters: one ``argmin`` over
-    the whole working matrix, so a tie goes to the first such cell in
-    row-major order.  The run is O(n³).
+    The strict upper triangle of the distances is packed into the first
+    half of their buffer and copied into the second half, the working
+    triangle.  Each merge joins the closest pair of live clusters: one
+    ``argmin`` over the ``n(n-1)/2`` working cells, so a tie goes to the
+    first such pair in condensed order, which is also the first minimal
+    cell of the symmetric matrix in row-major order.  Merged and retired
+    cells hold ``inf``.  The run is O(n³).
 
     Args:
         data: ``(n, d)`` points (ignored when *distances* is given, except
             for its row count).
         weights: per-point multiplicities; defaults to all ones.
         distances: optional precomputed ``(n, n)`` distance matrix.  UPGMA
-            works in it instead of a copy (a float64 array is overwritten
-            with ``inf`` and merged-cluster distances), so pass a copy to
-            keep it.
+            works in it instead of a copy (a C-contiguous float64 array is
+            overwritten): afterwards its first ``n(n-1)/2`` cells hold the
+            original distances in condensed order and the next
+            ``n(n-1)/2`` are all ``inf``
+            (:func:`~repro.cluster.distance.condensed_halves`).
 
     Returns:
         ``(n-1, 4)`` linkage matrix: columns are the two merged cluster ids
@@ -59,36 +71,56 @@ def upgma(
     if distances is None:
         distances = euclidean_matrix(np.asarray(data, dtype=np.float64))
     else:
-        distances = np.asarray(distances, dtype=np.float64)
-        if distances.shape[0] != distances.shape[1]:
+        distances = np.ascontiguousarray(distances, dtype=np.float64)
+        if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
             raise ValueError("distance matrix must be square")
     n = distances.shape[0]
     if n < 2:
         raise ValueError("need at least two points to cluster")
     if weights is None:
-        sizes = np.ones(n, dtype=np.float64)
+        sizes = [1.0] * n
     else:
-        sizes = np.asarray(weights, dtype=np.float64).copy()
-        if sizes.shape != (n,):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
             raise ValueError("weights must have one entry per point")
-        if (sizes <= 0).any():
+        if (weights <= 0).any():
             raise ValueError("weights must be positive")
+        sizes = weights.tolist()
 
-    # Working matrix: np.inf marks the diagonal and retired clusters.
-    work = distances
-    np.fill_diagonal(work, np.inf)
-    active = np.ones(n, dtype=bool)
-    cluster_ids = np.arange(n)  # current linkage id of each slot
+    original = pack_upper(distances)
+    cells = original.size
+    work = distances.reshape(-1)[cells:2 * cells]
+    work[:] = original
+    return _merge(work, n, sizes)
+
+
+def _merge(work: np.ndarray, n: int, sizes: list[float]) -> np.ndarray:
+    """The n-1 merges over the condensed working triangle *work*."""
+    starts = row_starts(n)
+    start_of = starts.tolist()
+    # Pair (a, b), a < b, sits at start_of[a] + b; row a's cells end
+    # before ends[a].
+    ends = (starts + n).tolist()
+    cluster_ids = list(range(n))  # current linkage id of each slot
     linkage = np.zeros((n - 1, 4), dtype=np.float64)
+    inf = np.inf
+    # Slot s's cells: (k, s) for k < s at starts[:s] + s, then (s, k)
+    # for k > s as one contiguous run.  Rows are gathered as n values,
+    # with inf at the slot itself.
+    lower_i = np.empty(n, dtype=starts.dtype)
+    lower_j = np.empty(n, dtype=starts.dtype)
+    row_i = np.empty(n, dtype=np.float64)
+    row_j = np.empty(n, dtype=np.float64)
 
     for step in range(n - 1):
-        flat_index = int(np.argmin(work))
-        i, j = divmod(flat_index, n)
-        if not (active[i] and active[j]) or not np.isfinite(work[i, j]):
+        flat = int(work.argmin())
+        merge_distance = work[flat]
+        if not merge_distance < inf:
             raise AssertionError("linkage invariant violated")
+        i = bisect_right(ends, flat)
+        j = flat - start_of[i]
         if cluster_ids[i] > cluster_ids[j]:
             i, j = j, i
-        merge_distance = work[i, j]
         size_i, size_j = sizes[i], sizes[j]
         merged_size = size_i + size_j
 
@@ -98,13 +130,24 @@ def upgma(
         linkage[step, 3] = merged_size
 
         # Lance–Williams UPGMA update into slot i; retire slot j.
-        new_row = (size_i * work[i, :] + size_j * work[j, :]) / merged_size
-        work[i, :] = new_row
-        work[:, i] = new_row
-        work[i, i] = np.inf
-        work[j, :] = np.inf
-        work[:, j] = np.inf
-        active[j] = False
+        cells_i = np.add(starts[:i], i, out=lower_i[:i])
+        upper_i = slice(start_of[i] + i + 1, ends[i])
+        np.take(work, cells_i, out=row_i[:i])
+        row_i[i] = inf
+        row_i[i + 1:] = work[upper_i]
+        cells_j = np.add(starts[:j], j, out=lower_j[:j])
+        upper_j = slice(start_of[j] + j + 1, ends[j])
+        np.take(work, cells_j, out=row_j[:j])
+        row_j[j] = inf
+        row_j[j + 1:] = work[upper_j]
+        row_i *= size_i
+        row_j *= size_j
+        row_i += row_j
+        row_i /= merged_size
+        work[cells_i] = row_i[:i]
+        work[upper_i] = row_i[i + 1:]
+        work[cells_j] = inf
+        work[upper_j] = inf
         sizes[i] = merged_size
         cluster_ids[i] = n + step
 

@@ -15,10 +15,10 @@ so clustering runs over duplicate-collapsed prototypes and, beyond
 ``max_cluster_rows`` prototypes, over a seeded row subsample; every
 remaining training sample is then assigned to its nearest bicluster
 centroid (within the cluster's own radius), so signature training still
-sees the full corpus.  Phase 3 holds one ``(n, n)`` float64 distance
-matrix at a time for its n prototypes, plus that matrix's condensed upper
-triangle for the cophenetic coefficient; ``upgma`` merges in the matrix
-itself.
+sees the full corpus.  Phase 3 holds one ``(n, n)`` float64 buffer for
+its n prototypes: the distances' condensed upper triangle in its first
+half, ``upgma``'s working triangle in its second, which then holds the
+cophenetic triangle for the coefficient.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ class RequestParseError(ValueError):
     """Raised when a raw HTTP request cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HttpRequest:
     """One HTTP request as seen on the wire.
 

@@ -12,7 +12,13 @@ patterns of a ruleset for the classic blowup shapes:
   branches whose first-character sets intersect, giving the backtracker
   two ways to consume the same prefix;
 * **adjacent overlapping unbounded quantifiers** — ``\\s*\\s*`` /
-  ``a*a*``: ambiguous splits of a single run.
+  ``a*a*``: ambiguous splits of a single run;
+* **unanchored class run** — an unanchored pattern that can begin with an
+  unbounded run of a character class whose continuation can fail on a
+  character of that class (``[^a-z&]+=``, ``([^a-z&]+)?&``): ``findall``
+  starts a match at every character of such a run, and each start
+  re-scans the rest of the run before the continuation fails, so a run of
+  n characters costs O(n²).
 
 The analysis runs on the :mod:`repro.regexlib.nfa` syntax tree, so every
 finding is also *actionable*: any pattern the NFA subset accepts can be
@@ -157,6 +163,83 @@ def _walk(node: Node, findings: list[str], inside_unbounded: bool) -> None:
             _walk(child, findings, inside_unbounded)
 
 
+#: Characters tried when deciding whether a continuation can fail on a
+#: member of a run's class.
+_PROBE_ALPHABET = tuple(chr(code) for code in range(128))
+
+
+def _nullable(node: Node) -> bool:
+    """True when *node* can match the empty string."""
+    if node.kind == "char":
+        return False
+    if node.kind == "concat":
+        return all(_nullable(child) for child in node.children)
+    if node.kind == "alt":
+        return any(_nullable(child) for child in node.children)
+    if node.kind == "repeat":
+        return node.low == 0 or _nullable(node.children[0])
+    return True  # empty, boundary
+
+
+def _first_charsets(nodes) -> list[CharSet]:
+    """Character sets that can begin a non-empty match of *nodes* in turn."""
+    sets: list[CharSet] = []
+    for node in nodes:
+        if node.kind == "char":
+            assert node.charset is not None
+            sets.append(node.charset)
+        elif node.kind in ("concat", "repeat"):
+            sets.extend(_first_charsets(node.children))
+        elif node.kind == "alt":
+            for child in node.children:
+                sets.extend(_first_charsets((child,)))
+        if not _nullable(node):
+            break
+    return sets
+
+
+def _is_class(charset: CharSet) -> bool:
+    """A class of characters rather than one (case-folded) literal."""
+    return charset.negated or bool(charset.ranges) or len(charset.chars) > 1
+
+
+def _leading_runs(node: Node, tail: tuple, findings: list[str]) -> None:
+    """Check every unbounded class run that can begin a match of *node*.
+
+    *tail* holds the nodes that follow *node* up to the pattern's end: the
+    run's continuation.
+    """
+    if node.kind == "concat":
+        children = node.children
+        for index, child in enumerate(children):
+            _leading_runs(child, children[index + 1:] + tail, findings)
+            if not _nullable(child):
+                return
+        return
+    if node.kind == "alt":
+        for child in node.children:
+            _leading_runs(child, tail, findings)
+        return
+    if node.kind != "repeat":
+        return
+    child = node.children[0]
+    if not (_unbounded(node) and child.kind == "char"):
+        _leading_runs(child, tail, findings)
+        return
+    run = child.charset
+    assert run is not None
+    if not _is_class(run) or all(_nullable(after) for after in tail):
+        return
+    continuation = _first_charsets(tail)
+    for ch in _PROBE_ALPHABET:
+        if run.matches(ch) and not any(c.matches(ch) for c in continuation):
+            findings.append(
+                "unanchored class run whose continuation can fail inside "
+                "the class (quadratic under findall)"
+            )
+            return
+
+
 def lint_pattern(pattern: str) -> RedosReport:
     """Analyze one pattern for catastrophic-backtracking shapes."""
     try:
@@ -166,6 +249,8 @@ def lint_pattern(pattern: str) -> RedosReport:
         return RedosReport(pattern=pattern, analyzable=False)
     findings: list[str] = []
     _walk(tree, findings, inside_unbounded=False)
+    if not pattern.startswith("^"):
+        _leading_runs(tree, (), findings)
     # Deduplicate while keeping order.
     unique = list(dict.fromkeys(findings))
     return RedosReport(pattern=pattern, findings=unique)

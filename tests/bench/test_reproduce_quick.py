@@ -23,6 +23,7 @@ QUICK_SLUGS = {
     "table1_vulndb",
     "table2_feature_sources",
     "table4_rulesets",
+    "figure2_heatmap",
     "figure4_cumulative_tpr",
 }
 

@@ -8,6 +8,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from repro.cluster import Dendrogram, euclidean_condensed, upgma
 
+from . import full_matrix
+
 
 @pytest.fixture(scope="module")
 def points():
@@ -26,20 +28,10 @@ def dendrogram(points):
 
 
 def cophenetic_matrix(dendrogram):
-    """The oracle: the full ``(n, n)`` cophenetic matrix, filled one merge
-    at a time with the merge's height."""
-    n = dendrogram.n_leaves
-    coph = np.zeros((n, n), dtype=np.float64)
-    component = {i: [i] for i in range(n)}
-    for step in range(n - 1):
-        left = component.pop(int(dendrogram.linkage[step, 0]))
-        right = component.pop(int(dendrogram.linkage[step, 1]))
-        rows = np.array(left)[:, None]
-        cols = np.array(right)[None, :]
-        coph[rows, cols] = dendrogram.linkage[step, 2]
-        coph[cols.T, rows.T] = dendrogram.linkage[step, 2]
-        component[n + step] = left + right
-    return coph
+    """The oracle: the full ``(n, n)`` cophenetic matrix."""
+    return full_matrix.cophenetic_matrix(
+        dendrogram.linkage, dendrogram.n_leaves
+    )
 
 
 class TestConstruction:

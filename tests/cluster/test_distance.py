@@ -62,7 +62,7 @@ class TestEuclideanMatrix:
 
     @pytest.mark.parametrize("rows", [1, 7, 256, 600])
     def test_bits_match_textbook_expression(self, rows):
-        # 600 rows spans three in-place row blocks; the duplicated rows
+        # 600 rows spans many in-place row blocks; the duplicated rows
         # exercise the near-zero snap.
         data = np.random.default_rng(rows).normal(size=(rows, 9))
         data[rows // 2:] = data[: rows - rows // 2]

@@ -5,6 +5,7 @@ import pytest
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 
 from repro.cluster import (
+    condensed_halves,
     euclidean_matrix,
     unique_rows_with_weights,
     upgma,
@@ -113,9 +114,13 @@ class TestInputValidation:
         assert linkage[0, 2] == pytest.approx(1.0)
         assert linkage[1, 2] == pytest.approx(9.0)
 
-    def test_works_in_the_distances_it_is_handed(self, points):
+    def test_works_in_the_buffer_it_is_handed(self, points):
         distances = euclidean_matrix(points)
+        upper = distances[np.triu_indices(points.shape[0], k=1)]
         expected = upgma(points)
         assert np.array_equal(upgma(points, distances=distances), expected)
-        # No copy: the merges overwrote the matrix, leaving only inf.
-        assert np.isinf(distances).all()
+        # No copy: the first half keeps the original distances in
+        # condensed order, and the merges left the working half all inf.
+        original, spare = condensed_halves(distances)
+        assert np.array_equal(original, upper)
+        assert np.isinf(spare).all()

@@ -8,9 +8,37 @@ similar accuracy.  The golden-corpus workflow (DESIGN.md §13) depends
 on this: a recorded snapshot is only reproducible if training is.
 """
 
+import hashlib
+
 import numpy as np
 
 from repro.core import PSigenePipeline, signature_set_to_json
+
+#: The canonical small configuration's trained artifact, recorded from the
+#: full-matrix UPGMA loop (``tests/cluster/full_matrix.py``).  Two runs of
+#: one tree agree even when both flip the same UPGMA tie; these do not.
+SIGNATURES_SHA256 = (
+    "3352f3adcc57128739e0418c6b7481b70120c31dd3b2db7da96ac08f21c2b556"
+)
+LINKAGE_SHA256 = (
+    "3a4c0f7618edb26ce91dbe5a7e33d8a5c0a599cf9b09b827ab5486e8e8161792"
+)
+COPHENETIC_REPR = "0.7535690118714489"
+
+
+class TestPinnedArtifact:
+    def test_signature_json(self, small_result):
+        text = signature_set_to_json(small_result.signature_set)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == SIGNATURES_SHA256
+
+    def test_sample_linkage_bytes(self, small_result):
+        linkage = small_result.biclustering.sample_dendrogram.linkage
+        assert hashlib.sha256(linkage.tobytes()).hexdigest() == LINKAGE_SHA256
+
+    def test_cophenetic_correlation(self, small_result):
+        coefficient = small_result.biclustering.cophenetic_correlation
+        assert repr(coefficient) == COPHENETIC_REPR
 
 
 class TestSeedDeterminism:

@@ -15,6 +15,14 @@ class TestKnownBadShapes:
         (r"(x|xy|z)*w", "overlapping alternation"),
         (r"\s*\s*x", "adjacent overlapping"),
         (r"a*a+b", "adjacent overlapping"),
+        # findall restarts at every character of a run: each of these
+        # costs O(n²) on a run of n class characters.
+        (r"([^a-zA-Z&]+)?&|exists", "unanchored class run"),
+        (r"([^a-zA-Z&]+)?&", "unanchored class run"),
+        (r"[^a-zA-Z&]+=", "unanchored class run"),
+        (r"[^&]*=[0-9]+", "unanchored class run"),
+        (r"\s+select", "unanchored class run"),
+        (r"(?:\d+\s*,\s*){3,}\d+", "unanchored class run"),
     ])
     def test_flagged(self, pattern, expected):
         report = lint_pattern(pattern)
@@ -25,12 +33,14 @@ class TestKnownBadShapes:
 class TestKnownGoodShapes:
     @pytest.mark.parametrize("pattern", [
         r"union\s+select",
-        r"[^&]*=[0-9]+",
         r"sleep\s*\(\s*\d+",
         r"(abc|def)+x",          # disjoint branches
         r"a+b+c",                 # adjacent but non-overlapping
         r"\bselect\b",
         r"a{2,4}b",               # bounded repetition never blows up
+        r"[a-z]+",                # nothing after the run can fail
+        r"\d+\w",                 # the continuation accepts every digit
+        r"^[^&]+=",               # anchored: one start, not one per char
     ])
     def test_clean(self, pattern):
         report = lint_pattern(pattern)

@@ -222,6 +222,27 @@ class TestSignatureFileErrors:
         assert reason in message
 
 
+class TestMatchExplain:
+    def test_prints_the_redos_lint_counts(
+        self, small_signatures, tmp_path, capsys
+    ):
+        from repro.core import signature_set_to_json
+
+        path = tmp_path / "signatures.json"
+        path.write_text(signature_set_to_json(small_signatures))
+        assert main(["match", "explain", "-s", str(path)]) == 0
+        out = capsys.readouterr().out
+        served = re.search(
+            r"redos lint, served set: (\d+) of (\d+) patterns flagged", out
+        )
+        catalog = re.search(
+            r"redos lint, catalog: (\d+) of 477 patterns flagged", out
+        )
+        assert served and catalog, out
+        assert 1 <= int(served.group(1)) <= int(served.group(2))
+        assert int(catalog.group(1)) >= 3
+
+
 class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
