@@ -17,8 +17,6 @@ reject outcomes, and the TPR/FPR deltas land in the committed baseline
 plus the human-readable ``results/canary_loop.txt``.
 """
 
-import asyncio
-
 from benchlib import BenchResult
 from repro.canary import CanaryConfig, CanaryLoop, GatePolicy, TrainingState
 from repro.conformance import serial_verdicts
@@ -80,49 +78,39 @@ def _round_payload(completed) -> dict:
 def test_canary_loop_fleet(record, emit, tmp_path):
     state = TrainingState.train(2012)
 
-    async def scenario():
-        supervisor = FleetSupervisor(
-            PSigeneDetector(state.signature_set),
-            FleetConfig(
-                shards=SHARDS, gateway=GatewayConfig(queue_bound=512)
-            ),
-            source="bench:canary",
+    supervisor = FleetSupervisor(
+        PSigeneDetector(state.signature_set),
+        FleetConfig(shards=SHARDS, gateway=GatewayConfig(queue_bound=512)),
+        source="bench:canary",
+    )
+    loop = CanaryLoop(state, supervisor.store, config=CanaryConfig(
+        fresh_attacks=FRESH_ATTACKS,
+        benign_replay=BENIGN_REPLAY,
+        seed=7,
+        policy=POLICY,
+        runs_dir=str(tmp_path),
+    ))
+    supervisor.start()
+    try:
+        promoted = loop.run_round(fleet=supervisor)
+        assert promoted.decision.shadow.divergences == []
+        assert supervisor.version == promoted.generation_after
+
+        before = serial_verdicts(supervisor.store.current().detector, PROBES)
+        version_before = supervisor.version
+        rejected = loop.run_round(
+            sabotage=lambda s: s.with_threshold(SABOTAGE_THRESHOLD),
+            fleet=supervisor,
         )
-        loop = CanaryLoop(state, supervisor.store, config=CanaryConfig(
-            fresh_attacks=FRESH_ATTACKS,
-            benign_replay=BENIGN_REPLAY,
-            seed=7,
-            policy=POLICY,
-            runs_dir=str(tmp_path),
-        ))
-        await supervisor.start()
-        try:
-            promoted = await loop.run_round_fleet(supervisor)
-            assert promoted.decision.shadow.divergences == []
-            assert supervisor.version == promoted.generation_after
-
-            before = serial_verdicts(
-                supervisor.store.current().detector, PROBES
-            )
-            version_before = supervisor.version
-            rejected = await loop.run_round_fleet(
-                supervisor,
-                sabotage=lambda s: s.with_threshold(SABOTAGE_THRESHOLD),
-            )
-            assert not rejected.promoted
-            after = serial_verdicts(
-                supervisor.store.current().detector, PROBES
-            )
-            incumbent_unchanged = (
-                supervisor.version == version_before
-                and supervisor.store.staged_generations() == ()
-                and after == before
-            )
-            return promoted, rejected, incumbent_unchanged
-        finally:
-            await supervisor.stop()
-
-    promoted, rejected, incumbent_unchanged = asyncio.run(scenario())
+        assert not rejected.promoted
+        after = serial_verdicts(supervisor.store.current().detector, PROBES)
+        incumbent_unchanged = (
+            supervisor.version == version_before
+            and supervisor.store.staged_generations() == ()
+            and after == before
+        )
+    finally:
+        supervisor.stop()
 
     baseline = {
         "policy": POLICY.to_dict(),

@@ -30,7 +30,6 @@ Saved to ``results/serve_fleet.txt`` and the machine-readable baseline
 ``results/BENCH_serving.json`` guarded by ``scripts/ci_bench_guard.py``.
 """
 
-import asyncio
 import statistics
 
 from benchlib import BenchResult, corpus_digest
@@ -64,7 +63,7 @@ def test_serve_fleet_scaling(record, emit):
 
     passes = {shards: [] for shards in SHARD_COUNTS}
     for shards in PASS_ORDER:
-        report = asyncio.run(run_loadgen(
+        report = run_loadgen(
             detector,
             payloads,
             config=GatewayConfig(queue_bound=QUEUE_BOUND, policy="block"),
@@ -72,7 +71,7 @@ def test_serve_fleet_scaling(record, emit):
             connections=CONNECTIONS,
             window=WINDOW,
             slo_ms=SLO_MS,
-        ))
+        )
         # Closed-loop block policy: every request serviced.
         assert report.completed == report.requests
         assert report.shed == 0 and report.errors == 0
@@ -103,7 +102,7 @@ def test_serve_fleet_scaling(record, emit):
 
     # Overload: offer 2x single-shard capacity to a 2-shard fleet with
     # tight per-shard queues; it must shed, not collapse.
-    pressure = asyncio.run(run_loadgen(
+    pressure = run_loadgen(
         detector,
         payloads,
         config=GatewayConfig(queue_bound=PRESSURE_QUEUE_BOUND, policy="shed"),
@@ -111,7 +110,7 @@ def test_serve_fleet_scaling(record, emit):
         connections=CONNECTIONS,
         rate=2.0 * c1,
         slo_ms=SLO_MS,
-    ))
+    )
     assert pressure.completed + pressure.shed + pressure.errors == (
         pressure.requests
     )

@@ -18,7 +18,6 @@ each run's ``shed`` and ``completed`` change from run to run.
 Saved to ``results/serve_loadgen.txt``.
 """
 
-import asyncio
 
 import pytest
 
@@ -75,13 +74,13 @@ def test_serve_loadgen(detectors, record, emit):
     runs = []
     for detector in detectors:
         for bound in QUEUE_BOUNDS:
-            report = asyncio.run(run_loadgen(
+            report = run_loadgen(
                 detector,
                 payloads,
                 config=GatewayConfig(queue_bound=bound, policy="shed"),
                 connections=CONNECTIONS,
                 window=WINDOW,
-            ))
+            )
             assert report.completed + report.shed == report.requests
             latency = report.latency_ms
             runs.append({

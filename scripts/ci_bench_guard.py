@@ -191,7 +191,6 @@ def serving_probe(detector) -> dict:
     0.58 to 3.10 on a 2-vCPU host; the medians of alternated passes keep
     one slow pass from deciding the ratio.
     """
-    import asyncio
     import statistics
 
     from repro.serve import GatewayConfig, build_load_trace, run_loadgen
@@ -200,7 +199,7 @@ def serving_probe(detector) -> dict:
     payloads = trace.payloads()[:PROBE_PAYLOAD_COUNT]
     reports = {1: [], 2: []}
     for shards in PROBE_ORDER:
-        reports[shards].append(asyncio.run(run_loadgen(
+        reports[shards].append(run_loadgen(
             detector,
             payloads,
             config=GatewayConfig(
@@ -209,7 +208,7 @@ def serving_probe(detector) -> dict:
             shards=shards,
             connections=4,
             window=16,
-        )))
+        ))
     return {
         "requests": len(payloads),
         "c1_rps": statistics.median(r.throughput_rps for r in reports[1]),

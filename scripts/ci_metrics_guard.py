@@ -22,47 +22,45 @@ Usage: ``PYTHONPATH=src python scripts/ci_metrics_guard.py``
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import sys
 
 PAYLOADS = ["id=1' union select 1", "q=hello", "page=2"]
 
 
-async def _http(host: str, port: int, path: str) -> tuple[int, str]:
+def _http(host: str, port: int, path: str) -> tuple[int, str]:
     """Minimal GET; returns (status, body)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(f"GET {path} HTTP/1.1\r\nHost: ci\r\n\r\n".encode())
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: ci\r\n\r\n".encode())
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
     header, _, body = raw.partition(b"\r\n\r\n")
     return int(header.split()[1]), body.decode()
 
 
-async def _send_lines(host: str, port: int) -> None:
+def _send_lines(host: str, port: int) -> None:
     """Send :data:`PAYLOADS` on one connection, reading each answer."""
-    reader, writer = await asyncio.open_connection(host, port)
-    for payload in PAYLOADS:
-        writer.write(payload.encode() + b"\n")
-        await writer.drain()
-        await reader.readline()
-    writer.close()
-    await writer.wait_closed()
+    with socket.create_connection(
+        (host, port), timeout=30
+    ) as sock, sock.makefile("rb") as answers:
+        for payload in PAYLOADS:
+            sock.sendall(payload.encode() + b"\n")
+            answers.readline()
 
 
-async def _scrape(host: str, port: int) -> tuple[dict, dict]:
+def _scrape(host: str, port: int) -> tuple[dict, dict]:
     """Strict-parsed ``/metrics`` and decoded ``/stats`` of one port."""
     from repro.obs.prometheus import parse_exposition
 
-    status, body = await _http(host, port, "/metrics")
+    status, body = _http(host, port, "/metrics")
     if status != 200:
         raise AssertionError(f"/metrics returned HTTP {status}")
     families = parse_exposition(body)  # raises on malformed lines
     if not families:
         raise AssertionError("/metrics exposition is empty")
-    stats_status, stats_body = await _http(host, port, "/stats")
+    stats_status, stats_body = _http(host, port, "/stats")
     if stats_status != 200:
         raise AssertionError(f"/stats returned HTTP {stats_status}")
     return families, json.loads(stats_body)
@@ -84,17 +82,17 @@ def _check_inspected(counters: dict, expected: int) -> None:
         )
 
 
-async def _gateway() -> str:
+def _gateway() -> str:
     from repro.obs.prometheus import sample_value
     from repro.serve import DetectionGateway, SignatureStore
 
     gateway = DetectionGateway(SignatureStore(_detector()))
-    host, port = await gateway.start()
+    host, port = gateway.start()
     try:
-        await _send_lines(host, port)
-        families, stats = await _scrape(host, port)
+        _send_lines(host, port)
+        families, stats = _scrape(host, port)
     finally:
-        await gateway.stop()
+        gateway.stop()
     counters = stats["counters"]
     for short_name in ("inspected", "alerted"):
         exposed = sample_value(families, f"repro_{short_name}_total")
@@ -111,18 +109,18 @@ async def _gateway() -> str:
     )
 
 
-async def _fleet() -> str:
+def _fleet() -> str:
     from repro.serve import FleetConfig, FleetSupervisor
 
     supervisor = FleetSupervisor(_detector(), FleetConfig(shards=2))
-    host, port = await supervisor.start()
+    host, port = supervisor.start()
     try:
         # Several connections, so that the kernel hands both shards some.
         for _ in range(4):
-            await _send_lines(host, port)
-        families, stats = await _scrape(*supervisor.control_address)
+            _send_lines(host, port)
+        families, stats = _scrape(*supervisor.control_address)
     finally:
-        await supervisor.stop()
+        supervisor.stop()
     expected = {"fleet": stats["fleet"]["counters"]}
     for shard, info in stats["shards"].items():
         expected[shard] = info["counters"]
@@ -158,7 +156,7 @@ def main() -> int:
     """Run the guard; returns a process exit code."""
     try:
         for scenario in (_gateway, _fleet):
-            print(asyncio.run(scenario()))
+            print(scenario())
     except Exception as error:  # noqa: BLE001 - CI wants any failure loud
         print(f"metrics guard FAILED: {error}", file=sys.stderr)
         return 1

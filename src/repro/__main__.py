@@ -278,8 +278,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.serve import (
         GatewayConfig,
         build_load_trace,
@@ -300,7 +298,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         n_vulnerabilities=args.vulnerabilities,
     )
     items = trace.requests if framed else trace.payloads()
-    report = asyncio.run(run_loadgen(
+    report = run_loadgen(
         detector,
         items[: args.requests] or items,
         config=GatewayConfig(
@@ -313,7 +311,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         slo_ms=args.slo_ms,
         check_parity=args.check_parity,
-    ))
+    )
     print(format_report(report))
     if args.check_parity and not report.parity_ok:
         return 4
@@ -587,8 +585,6 @@ def _print_canary_round(completed) -> None:
 
 
 def _cmd_canary_run(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.canary import (
         CanaryConfig,
         CanaryLoop,
@@ -626,22 +622,17 @@ def _cmd_canary_run(args: argparse.Namespace) -> int:
     if args.shards > 0:
         from repro.serve import FleetConfig, FleetSupervisor
 
-        async def fleet_round():
-            supervisor = FleetSupervisor(
-                PSigeneDetector(state.signature_set),
-                FleetConfig(shards=args.shards),
-                source="canary:incumbent",
-            )
-            loop = CanaryLoop(state, supervisor.store, config=config)
-            await supervisor.start()
-            try:
-                return await loop.run_round_fleet(
-                    supervisor, sabotage=sabotage
-                )
-            finally:
-                await supervisor.stop()
-
-        completed = asyncio.run(fleet_round())
+        supervisor = FleetSupervisor(
+            PSigeneDetector(state.signature_set),
+            FleetConfig(shards=args.shards),
+            source="canary:incumbent",
+        )
+        loop = CanaryLoop(state, supervisor.store, config=config)
+        supervisor.start()
+        try:
+            completed = loop.run_round(sabotage=sabotage, fleet=supervisor)
+        finally:
+            supervisor.stop()
     else:
         store = SignatureStore(
             PSigeneDetector(state.signature_set), source="canary:incumbent"

@@ -16,16 +16,18 @@ hand" becomes "retrain, shadow, gate, promote":
 3. **Shadow** (:mod:`repro.canary.shadow`) — the candidate is staged
    through :meth:`~repro.serve.store.SignatureStore.stage_json` (never
    published) and mirrored traffic is scored against it while the
-   incumbent keeps answering; a conformance-style differential pass
-   proves the live verdicts were untouched.
+   incumbent keeps answering, in process or over a live fleet's data
+   port; a conformance-style differential pass proves the live verdicts
+   were untouched.
 4. **Gate** (:mod:`repro.canary.gate`) — candidate-vs-incumbent deltas
    (TPR on fresh attacks, an FPR budget on benign replay, per-signature
    churn) decide promotion; a rejection is a structured record, not a
    silent drop.
 5. **Promote** (:mod:`repro.canary.loop`) — only a gated candidate
-   commits, via the store's two-phase ``commit_staged`` or the fleet
-   supervisor's atomic two-phase reload; every round lands in a
-   promotion-history manifest under ``runs/``.
+   commits, via the store's two-phase ``commit_staged`` or, when the
+   round runs against a live fleet, the supervisor's atomic two-phase
+   reload; every round lands in a promotion-history manifest under
+   ``runs/``.
 
 ``repro canary run|status|history`` drives the loop from the CLI; the
 whole round is traced (``canary.round`` spans) and counted
@@ -64,11 +66,7 @@ from repro.canary.refresh import (
     rebicluster_update,
     refresh_candidate,
 )
-from repro.canary.shadow import (
-    ShadowReport,
-    shadow_with_fleet,
-    shadow_with_store,
-)
+from repro.canary.shadow import ShadowReport, shadow_candidate
 
 __all__ = [
     "CanaryConfig",
@@ -96,8 +94,7 @@ __all__ = [
     "read_history",
     "rebicluster_update",
     "refresh_candidate",
-    "shadow_with_fleet",
-    "shadow_with_store",
+    "shadow_candidate",
     "signature_churn",
     "validate_round",
 ]

@@ -1,11 +1,10 @@
 """The closed loop: ingest → refresh → shadow → gate → promote.
 
 One :meth:`CanaryLoop.run_round` call is one complete continual-learning
-round against a single-process :class:`~repro.serve.store.SignatureStore`;
-:meth:`CanaryLoop.run_round_fleet` is the same round against a live
-:class:`~repro.serve.supervisor.FleetSupervisor`, where the shadow pass
-rides the real data plane and a promotion commits through the fleet's
-atomic two-phase reload.
+round against a single-process :class:`~repro.serve.store.SignatureStore`,
+or against a live :class:`~repro.serve.supervisor.FleetSupervisor`
+serving that store, where the shadow pass rides the real data plane and
+a promotion commits through the fleet's atomic two-phase reload.
 
 The loop owns three invariants the stages cannot each enforce alone:
 
@@ -37,7 +36,7 @@ from repro.canary.gate import (
 from repro.canary.history import HISTORY_SCHEMA, append_round
 from repro.canary.ledger import CorpusLedger
 from repro.canary.refresh import refresh_candidate
-from repro.canary.shadow import shadow_with_fleet, shadow_with_store
+from repro.canary.shadow import shadow_candidate
 from repro.conformance.harness import default_training_config
 from repro.core.pipeline import PipelineResult, PSigenePipeline
 from repro.core.serialize import signature_set_to_json
@@ -315,41 +314,6 @@ class CanaryLoop:
             strategy=self.config.refresh_strategy,
         )
 
-    def _finish(
-        self,
-        *,
-        mode: str,
-        strategy: str,
-        generation_before: int,
-        generation_after: int,
-        ingested: dict[str, int],
-        drift: dict,
-        decision: GateDecision,
-        stage_wall_s: dict[str, float],
-    ) -> CanaryRound:
-        outcome = "promoted" if decision.promoted else "rejected"
-        completed = CanaryRound(
-            index=len(self.rounds),
-            outcome=outcome,
-            mode=mode,
-            strategy=strategy,
-            generation_before=generation_before,
-            generation_after=generation_after,
-            ledger_version=self.ledger.version,
-            ingested=ingested,
-            drift=drift,
-            decision=decision,
-            stage_wall_s=stage_wall_s,
-        )
-        self.rounds.append(completed)
-        self._rounds_total.inc()
-        (self._promotions if completed.promoted else self._rejections).inc()
-        self._divergences.inc(len(decision.shadow.divergences))
-        self._round_seconds.observe(sum(stage_wall_s.values()))
-        if self.config.runs_dir is not None:
-            append_round(completed.to_dict(), runs_dir=self.config.runs_dir)
-        return completed
-
     # -- complete rounds -----------------------------------------------
 
     def run_round(
@@ -358,8 +322,20 @@ class CanaryLoop:
         benign: list[str] | None = None,
         *,
         sabotage: Callable[[SignatureSet], SignatureSet] | None = None,
+        fleet=None,
     ) -> CanaryRound:
-        """One complete round against the store (in-process shadow).
+        """One complete round against the store, or against a live fleet.
+
+        Without ``fleet`` the shadow pass runs in process and a
+        promotion commits the staged candidate on the store.  With
+        ``fleet`` — a started
+        :class:`~repro.serve.supervisor.FleetSupervisor` whose reference
+        store is ``self.store`` — the shadow pass mirrors traffic over
+        its shared data port, and a promotion commits through
+        :meth:`~repro.serve.supervisor.FleetSupervisor.reload_json`: the
+        atomic two-phase fleet reload, which re-stages the shadowed
+        generation (double-staging replaces cleanly) and flips every
+        shard or none.
 
         Args:
             attacks: fresh attack payloads to ingest; generated when
@@ -370,10 +346,16 @@ class CanaryLoop:
                 refresh and shadow — e.g.
                 ``lambda s: s.with_threshold(0.05)`` injects an FPR
                 budget violation the gate must catch.
+            fleet: the fleet serving the store, if any.
         """
+        if fleet is not None and fleet.store is not self.store:
+            raise ValueError(
+                "the supervisor's reference store must be the loop's store"
+            )
+        mode = "store" if fleet is None else "fleet"
         walls: dict[str, float] = {}
         generation_before = self.store.version
-        with obs_trace.span("canary.round", mode="store"):
+        with obs_trace.span("canary.round", mode=mode):
             with _stage(walls, "ingest"):
                 ingested = self._ingest(attacks, benign)
             with _stage(walls, "refresh"):
@@ -384,98 +366,48 @@ class CanaryLoop:
                 candidate_json = signature_set_to_json(candidate)
             generation = generation_before + 1
             with _stage(walls, "shadow", generation=generation):
-                shadow = shadow_with_store(
+                shadow = shadow_candidate(
                     self.store,
                     candidate_json,
                     generation=generation,
                     attacks=self.ledger.pending("attack"),
                     benign=self.ledger.pending("benign"),
                     source=self.config.source,
+                    fleet=fleet,
                 )
             with _stage(walls, "gate"):
                 churn = signature_churn(self.state.signature_set, candidate)
                 decision = evaluate_gate(shadow, churn, self.config.policy)
             with _stage(walls, "promote", promoted=decision.promoted):
                 if decision.promoted:
-                    self.store.commit_staged(generation)
+                    if fleet is None:
+                        self.store.commit_staged(generation)
+                    else:
+                        fleet.reload_json(
+                            candidate_json, source=self.config.source
+                        )
                     self.state.result = outcome.result
                     self.ledger.mark_consumed()
                 else:
                     self.store.abort_staged(generation)
-        return self._finish(
-            mode="store",
+        completed = CanaryRound(
+            index=len(self.rounds),
+            outcome="promoted" if decision.promoted else "rejected",
+            mode=mode,
             strategy=outcome.strategy,
             generation_before=generation_before,
             generation_after=self.store.version,
+            ledger_version=self.ledger.version,
             ingested=ingested,
             drift=outcome.drift.to_dict(),
             decision=decision,
             stage_wall_s=walls,
         )
-
-    async def run_round_fleet(
-        self,
-        supervisor,
-        attacks: list[str] | None = None,
-        benign: list[str] | None = None,
-        *,
-        sabotage: Callable[[SignatureSet], SignatureSet] | None = None,
-    ) -> CanaryRound:
-        """One complete round against a live fleet.
-
-        The shadow pass mirrors traffic over the real shared data port;
-        a promotion commits through
-        :meth:`~repro.serve.supervisor.FleetSupervisor.reload_json` —
-        the atomic two-phase fleet reload, which re-stages the shadowed
-        generation (double-staging replaces cleanly) and flips every
-        shard or none.
-
-        The supervisor's reference store must be ``self.store``.
-        """
-        if supervisor.store is not self.store:
-            raise ValueError(
-                "the supervisor's reference store must be the loop's store"
-            )
-        walls: dict[str, float] = {}
-        generation_before = self.store.version
-        with obs_trace.span("canary.round", mode="fleet"):
-            with _stage(walls, "ingest"):
-                ingested = self._ingest(attacks, benign)
-            with _stage(walls, "refresh"):
-                outcome = self._refresh()
-                candidate = outcome.candidate
-                if sabotage is not None:
-                    candidate = sabotage(candidate)
-                candidate_json = signature_set_to_json(candidate)
-            generation = generation_before + 1
-            with _stage(walls, "shadow", generation=generation):
-                shadow = await shadow_with_fleet(
-                    supervisor,
-                    candidate_json,
-                    generation=generation,
-                    attacks=self.ledger.pending("attack"),
-                    benign=self.ledger.pending("benign"),
-                    source=self.config.source,
-                )
-            with _stage(walls, "gate"):
-                churn = signature_churn(self.state.signature_set, candidate)
-                decision = evaluate_gate(shadow, churn, self.config.policy)
-            with _stage(walls, "promote", promoted=decision.promoted):
-                if decision.promoted:
-                    await supervisor.reload_json(
-                        candidate_json, source=self.config.source
-                    )
-                    self.state.result = outcome.result
-                    self.ledger.mark_consumed()
-                else:
-                    self.store.abort_staged(generation)
-        return self._finish(
-            mode="fleet",
-            strategy=outcome.strategy,
-            generation_before=generation_before,
-            generation_after=self.store.version,
-            ingested=ingested,
-            drift=outcome.drift.to_dict(),
-            decision=decision,
-            stage_wall_s=walls,
-        )
+        self.rounds.append(completed)
+        self._rounds_total.inc()
+        (self._promotions if completed.promoted else self._rejections).inc()
+        self._divergences.inc(len(decision.shadow.divergences))
+        self._round_seconds.observe(sum(walls.values()))
+        if self.config.runs_dir is not None:
+            append_round(completed.to_dict(), runs_dir=self.config.runs_dir)
+        return completed

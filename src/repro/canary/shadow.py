@@ -12,8 +12,9 @@ guarantees fall out, both checked here rather than assumed:
   a conformance-style differential pass (same
   :class:`~repro.conformance.verdict.Verdict` normal form, same
   :func:`~repro.conformance.verdict.diff_verdicts`) whose divergence
-  list must be empty.  In fleet mode the post-stage verdicts travel the
-  real data plane — ``SO_REUSEPORT`` balancing, admission queues, wire
+  list must be empty.  In store mode the store's detector answers in
+  process; in fleet mode the post-stage verdicts travel the fleet's real
+  data plane — ``SO_REUSEPORT`` balancing, admission queues, wire
   framing — so the pass covers everything a promotion would ship through.
 - **The deltas are measured on labeled traffic.**  Mirrored payloads are
   fresh attacks (TPR) and benign replay (FPR), so the gate sees
@@ -33,7 +34,7 @@ from repro.conformance.verdict import (
 )
 from repro.serve.store import SignatureStore, StoreError
 
-__all__ = ["ShadowReport", "shadow_with_fleet", "shadow_with_store"]
+__all__ = ["ShadowReport", "shadow_candidate"]
 
 
 @dataclass(frozen=True)
@@ -100,32 +101,6 @@ def _alert_rate(verdicts: list[Verdict]) -> float:
     return sum(1 for v in verdicts if v.alert) / len(verdicts)
 
 
-def _build_report(
-    *,
-    mode: str,
-    generation: int,
-    n_attacks: int,
-    n_benign: int,
-    live: list[Verdict],
-    shadow: list[Verdict],
-    divergences: list[Divergence],
-) -> ShadowReport:
-    return ShadowReport(
-        mode=mode,
-        generation=generation,
-        n_attacks=n_attacks,
-        n_benign=n_benign,
-        incumbent_tpr=_alert_rate(live[:n_attacks]),
-        candidate_tpr=_alert_rate(shadow[:n_attacks]),
-        incumbent_fpr=_alert_rate(live[n_attacks:]),
-        candidate_fpr=_alert_rate(shadow[n_attacks:]),
-        verdict_flips=sum(
-            1 for a, b in zip(live, shadow) if a.alert != b.alert
-        ),
-        divergences=divergences,
-    )
-
-
 def _staged_detector(store: SignatureStore, generation: int):
     staged = store.get_staged(generation)
     if staged is None:
@@ -137,7 +112,7 @@ def _staged_detector(store: SignatureStore, generation: int):
     return staged.detector
 
 
-def shadow_with_store(
+def shadow_candidate(
     store: SignatureStore,
     candidate_json: str,
     *,
@@ -145,92 +120,66 @@ def shadow_with_store(
     attacks: list[str],
     benign: list[str],
     source: str = "canary",
+    fleet=None,
 ) -> ShadowReport:
-    """Stage *candidate_json* on *store* and mirror traffic in-process.
+    """Stage *candidate_json* on *store* and mirror traffic behind it.
 
     The incumbent's verdicts are captured before staging; after staging
-    the published detector answers again and any disagreement becomes a
-    divergence.  The staged candidate is left staged — the caller's gate
-    decides between ``commit_staged`` and ``abort_staged``.
+    the live path answers again and any disagreement becomes a
+    divergence.  Without *fleet* the live path is the store's published
+    detector, in process.  With *fleet* — a started
+    :class:`~repro.serve.supervisor.FleetSupervisor` whose reference
+    store is *store* — the live verdicts travel its shared data port,
+    so the differential pass exercises kernel connection balancing,
+    per-shard admission and wire framing.  Either way the candidate is
+    staged on *store* only, and left staged: the caller's gate decides
+    between committing it (``commit_staged``, or the fleet's two-phase
+    reload, which re-stages it on every shard) and ``abort_staged``.
 
     Raises:
+        ValueError: in fleet mode, a mirrored payload holds a line break.
         StoreError: the candidate failed to parse, warm, or stage; the
             store is left exactly as it was.
+        ConformanceError: in fleet mode, the fleet failed to answer a
+            mirrored payload (shed or error under the sized queue bound
+            — a serving defect, not a gate signal).
     """
     payloads = list(attacks) + list(benign)
+    if fleet is not None:
+        from repro.serve.loadgen import replay
+        from repro.serve.protocol import encode_line
+
+        # Encoding rejects a payload with a line break before anything
+        # is staged (fresh_attack_batch collapses breaks to spaces).
+        wires = [encode_line(payload) for payload in payloads]
     baseline = serial_verdicts(store.current().detector, payloads)
     store.stage_json(candidate_json, generation=generation, source=source)
-    live = serial_verdicts(store.current().detector, payloads)
+    if fleet is None:
+        mode, live_name = "store", "incumbent-live"
+        live = serial_verdicts(store.current().detector, payloads)
+    else:
+        mode, live_name = "fleet", "fleet-live"
+        host, port = fleet.data_address
+        responses, _latencies, _duration = replay(
+            host, port, wires, connections=4, window=32
+        )
+        live = verdicts_from_responses(responses, "fleet")
     divergences = diff_verdicts(
-        "incumbent-prestage", baseline, "incumbent-live", live, payloads
+        "incumbent-prestage", baseline, live_name, live, payloads
     )
     shadow = serial_verdicts(_staged_detector(store, generation), payloads)
-    return _build_report(
-        mode="store",
+    n_attacks = len(attacks)
+    return ShadowReport(
+        mode=mode,
         generation=generation,
-        n_attacks=len(attacks),
+        n_attacks=n_attacks,
         n_benign=len(benign),
-        live=live,
-        shadow=shadow,
-        divergences=divergences,
-    )
-
-
-async def shadow_with_fleet(
-    supervisor,
-    candidate_json: str,
-    *,
-    generation: int,
-    attacks: list[str],
-    benign: list[str],
-    source: str = "canary",
-    connections: int = 4,
-    window: int = 32,
-) -> ShadowReport:
-    """Stage on the supervisor's reference store, mirror over the wire.
-
-    The candidate is staged on the fleet's *reference* store only — no
-    shard spends cycles until the gate decides to promote (a promotion
-    re-stages fleet-wide through the two-phase reload; double-staging
-    the same generation replaces cleanly).  Live verdicts travel the
-    real shared data port, so the differential pass exercises kernel
-    connection balancing, per-shard admission, and wire framing.
-
-    Args:
-        supervisor: a started :class:`~repro.serve.supervisor.FleetSupervisor`.
-
-    Raises:
-        ValueError: a mirrored payload holds a line break.
-        StoreError: the candidate failed to parse, warm, or stage.
-        ConformanceError: the fleet failed to answer a mirrored payload
-            (shed or error under the sized queue bound — a serving
-            defect, not a gate signal).
-    """
-    from repro.serve.loadgen import replay
-    from repro.serve.protocol import encode_line
-
-    payloads = list(attacks) + list(benign)
-    # Encoding rejects a payload with a line break before anything is
-    # staged (fresh_attack_batch collapses breaks to spaces).
-    wires = [encode_line(payload) for payload in payloads]
-    store = supervisor.store
-    baseline = serial_verdicts(store.current().detector, payloads)
-    store.stage_json(candidate_json, generation=generation, source=source)
-    host, port = supervisor.data_address
-    responses, _latencies, _duration = await replay(
-        host, port, wires, connections=connections, window=window
-    )
-    live = verdicts_from_responses(responses, "fleet")
-    divergences = diff_verdicts(
-        "incumbent-prestage", baseline, "fleet-live", live, payloads
-    )
-    shadow = serial_verdicts(_staged_detector(store, generation), payloads)
-    return _build_report(
-        mode="fleet",
-        generation=generation,
-        n_attacks=len(attacks),
-        n_benign=len(benign),
-        live=live,
-        shadow=shadow,
+        incumbent_tpr=_alert_rate(live[:n_attacks]),
+        candidate_tpr=_alert_rate(shadow[:n_attacks]),
+        incumbent_fpr=_alert_rate(live[n_attacks:]),
+        candidate_fpr=_alert_rate(shadow[n_attacks:]),
+        verdict_flips=sum(
+            1 for a, b in zip(live, shadow) if a.alert != b.alert
+        ),
         divergences=divergences,
     )

@@ -54,17 +54,6 @@ class FuzzBudget:
     benign: int
     mutated: int
 
-    @property
-    def approximate_total(self) -> int:
-        """Rough corpus size (before dedup)."""
-        return (
-            self.attacks
-            + self.benign
-            + self.mutated * len(MUTATORS)
-            + len(_ADVERSARIAL_BASES) * 2
-            + len(_STATIC_EDGES)
-        )
-
 
 #: Named budgets: ``small`` fits a CI step, ``large`` a nightly soak.
 BUDGETS: dict[str, FuzzBudget] = {

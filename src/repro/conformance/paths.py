@@ -14,7 +14,6 @@ takes any :class:`~repro.ids.engine.Detector`.
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import pickle
 
@@ -232,41 +231,53 @@ class GatewayPath(DetectorPath):
         """Start a gateway (a fleet with ``shards``), replay, stop it.
 
         With ``midstream_json`` the fleet re-deploys that signature set
-        as its next generation while the replay is in flight.
+        as its next generation, from a thread, while the replay is in
+        flight.
         """
+        import threading
+        import time
+
         from repro.serve.gateway import DetectionGateway, GatewayConfig
         from repro.serve.loadgen import replay
         from repro.serve.store import SignatureStore
         from repro.serve.supervisor import FleetConfig, FleetSupervisor
 
         config = GatewayConfig(queue_bound=max(64, len(wires)), policy="block")
+        if shards is None:
+            server = DetectionGateway(SignatureStore(detector), config)
+        else:
+            server = FleetSupervisor(
+                detector, FleetConfig(shards=shards, gateway=config)
+            )
+        host, port = server.start()
+        failed: list[Exception] = []
 
-        async def _serve_and_replay() -> list[dict | None]:
-            if shards is None:
-                server = DetectionGateway(SignatureStore(detector), config)
-            else:
-                server = FleetSupervisor(
-                    detector, FleetConfig(shards=shards, gateway=config)
-                )
-            host, port = await server.start()
+        def reload() -> None:
+            # Let some payloads land on the current generation, then
+            # flip the whole fleet mid-stream.
+            time.sleep(0.05)
             try:
-                replaying = asyncio.get_running_loop().create_task(replay(
-                    host, port, wires,
-                    connections=self.connections, window=self.window,
-                ))
-                if midstream_json is not None:
-                    # Let some payloads land on the current generation,
-                    # then flip the whole fleet mid-stream.
-                    await asyncio.sleep(0.05)
-                    await server.reload_json(
-                        midstream_json, source="conformance-midstream"
-                    )
-                responses, _latencies, _duration = await replaying
-            finally:
-                await server.stop()
-            return responses
+                server.reload_json(
+                    midstream_json, source="conformance-midstream"
+                )
+            except Exception as error:  # re-raised after the replay
+                failed.append(error)
 
-        return asyncio.run(_serve_and_replay())
+        reloader = threading.Thread(target=reload)
+        try:
+            if midstream_json is not None:
+                reloader.start()
+            responses, _latencies, _duration = replay(
+                host, port, wires,
+                connections=self.connections, window=self.window,
+            )
+        finally:
+            if reloader.is_alive():
+                reloader.join()
+            server.stop()
+        if failed:
+            raise failed[0]
+        return responses
 
 
 class SurfacesLegacyParityPath(DetectorPath):

@@ -128,10 +128,6 @@ class PipelineResult:
             })
         return rows
 
-    def centroid_of(self, bicluster: Bicluster) -> np.ndarray:
-        """Raw-count centroid of a bicluster's training rows."""
-        return self.matrix.counts[bicluster.sample_indices].mean(axis=0)
-
 
 class PSigenePipeline:
     """Runs the four phases; see module docstring for a quickstart."""

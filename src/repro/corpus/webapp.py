@@ -104,10 +104,6 @@ class VulnerableWebApp:
     def __len__(self) -> int:
         return len(self.points)
 
-    def point_at(self, path: str) -> InjectionPoint | None:
-        """The injection point at *path*, if any."""
-        return self._by_path.get(path)
-
     def union_column_count(self, path: str) -> int:
         """Ground-truth column count (what ORDER BY probing converges to)."""
         return self._columns[path]

@@ -14,8 +14,9 @@ patterns of a ruleset for the classic blowup shapes:
 * **adjacent overlapping unbounded quantifiers** — ``\\s*\\s*`` /
   ``a*a*``: ambiguous splits of a single run;
 * **unanchored class run** — an unanchored pattern that can begin with an
-  unbounded run of a character class whose continuation can fail on a
-  character of that class (``[^a-z&]+=``, ``([^a-z&]+)?&``): ``findall``
+  unbounded run of a character class, one literal character included,
+  whose continuation can fail on a character of that class
+  (``[^a-z&]+=``, ``([^a-z&]+)?&``, ``a+b``): ``findall``
   starts a match at every character of such a run, and each start
   re-scans the rest of the run before the continuation fails, so a run of
   n characters costs O(n²).
@@ -198,11 +199,6 @@ def _first_charsets(nodes) -> list[CharSet]:
     return sets
 
 
-def _is_class(charset: CharSet) -> bool:
-    """A class of characters rather than one (case-folded) literal."""
-    return charset.negated or bool(charset.ranges) or len(charset.chars) > 1
-
-
 def _leading_runs(node: Node, tail: tuple, findings: list[str]) -> None:
     """Check every unbounded class run that can begin a match of *node*.
 
@@ -228,7 +224,7 @@ def _leading_runs(node: Node, tail: tuple, findings: list[str]) -> None:
         return
     run = child.charset
     assert run is not None
-    if not _is_class(run) or all(_nullable(after) for after in tail):
+    if all(_nullable(after) for after in tail):
         return
     continuation = _first_charsets(tail)
     for ch in _PROBE_ALPHABET:

@@ -11,7 +11,10 @@ block/shed backpressure, and live telemetry.  ``repro serve
 --shards N`` scales the same data plane across N worker processes on
 one shared port under a supervising control plane
 (:mod:`repro.serve.supervisor`) with atomic two-phase fleet reloads.
-``repro loadgen`` replays scanner/benign traffic against either —
+Every server here is one ``selectors`` loop; in process, a gateway's or
+a fleet's ``start()`` runs it on a thread and ``stop()`` drains it and
+joins that thread.  ``repro loadgen`` replays scanner/benign traffic
+against either from a ``selectors`` client in the calling thread —
 closed-loop for capacity, open-loop at a fixed offered rate for
 overload behaviour — and checks alert parity with the offline engine.
 See DESIGN.md §11 and §15.
@@ -46,8 +49,8 @@ __all__ = [
 
 # Every submodule loads on first use: one gateway needs neither the
 # fleet nor the load driver (which loads the scanners and the evaluation
-# code), and the wire codec (``repro.serve.protocol``) needs no event
-# loop, so importing it alone loads neither asyncio nor the gateway.
+# code), and importing the wire codec (``repro.serve.protocol``) alone
+# does not load the gateway.
 __getattr__ = lazy_exports(__name__, {
     "admission": (
         "AdmissionController", "BackpressurePolicy", "QueueClosed", "Shed",

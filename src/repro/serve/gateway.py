@@ -10,11 +10,10 @@ Structure (one listening port, both dialects of ``protocol.py``):
   current :class:`~repro.serve.store.StoreVersion` **at admission time**
   — a hot-swap never changes which signature generation answers an
   already-admitted request.  The request joins one gateway-wide FIFO
-  backlog together with its sink: the connection it came on, or an
-  in-process caller.  Refusals and protocol errors wait in the same
-  backlog, so every connection is answered strictly in request order and
-  clients correlate by position exactly like the offline engine's
-  per-index ``EngineRun`` vectors.
+  backlog together with the connection it came on.  Refusals and
+  protocol errors wait in the same backlog, so every connection is
+  answered strictly in request order and clients correlate by position
+  exactly like the offline engine's per-index ``EngineRun`` vectors.
 - After the round's reads, one drain step answers the whole backlog in
   order with ``detector.inspect`` (pure CPU, microseconds per payload —
   see Experiment 4 — so it runs on the loop; process fan-out stays in
@@ -32,10 +31,10 @@ blocks.
 and a fleet shard runs it with its supervisor pipe on the same selector
 (:meth:`add_reader`).  The fleet supervisor serves its control port on
 the same loop and HTTP exchange, answering its own routes in place of
-the gateway's (:mod:`repro.serve.supervisor`).  In-process callers use
-the ``async`` :meth:`~DetectionGateway.start` /
-:meth:`~DetectionGateway.stop` facade, which runs the same loop on a
-thread, and :meth:`inspect`, which hands a request to that thread.
+the gateway's (:mod:`repro.serve.supervisor`).  In process,
+:meth:`~DetectionGateway.start` runs the same loop on a thread and
+:meth:`~DetectionGateway.stop` drains it and joins that thread; clients
+reach it over its port like any other.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ import signal
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.obs.prometheus import render_exposition
 from repro.serve.admission import (
@@ -183,27 +181,6 @@ class _Connection:
         self.left = DISCARD_MAX_BYTES
 
 
-class _Caller:
-    """An in-process caller's future, settled from the loop's thread."""
-
-    __slots__ = ("loop", "future")
-
-    def __init__(self, loop, future) -> None:
-        self.loop = loop
-        self.future = future
-
-    def settle(self, answer: bytes) -> None:
-        try:
-            self.loop.call_soon_threadsafe(_settle, self.future, answer)
-        except RuntimeError:  # the caller's event loop is closed
-            pass
-
-
-def _settle(future, answer: bytes) -> None:
-    if not future.done():  # the caller may have gone away
-        future.set_result(answer)
-
-
 def host_addresses(host: str, port: int) -> list[tuple[int, tuple]]:
     """``(family, address)`` for each address ``host`` resolves to, for
     binding ``port`` (an empty host: every interface)."""
@@ -235,14 +212,6 @@ def _bind(host: str, port: int) -> list[socket.socket]:
             listener.close()
         raise
     return listeners
-
-
-# A backlog entry is ``(work, snapshot, sink, admitted_at)``.  ``work``
-# is a payload line (str) or a framed ScoreRequest, answered by the
-# ``snapshot`` generation; a refusal or protocol error has ``snapshot``
-# None and its already-encoded answer as ``work``.  ``sink`` is a
-# _Connection or a _Caller.
-_Sink = _Connection | _Caller
 
 
 class DetectionGateway:
@@ -295,16 +264,14 @@ class DetectionGateway:
         self._selector.register(self._wake_in, _READ, self._on_wake)
         self._listeners: list[socket.socket] = []
         self._thread: threading.Thread | None = None
-        # Guards the two flags below, so an in-process caller either
-        # reaches the loop or is answered at once.
-        self._lock = threading.Lock()
-        self._running = False
         self._closed = False
         # Open connections by file descriptor.
         self._connections: dict[int, _Connection] = {}
+        # Entries ``(work, snapshot, conn, admitted_at)``: ``work`` is a
+        # payload line (str) or a framed ScoreRequest, answered by the
+        # ``snapshot`` generation; a refusal or protocol error has
+        # ``snapshot`` None and its already-encoded answer as ``work``.
         self._backlog: list[tuple] = []
-        # In-process requests handed over by other threads.
-        self._callers: deque[tuple[Any, _Caller]] = deque()
         # Connections that stopped for want of room (an ordered set).
         self._blocked: dict[_Connection, None] = {}
         # Connections with answers to send this round.
@@ -383,10 +350,8 @@ class DetectionGateway:
         closed unanswered.  Returns True when every admitted request
         was answered, False when the deadline expired first.
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("gateway already stopped")
-            self._running = True
+        if self._closed:
+            raise RuntimeError("gateway already stopped")
         try:
             while not self._finished:
                 self._round()
@@ -418,73 +383,27 @@ class DetectionGateway:
             f"policy={self.config.policy.value})"
         )
 
-    async def start(
-        self, *, sock: socket.socket | None = None
-    ) -> tuple[str, int]:
-        """In-process facade: :meth:`listen`, then run the loop on a
-        thread; returns the bound ``(host, port)``."""
+    def start(self, *, sock: socket.socket | None = None) -> tuple[str, int]:
+        """:meth:`listen`, then run the loop on a thread; returns the
+        bound ``(host, port)``."""
         address = self.listen(sock=sock)
         self._thread = threading.Thread(
             target=self.run, name="repro-gateway", daemon=True
         )
-        with self._lock:
-            # From here on a caller is handed to the thread.
-            self._running = True
         self._thread.start()
         return address
 
-    async def stop(self) -> bool:
-        """In-process facade: drain and stop the loop thread; returns
-        what :meth:`run` returns.  A gateway whose loop never ran has
-        nothing to drain: it is closed, and True returned."""
-        import asyncio
-
+    def stop(self) -> bool:
+        """Drain and stop the loop thread; returns what :meth:`run`
+        returns.  A gateway never started has nothing to drain: it is
+        closed, and True returned."""
         self.request_stop()
         if self._thread is None:
-            if not self._running:
-                self.admission.close()
-                self._teardown()
+            self.admission.close()
+            self._teardown()
             return True
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._thread.join
-        )
+        self._thread.join()
         return self._drained
-
-    async def inspect(self, payload: str) -> dict:
-        """In-process client: run ``payload`` through the full admission
-        path and return the decoded response object."""
-        return json.loads(await self._inspect(payload))
-
-    async def inspect_request(
-        self,
-        request,
-        surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES,
-    ) -> dict:
-        """In-process framed-mode client: full admission path, decoded
-        surface-attributed response."""
-        return json.loads(await self._inspect(
-            ScoreRequest(request=request, surfaces=surfaces)
-        ))
-
-    async def _inspect(self, work: str | ScoreRequest) -> bytes:
-        """Hand ``work`` to the loop's thread and await its answer.
-        Before the loop runs, the request is answered here, as a round
-        would; once it has stopped, with the draining error."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        caller = _Caller(loop, future)
-        with self._lock:
-            if self._closed:
-                return encode_error("gateway is draining")
-            if self._running:
-                self._callers.append((work, caller))
-                self._wake()
-            else:
-                self._submit(work, caller)
-                self._drain()
-        return await future
 
     # -- the loop ------------------------------------------------------
 
@@ -499,8 +418,6 @@ class DetectionGateway:
                     self._receive(key.data)
             else:
                 key.data()
-        while self._callers and not self.admission.must_wait:
-            self._submit(*self._callers.popleft())
         if self._stop_requested and not self._stopping:
             self._begin_stop()
         if self._backlog:
@@ -517,7 +434,7 @@ class DetectionGateway:
         self._expire()
 
     def _timeout(self) -> float | None:
-        if self._backlog or self._callers:
+        if self._backlog:
             return 0.0
         deadlines = [conn.deadline for conn in self._discarding]
         if self._accept_at:
@@ -558,14 +475,9 @@ class DetectionGateway:
         self.admission.close()
 
     def _teardown(self) -> None:
-        with self._lock:
-            self._closed = True
+        self._closed = True
         for conn in list(self._connections.values()):
             self._close(conn)
-        while self._callers:
-            self._callers.popleft()[1].settle(
-                encode_error("gateway is draining")
-            )
         for listener in self._listeners:
             listener.close()
         self._selector.close()
@@ -861,16 +773,16 @@ class DetectionGateway:
                 line.rstrip(b"\r\n").decode("utf-8", errors="replace"), conn
             )
 
-    def _submit(self, work: str | ScoreRequest, sink: _Sink) -> None:
+    def _submit(self, work: str | ScoreRequest, conn: _Connection) -> None:
         """Admit ``work`` into the backlog, or queue its refusal there."""
         try:
             self.admission.admit()
         except Shed as exc:
-            self._push(encode_shed(str(exc)), None, sink)
+            self._push(encode_shed(str(exc)), None, conn)
         except QueueClosed as exc:
-            self._push(encode_error(str(exc)), None, sink)
+            self._push(encode_error(str(exc)), None, conn)
         else:
-            self._push(work, self.store.current(), sink)
+            self._push(work, self.store.current(), conn)
 
     def _refuse(self, conn: _Connection, reason: str) -> None:
         """Queue a protocol-error answer in request order."""
@@ -881,27 +793,23 @@ class DetectionGateway:
         self,
         work: str | ScoreRequest | bytes,
         snapshot: StoreVersion | None,
-        sink: _Sink,
+        conn: _Connection,
     ) -> None:
-        self._backlog.append((work, snapshot, sink, time.perf_counter()))
-        if isinstance(sink, _Connection):
-            sink.unanswered += 1
+        self._backlog.append((work, snapshot, conn, time.perf_counter()))
+        conn.unanswered += 1
 
     def _drain(self) -> None:
         """The drain step: answer the whole backlog in order and queue
         each connection's answers for this round's write."""
         backlog, self._backlog = self._backlog, []
         admitted = 0
-        for work, snapshot, sink, admitted_at in backlog:
+        for work, snapshot, conn, admitted_at in backlog:
             if snapshot is None:
                 answer = work
             else:
                 admitted += 1
                 answer = self._answer(work, snapshot, admitted_at)
-            if isinstance(sink, _Connection):
-                self._deliver(sink, answer)
-            else:
-                sink.settle(answer)
+            self._deliver(conn, answer)
         self.admission.release(admitted)
 
     def _deliver(self, conn: _Connection, answer: bytes) -> None:

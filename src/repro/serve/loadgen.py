@@ -5,7 +5,8 @@ under a production request stream (Section III-C).  The harness builds a
 deterministic mixed trace (SQLmap and Vega scans of the vulnerable
 webapp interleaved with benign portal traffic), replays it over many
 concurrent pipelined connections at an in-process gateway or a
-supervised fleet, and reports sustained throughput, shed rate,
+supervised fleet from one ``selectors`` loop in the calling thread (the
+server's model), and reports sustained throughput, shed rate,
 client-observed latency percentiles, SLO attainment, and — through
 the one verdict referee, :func:`~repro.conformance.verdict.diff_verdicts`
 — parity with the offline detector.
@@ -13,8 +14,9 @@ the one verdict referee, :func:`~repro.conformance.verdict.diff_verdicts`
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
+import selectors
+import socket
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +32,7 @@ from repro.conformance.verdict import (
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
 from repro.ids.engine import Detector
-from repro.serve.gateway import DetectionGateway, GatewayConfig
+from repro.serve.gateway import RECV_BYTES, DetectionGateway, GatewayConfig
 from repro.serve.protocol import (
     decode_response,
     encode_framed_request,
@@ -148,7 +150,30 @@ class LoadReport:
         return self.completed / self.duration_s if self.duration_s else 0.0
 
 
-async def replay(
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
+
+class _Lane:
+    """One replay connection: the wires dealt to it and its place in
+    them."""
+
+    __slots__ = ("sock", "indices", "queued", "answered", "out", "buffer",
+                 "events")
+
+    def __init__(self, sock: socket.socket, indices: range) -> None:
+        self.sock = sock
+        self.indices = indices
+        # Wires handed to ``out`` so far, and answers read so far.
+        self.queued = 0
+        self.answered = 0
+        self.out = bytearray()
+        # The start of an answer whose newline has not arrived.
+        self.buffer = b""
+        # What the selector watches it for (0: closed).
+        self.events = _READ
+
+
+def replay(
     host: str,
     port: int,
     wires: list[bytes],
@@ -163,7 +188,8 @@ async def replay(
     :func:`~repro.serve.protocol.encode_line` (line protocol) or
     :func:`~repro.serve.protocol.encode_framed_request` (``REPRO-FRAME/2``).
     Wires are dealt round-robin over ``connections`` connections, each
-    answered in request order.
+    answered in request order, and one ``selectors`` loop drives them
+    all in the calling thread.
 
     Pacing is ``rate``.  With ``None`` the loop is closed: each
     connection keeps up to ``window`` requests in flight, so the replay
@@ -186,57 +212,94 @@ async def replay(
     sent = np.zeros(len(wires), dtype=np.float64)
     received = np.zeros(len(wires), dtype=np.float64)
     lines: list[bytes | None] = [None] * len(wires)
-
-    async def drive(lane: range) -> None:
-        reader, writer = await asyncio.open_connection(host, port)
-        inflight = asyncio.Semaphore(max(1, window))
-
-        async def collect() -> None:
-            try:
-                for index in lane:
-                    line = await reader.readline()
-                    if not line:
-                        return
-                    received[index] = time.perf_counter()
-                    lines[index] = line
-                    inflight.release()
-            finally:
-                # Unblock the sender even if the server hung up early; its
-                # writes will then fail fast instead of deadlocking.
-                for _ in lane:
-                    inflight.release()
-
-        collector = asyncio.get_running_loop().create_task(collect())
-        try:
-            for index in lane:
-                if rate is None:
-                    await inflight.acquire()
-                    sent[index] = time.perf_counter()
-                else:
-                    sent[index] = t0 + index / rate
-                    delay = sent[index] - time.perf_counter()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                if collector.done():
-                    break
-                writer.write(wires[index])
-                await writer.drain()
-            await collector
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            collector.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
+    window = max(1, window)
     lanes = max(1, connections)
-    await asyncio.gather(*(
-        drive(range(lane, len(wires), lanes))
-        for lane in range(min(lanes, len(wires)))
-    ))
+    selector = selectors.DefaultSelector()
+    live: list[_Lane] = []
+
+    def close(lane: _Lane) -> None:
+        selector.unregister(lane.sock)
+        lane.sock.close()
+        lane.events = 0
+        live.remove(lane)
+
+    def flush(lane: _Lane) -> None:
+        try:
+            del lane.out[:lane.sock.send(lane.out)]
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError:
+            # The server is gone: send nothing more, and read what it
+            # answered until the connection ends.
+            lane.queued = len(lane.indices)
+            lane.out.clear()
+        events = _READ | _WRITE if lane.out else _READ
+        if events != lane.events:
+            selector.modify(lane.sock, events, lane)
+            lane.events = events
+
+    def receive(lane: _Lane) -> None:
+        try:
+            data = lane.sock.recv(RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:  # the server hung up: the rest stay unanswered
+            close(lane)
+            return
+        now = time.perf_counter()
+        *answers, lane.buffer = (lane.buffer + data).split(b"\n")
+        for line in answers[:len(lane.indices) - lane.answered]:
+            index = lane.indices[lane.answered]
+            lines[index] = line
+            received[index] = now
+            lane.answered += 1
+        if lane.answered == len(lane.indices):
+            close(lane)
+
+    try:
+        for lane in range(min(lanes, len(wires))):
+            sock = socket.create_connection((host, port))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            live.append(_Lane(sock, range(lane, len(wires), lanes)))
+            selector.register(sock, _READ, live[-1])
+        while live:
+            now = time.perf_counter()
+            wake = None
+            for lane in live:
+                indices = lane.indices
+                while lane.queued < len(indices):
+                    index = indices[lane.queued]
+                    if rate is None:
+                        if lane.queued - lane.answered >= window:
+                            break
+                        due = now
+                    else:
+                        due = t0 + index / rate
+                        if due > now:
+                            wake = due if wake is None else min(wake, due)
+                            break
+                    sent[index] = due
+                    lane.out += wires[index]
+                    lane.queued += 1
+                if lane.out and not lane.events & _WRITE:
+                    flush(lane)
+            timeout = (
+                None if wake is None
+                else max(0.0, wake - time.perf_counter())
+            )
+            for key, events in selector.select(timeout):
+                lane = key.data
+                if events & _WRITE and lane.events:
+                    flush(lane)
+                if events & _READ and lane.events:
+                    receive(lane)
+    finally:
+        for lane in live:
+            lane.sock.close()
+        selector.close()
     answered = received > 0
     latencies = np.where(answered, received - sent, 0.0)
     duration = (
@@ -268,7 +331,7 @@ def _percentiles_ms(latencies: np.ndarray) -> dict[str, float]:
     }
 
 
-async def run_loadgen(
+def run_loadgen(
     detector: Detector,
     items: list[str] | list[HttpRequest],
     *,
@@ -309,21 +372,21 @@ async def run_loadgen(
         server = FleetSupervisor(
             detector, FleetConfig(shards=shards, gateway=config)
         )
-    host, port = await server.start()
+    host, port = server.start()
     per_shard: dict[str, dict] = {}
     try:
-        responses, latencies, duration = await replay(
+        responses, latencies, duration = replay(
             host, port, wires,
             connections=connections, window=window, rate=rate,
         )
         if shards is not None:
-            stats = await server.stats()
+            stats = server.stats()
             per_shard = {
                 shard_id: dict(info["counters"])
                 for shard_id, info in stats["shards"].items()
             }
     finally:
-        await server.stop()
+        server.stop()
     serviced = np.array([carries_verdict(r) for r in responses], dtype=bool)
     divergences = None
     if check_parity:

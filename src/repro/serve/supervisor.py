@@ -44,16 +44,15 @@ supervisor talks to its shards one conversation at a time: it sends a
 command to each shard concerned, then waits for their replies with
 :func:`multiprocessing.connection.wait` under the command's deadline,
 so control requests are answered one at a time.  ``repro serve
---shards N`` runs the loop on its main thread and loads no event loop;
-in-process callers use the ``async`` facade (``start``, ``stop``,
-``reload_json``, ``stats``, ``metrics``, ``inspect``), which runs the
-loop on a thread and the supervisor's work on the caller's executor.
+--shards N`` runs the loop on its main thread; in process,
+:meth:`~FleetSupervisor.start` runs it on a thread and
+:meth:`~FleetSupervisor.stop` joins it, while ``reload_json``, ``stats``
+and ``metrics`` run the supervisor's work on the caller's thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -87,7 +86,6 @@ from repro.serve.fleet import (
 from repro.serve.protocol import (
     HttpMessage,
     HttpRequestParser,
-    encode_line,
     reload_rejection,
 )
 from repro.serve.store import SignatureStore, StoreError
@@ -271,26 +269,24 @@ class FleetSupervisor:
         finally:
             self._shut_down()
 
-    async def start(self) -> tuple[str, int]:
-        """In-process facade: reserve the port, spawn and verify every
-        shard, then serve the control plane on a thread; returns the
-        data-plane address."""
+    def start(self) -> tuple[str, int]:
+        """Reserve the port, spawn and verify every shard, then serve the
+        control plane on a thread; returns the data-plane address."""
         if self._started:
             raise RuntimeError("fleet already started")
         try:
-            await _in_thread(self._launch)
-            await self._control.start()
+            self._launch()
+            self._control.start()
         except BaseException:
-            await self.stop()
+            self.stop()
             raise
         return self.data_address
 
-    async def stop(self) -> None:
-        """In-process facade: stop the control plane, then drain every
-        shard within the deadline, escalate terminate → kill, and reap
-        every child."""
-        await self._control.stop()
-        await _in_thread(self._shut_down)
+    def stop(self) -> None:
+        """Stop the control plane, then drain every shard within the
+        deadline, escalate terminate → kill, and reap every child."""
+        self._control.stop()
+        self._shut_down()
 
     def _launch(self) -> None:
         """Reserve the data port, then spawn and verify every shard."""
@@ -530,9 +526,7 @@ class FleetSupervisor:
 
     # -- two-phase reload ----------------------------------------------
 
-    async def reload_json(
-        self, text: str, *, source: str = "inline"
-    ) -> dict:
+    def reload_json(self, text: str, *, source: str = "inline") -> dict:
         """Atomically deploy a new signature generation fleet-wide.
 
         Stage order: reference store first (a candidate that cannot
@@ -546,9 +540,6 @@ class FleetSupervisor:
             StoreError: the candidate was rejected (parse/warm/stage).
             FleetError: a shard failed to stage or commit.
         """
-        return await _in_thread(self._reload, text, source)
-
-    def _reload(self, text: str, source: str) -> dict:
         with self._conversation:
             generation = self.store.version + 1
             self.store.stage_json(text, generation=generation, source=source)
@@ -603,11 +594,8 @@ class FleetSupervisor:
             if not isinstance(reply, FleetError)
         ]
 
-    async def stats(self) -> dict:
+    def stats(self) -> dict:
         """Fleet ``/stats`` document: per-shard and merged telemetry."""
-        return await _in_thread(self._stats)
-
-    def _stats(self) -> dict:
         collected = self._collect_states()
         merged = merge_raw_states(
             [reply["state"] for _, reply in collected]
@@ -648,7 +636,7 @@ class FleetSupervisor:
             "shards": per_shard,
         }
 
-    async def metrics(self) -> str:
+    def metrics(self) -> str:
         """Prometheus exposition for the whole fleet.
 
         Built into one transient registry per scrape — per-shard counter
@@ -657,9 +645,6 @@ class FleetSupervisor:
         shards bucket-by-bucket (concatenating per-shard expositions
         would emit duplicate families, which strict parsers reject).
         """
-        return await _in_thread(self._metrics)
-
-    def _metrics(self) -> str:
         collected = self._collect_states()
         states = [reply["state"] for _, reply in collected]
         merged = merge_raw_states(states)
@@ -723,9 +708,9 @@ class FleetSupervisor:
                 "live": live,
             }
         if path == "/stats" and method == "GET":
-            return 200, self._stats()
+            return 200, self.stats()
         if path == "/metrics" and method == "GET":
-            return 200, self._metrics()
+            return 200, self.metrics()
         if path == "/shards" and method == "GET":
             return 200, {
                 "data_port": self._data_port,
@@ -750,7 +735,7 @@ class FleetSupervisor:
     def _route_reload(self, body: str) -> tuple[int, dict]:
         try:
             text, source = self.store.reload_text(body)
-            return 200, self._reload(text, source)
+            return 200, self.reload_json(text, source=source)
         except StoreError as exc:
             return 400, reload_rejection(
                 str(exc), exc.reason, self.store.version
@@ -759,33 +744,3 @@ class FleetSupervisor:
             return 502, reload_rejection(
                 str(exc), "fleet", self.store.version
             )
-
-    # -- convenience ---------------------------------------------------
-
-    async def inspect(self, payload: str) -> dict:
-        """One round-trip through the shared data port (test helper)."""
-        import asyncio
-
-        reader, writer = await asyncio.open_connection(
-            self._data_host, self._data_port
-        )
-        try:
-            writer.write(encode_line(payload))
-            await writer.drain()
-            line = await reader.readline()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        return json.loads(line)
-
-
-async def _in_thread(function: Callable[..., Any], *args: Any) -> Any:
-    """Await ``function(*args)`` on the running event loop's executor."""
-    import asyncio
-
-    return await asyncio.get_running_loop().run_in_executor(
-        None, function, *args
-    )

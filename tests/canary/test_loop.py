@@ -24,6 +24,8 @@ from repro.obs.trace import Tracer
 from repro.serve import FleetConfig, FleetSupervisor, GatewayConfig
 from repro.serve.store import SignatureStore
 
+from tests.serve.client import ask
+
 #: Budgets sized for the canonical small training config: generous
 #: enough that a legitimate warm refresh promotes, tight enough that
 #: the sabotaged candidate cannot.
@@ -205,43 +207,37 @@ class TestFleetRound:
         promotion commits via the atomic two-phase fleet reload, and
         the rejection leaves every shard on the old generation."""
 
-        async def scenario():
-            supervisor = FleetSupervisor(
-                PSigeneDetector(small_signatures),
-                FleetConfig(
-                    shards=2, gateway=GatewayConfig(queue_bound=512)
-                ),
-                source="canary:test",
-            )
-            loop = make_loop(
-                state, supervisor.store, tmp_path,
-                fresh_attacks=40, benign_replay=80,
-            )
-            await supervisor.start()
-            try:
-                promoted = await loop.run_round_fleet(supervisor)
-                assert promoted.promoted, promoted.decision.reasons
-                assert promoted.mode == "fleet"
-                assert promoted.decision.shadow.divergences == []
-                assert supervisor.version == (
-                    promoted.generation_before + 1
-                )
-                # Every shard answers with the new generation.
-                response = await supervisor.inspect("q=probe")
-                assert response["version"] == promoted.generation_after
+        supervisor = FleetSupervisor(
+            PSigeneDetector(small_signatures),
+            FleetConfig(shards=2, gateway=GatewayConfig(queue_bound=512)),
+            source="canary:test",
+        )
+        loop = make_loop(
+            state, supervisor.store, tmp_path,
+            fresh_attacks=40, benign_replay=80,
+        )
+        supervisor.start()
+        try:
+            promoted = loop.run_round(fleet=supervisor)
+            assert promoted.promoted, promoted.decision.reasons
+            assert promoted.mode == "fleet"
+            assert promoted.decision.shadow.mode == "fleet"
+            assert promoted.decision.shadow.divergences == []
+            assert supervisor.version == promoted.generation_before + 1
+            # The shards answer with the new generation.
+            response = asyncio.run(ask(*supervisor.data_address, "q=probe"))
+            assert response["version"] == promoted.generation_after
 
-                version_before = supervisor.version
-                rejected = await loop.run_round_fleet(
-                    supervisor, sabotage=lambda s: s.with_threshold(0.05)
-                )
-                assert not rejected.promoted
-                assert "fpr_budget" in rejected.decision.reasons
-                assert supervisor.version == version_before
-                assert supervisor.store.staged_generations() == ()
-            finally:
-                await supervisor.stop()
-
-        asyncio.run(scenario())
+            version_before = supervisor.version
+            rejected = loop.run_round(
+                sabotage=lambda s: s.with_threshold(0.05), fleet=supervisor
+            )
+            assert not rejected.promoted
+            assert "fpr_budget" in rejected.decision.reasons
+            assert supervisor.version == version_before
+            assert supervisor.store.staged_generations() == ()
+        finally:
+            supervisor.stop()
 
     def test_fleet_round_requires_matching_store(
         self, state, store, tmp_path
@@ -254,7 +250,7 @@ class TestFleetRound:
             )
 
         with pytest.raises(ValueError, match="reference store"):
-            asyncio.run(loop.run_round_fleet(FakeSupervisor()))
+            loop.run_round(fleet=FakeSupervisor())
 
 
 class TestRoundTrace:

@@ -1,8 +1,6 @@
 """Tests for ``repro obs dump`` and ``repro obs validate``."""
 
-import asyncio
 import json
-import threading
 
 import pytest
 
@@ -49,43 +47,21 @@ class TestObsValidate:
 
 class TestObsDump:
     def test_dump_scrapes_live_gateway(self, capsys):
-        """Boot a gateway on an ephemeral port in a background loop,
-        point ``repro obs dump`` at it, and check the dumped exposition
+        """Boot a gateway on an ephemeral port on a thread, point
+        ``repro obs dump`` at it, and check the dumped exposition
         parses."""
         from repro.ids import DeterministicRuleSet, Rule
         from repro.obs.prometheus import parse_exposition, sample_value
         from repro.serve import DetectionGateway, SignatureStore
 
-        started = threading.Event()
-        done = threading.Event()
-        address: dict = {}
-
-        async def serve():
-            detector = DeterministicRuleSet(
-                "toy", [Rule(1, "union", r"union\s+select")]
-            )
-            gateway = DetectionGateway(SignatureStore(detector))
-            host, port = await gateway.start()
-            address["host"], address["port"] = host, port
-            started.set()
-            while not done.is_set():
-                await asyncio.sleep(0.01)
-            await gateway.stop()
-
-        thread = threading.Thread(
-            target=lambda: asyncio.run(serve()), daemon=True
-        )
-        thread.start()
-        assert started.wait(timeout=10)
+        gateway = DetectionGateway(SignatureStore(DeterministicRuleSet(
+            "toy", [Rule(1, "union", r"union\s+select")]
+        )))
+        host, port = gateway.start()
         try:
-            code = main([
-                "obs", "dump",
-                "--host", address["host"],
-                "--port", str(address["port"]),
-            ])
+            code = main(["obs", "dump", "--host", host, "--port", str(port)])
         finally:
-            done.set()
-            thread.join(timeout=10)
+            gateway.stop()
         assert code == 0
         body = capsys.readouterr().out
         families = parse_exposition(body)

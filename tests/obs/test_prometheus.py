@@ -104,53 +104,33 @@ class TestStrictParser:
         assert sample_value(families, "a") == float("inf")
 
 
-async def http_text(host, port, path):
-    """Raw GET returning (status, content-type, body text)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    header, _, body = raw.partition(b"\r\n\r\n")
-    status = int(header.split()[1])
-    content_type = ""
-    for line in header.decode().split("\r\n"):
-        if line.lower().startswith("content-type:"):
-            content_type = line.split(":", 1)[1].strip()
-    return status, content_type, body.decode()
-
-
 class TestGatewayMetricsEndpoint:
     """Scrape a live gateway; /metrics must agree with /stats."""
 
     def _scenario(self):
         from repro.ids import DeterministicRuleSet, Rule
         from repro.serve import DetectionGateway, SignatureStore
+        from tests.serve.client import fetch, send_lines
 
         async def run():
             detector = DeterministicRuleSet(
                 "toy", [Rule(1, "union", r"union\s+select")]
             )
             gateway = DetectionGateway(SignatureStore(detector))
-            host, port = await gateway.start()
-            reader, writer = await asyncio.open_connection(host, port)
-            for payload in ("id=1' union select 1", "q=hi", "q=ok"):
-                writer.write(payload.encode() + b"\n")
-                await writer.drain()
-                await reader.readline()
-            writer.close()
-            await writer.wait_closed()
-            stats_status, _, stats_body = await http_text(
-                host, port, "/stats"
+            host, port = gateway.start()
+            await send_lines(
+                host, port, ["id=1' union select 1", "q=hi", "q=ok"]
             )
-            metrics_status, content_type, metrics_body = await http_text(
-                host, port, "/metrics"
+            stats_status, _, stats_body = await fetch(
+                host, port, "GET", "/stats"
             )
-            await gateway.stop()
+            metrics_status, content_type, metrics_body = await fetch(
+                host, port, "GET", "/metrics"
+            )
+            gateway.stop()
             return (
                 stats_status, json.loads(stats_body),
-                metrics_status, content_type, metrics_body,
+                metrics_status, content_type, metrics_body.decode(),
             )
 
         return asyncio.run(run())

@@ -23,6 +23,7 @@ class TestKnownBadShapes:
         (r"[^&]*=[0-9]+", "unanchored class run"),
         (r"\s+select", "unanchored class run"),
         (r"(?:\d+\s*,\s*){3,}\d+", "unanchored class run"),
+        (r"a+b+c", "unanchored class run"),  # a run of one character
     ])
     def test_flagged(self, pattern, expected):
         report = lint_pattern(pattern)
@@ -35,7 +36,7 @@ class TestKnownGoodShapes:
         r"union\s+select",
         r"sleep\s*\(\s*\d+",
         r"(abc|def)+x",          # disjoint branches
-        r"a+b+c",                 # adjacent but non-overlapping
+        r"^a+b+c",                # adjacent but non-overlapping
         r"\bselect\b",
         r"a{2,4}b",               # bounded repetition never blows up
         r"[a-z]+",                # nothing after the run can fail

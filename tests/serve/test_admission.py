@@ -18,6 +18,8 @@ from repro.serve import (
     Telemetry,
 )
 
+from tests.serve.client import submit
+
 
 def toy_gateway(**config):
     return DetectionGateway(
@@ -77,21 +79,19 @@ class TestDrain:
         assert controller.depth == 0
 
     def test_drain_waits_for_the_backlog(self):
-        from repro.serve import DetectionGateway, SignatureStore
         from tests.serve.test_gateway import GatedDetector
 
         async def scenario():
             gate = GatedDetector()
             gateway = DetectionGateway(SignatureStore(gate))
-            await gateway.start()
+            host, port = gateway.start()
             held = gate.hold("hold id=1' union select 1")
-            pending = asyncio.ensure_future(gateway.inspect(held))
+            pending = await submit(host, port, held)
             await gate.wait_entered(held)  # admitted; its drain step held
             depth = gateway.admission.depth
-            stopping = asyncio.ensure_future(gateway.stop())
-            await asyncio.sleep(0)
+            gateway.request_stop()
             gate.released[held].set()
-            drained = await stopping
+            drained = await asyncio.to_thread(gateway.stop)
             return depth, drained, await pending
 
         depth, drained, answer = asyncio.run(scenario())
@@ -106,11 +106,13 @@ class TestDrain:
             gateway = toy_gateway()
             # A drain step that never answers: the backlog cannot empty.
             monkeypatch.setattr(gateway, "_drain", lambda: None)
-            await gateway.start()
-            pending = asyncio.ensure_future(gateway.inspect("never-served"))
-            await asyncio.sleep(0)
-            drained = await gateway.stop()
-            pending.cancel()
+            host, port = gateway.start()
+            pending = await submit(host, port, "never-served")
+            while not gateway.admission.depth:
+                await asyncio.sleep(0.01)
+            drained = await asyncio.to_thread(gateway.stop)
+            # Closed unanswered at the deadline.
+            await asyncio.gather(pending, return_exceptions=True)
             return drained, gateway.admission
 
         drained, admission = asyncio.run(scenario())
@@ -125,12 +127,12 @@ class TestDrain:
         # asyncio logs the cancellation as an error.
         async def scenario():
             gateway = toy_gateway()
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(b"q=1\n")
             await writer.drain()
             await reader.readline()
-            drained = await gateway.stop()
+            drained = gateway.stop()
             writer.close()  # no await: the loop ends right after stop()
             return drained
 
@@ -149,14 +151,14 @@ class TestDrain:
             # A drain step that never answers: the handler waits for its
             # unanswered request until stop() gives up on it.
             monkeypatch.setattr(gateway, "_drain", lambda: None)
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(b"never-served\n")
             await writer.drain()
             while not gateway.admission.depth:
                 await asyncio.sleep(0.01)
             started = time.monotonic()
-            drained = await gateway.stop()
+            drained = gateway.stop()
             elapsed = time.monotonic() - started
             writer.close()
             return drained, elapsed, gateway._connections

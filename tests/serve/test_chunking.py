@@ -37,15 +37,11 @@ BENIGN = "q=hello"
 def live_gateway():
     """A gateway running its loop on a thread; yields its address."""
     gateway = DetectionGateway(SignatureStore(toy_detector()))
-    address = gateway.listen()
-    thread = threading.Thread(target=gateway.run, daemon=True)
-    thread.start()
+    address = gateway.start()
     try:
         yield address
     finally:
-        gateway.request_stop()
-        thread.join(30)
-    assert not thread.is_alive()
+        gateway.stop()
 
 
 def build_stream(seed):

@@ -11,6 +11,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 
 import pytest
@@ -27,6 +28,8 @@ from repro.serve import (
 )
 from repro.serve.fleet import _ShardServer
 
+from tests.serve.client import ask, fetch, http, send_lines
+
 
 def toy_detector(name="toy"):
     return DeterministicRuleSet(
@@ -37,41 +40,6 @@ def toy_detector(name="toy"):
 def fleet_config(shards=2, **gateway):
     gateway.setdefault("queue_bound", 256)
     return FleetConfig(shards=shards, gateway=GatewayConfig(**gateway))
-
-
-async def send_lines(host, port, payloads):
-    """Send payload lines on one connection, return decoded responses."""
-    reader, writer = await asyncio.open_connection(host, port)
-    responses = []
-    try:
-        for payload in payloads:
-            writer.write(payload.encode() + b"\n")
-            await writer.drain()
-            responses.append(json.loads(await reader.readline()))
-    finally:
-        writer.close()
-        await writer.wait_closed()
-    return responses
-
-
-async def http(host, port, method, path, body=""):
-    """One-shot HTTP exchange, returns (status, decoded body)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    encoded = body.encode()
-    head = (
-        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-        f"Content-Length: {len(encoded)}\r\n\r\n"
-    )
-    writer.write(head.encode() + encoded)
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    header, _, payload = raw.partition(b"\r\n\r\n")
-    status = int(header.split()[1])
-    if b"text/plain" in header:
-        return status, payload.decode()
-    return status, json.loads(payload)
 
 
 class TestFleetServing:
@@ -87,7 +55,7 @@ class TestFleetServing:
     def test_round_trip_matches_offline(self):
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             try:
                 payloads = [
                     "id=1 union select password",
@@ -100,7 +68,7 @@ class TestFleetServing:
                     send_lines(host, port, payloads) for _ in range(4)
                 ))
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             offline = [toy_detector().inspect(p) for p in payloads]
             for responses in batches:
                 for response, detection in zip(responses, offline):
@@ -117,7 +85,7 @@ class TestFleetServing:
         fleet across generations — shards answer 403."""
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             try:
                 status, body = await http(
                     host, port, "POST", "/reload", "{}"
@@ -126,14 +94,14 @@ class TestFleetServing:
                 assert "supervisor" in body["error"]
                 assert supervisor.version == 1
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         asyncio.run(scenario())
 
     def test_control_plane_endpoints(self):
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 await send_lines(
@@ -162,7 +130,7 @@ class TestFleetServing:
                 status, body = await http(chost, cport, "GET", "/missing")
                 assert status == 404
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         asyncio.run(scenario())
 
@@ -171,7 +139,7 @@ class TestFleetServing:
 
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 await send_lines(host, port, ["id=1 union select x"])
@@ -200,7 +168,7 @@ class TestFleetServing:
                     == 1.0
                 )
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         asyncio.run(scenario())
 
@@ -212,7 +180,7 @@ class TestFleetServing:
                 toy_detector(),
                 fleet_config(shards=1, queue_bound=2, policy="shed"),
             )
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
                 # Flood more lines than the backlog holds, unanswered.
@@ -227,9 +195,9 @@ class TestFleetServing:
                     )
                 writer.close()
                 await writer.wait_closed()
-                stats = await supervisor.stats()
+                stats = supervisor.stats()
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             shed = [r for r in responses if r.get("shed")]
             assert shed
             assert all("queue full" in r["error"] for r in shed)
@@ -246,14 +214,13 @@ class TestFleetControlPlane:
             parse_exposition,
             sample_value,
         )
-        from tests.obs.test_prometheus import http_text
         from tests.serve.test_gateway_errors import raw_http
 
         async def scenario():
             supervisor = FleetSupervisor(
                 toy_detector(), fleet_config(shards=1)
             )
-            await supervisor.start()
+            supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 no_colon = await raw_http(
@@ -263,10 +230,10 @@ class TestFleetControlPlane:
                 payload_line = await raw_http(
                     chost, cport, b"id=1' union select 1\n"
                 )
-                metrics = await http_text(chost, cport, "/metrics")
+                metrics = await fetch(chost, cport, "GET", "/metrics")
                 health = await http(chost, cport, "GET", "/healthz")
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             return no_colon, payload_line, metrics, health
 
         no_colon, payload_line, metrics, health = asyncio.run(scenario())
@@ -279,7 +246,7 @@ class TestFleetControlPlane:
         status, content_type, body = metrics
         assert status == 200
         assert content_type == CONTENT_TYPE
-        families = parse_exposition(body)
+        families = parse_exposition(body.decode())
         assert sample_value(
             families, "repro_protocol_errors_total", {"shard": "supervisor"}
         ) == 2.0
@@ -305,19 +272,19 @@ class TestFleetControlPlane:
             supervisor = FleetSupervisor(
                 toy_detector(), fleet_config(shards=1)
             )
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             try:
                 supervisor._TIMEOUTS = {
                     **FleetSupervisor._TIMEOUTS, "stats": 0.2,
                 }
-                first = await supervisor.stats()
+                first = supervisor.stats()
                 del supervisor._TIMEOUTS  # the usual deadlines again
                 # Answered after the shard's sleep, so after its late
                 # reply went out.
                 await send_lines(host, port, ["id=1 union select x"])
-                second = await supervisor.stats()
+                second = supervisor.stats()
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             return first, second
 
         first, second = asyncio.run(scenario())
@@ -331,7 +298,7 @@ class TestFleetControlPlane:
             supervisor = FleetSupervisor(
                 toy_detector(), fleet_config(shards=1)
             )
-            await supervisor.start()
+            supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 overlong = await raw_http(
@@ -340,7 +307,7 @@ class TestFleetControlPlane:
                 )
                 health = await http(chost, cport, "GET", "/healthz")
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             return overlong, health, supervisor.telemetry.counter(
                 "protocol_errors"
             )
@@ -358,14 +325,14 @@ class TestFleetControlPlane:
             supervisor = FleetSupervisor(
                 toy_detector(), fleet_config(shards=1)
             )
-            await supervisor.start()
+            supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 return await send_past_the_answer(
                     chost, cport, b"GET /" + b"a" * (300 * 1024),
                 )
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         assert asyncio.run(scenario()).startswith(b"HTTP/1.1 400")
 
@@ -384,57 +351,59 @@ class TestFleetReload:
         from repro.serve.loadgen import replay
         from repro.serve.protocol import encode_line
 
-        async def scenario():
-            detector = PSigeneDetector(small_signatures)
-            supervisor = FleetSupervisor(detector, fleet_config())
-            host, port = await supervisor.start()
-            try:
-                payloads = [
-                    "id=1' union select 1,2,3-- -",
-                    "q=plain benign text",
-                    "name=alice&x=1 or 1=1",
-                ] * 40
-                replay_task = asyncio.ensure_future(
-                    replay(
-                        host, port, [encode_line(p) for p in payloads],
-                        connections=4, window=8,
-                    )
-                )
-                await asyncio.sleep(0.02)
-                result = await supervisor.reload_json(
-                    signature_set_to_json(small_signatures),
-                    source="midstream",
-                )
-                responses, _latencies, _duration = await replay_task
-                stats = await supervisor.stats()
-            finally:
-                await supervisor.stop()
-            assert result["version"] == 2
-            # Every shard committed the new generation.
-            assert all(
-                info["version"] == 2 for info in stats["shards"].values()
-            )
-            divergences = diff_verdicts(
-                "offline", serial_verdicts(detector, payloads),
-                "fleet", verdicts_from_responses(responses, "fleet"),
-                payloads,
-            )
-            assert divergences == [], divergences[0].describe()
-            # Both generations answered (versions observed on the wire
-            # are 1 and/or 2, never anything else).
-            versions = {r["version"] for r in responses if r}
-            assert versions <= {1, 2}
+        detector = PSigeneDetector(small_signatures)
+        supervisor = FleetSupervisor(detector, fleet_config())
+        payloads = [
+            "id=1' union select 1,2,3-- -",
+            "q=plain benign text",
+            "name=alice&x=1 or 1=1",
+        ] * 40
+        reloads = []
 
-        asyncio.run(scenario())
+        def reload():
+            time.sleep(0.02)
+            reloads.append(supervisor.reload_json(
+                signature_set_to_json(small_signatures),
+                source="midstream",
+            ))
+
+        host, port = supervisor.start()
+        reloader = threading.Thread(target=reload)
+        try:
+            reloader.start()
+            responses, _latencies, _duration = replay(
+                host, port, [encode_line(p) for p in payloads],
+                connections=4, window=8,
+            )
+            reloader.join(60)
+            stats = supervisor.stats()
+        finally:
+            supervisor.stop()
+        assert not reloader.is_alive()
+        assert [result["version"] for result in reloads] == [2]
+        # Every shard committed the new generation.
+        assert all(
+            info["version"] == 2 for info in stats["shards"].values()
+        )
+        divergences = diff_verdicts(
+            "offline", serial_verdicts(detector, payloads),
+            "fleet", verdicts_from_responses(responses, "fleet"),
+            payloads,
+        )
+        assert divergences == [], divergences[0].describe()
+        # Both generations answered (versions observed on the wire
+        # are 1 and/or 2, never anything else).
+        versions = {r["version"] for r in responses if r}
+        assert versions <= {1, 2}
 
     def test_bad_candidate_rejected_everywhere(self):
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 with pytest.raises(StoreError) as excinfo:
-                    await supervisor.reload_json("{broken")
+                    supervisor.reload_json("{broken")
                 assert excinfo.value.reason == "parse"
                 assert supervisor.version == 1
                 assert (
@@ -455,7 +424,7 @@ class TestFleetReload:
                 assert responses[0]["version"] == 1
                 assert responses[0]["alert"]
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         asyncio.run(scenario())
 
@@ -465,14 +434,14 @@ class TestFleetReload:
         async def scenario():
             detector = PSigeneDetector(small_signatures)
             supervisor = FleetSupervisor(detector, fleet_config())
-            await supervisor.start()
+            supervisor.start()
             try:
                 text = signature_set_to_json(small_signatures)
-                first = await supervisor.reload_json(text)
-                second = await supervisor.reload_json(text)
-                stats = await supervisor.stats()
+                first = supervisor.reload_json(text)
+                second = supervisor.reload_json(text)
+                stats = supervisor.stats()
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             assert (first["version"], second["version"]) == (2, 3)
             assert all(
                 info["version"] == 3 for info in stats["shards"].values()
@@ -481,7 +450,7 @@ class TestFleetReload:
         asyncio.run(scenario())
 
 
-async def resilient_inspect(supervisor, payload):
+async def resilient_ask(supervisor, payload):
     """One data-plane round-trip, retrying connection resets.
 
     With ``SO_REUSEPORT`` a connection racing a shard's death can land
@@ -492,7 +461,7 @@ async def resilient_inspect(supervisor, payload):
     last: Exception | None = None
     for _ in range(40):
         try:
-            return await supervisor.inspect(payload)
+            return await ask(*supervisor.data_address, payload)
         except (
             ConnectionResetError,
             BrokenPipeError,
@@ -528,11 +497,11 @@ class TestFleetResilience:
         async def scenario():
             detector = PSigeneDetector(small_signatures)
             supervisor = FleetSupervisor(detector, fleet_config())
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             try:
                 # Move the fleet to generation 2 first, so the respawn
                 # has to pick up a non-initial store version.
-                await supervisor.reload_json(
+                supervisor.reload_json(
                     signature_set_to_json(small_signatures)
                 )
                 victim = supervisor.handles[0]
@@ -540,7 +509,7 @@ class TestFleetResilience:
                 served = 0
                 deadline = time.monotonic() + 15.0
                 while time.monotonic() < deadline:
-                    response = await resilient_inspect(
+                    response = await resilient_ask(
                         supervisor, "id=1' union select 1,2,3-- -"
                     )
                     assert response["alert"], response
@@ -551,14 +520,14 @@ class TestFleetResilience:
                 assert victim.respawns == 1
                 assert victim.serving
                 assert served > 0
-                stats = await supervisor.stats()
+                stats = supervisor.stats()
                 assert all(
                     info["version"] == 2
                     for info in stats["shards"].values()
                 )
                 assert supervisor.telemetry.counter("respawns") == 1
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         asyncio.run(scenario())
 
@@ -569,7 +538,7 @@ class TestFleetResilience:
         EOF at once rather than when that shard exits."""
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
-            await supervisor.start()
+            supervisor.start()
             chost, cport = supervisor.control_address
             try:
                 reader, writer = await asyncio.open_connection(chost, cport)
@@ -601,7 +570,7 @@ class TestFleetResilience:
                 writer.close()
                 await writer.wait_closed()
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             return answer, inherited
 
         answer, inherited = asyncio.run(scenario())
@@ -629,9 +598,9 @@ class TestFleetResilience:
             supervisor = FleetSupervisor(
                 PSigeneDetector(small_signatures), fleet_config()
             )
-            await supervisor.start()
+            supervisor.start()
             try:
-                result = await supervisor.reload_json(
+                result = supervisor.reload_json(
                     signature_set_to_json(small_signatures)
                 )
                 victim = supervisor.handles[0]
@@ -639,9 +608,9 @@ class TestFleetResilience:
                 while not (victim.respawns == 1 and victim.serving):
                     assert time.monotonic() < deadline, "no respawn"
                     await asyncio.sleep(0.05)
-                stats = await supervisor.stats()
+                stats = supervisor.stats()
             finally:
-                await supervisor.stop()
+                supervisor.stop()
             return result, stats
 
         result, stats = asyncio.run(scenario())
@@ -655,10 +624,10 @@ class TestFleetResilience:
             supervisor = FleetSupervisor(
                 toy_detector(), fleet_config(shards=3)
             )
-            await supervisor.start()
+            supervisor.start()
             processes = [handle.process for handle in supervisor.handles]
             assert all(p.is_alive() for p in processes)
-            await supervisor.stop()
+            supervisor.stop()
             assert all(not p.is_alive() for p in processes)
             # join() succeeded, so none of them is a zombie.
             assert all(p.exitcode is not None for p in processes)
@@ -674,7 +643,7 @@ class TestFleetResilience:
             supervisor = FleetSupervisor(
                 toy_detector(), fleet_config(shards=2)
             )
-            host, port = await supervisor.start()
+            host, port = supervisor.start()
             try:
                 victim = supervisor.handles[0]
                 deadline = time.monotonic() + 15.0
@@ -694,7 +663,7 @@ class TestFleetResilience:
                     supervisor.telemetry.counter("respawn_exhausted") >= 1
                 )
                 # The surviving shard still answers.
-                response = await resilient_inspect(
+                response = await resilient_ask(
                     supervisor, "id=1 union select x"
                 )
                 assert response["alert"]
@@ -703,7 +672,7 @@ class TestFleetResilience:
                 assert status == 200
                 assert health["status"] == "degraded"
             finally:
-                await supervisor.stop()
+                supervisor.stop()
 
         asyncio.run(scenario())
 
@@ -730,7 +699,7 @@ class TestFleetSpotCheck:
         async def scenario():
             supervisor = FleetSupervisor(toy_detector(), fleet_config())
             with pytest.raises(FleetError, match="spot-check"):
-                await supervisor.start()
+                supervisor.start()
             assert not any(
                 handle.process is not None and handle.process.is_alive()
                 for handle in supervisor.handles

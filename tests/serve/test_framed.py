@@ -8,7 +8,6 @@ untouched.
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -28,6 +27,8 @@ from repro.surfaces import (
     InjectionSurface,
     parse_surfaces,
 )
+
+from tests.serve.client import ask, http, send_lines
 
 
 def toy_detector():
@@ -97,44 +98,17 @@ class TestFrameCodec:
             decode_framed_request(b'{"v": 2, "headers": []}')
 
 
-async def exchange(host, port, messages):
-    """Send pre-encoded wire messages, read one response line each."""
-    reader, writer = await asyncio.open_connection(host, port)
-    responses = []
-    try:
-        for message in messages:
-            writer.write(message)
-            await writer.drain()
-            responses.append(json.loads(await reader.readline()))
-    finally:
-        writer.close()
-        await writer.wait_closed()
-    return responses
-
-
-async def get_stats(host, port):
-    """One-shot GET /stats on the control plane."""
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n")
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    _header, _, payload = raw.partition(b"\r\n\r\n")
-    return json.loads(payload)
-
-
 def run_gateway(messages, config=None):
     async def scenario():
         gateway = DetectionGateway(
             SignatureStore(toy_detector()), config
         )
-        host, port = await gateway.start()
+        host, port = gateway.start()
         try:
-            responses = await exchange(host, port, messages)
-            stats = await get_stats(host, port)
+            responses = await send_lines(host, port, messages)
+            _status, stats = await http(host, port, "GET", "/stats")
         finally:
-            await gateway.stop()
+            gateway.stop()
         return responses, stats
 
     return asyncio.run(scenario())
@@ -254,16 +228,20 @@ class TestSurfacesSection:
 
 class TestInProcessFramedClient:
     def test_inspect_request_helper(self):
+        """A frame naming its surfaces gets its surface-attributed
+        answer."""
+
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            await gateway.start()
+            host, port = gateway.start()
             try:
-                return await gateway.inspect_request(
+                return await ask(
+                    host, port,
                     HttpRequest(headers={"cookie": "s=1 union select 2"}),
                     parse_surfaces("cookie"),
                 )
             finally:
-                await gateway.stop()
+                gateway.stop()
 
         response = asyncio.run(scenario())
         assert response["alert"] is True

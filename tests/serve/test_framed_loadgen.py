@@ -5,8 +5,6 @@ verdicts bit-for-bit — including on traffic only non-legacy surfaces
 can see.
 """
 
-import asyncio
-
 from repro.corpus import SurfaceCorpusGenerator
 from repro.http import HttpRequest
 from repro.ids import DeterministicRuleSet, Rule
@@ -29,28 +27,28 @@ class TestFramedLoadgen:
             HttpRequest(query="q=hello"),
             HttpRequest(query="u=1 union select 2"),
         ] * 10
-        report = asyncio.run(run_loadgen(
+        report = run_loadgen(
             toy_detector(),
             requests,
             config=GatewayConfig(),
             surfaces=LEGACY_SURFACES,
             connections=2,
             window=8,
-        ))
+        )
         assert report.completed == len(requests)
         assert report.shed == 0 and report.errors == 0
         assert report.parity_ok
 
     def test_full_surface_parity_on_surface_corpus(self):
         trace = SurfaceCorpusGenerator(seed=11).mixed_trace(48)
-        report = asyncio.run(run_loadgen(
+        report = run_loadgen(
             toy_detector(),
             trace.requests,
             config=GatewayConfig(),
             surfaces=DEFAULT_SURFACES,
             connections=4,
             window=16,
-        ))
+        )
         assert report.completed == 48
         assert report.parity_ok
         # The corpus's attack half must actually fire on some surface.

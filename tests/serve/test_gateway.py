@@ -43,6 +43,8 @@ from repro.serve import (
 )
 from repro.serve.gateway import MAX_UNANSWERED_PER_CONNECTION
 
+from tests.serve.client import ask, http, send_lines, submit
+
 
 def toy_detector(name="toy"):
     return DeterministicRuleSet(
@@ -50,48 +52,15 @@ def toy_detector(name="toy"):
     )
 
 
-async def send_lines(host, port, payloads):
-    """Send payload lines on one connection, return decoded responses."""
-    reader, writer = await asyncio.open_connection(host, port)
-    responses = []
-    try:
-        for payload in payloads:
-            writer.write(payload.encode() + b"\n")
-            await writer.drain()
-            responses.append(json.loads(await reader.readline()))
-    finally:
-        writer.close()
-        await writer.wait_closed()
-    return responses
-
-
-async def http(host, port, method, path, body=""):
-    """One-shot control-plane exchange, returns (status, json body)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    encoded = body.encode()
-    head = (
-        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-        f"Content-Length: {len(encoded)}\r\n\r\n"
-    )
-    writer.write(head.encode() + encoded)
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    header, _, payload = raw.partition(b"\r\n\r\n")
-    status = int(header.split()[1])
-    return status, json.loads(payload)
-
-
 class TestLineProtocol:
     def test_round_trip(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             responses = await send_lines(host, port, [
                 "id=1' union select 1", "q=hello",
             ])
-            await gateway.stop()
+            gateway.stop()
             return responses
 
         first, second = asyncio.run(scenario())
@@ -107,9 +76,9 @@ class TestLineProtocol:
 
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             responses = await send_lines(host, port, ["", "q=hello"])
-            await gateway.stop()
+            gateway.stop()
             return responses
 
         empty, hello = asyncio.run(scenario())
@@ -119,7 +88,7 @@ class TestLineProtocol:
     def test_oversized_line_answers_error(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(b"x" * (70 * 1024) + b"\nq=ok\n")
             await writer.drain()
@@ -127,7 +96,7 @@ class TestLineProtocol:
             second = json.loads(await reader.readline())
             writer.close()
             await writer.wait_closed()
-            await gateway.stop()
+            gateway.stop()
             return first, second
 
         first, second = asyncio.run(scenario())
@@ -140,14 +109,14 @@ class TestLineProtocol:
                 SignatureStore(toy_detector()),
                 GatewayConfig(queue_bound=1, policy="shed"),
             )
-            host, port = await gateway.start()
+            host, port = gateway.start()
             # A burst bigger than the backlog bound from many
             # connections: at least one request must be refused.
             results = await asyncio.gather(*(
                 send_lines(host, port, [f"id={i}' union select 1"] * 8)
                 for i in range(8)
             ))
-            await gateway.stop()
+            gateway.stop()
             flattened = [r for batch in results for r in batch]
             return flattened, gateway.telemetry.counter("shed")
 
@@ -226,9 +195,7 @@ class GatedDetector:
         return self.inner.inspect(payload)
 
     async def wait_entered(self, payload):
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.entered[payload].wait, 10
-        )
+        await asyncio.to_thread(self.entered[payload].wait, 10)
 
 
 class TestBacklog:
@@ -242,9 +209,9 @@ class TestBacklog:
                 SignatureStore(toy_detector()),
                 GatewayConfig(queue_bound=4, policy="shed"),
             )
-            host, port = await gateway.start()
+            host, port = gateway.start()
             responses = await burst(host, port, payloads)
-            await gateway.stop()
+            gateway.stop()
             return responses, gateway.telemetry.counter("shed")
 
         responses, shed_counter = asyncio.run(scenario())
@@ -270,9 +237,9 @@ class TestBacklog:
                 SignatureStore(toy_detector()),
                 GatewayConfig(queue_bound=1, policy="block"),
             )
-            host, port = await gateway.start()
+            host, port = gateway.start()
             responses = await burst(host, port, payloads)
-            await gateway.stop()
+            gateway.stop()
             return responses, gateway.telemetry.counter("shed")
 
         responses, shed_counter = asyncio.run(scenario())
@@ -296,9 +263,9 @@ class TestBacklog:
                 drain()
 
             monkeypatch.setattr(gateway, "_drain", recording_drain)
-            host, port = await gateway.start()
+            host, port = gateway.start()
             responses = await burst(host, port, alternating(500))
-            await gateway.stop()
+            gateway.stop()
             return responses
 
         responses = asyncio.run(scenario())
@@ -313,11 +280,11 @@ class TestBacklog:
             gateway = DetectionGateway(
                 SignatureStore(ExplodingDetector("q=boom"))
             )
-            host, port = await gateway.start()
+            host, port = gateway.start()
             responses = await burst(host, port, [
                 "id=1' union select 1", "q=boom", "id=2' union select 1",
             ])
-            await gateway.stop()
+            gateway.stop()
             return responses, gateway.telemetry
 
         (before, error, after), telemetry = asyncio.run(scenario())
@@ -325,30 +292,6 @@ class TestBacklog:
         assert error == {"error": "detector error: boom"}
         assert after["alert"] is True and after["matched"] == [1]
         assert telemetry.counter("errors") == 1
-        assert telemetry.counter("inspected") == 2
-
-
-    def test_cancelled_in_process_caller_is_skipped(self):
-        """A caller that gives up keeps its place in the backlog; the
-        drain step inspects it, skips its future and answers the rest."""
-
-        async def scenario():
-            gateway = DetectionGateway(SignatureStore(toy_detector()))
-            await gateway.start()
-            gone = asyncio.ensure_future(gateway.inspect("q=1"))
-            kept = asyncio.ensure_future(
-                gateway.inspect("id=1' union select 1")
-            )
-            await asyncio.sleep(0)  # both admitted; the drain is pending
-            gone.cancel()
-            answer = await asyncio.wait_for(kept, timeout=5)
-            drained = await gateway.stop()
-            return gone.cancelled(), answer, drained, gateway.telemetry
-
-        cancelled, answer, drained, telemetry = asyncio.run(scenario())
-        assert cancelled
-        assert answer["alert"] is True
-        assert drained
         assert telemetry.counter("inspected") == 2
 
     def test_unread_answers_stop_the_reader(self):
@@ -365,7 +308,7 @@ class TestBacklog:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
             listener.bind(("127.0.0.1", 0))
             listener.listen()
-            host, port = await gateway.start(sock=listener)
+            host, port = gateway.start(sock=listener)
             client = socket.socket()
             client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
             client.connect((host, port))
@@ -381,7 +324,7 @@ class TestBacklog:
                 len(conn.out) for conn in gateway._connections.values()
             )
             writer.transport.abort()
-            await gateway.stop()
+            gateway.stop()
             return inspected, buffered
 
         inspected, buffered = asyncio.run(scenario())
@@ -393,11 +336,11 @@ class TestControlPlane:
     def test_healthz_and_stats(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             await send_lines(host, port, ["id=1' union select 1"])
             health = await http(host, port, "GET", "/healthz")
             stats = await http(host, port, "GET", "/stats")
-            await gateway.stop()
+            gateway.stop()
             return health, stats
 
         (h_status, health), (s_status, stats) = asyncio.run(scenario())
@@ -413,11 +356,11 @@ class TestControlPlane:
     def test_inspect_endpoint(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             result = await http(
                 host, port, "POST", "/inspect", "id=1' union select 1"
             )
-            await gateway.stop()
+            gateway.stop()
             return result
 
         status, body = asyncio.run(scenario())
@@ -435,7 +378,7 @@ class TestControlPlane:
                 SignatureStore(gate),
                 GatewayConfig(queue_bound=1, policy="shed"),
             )
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
                 b"POST /inspect HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
@@ -461,7 +404,7 @@ class TestControlPlane:
             writer.close()
             await writer.wait_closed()
             answers = await lines
-            await gateway.stop()
+            gateway.stop()
             return raw, answers
 
         raw, answers = asyncio.run(scenario())
@@ -477,10 +420,10 @@ class TestControlPlane:
     def test_unknown_route_and_method(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             missing = await http(host, port, "GET", "/nope")
             wrong = await http(host, port, "POST", "/healthz")
-            await gateway.stop()
+            gateway.stop()
             return missing, wrong
 
         (m_status, _), (w_status, _) = asyncio.run(scenario())
@@ -490,11 +433,11 @@ class TestControlPlane:
     def test_reload_rejects_bad_json(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             status, body = await http(
                 host, port, "POST", "/reload", "{broken"
             )
-            await gateway.stop()
+            gateway.stop()
             return status, body, gateway.store.version
 
         status, body, version = asyncio.run(scenario())
@@ -513,17 +456,14 @@ class TestHotReload:
             gate = GatedDetector()
             store = SignatureStore(gate)
             gateway = DetectionGateway(store)
-            await gateway.start()
+            host, port = gateway.start()
             first = gate.hold("hold id=0' union select 1")
             second = gate.hold("hold id=1' union select 1")
-            blocker = asyncio.ensure_future(gateway.inspect(first))
+            blocker = await submit(host, port, first)
             await gate.wait_entered(first)
-            # Both wait for the loop, which holds ``first``'s drain.
-            in_flight = asyncio.ensure_future(gateway.inspect(second))
-            queued = asyncio.ensure_future(
-                gateway.inspect("id=1' union select 1")
-            )
-            await asyncio.sleep(0)
+            # Both are sent while the loop holds ``first``'s drain step.
+            in_flight = await submit(host, port, second)
+            queued = await submit(host, port, "id=1' union select 1")
             gate.released[first].set()
             await gate.wait_entered(second)
             # One round admitted both with generation 1; its drain
@@ -536,10 +476,10 @@ class TestHotReload:
                 source="test",
             )
             gate.released[second].set()
-            new = await gateway.inspect("id=1' union select 1")
+            new = await ask(host, port, "id=1' union select 1")
             await asyncio.gather(blocker, in_flight)
             old = await queued
-            await gateway.stop()
+            gateway.stop()
             return old, new
 
         old, new = asyncio.run(scenario())
@@ -563,14 +503,14 @@ class TestHotReload:
         async def scenario():
             store = SignatureStore(PSigeneDetector(full))
             gateway = DetectionGateway(store)
-            host, port = await gateway.start()
+            host, port = gateway.start()
             first = await send_lines(host, port, payloads[:half])
             status, body = await http(
                 host, port, "POST", "/reload",
                 signature_set_to_json(reduced),
             )
             second = await send_lines(host, port, payloads[half:])
-            await gateway.stop()
+            gateway.stop()
             return first, (status, body), second
 
         first, (status, body), second = asyncio.run(scenario())
@@ -597,13 +537,13 @@ class TestLoadgenParity:
         trace = build_load_trace(seed=9, n_benign=60, n_vulnerabilities=2)
         payloads = trace.payloads()[:120]
 
-        report = asyncio.run(run_loadgen(
+        report = run_loadgen(
             detector,
             payloads,
             config=GatewayConfig(queue_bound=64, policy="block"),
             connections=4,
             window=8,
-        ))
+        )
         assert report.parity_ok
         assert report.shed == 0
         assert report.completed == len(payloads)
@@ -622,97 +562,30 @@ class TestDrainOnShutdown:
             gateway = DetectionGateway(
                 SignatureStore(gate), GatewayConfig(queue_bound=64),
             )
-            await gateway.start()
+            host, port = gateway.start()
             held = gate.hold("hold id=0' union select 1")
-            blocker = asyncio.ensure_future(gateway.inspect(held))
+            # One round admits the held line and the 20 behind it; the
+            # stop is requested while its drain step holds the first.
+            lines = asyncio.ensure_future(burst(host, port, [held] + [
+                f"id={i}' union select 1" for i in range(20)
+            ]))
             await gate.wait_entered(held)
-            # The loop holds a drain step: these 20 and then the stop
-            # wait for its next round, which admits them first.
-            pending = [
-                asyncio.ensure_future(
-                    gateway.inspect(f"id={i}' union select 1")
-                )
-                for i in range(20)
-            ]
-            await asyncio.sleep(0)
             depth = gateway.admission.depth
-            stopping = asyncio.ensure_future(gateway.stop())
-            await asyncio.sleep(0)
+            gateway.request_stop()
             gate.released[held].set()
-            drained = await stopping
-            await blocker
-            return depth, drained, await asyncio.gather(*pending)
+            drained = await asyncio.to_thread(gateway.stop)
+            return depth, drained, await lines
 
         depth, drained, responses = asyncio.run(scenario())
-        assert depth == 1
+        assert depth == 21
         assert drained
-        assert len(responses) == 20
+        assert len(responses) == 21
         assert all(r["alert"] for r in responses)
 
-
-class TestInProcessFacade:
-    """``inspect`` answers at every point of a gateway's life, and
-    ``stop`` returns on one never started."""
-
-    ATTACK = "id=1' union select 1"
-
-    def test_inspect_before_start_is_answered(self):
-        async def scenario():
-            gateway = DetectionGateway(SignatureStore(toy_detector()))
-            before = await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
-            await gateway.start()
-            during = await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
-            await gateway.stop()
-            return before, during
-
-        before, during = asyncio.run(scenario())
-        assert before == during
-        assert before["alert"] is True
-
-    def test_stop_without_start_drains_nothing_and_refuses_after(self):
-        async def scenario():
-            gateway = DetectionGateway(SignatureStore(toy_detector()))
-            stopped = await asyncio.wait_for(gateway.stop(), 10)
-            after = await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
-            return stopped, after
-
-        stopped, after = asyncio.run(scenario())
-        assert stopped is True
-        assert after == {"error": "gateway is draining"}
-
-    def test_inspect_after_stop_is_refused(self):
-        async def scenario():
-            gateway = DetectionGateway(SignatureStore(toy_detector()))
-            await gateway.start()
-            await gateway.stop()
-            return await asyncio.wait_for(gateway.inspect(self.ATTACK), 10)
-
-        assert asyncio.run(scenario()) == {"error": "gateway is draining"}
-
-    def test_inspect_racing_stop_is_always_answered(self):
-        async def scenario():
-            gateway = DetectionGateway(SignatureStore(toy_detector()))
-            await gateway.start()
-            stopping = asyncio.ensure_future(gateway.stop())
-            calls = []
-            # Keep calling while the loop drains and tears down, and
-            # once more after it has.
-            while not stopping.done():
-                calls.append(asyncio.ensure_future(
-                    gateway.inspect(self.ATTACK)
-                ))
-                await asyncio.sleep(0)
-            calls.append(asyncio.ensure_future(gateway.inspect(self.ATTACK)))
-            drained = await stopping
-            return drained, await asyncio.wait_for(asyncio.gather(*calls), 10)
-
-        drained, answers = asyncio.run(scenario())
-        assert drained
-        assert answers[-1] == {"error": "gateway is draining"}
-        for answer in answers:
-            assert answer.get("alert") is True or answer == {
-                "error": "gateway is draining"
-            }
+    def test_stop_on_a_gateway_never_started_returns_true(self):
+        gateway = DetectionGateway(SignatureStore(toy_detector()))
+        assert gateway.stop() is True
+        assert gateway.admission.closed
 
 
 def _ipv6_loopback():
@@ -737,11 +610,11 @@ def test_a_gateway_listens_on_its_host(bind):
         gateway = DetectionGateway(
             SignatureStore(toy_detector()), GatewayConfig(host=bind),
         )
-        host, port = await gateway.start()
+        host, port = gateway.start()
         try:
             return host, await send_lines(host, port, ["id=1' union select 1"])
         finally:
-            await gateway.stop()
+            gateway.stop()
 
     host, (answer,) = asyncio.run(scenario())
     assert host == bind or bind == "localhost"

@@ -28,7 +28,7 @@ from repro.ids import DeterministicRuleSet, Rule
 from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
 from repro.serve.protocol import MAX_LINE_BYTES, encode_framed_request
 
-from tests.serve.test_gateway import http, send_lines
+from tests.serve.client import http, send_lines
 
 
 def toy_detector():
@@ -69,14 +69,14 @@ class TestMalformedControlPlane:
     def test_header_without_colon_gets_400(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             status, body = await raw_http(
                 host, port,
                 b"GET /healthz HTTP/1.1\r\nthis is not a header\r\n\r\n",
             )
             # The listener survives: a well-formed request still works.
             after = await http(host, port, "GET", "/healthz")
-            await gateway.stop()
+            gateway.stop()
             return (status, body), after, gateway.telemetry.counter(
                 "protocol_errors"
             )
@@ -92,13 +92,13 @@ class TestMalformedControlPlane:
     def test_unparseable_content_length_gets_400(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             result = await raw_http(
                 host, port,
                 b"POST /inspect HTTP/1.1\r\n"
                 b"Content-Length: banana\r\n\r\n",
             )
-            await gateway.stop()
+            gateway.stop()
             return result
 
         status, body = asyncio.run(scenario())
@@ -108,14 +108,14 @@ class TestMalformedControlPlane:
     def test_header_line_past_the_stream_limit_gets_400(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             result = await raw_http(
                 host, port,
                 b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (300 * 1024)
                 + b"\r\n\r\n",
             )
             after = await http(host, port, "GET", "/healthz")
-            await gateway.stop()
+            gateway.stop()
             return result, after, gateway.telemetry.counter(
                 "protocol_errors"
             )
@@ -132,12 +132,12 @@ class TestMalformedControlPlane:
         # connection and could destroy the answer.
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             response = await send_past_the_answer(
                 host, port,
                 b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (300 * 1024),
             )
-            await gateway.stop()
+            gateway.stop()
             return response
 
         head, _, body = asyncio.run(scenario()).partition(b"\r\n\r\n")
@@ -150,7 +150,7 @@ class TestMalformedControlPlane:
         # the gateway must answer 400 instead of leaking the connection.
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
                 b"POST /inspect HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"
@@ -161,7 +161,7 @@ class TestMalformedControlPlane:
             await writer.wait_closed()
             # Still serving afterwards.
             after = await http(host, port, "GET", "/healthz")
-            await gateway.stop()
+            gateway.stop()
             return response, after
 
         response, (after_status, _) = asyncio.run(scenario())
@@ -182,7 +182,7 @@ class TestOversizedDataPlane:
         # for the long line fails the count.
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
                 b"id=1' union select 1\n" + b"x" * size + b"\nq=after\n"
@@ -192,7 +192,7 @@ class TestOversizedDataPlane:
             responses = [json.loads(line) async for line in reader]
             writer.close()
             await writer.wait_closed()
-            await gateway.stop()
+            gateway.stop()
             return responses, gateway.telemetry.counter("protocol_errors")
 
         responses, errors = asyncio.run(scenario())
@@ -212,7 +212,7 @@ class TestOversizedDataPlane:
                 lambda _loop, context: logged.append(context)
             )
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             frame = encode_framed_request(HttpRequest(query="id=2"))
             writer.write(
@@ -224,7 +224,7 @@ class TestOversizedDataPlane:
             responses = [json.loads(line) async for line in reader]
             writer.close()
             await writer.wait_closed()
-            await gateway.stop()
+            gateway.stop()
             gc.collect()  # an unretrieved task exception logs on collection
             return responses, gateway.telemetry.counter(
                 "protocol_errors"
@@ -245,7 +245,7 @@ class TestOversizedDataPlane:
         # but the *gateway* keeps accepting new connections.
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(b"z" * (5 * MAX_LINE_BYTES) + b"\n")
             await writer.drain()
@@ -253,7 +253,7 @@ class TestOversizedDataPlane:
             writer.close()
             await writer.wait_closed()
             fresh = await send_lines(host, port, ["id=1' union select 1"])
-            await gateway.stop()
+            gateway.stop()
             return error, fresh
 
         error, fresh = asyncio.run(scenario())
@@ -263,11 +263,11 @@ class TestOversizedDataPlane:
     def test_oversized_first_line_answer_survives_more_input(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             response = await send_past_the_answer(
                 host, port, b"z" * (5 * MAX_LINE_BYTES)
             )
-            await gateway.stop()
+            gateway.stop()
             return response
 
         assert json.loads(asyncio.run(scenario())) == {
@@ -282,13 +282,13 @@ class TestReloadMissingFile:
         async def scenario():
             store = SignatureStore(toy_detector(), path=str(missing))
             gateway = DetectionGateway(store, GatewayConfig())
-            host, port = await gateway.start()
+            host, port = gateway.start()
             before = await send_lines(host, port, ["id=1' union select 1"])
             # Empty body => path-based reload; the file does not exist.
             reload_result = await http(host, port, "POST", "/reload")
             after = await send_lines(host, port, ["id=1' union select 1"])
             health = await http(host, port, "GET", "/healthz")
-            await gateway.stop()
+            gateway.stop()
             return before, reload_result, after, health, store.version
 
         before, (status, body), after, (h_status, health), version = (
@@ -305,9 +305,9 @@ class TestReloadMissingFile:
     def test_no_path_configured_is_a_clean_400(self):
         async def scenario():
             gateway = DetectionGateway(SignatureStore(toy_detector()))
-            host, port = await gateway.start()
+            host, port = gateway.start()
             result = await http(host, port, "POST", "/reload")
-            await gateway.stop()
+            gateway.stop()
             return result, gateway.telemetry.counter("reload_failures")
 
         (status, body), failures = asyncio.run(scenario())

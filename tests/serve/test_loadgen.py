@@ -4,12 +4,17 @@
 offline parity on each framing (line protocol or ``REPRO-FRAME/2``) and
 each pacing (closed loop, or open loop at a fixed rate).  The open loop
 times a request from its scheduled send, so a stall in the generator is
-charged as latency.  Parity fails a replay whose answers are missing or
-errors, not only one whose verdicts disagree; sheds are counted and
-never fail it.
+charged as latency; the closed loop never has more than its window in
+flight on a connection, and a connection the server drops leaves its
+remaining answers missing.  Parity fails a replay whose answers are
+missing or errors, not only one whose verdicts disagree; sheds are
+counted and never fail it.
 """
 
-import asyncio
+import contextlib
+import selectors
+import socket
+import threading
 import time
 
 import pytest
@@ -60,10 +65,8 @@ def tamper(monkeypatch, *faults):
     the served answers before the parity check reads them."""
     served = replay
 
-    async def tampered(host, port, wires, **pacing):
-        responses, latencies, duration = await served(
-            host, port, wires, **pacing
-        )
+    def tampered(host, port, wires, **pacing):
+        responses, latencies, duration = served(host, port, wires, **pacing)
         for fault, index in faults:
             fault(responses, index)
         return responses, latencies, duration
@@ -74,9 +77,7 @@ def tamper(monkeypatch, *faults):
 def tampered_run(monkeypatch, *faults):
     """``run_loadgen`` over ``PAYLOADS`` with ``faults`` tampered in."""
     tamper(monkeypatch, *faults)
-    return asyncio.run(run_loadgen(
-        toy_detector(), PAYLOADS, config=GatewayConfig()
-    ))
+    return run_loadgen(toy_detector(), PAYLOADS, config=GatewayConfig())
 
 
 def parity_line(report):
@@ -155,7 +156,7 @@ class TestReplay:
         items = (
             [HttpRequest(query=p) for p in PAYLOADS] if framed else PAYLOADS
         )
-        report = asyncio.run(run_loadgen(
+        report = run_loadgen(
             toy_detector(),
             items,
             config=GatewayConfig(),
@@ -163,7 +164,7 @@ class TestReplay:
             connections=3,
             window=4,
             rate=rate,
-        ))
+        )
         assert report.requests == report.completed == len(PAYLOADS)
         assert report.shed == report.errors == 0
         assert report.alerts == 9
@@ -171,23 +172,135 @@ class TestReplay:
         assert report.parity_ok and report.divergences == []
         assert parity_line(report).startswith(f"PARITY: {len(PAYLOADS)}")
 
-    def test_open_loop_counts_latency_from_the_scheduled_send(self):
-        async def scenario():
-            gateway = DetectionGateway(
-                SignatureStore(toy_detector()), GatewayConfig()
-            )
-            host, port = await gateway.start()
-            try:
-                replaying = asyncio.get_running_loop().create_task(replay(
-                    host, port, [encode_line(p) for p in PAYLOADS],
-                    connections=2, rate=1000.0,
-                ))
-                await asyncio.sleep(0)  # the replay starts its clock...
-                time.sleep(0.2)  # ...then the generator stalls 200 ms
-                return await replaying
-            finally:
-                await gateway.stop()
+    def test_open_loop_counts_latency_from_the_scheduled_send(
+        self, monkeypatch
+    ):
+        class StalledSelector(selectors.DefaultSelector):
+            """The replay's selector: its first select stalls the
+            client 200 ms."""
 
-        responses, latencies, _duration = asyncio.run(scenario())
+            stalled = False
+
+            def select(self, timeout=None):
+                if not StalledSelector.stalled:
+                    StalledSelector.stalled = True
+                    time.sleep(0.2)
+                return super().select(timeout)
+
+        gateway = DetectionGateway(
+            SignatureStore(toy_detector()), GatewayConfig()
+        )
+        host, port = gateway.start()
+        monkeypatch.setattr(
+            loadgen.selectors, "DefaultSelector", StalledSelector
+        )
+        try:
+            responses, latencies, _duration = replay(
+                host, port, [encode_line(p) for p in PAYLOADS],
+                connections=2, rate=1000.0,
+            )
+        finally:
+            gateway.stop()
+        assert StalledSelector.stalled
         assert all(response is not None for response in responses)
-        assert latencies[0] >= 0.2
+        # Every wire fell due within the stall; each is timed from its
+        # due instant, however late the stall made its send.
+        for index, latency in enumerate(latencies):
+            assert latency >= 0.2 - index / 1000.0, (index, latency)
+
+
+ANSWER = b'{"alert": false, "score": 0.0, "matched": [], "version": 1}\n'
+
+
+@contextlib.contextmanager
+def line_server(handle, connections):
+    """A server on a thread per connection: ``handle(sock)`` serves each
+    of the first ``connections`` connections, which is then closed.
+    Yields the address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    threads = []
+
+    def serve(sock):
+        with sock:
+            handle(sock)
+
+    def accept():
+        for _ in range(connections):
+            sock, _ = listener.accept()
+            threads.append(threading.Thread(target=serve, args=(sock,)))
+            threads[-1].start()
+
+    acceptor = threading.Thread(target=accept)
+    acceptor.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        acceptor.join(10)
+        for thread in threads:
+            thread.join(10)
+        listener.close()
+    assert not acceptor.is_alive()
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestReplayClient:
+    """``replay`` against a line server of the test's own."""
+
+    @pytest.mark.parametrize("rate", [None, 2000.0], ids=["closed", "open"])
+    def test_a_hang_up_leaves_the_rest_unanswered(self, rate):
+        answers = 3
+
+        def hang_up(sock):
+            answered, buffer = 0, b""
+            while answered < answers:
+                data = sock.recv(65536)
+                if not data:
+                    return
+                *lines, buffer = (buffer + data).split(b"\n")
+                count = min(len(lines), answers - answered)
+                sock.sendall(ANSWER * count)
+                answered += count
+            sock.shutdown(socket.SHUT_WR)
+            while sock.recv(65536):  # until the client hangs up too
+                pass
+
+        with line_server(hang_up, connections=2) as (host, port):
+            responses, latencies, _duration = replay(
+                host, port, [encode_line(p) for p in PAYLOADS[:20]],
+                connections=2, window=8, rate=rate,
+            )
+        # Two connections: wire i is its connection's (i // 2)-th.
+        assert [response is not None for response in responses] == [
+            index // 2 < answers for index in range(20)
+        ]
+        assert all(
+            response == {
+                "alert": False, "score": 0.0, "matched": [], "version": 1,
+            }
+            for response in responses[:2 * answers]
+        )
+        assert (latencies[2 * answers:] == 0).all()
+
+    def test_closed_loop_keeps_at_most_window_unanswered(self):
+        window, peaks = 4, []
+
+        def hold_answers(sock):
+            received, answered, buffer, peak = 0, 0, b"", 0
+            while data := sock.recv(65536):
+                *lines, buffer = (buffer + data).split(b"\n")
+                received += len(lines)
+                peak = max(peak, received - answered)
+                # A client past its window would send more meanwhile.
+                time.sleep(0.002)
+                sock.sendall(ANSWER * (received - answered))
+                answered = received
+            peaks.append(peak)
+
+        with line_server(hold_answers, connections=3) as (host, port):
+            responses, _latencies, _duration = replay(
+                host, port, [encode_line(p) for p in PAYLOADS],
+                connections=3, window=window,
+            )
+        assert all(response is not None for response in responses)
+        assert len(peaks) == 3
+        assert max(peaks) == window

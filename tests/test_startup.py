@@ -8,8 +8,10 @@ or a shard, for every detector, framed or not, across a reload.  A
 gateway, a fleet supervisor and each shard serve on one ``selectors``
 loop, so they load no event loop either: none of asyncio, ssl,
 concurrent.futures or logging, and no fleet process maps ``_ssl``.
-Each runs one thread.  Lazy re-exports must still resolve every name
-in each package's ``__all__``.  Sent SIGTERM, one gateway and a fleet
+Each runs one thread.  ``repro loadgen``, which drives a gateway or a
+fleet in process from a ``selectors`` client, loads no event loop
+either.  Lazy re-exports must still resolve every name in each
+package's ``__all__``.  Sent SIGTERM, one gateway and a fleet
 alike drain and exit 0 without a word on stderr.
 """
 
@@ -297,6 +299,26 @@ def test_no_fleet_process_maps_numpy(signature_file, tmp_path):
     assert "repro.serve.supervisor" in modules
     assert sorted(modules & set(EVENT_LOOP)) == []
     assert set(threads.values()) == {1}, threads
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--shards", "2"]], ids=["gateway", "fleet"]
+)
+def test_loadgen_loads_no_event_loop(extra):
+    # The load driver is one selectors loop in the calling thread, the
+    # same model as the gateway or fleet it drives in process.
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "loadgen",
+         "--detector", "modsecurity", "--requests", "50", *extra],
+        env=_environ(), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "PARITY: 50 compared" in result.stdout
+    modules = set(IMPORTED.findall(result.stderr))
+    # The load driver imports the fleet supervisor (the driver itself
+    # loads through a lazy re-export, which the log leaves out).
+    assert "repro.serve.supervisor" in modules
+    assert sorted(modules & set(EVENT_LOOP)) == []
 
 
 def test_verdict_referee_loads_without_the_offline_pipeline():
